@@ -2,8 +2,7 @@
 procedure, their analogues for orthogonal and symplectic forms, and
 machine verification of the operator identities they satisfy."""
 
-from .exactnum import (DivisionByZero, PoleAtLimit, Polynomial, Rational,
-                       RationalFunction)
+from .exactnum import DivisionByZero, PoleAtLimit, Rational
 from .shapes import (ContainmentError, ParityError, Partition, SkewShape,
                      StandardTableau, column_tableau, conjugate,
                      count_semistandard, dim_sym_irrep, row_tableau, skew,
@@ -19,6 +18,5 @@ from .fusion import (FusionCertificate, FusionConfig, NotApplicable,
                      SizeLimitExceeded, e_operator, f_operator_closed,
                      f_operator_general, verify_corollary32, verify_prop33,
                      verify_scaled_idempotent, verify_theta_factorization)
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

@@ -1,25 +1,31 @@
-"""Exact scalars: rationals, univariate polynomials, rational functions.
+"""Exact scalars and the one diagonal-limit engine.
 
 Rationals are ``fractions.Fraction`` (already normalized: positive
-denominator, gcd-reduced, arbitrary precision).  ``Polynomial`` and
-``RationalFunction`` are univariate in one formal variable, written ε in
-reports; rational functions are reduced after every arithmetic step and
-keep a monic denominator, so ``eval_at_zero`` raising ``PoleAtLimit``
-always signals a genuine pole.
+denominator, gcd-reduced, arbitrary precision).
+
+The limit engine evaluates at ε = 0 an ordered product of factors
+((a_t + b_t·ε)·1 − X_t)/(a_t + b_t·ε) applied to a start vector, for
+integers a_t, b_t and an integer linear map X_t.  The numerator is kept
+as a power series in ε with integer coefficients, truncated mod
+ε^(v+1) where v = #{t : a_t = 0} is the order of the denominator's zero
+at ε = 0.  Only the coefficients up to ε^v decide the value and the
+pole test, so the truncation is exact: the value is p_v divided by
+Π_t (a_t if a_t else b_t), and a nonzero p_i with i < v is a genuine
+pole.  No factor is ever evaluated early and nothing is reduced along
+the way.  Callers supply only how X_t moves the keys of a vector, which
+is what the group-algebra route and the operator route differ in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Sequence
 from fractions import Fraction
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class DivisionByZero(ZeroDivisionError):
-    """Division by the zero polynomial or rational function."""
+    """A denominator that must not vanish is zero."""
 
 
 class PoleAtLimit(ArithmeticError):
@@ -35,237 +41,67 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-class Polynomial:
-    """Dense univariate polynomial over Fraction, ascending coefficients."""
+# ---------------------------------------------------------------------------
+# the diagonal-limit engine
+#
+# A vector is a dict {key: int} with no zero values.  A truncated series
+# of vectors is the list of its ε-coefficients [p_0, …, p_v].
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "Polynomial":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((ZERO, ONE))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
-            if not other:
-                return Polynomial()
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Polynomial"):
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        num = list(self.coeffs)
-        den = other.coeffs
-        dd = len(den) - 1
-        lead = den[-1]
-        if len(num) - 1 < dd:
-            return Polynomial(), self
-        q = [ZERO] * (len(num) - dd)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i]
-            if c:
-                f = c / lead
-                q[i - dd] = f
-                for j, dc in enumerate(den):
-                    num[i - dd + j] -= f * dc
-        return Polynomial(q), Polynomial(num)
-
-    def monic(self) -> "Polynomial":
-        if not self.coeffs or self.coeffs[-1] == 1:
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Polynomial(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{format_rational(c)}*e^{i}" if i else format_rational(c))
-        return "Polynomial(" + " + ".join(parts) + ")"
+IntVector = dict[Hashable, int]
+Move = Callable[[IntVector], IntVector]
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm over the rationals."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+def limit_at_zero(start: IntVector, factors: Sequence[tuple[Move, int, int]],
+                  what: str = "product") -> dict[Hashable, Fraction]:
+    """Value at ε = 0 of the ordered product applied to ``start``.
+
+    Each factor is (move, a, b) and maps a vector u to
+    ((a + b·ε)·u − move(u))/(a + b·ε); ``move`` applies X to one integer
+    vector and returns a new dict.  Factors apply in sequence order.
+    Raises PoleAtLimit when the product has a pole at ε = 0.
+    """
+    den = [(a, b) for _, a, b in factors]
+    for a, b in den:
+        if a == 0 and b == 0:
+            raise DivisionByZero("factor denominator a + b·ε is identically zero")
+    v = sum(1 for a, _ in den if a == 0)
+    series = [{k: x for k, x in start.items() if x}] + [{} for _ in range(v)]
+    for move, a, b in factors:
+        series = _apply_factor(series, move, a, b)
+    return value_at_zero(series, den, what)
 
 
-_P_ONE = Polynomial.const(1)
+def _apply_factor(series: list[IntVector], move: Move, a: int, b: int) -> list[IntVector]:
+    """(a + b·ε)·u − X·u, coefficient by coefficient, truncated to len(series)."""
+    out = []
+    prev: IntVector = {}
+    for cur in series:
+        acc = {k: a * x for k, x in cur.items()} if a else {}
+        if b:
+            for k, x in prev.items():
+                acc[k] = acc.get(k, 0) + b * x
+        for k, x in move(cur).items():
+            acc[k] = acc.get(k, 0) - x
+        out.append({k: x for k, x in acc.items() if x})
+        prev = cur
+    return out
 
 
-class RationalFunction:
-    """Reduced ratio num/den of polynomials; den monic and coprime to num."""
+def value_at_zero(series: list[IntVector], den: Sequence[tuple[int, int]],
+                  what: str = "product") -> dict[Hashable, Fraction]:
+    """Read off num/Π(a_t + b_t·ε) at ε = 0 from the truncated numerator.
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = _P_ONE, *, _reduced=False):
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if not _reduced:
-            if num.is_zero():
-                den = _P_ONE
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
-                lead = den.coeffs[-1]
-                if lead != 1:
-                    num = num * (ONE / lead)
-                    den = den.monic()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, c) -> "RationalFunction":
-        return cls(Polynomial.const(c), _P_ONE, _reduced=True)
-
-    @classmethod
-    def x(cls) -> "RationalFunction":
-        return cls(Polynomial.x(), _P_ONE, _reduced=True)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.const(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    @staticmethod
-    def _coerce(v) -> "RationalFunction":
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return RationalFunction.const(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to RationalFunction")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def eval_at_zero(self) -> Fraction:
-        """Value at ε = 0; PoleAtLimit when the reduced denominator vanishes."""
-        d0 = self.den(ZERO)
-        if d0 == 0:
-            raise PoleAtLimit(f"pole at 0 of order ≥ 1 in {self!r}")
-        return self.num(ZERO) / d0
-
-    def __repr__(self):
-        return f"RF({self.num!r} / {self.den!r})"
-
-
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Named arithmetic entry point: op in {'+', '-', '*', '/'}."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def eval_at_zero(f: RationalFunction) -> Fraction:
-    return f.eval_at_zero()
+    ``series`` holds the coefficients p_0..p_v of the numerator, with v
+    the number of factors whose a_t is 0.  A nonzero p_i with i < v is a
+    genuine pole; otherwise the value is p_v / Π_t (a_t if a_t else b_t).
+    """
+    v = sum(1 for a, _ in den if a == 0)
+    if len(series) != v + 1:
+        raise ValueError(f"need the {v + 1} coefficients up to ε^{v}, got {len(series)}")
+    if any(series[:v]):
+        raise PoleAtLimit(f"{what} has a genuine pole at ε = 0; "
+                          "this falsifies the regularity claim")
+    scale = 1
+    for a, b in den:
+        scale *= a if a else b
+    return {k: Fraction(x, scale) for k, x in series[v].items()}

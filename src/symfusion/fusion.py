@@ -7,12 +7,13 @@ of the ordered product of contraction factors times exchange factors,
 evaluated at the base point -1/2 (symmetric) or +1/2 (alternating) along
 the constraint line.
 
-The limit machinery carries every entry of the operator product as an
-integer-coefficient polynomial numerator over a shared denominator kept
-as a list of integer linear factors a + b·ε.  Every factor denominator
-in the product is such a linear polynomial, so this is exact; the value
-and the pole test at ε = 0 are read off per entry at the very end, and
-no individual factor is ever evaluated early.
+The limit is taken by the integer engine in ``exactnum``: every entry
+of the operator product is an integer series in ε over the product of
+the factor denominators a + b·ε, truncated at the order of that
+product's zero at ε = 0.  This is exact; the value and the pole test at
+ε = 0 are read off per entry at the very end, and no individual factor
+is ever evaluated early.  The same engine takes the group-algebra limit
+in ``symalg``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from .exactnum import PoleAtLimit
+from .exactnum import DivisionByZero, PoleAtLimit, limit_at_zero
 from .shapes import (Partition, SkewShape, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import Permutation, e_tableau, fusion_e_skew, skew_tableau_of
@@ -124,69 +125,29 @@ class FusionConfig:
 
 
 # ---------------------------------------------------------------------------
-# shared-denominator polynomial matrices over the integers
+# integer operators as moves of the limit engine
 
 
-def _zmat_identity(dim: int) -> dict[int, dict[int, tuple[int, ...]]]:
-    return {r: {r: (1,)} for r in range(dim)}
-
-
-def _int_rows(op: SparseOperator) -> dict[int, dict[int, int]]:
-    out = {}
-    for r, cols in op.rows.items():
-        row = {}
-        for c, v in cols.items():
+def _left_multiplication(op: SparseOperator):
+    """Left multiplication by an integer operator, on matrices stored as
+    vectors with keys row·dim + col: entry (k, c) moves to (r, c) with
+    weight op[r][k]."""
+    dim = op.dim
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for r, row in op.rows.items():
+        for k, v in row.items():
             if v.denominator != 1:
                 raise ValueError("factor operator must have integer entries")
-            row[c] = v.numerator
-        out[r] = row
-    return out
+            cols.setdefault(k, []).append(((r - k) * dim, v.numerator))
 
-
-def _zmat_apply_factor(rows, xrows, a: int, b: int):
-    """(a + b·ε)·U - X·U for a polynomial matrix U and integer matrix X."""
-    zadd, zscale, zlin = kernels.zpoly_add, kernels.zpoly_scale, kernels.zpoly_scale_linear
-    out: dict[int, dict[int, tuple[int, ...]]] = {}
-    for r, cols in rows.items():
-        out[r] = {c: zlin(p, a, b) for c, p in cols.items()}
-    for r, xcols in xrows.items():
-        acc = out.setdefault(r, {})
-        for k, xv in xcols.items():
-            urow = rows.get(k)
-            if urow is None:
-                continue
-            for c, p in urow.items():
-                term = zscale(p, -xv)
-                prev = acc.get(c)
-                v = term if prev is None else zadd(prev, term)
-                if v:
-                    acc[c] = v
-                else:
-                    acc.pop(c, None)
-        if not acc:
-            out.pop(r, None)
-    return out
-
-
-def _zmat_limit(rows, den: list[tuple[int, int]], N: int, n: int) -> SparseOperator:
-    """Per-entry value at ε = 0 of num/Π(a_t + b_t·ε), with exact pole test."""
-    v = sum(1 for a, _ in den if a == 0)
-    scale = 1
-    for a, b in den:
-        scale *= a if a else b
-    out: dict[int, dict[int, Fraction]] = {}
-    for r, cols in rows.items():
-        dst = {}
-        for c, p in cols.items():
-            if any(p[i] for i in range(min(v, len(p)))):
-                raise PoleAtLimit(
-                    "operator product has a genuine pole at the base point; "
-                    "this falsifies the regularity claim")
-            if len(p) > v and p[v]:
-                dst[c] = Fraction(p[v], scale)
-        if dst:
-            out[r] = dst
-    return SparseOperator(N, n, out)
+    def move(vec: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for key, x in vec.items():
+            for shift, w in cols.get(key // dim, ()):
+                nk = key + shift
+                out[nk] = out.get(nk, 0) + w * x
+        return out
+    return move
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +189,30 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
     c = O.contents
     g = O.columns() if cfg.constraint_mode == "column" else O.rows()
     base_shift = cfg.N + cfg.M + (2 * cfg.base_point)  # integer: N+M∓1
-    assert base_shift.denominator == 1
+    if base_shift.denominator != 1:
+        raise ConfigError(f"base point {cfg.base_point} is not a half-integer")
     form = cfg.form
-    factors: list[tuple[dict, int, int]] = []
-    q_cache: dict[tuple[int, int], dict] = {}
+    factors = []
     for k, l in _lex_pairs(n):
         a = c[k - 1] + c[l - 1] + int(base_shift)
         b = g[k - 1] + g[l - 1]
-        if (k, l) not in q_cache:
-            q_cache[(k, l)] = _int_rows(q_op(k, l, form, n))
-        factors.append((q_cache[(k, l)], a, b))
+        factors.append((_left_multiplication(q_op(k, l, form, n)), a, b))
     for k, l in _lex_pairs(n):
         a = c[k - 1] - c[l - 1]
         b = g[k - 1] - g[l - 1]
         if a == 0 and b == 0:
             raise ConfigError("vanishing exchange denominator; tableau not standard?")
-        p = _int_rows(perm_op(Permutation.transposition(n, k, l), N))
-        factors.append((p, a, b))
-    rows = _zmat_identity(N ** n)
-    den: list[tuple[int, int]] = []
-    for xrows, a, b in reversed(factors):
-        rows = _zmat_apply_factor(rows, xrows, a, b)
-        den.append((a, b))
-    return _zmat_limit(rows, den, N, n)
+        p = perm_op(Permutation.transposition(n, k, l), N)
+        factors.append((_left_multiplication(p), a, b))
+    # the product is built from the right, so the factors apply reversed
+    dim = N ** n
+    values = limit_at_zero({r * dim + r: 1 for r in range(dim)}, factors[::-1],
+                           "operator product")
+    rows: dict[int, dict[int, Fraction]] = {}
+    for key, v in values.items():
+        r, col = divmod(key, dim)
+        rows.setdefault(r, {})[col] = v
+    return SparseOperator(N, n, rows)
 
 
 CLOSED_FORMULAS = ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case")
@@ -313,7 +275,8 @@ def f_operator_closed(cfg: FusionConfig, formula: str) -> SparseOperator:
     out = e_operator(O, cfg.N)
     for k, l in reversed(pairs):
         d = c[k - 1] + c[l - 1] + shift
-        assert d != 0, "denominator safety violated"
+        if d == 0:
+            raise DivisionByZero(f"closed formula {formula}: factor ({k},{l}) has denominator 0")
         out = out - q_op(k, l, form, n).scaled(Fraction(1, d)) * out
     return out
 

@@ -95,8 +95,11 @@ def run_identity_check(name: str, statement: str, lhs: ParamOperator,
 
 def _difference_witness(pt, a: SparseOperator, b: SparseOperator) -> dict:
     diff = a - b
-    r = min(diff.rows)
-    c = min(diff.rows[r])
+    cells = [(r, c) for r, cols in diff.rows.items() for c in cols]
+    if not cells:  # equal values, but one side stores explicit zeros
+        cells = [(r, c) for x, y in ((a, b), (b, a)) for r, cols in x.rows.items()
+                 for c in cols if c not in y.rows.get(r, {})]
+    r, c = min(cells, default=(None, None))
     return {"sample": [str(x) for x in pt], "row": r, "col": c,
             "lhs": str(a.entry(r, c)), "rhs": str(b.entry(r, c))}
 

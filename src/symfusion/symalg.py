@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import kernels
-from .exactnum import ONE, PoleAtLimit, RationalFunction, format_rational
+from .exactnum import format_rational, limit_at_zero
 from .shapes import SkewShape, StandardTableau, row_tableau
 
 
@@ -113,8 +113,9 @@ def compose(s: Permutation, t: Permutation) -> Permutation:
 class GroupAlgebraElement:
     """Formal combination of permutations of a fixed degree.
 
-    Coefficients are Fraction or RationalFunction; zero coefficients are
-    never stored.  Term keys are raw image tuples for kernel speed.
+    Coefficients are exact rationals (Fraction; ints compare equal to
+    them); zero coefficients are never stored.  Term keys are raw image
+    tuples for kernel speed.
     """
 
     __slots__ = ("n", "terms")
@@ -241,19 +242,57 @@ def young_q(T: StandardTableau) -> GroupAlgebraElement:
     return _stabilizer_sum(T, by_rows=False, signed=True)
 
 
+def _row_numerator(T: StandardTableau) -> tuple[dict[tuple, int], int]:
+    """Integer terms of p·q·p for the row tableau T, and λ1!·λ2!·…, which
+    is its identity coefficient.
+
+    x = p·q is a plain product; x·p is read off from coset sums, because
+    (x·p)[σ] = Σ_{τ ∈ σR} x[τ] for the row group R.  A coset σR is fixed
+    by which row block each value comes from, so this costs O(n!) rather
+    than |x|·|p| products.
+    """
+    p = young_p(T)
+    q = young_q(T)
+    x = kernels.ga_mul({s: 1 for s in p.terms}, {s: int(c) for s, c in q.terms.items()})
+    block_of = [0] * T.n
+    for (i, _), k in zip(T.shape.cells, T.entries):
+        block_of[k - 1] = i
+    sums: dict[tuple, int] = {}
+    reps: dict[tuple, tuple] = {}
+    for t, c in x.items():
+        label = [0] * T.n
+        for pos, v in enumerate(t):
+            label[v - 1] = block_of[pos]
+        key = tuple(label)
+        sums[key] = sums.get(key, 0) + c
+        reps.setdefault(key, t)
+    terms = {}
+    for key, c in sums.items():
+        if c:
+            rep = reps[key]
+            for r in p.terms:
+                terms[tuple(rep[i - 1] for i in r)] = c
+    denom = 1
+    for part in T.shape.lam.parts:
+        denom *= factorial(part)
+    return terms, denom
+
+
+def _from_numerators(n: int, terms: dict[tuple, int], denom: int) -> GroupAlgebraElement:
+    """The element Σ terms[s]/denom · s; its identity coefficient must be 1."""
+    if terms.get(tuple(range(1, n + 1))) != denom:
+        raise ArithmeticError("diagonal matrix element lost its unit identity coefficient")
+    e = GroupAlgebraElement(n)
+    e.terms = {s: Fraction(c, denom) for s, c in terms.items()}
+    return e
+
+
 def e_row(T: StandardTableau) -> GroupAlgebraElement:
     """Diagonal matrix element for the row tableau: p·q·p / (λ1!·λ2!·…)."""
     _require_non_skew(T)
     if not T.is_row_tableau():
         raise WrongTableau(f"{T} is not the row tableau of its shape")
-    p = young_p(T)
-    q = young_q(T)
-    denom = 1
-    for part in T.shape.lam.parts:
-        denom *= factorial(part)
-    e = (p * q * p).scaled(Fraction(1, denom))
-    assert e.identity_coeff() == 1
-    return e
+    return _from_numerators(T.n, *_row_numerator(T))
 
 
 def e_col(T: StandardTableau) -> GroupAlgebraElement:
@@ -269,7 +308,8 @@ def e_col(T: StandardTableau) -> GroupAlgebraElement:
     for part in conjugate(T.shape.lam).parts:
         denom *= factorial(part)
     e = (q * p * q).scaled(Fraction(1, denom))
-    assert e.identity_coeff() == 1
+    if e.identity_coeff() != 1:
+        raise ArithmeticError("q·p·q lost its unit identity coefficient")
     return e
 
 
@@ -298,50 +338,63 @@ def e_tableau(T: StandardTableau, greedy: str = "smallest") -> GroupAlgebraEleme
     """Diagonal matrix element e for an arbitrary standard tableau.
 
     Built from the row tableau along a chain of admissible adjacent
-    transpositions: with h = 1/(c_{k+1} - c_k) taken on the current
+    transpositions: with h = 1/d, d = c_{k+1} - c_k taken on the current
     tableau, the exchanged element is (s_k - h)·e·(s_k - h)/(1 - h²).
+    Numerators stay integers over one tracked denominator, which gains a
+    factor d² - 1 per exchange; Fractions are built once, at the end.
     """
     _require_non_skew(T)
     chain = chain_from_row(T, greedy)
     cur = row_tableau(T.shape)
-    e = e_row(cur)
-    n = T.n
+    terms, denom = _row_numerator(cur)
     for k in chain:
         c = cur.contents
-        h = Fraction(1, c[k] - c[k - 1])
-        f = GroupAlgebraElement(n, {
-            tuple(Permutation.transposition(n, k, k + 1)): Fraction(1),
-            tuple(Permutation.identity(n)): -h,
-        })
-        e = (f * e * f).scaled(1 / (1 - h * h))
-        cur = cur.swap_adjacent(k)
-    assert cur == T and e.identity_coeff() == 1
+        d = c[k] - c[k - 1]
+        cur = cur.swap_adjacent(k)  # raises unless the exchange is admissible
+        terms = _exchange(terms, k, d)
+        denom *= d * d - 1
+    if cur != T:
+        raise ArithmeticError(f"exchange chain ended at {cur}, not at {T}")
+    return _from_numerators(T.n, terms, denom)
+
+
+def _exchange(terms: dict[tuple, int], k: int, d: int) -> dict[tuple, int]:
+    """Numerators of d²·(s - 1/d)·e·(s - 1/d) for s = s_k:
+    new[τ] = d²·e[sτs] - d·e[sτ] - d·e[τs] + e[τ].  s∘τ swaps the values
+    k and k+1 of τ, τ∘s swaps its positions k and k+1."""
+    d2 = d * d
+    out: dict[tuple, int] = {}
+    for t, x in terms.items():
+        st = tuple(k + 1 if v == k else k if v == k + 1 else v for v in t)
+        ts = t[:k - 1] + (t[k], t[k - 1]) + t[k + 1:]
+        sts = st[:k - 1] + (st[k], st[k - 1]) + st[k + 1:]
+        for key, c in ((sts, d2 * x), (st, -d * x), (ts, -d * x), (t, x)):
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _times_transposition(i: int, j: int):
+    """Right multiplication by (i j): swaps positions i and j of every key."""
+    def move(vec):
+        out = {}
+        for s, x in vec.items():
+            t = list(s)
+            t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
+            out[tuple(t)] = x
+        return out
+    return move
+
+
+def _fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
+    """Value at ε = 0 of the ordered product of
+    1 - (i j)/(c_i - c_j + (g_i - g_j)·ε) over lexicographic pairs, where
+    g are the slopes of the substitution line."""
+    factors = [(_times_transposition(i, j), contents[i - 1] - contents[j - 1],
+                slopes[i - 1] - slopes[j - 1])
+               for i in range(1, n) for j in range(i + 1, n + 1)]
+    e = GroupAlgebraElement(n)
+    e.terms = limit_at_zero({tuple(range(1, n + 1)): 1}, factors, "fusion product")
     return e
-
-
-def _fusion_product(n: int, contents, groups) -> GroupAlgebraElement:
-    """Ordered product of 1 - (i j)/(c_i - c_j + (g_i - g_j)·ε) over
-    lexicographic pairs, with rational-function coefficients."""
-    eps = RationalFunction.x()
-    elem = GroupAlgebraElement.one(n, RationalFunction.const(1))
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            den = (contents[i - 1] - contents[j - 1]) + (groups[i - 1] - groups[j - 1]) * eps
-            factor = GroupAlgebraElement(n, {
-                tuple(Permutation.identity(n)): RationalFunction.const(1),
-                tuple(Permutation.transposition(n, i, j)): -(ONE / den),
-            })
-            elem = elem * factor
-    return elem
-
-
-def _evaluate_limit(elem: GroupAlgebraElement) -> GroupAlgebraElement:
-    try:
-        return elem.map_coeffs(lambda c: c.eval_at_zero())
-    except PoleAtLimit as exc:
-        raise PoleAtLimit(
-            "fusion product has a genuine pole on the constraint line; "
-            "this falsifies the regularity claim") from exc
 
 
 def fusion_e(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
@@ -359,7 +412,7 @@ def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
     if mode not in ("row", "column"):
         raise ValueError(f"mode must be 'row' or 'column', got {mode!r}")
     groups = T.rows() if mode == "row" else T.columns()
-    return _evaluate_limit(_fusion_product(T.n, T.contents, groups))
+    return _fusion_limit(T.n, T.contents, groups)
 
 
 def iota(a: GroupAlgebraElement, m: int) -> GroupAlgebraElement:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import kernels
 from .exactnum import format_rational
@@ -138,6 +139,8 @@ class SparseOperator:
 
     @classmethod
     def identity(cls, N: int, n: int, coeff=Fraction(1)) -> "SparseOperator":
+        if not coeff:
+            return cls.zero(N, n)
         dim = N ** n
         return cls(N, n, {r: {r: coeff} for r in range(dim)})
 
@@ -276,11 +279,32 @@ def _place(rest: tuple[int, ...], k: int, l: int, a: int, b: int, N: int) -> int
 
 
 def act(a: GroupAlgebraElement, N: int) -> SparseOperator:
-    """Operator realization of a group-algebra element by permuting factors."""
-    out = SparseOperator.zero(N, a.n)
+    """Operator realization of a group-algebra element by permuting factors.
+
+    Σ_s c_s·perm_op(s), accumulated into one set of rows: perm_op(s) sends
+    basis vector idx to the one holding idx_j in slot s(j), whose code is
+    Σ_j (idx_j - 1)·N^(n - s(j)).
+    """
+    n = a.n
+    dim = N ** n
+    digits = list(zip(*(decode(code, N, n) for code in range(dim))))
+    # placed[j][slot - 1][code]: contribution of factor j+1 of code in that slot
+    placed = [[[(d - 1) * N ** (n - slot) for d in col] for slot in range(1, n + 1)]
+              for col in digits]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(dim)]
     for s, c in a.terms.items():
-        out = out + perm_op(Permutation(s), N).scaled(c)
-    return out
+        targets = [0] * dim
+        for j, v in enumerate(s):
+            targets = list(map(add, targets, placed[j][v - 1]))
+        for code, tgt in enumerate(targets):
+            row = rows[tgt]
+            row[code] = row.get(code, 0) + c
+    out = {}
+    for r, row in enumerate(rows):
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            out[r] = row
+    return SparseOperator(N, n, out)
 
 
 @dataclass(frozen=True)

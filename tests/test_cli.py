@@ -111,3 +111,12 @@ def test_main_callable_directly(capsys):
     assert main(["tableaux", "--lambda", "2"]) == 0
     captured = capsys.readouterr()
     assert "1 standard tableaux" in captured.out
+
+
+def test_verify_yang_baxter_seed13_regression(tmp_path, capsys):
+    # a seed-13 sample has x - y = ±1, where the unitarity scalar is 0
+    out = tmp_path / "cert.json"
+    code = main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
+                 "--suite", "yang-baxter", "--seed", "13", "--output", str(out)])
+    assert code == 0
+    assert all(e["pass"] for e in json.loads(out.read_text())["entries"])

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfusion.exactnum import (DivisionByZero, PoleAtLimit, Polynomial,
-                                RationalFunction, eval_at_zero,
-                                format_rational, parse_rational, poly_gcd,
-                                rf_arith)
+# The rational-function tests exercise the test-only reference route in
+# rf_reference.py, which the limit engine is checked against.
+from rf_reference import (Polynomial, RationalFunction, eval_at_zero,
+                          poly_gcd, rf_arith)
+from symfusion.exactnum import (DivisionByZero, PoleAtLimit, format_rational,
+                                limit_at_zero, parse_rational)
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -21,6 +23,22 @@ def test_rational_text_roundtrip():
     assert parse_rational("-7") == Fraction(-7)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5)) == "5"
+
+
+def _times(m):
+    """X = m·1 on scalar vectors."""
+    return lambda vec: {k: m * x for k, x in vec.items()}
+
+
+def test_limit_engine_pole_and_removable_singularity():
+    # (ε/(2+ε))·((3ε+1)/(3ε)) -> 1/6, through a numerator divisible by ε
+    value = limit_at_zero({0: 1}, [(_times(2), 2, 1), (_times(-1), 0, 3)])
+    assert value == {0: Fraction(1, 6)}
+    # (1 + 1/ε) has a genuine pole
+    with pytest.raises(PoleAtLimit):
+        limit_at_zero({0: 1}, [(_times(-1), 0, 1)])
+    with pytest.raises(DivisionByZero):
+        limit_at_zero({0: 1}, [(_times(1), 0, 0)])
 
 
 def test_polynomial_normalization():

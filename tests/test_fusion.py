@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from symfusion.exactnum import PoleAtLimit
+from symfusion.exactnum import PoleAtLimit, value_at_zero
 from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               NonStandardNeighbor, SizeLimitExceeded,
-                              _zmat_limit, e_operator, f_operator_closed,
+                              e_operator, f_operator_closed,
                               f_operator_general, measured_eigenvalue,
                               operator_hash, scaled_idempotency_constant,
                               verify_corollary32, verify_divisibility,
@@ -193,12 +193,11 @@ def test_divisibility_for_skew_shape_with_measured_scalar():
 
 
 def test_pole_detection_machinery():
-    # a 1x1 "matrix" with numerator 1 over denominator ε must raise
+    # numerator 1 over denominator 2ε must raise
     with pytest.raises(PoleAtLimit):
-        _zmat_limit({0: {0: (1,)}}, [(0, 2)], 1, 1)
+        value_at_zero([{0: 1}, {}], [(0, 2)])
     # numerator divisible by ε passes: 3ε/2ε -> 3/2
-    out = _zmat_limit({0: {0: (0, 3)}}, [(0, 2)], 1, 1)
-    assert out.entry(0, 0) == Fraction(3, 2)
+    assert value_at_zero([{}, {0: 3}], [(0, 2)]) == {0: Fraction(3, 2)}
 
 
 def test_dimension_cap(monkeypatch):
@@ -212,6 +211,24 @@ def test_operator_hash_stability():
     E = e_operator(T((2,)), 2)
     assert operator_hash(E) == operator_hash(I2() + P12_2)
     assert operator_hash(E) != operator_hash(I2())
+
+
+# operator_hash of (F, E) for row tableaux at N = 4, pinned from the
+# integer-polynomial and rational-function limit routes that the integer
+# series engine replaced; it must reproduce them exactly
+PINNED_HASHES = {
+    ("alternating", (3, 1)): ("38f7fe4e7ab026a4", "3854fd8f58322fdb"),
+    ("alternating", (2, 2)): ("a927a755b0a8c4d6", "3ee55571f4f6315c"),
+    ("symmetric", (3, 1)): ("09b44d1f8c5263a9", "3854fd8f58322fdb"),
+    ("symmetric", (2, 2)): ("f65b2b1e54ba0e06", "3ee55571f4f6315c"),
+}
+
+
+def test_operator_hashes_pinned():
+    for (kind, lam), (hash_f, hash_e) in PINNED_HASHES.items():
+        tab = T(lam)
+        assert operator_hash(f_operator_general(FusionConfig(tab, 4, 0, kind))) == hash_f
+        assert operator_hash(e_operator(tab, 4)) == hash_e
 
 
 def test_rank_of_F_matches_traceless_intersection_dimension():

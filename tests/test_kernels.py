@@ -1,43 +1,7 @@
-"""Both kernel backends must agree operation by operation."""
-
 import random
 from fractions import Fraction
 
-import pytest
-
-from symfusion import _kernels_py
 from symfusion import kernels
-
-try:
-    from symfusion import _kernels_cy
-    BACKENDS = [_kernels_py, _kernels_cy]
-except ImportError:
-    BACKENDS = [_kernels_py]
-
-pairwise = pytest.mark.skipif(len(BACKENDS) < 2,
-                              reason="compiled kernels not built")
-
-
-def random_perm(rng, n):
-    images = list(range(1, n + 1))
-    rng.shuffle(images)
-    return tuple(images)
-
-
-def random_ga(rng, n, terms):
-    out = {}
-    for _ in range(terms):
-        out[random_perm(rng, n)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    return {k: v for k, v in out.items() if v}
-
-
-@pairwise
-def test_compose_agrees():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        s, t = random_perm(rng, n), random_perm(rng, n)
-        assert _kernels_py.compose(s, t) == _kernels_cy.compose(s, t)
 
 
 def test_compose_convention():
@@ -47,68 +11,15 @@ def test_compose_convention():
     assert kernels.compose(s, t) == (3, 1, 2)
 
 
-@pairwise
-def test_ga_mul_agrees():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        a = random_ga(rng, n, rng.randint(1, 8))
-        b = random_ga(rng, n, rng.randint(1, 8))
-        assert _kernels_py.ga_mul(a, b) == _kernels_cy.ga_mul(a, b)
-
-
-@pairwise
-def test_sparse_mm_agrees():
-    rng = random.Random(13)
-    for _ in range(25):
-        dim = rng.randint(1, 12)
-        def rand_rows():
-            rows = {}
-            for _ in range(rng.randint(0, 3 * dim)):
-                r, c = rng.randrange(dim), rng.randrange(dim)
-                v = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                if v:
-                    rows.setdefault(r, {})[c] = v
-            return rows
-        a, b = rand_rows(), rand_rows()
-        assert _kernels_py.sparse_mm(a, b) == _kernels_cy.sparse_mm(a, b)
-
-
-@pairwise
-def test_bareiss_rank_agrees_and_is_correct():
+def test_bareiss_rank_matches_frac_rref():
     rng = random.Random(17)
     for _ in range(25):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         mat = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-        r1 = _kernels_py.bareiss_rank([row[:] for row in mat], nc)
-        r2 = _kernels_cy.bareiss_rank([row[:] for row in mat], nc)
-        assert r1 == r2
-        # cross-check against fraction RREF
+        r = kernels.bareiss_rank([row[:] for row in mat], nc)
         frows = [[Fraction(v) for v in row] for row in mat]
-        pivots, _ = _kernels_py.frac_rref(frows, nc, Fraction(0), Fraction(1))
-        assert r1 == len(pivots)
-
-
-@pairwise
-def test_zpoly_ops_agree():
-    rng = random.Random(19)
-    for _ in range(50):
-        p = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 6)))
-        q = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 6)))
-        p = _kernels_py.zpoly_add(p, ())  # normalize trailing zeros
-        q = _kernels_py.zpoly_add(q, ())
-        a, b, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)
-        assert _kernels_py.zpoly_add(p, q) == _kernels_cy.zpoly_add(p, q)
-        assert _kernels_py.zpoly_scale(p, c) == _kernels_cy.zpoly_scale(p, c)
-        assert (_kernels_py.zpoly_scale_linear(p, a, b)
-                == _kernels_cy.zpoly_scale_linear(p, a, b))
-
-
-def test_zpoly_scale_linear_semantics():
-    # (1 + 2x)·(3 + 4x) = 3 + 10x + 8x^2
-    assert kernels.zpoly_scale_linear((1, 2), 3, 4) == (3, 10, 8)
-    assert kernels.zpoly_scale_linear((), 3, 4) == ()
-    assert kernels.zpoly_scale_linear((1,), 0, 1) == (0, 1)
+        pivots, _ = kernels.frac_rref(frows, nc, Fraction(0), Fraction(1))
+        assert r == len(pivots)
 
 
 def test_frac_rref_known_case():

@@ -4,6 +4,7 @@ import pytest
 
 from symfusion.fusion import FusionConfig
 from symfusion.rmatrix import (IdentityCheck, ParamOperator, R, Rbar, Rtilde,
+                               _difference_witness,
                                check_eval_consistency_E,
                                check_eval_consistency_F, check_image_coincidence,
                                check_intertwiner_E, check_intertwiner_F,
@@ -168,6 +169,15 @@ def test_run_identity_check_failure_witness():
     chk = run_identity_check("toy", "toy-statement", lhs, rhs, SEED)
     assert not chk.passed
     assert chk.witness["row"] == 0 and chk.witness["col"] == 0
+
+
+def test_zero_identity_and_stored_zero_witness():
+    assert SparseOperator.identity(2, 1, Fraction(0)).is_zero()
+    # operators equal in value but not in storage still get a witness
+    stored_zero = SparseOperator(2, 1, {1: {0: Fraction(0)}})
+    witness = _difference_witness((Fraction(1),), stored_zero, SparseOperator.zero(2, 1))
+    assert (witness["row"], witness["col"]) == (1, 0)
+    assert witness["lhs"] == witness["rhs"] == "0"
 
 
 def test_param_operator_pole_rejection():

@@ -10,8 +10,10 @@ from symfusion.symalg import (DegreeMismatch, GroupAlgebraElement, Permutation,
                               SampleAtPole, SkewShapeError, WrongTableau,
                               chain_from_row, check_prop25, compose, e_col,
                               e_row, e_skew_extract, e_tableau, extend_tableau,
-                              fusion_e, fusion_e_skew, iota, theta, young_p,
-                              young_q)
+                              _fusion_limit, fusion_e, fusion_e_skew, iota,
+                              theta, young_p, young_q)
+
+from rf_reference import rf_fusion_e_skew
 
 
 def P(*parts):
@@ -181,30 +183,30 @@ def test_fusion_factor_relations():
 def test_fusion_limit_is_line_independent():
     # regularity makes the diagonal value independent of which injective
     # substitution line the constrained variables follow
-    from symfusion.exactnum import ONE, RationalFunction
-
-    def fusion_with_multipliers(T, mode, mults):
-        groups = T.rows() if mode == "row" else T.columns()
-        c = T.contents
-        n = T.n
-        eps = RationalFunction.x()
-        elem = GroupAlgebraElement.one(n, RationalFunction.const(1))
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                den = ((c[i - 1] - c[j - 1])
-                       + (mults[groups[i - 1] - 1] - mults[groups[j - 1] - 1]) * eps)
-                f = GroupAlgebraElement(n, {
-                    ident(n): RationalFunction.const(1),
-                    transp(n, i, j): -(ONE / den)})
-                elem = elem * f
-        return elem.map_coeffs(lambda v: v.eval_at_zero())
-
-    for lam in (P(2, 2), P(3, 1)):
+    shapes = [P(2, 2), P(3, 1)] + [lam for lam in partitions_of(5)
+                                   if len(lam.parts) <= 4 and lam.parts[0] <= 4]
+    for lam in shapes:
         for T in standard_tableaux(skew(lam)):
             e = e_tableau(T)
             for mults in ([7, 2, 11, 3], [1, 10, 100, 1000]):
-                assert fusion_with_multipliers(T, "row", mults) == e
-                assert fusion_with_multipliers(T, "column", mults) == e
+                for groups in (T.rows(), T.columns()):
+                    slopes = [mults[g - 1] for g in groups]
+                    assert _fusion_limit(T.n, T.contents, slopes) == e
+
+
+def test_fusion_engine_matches_rf_reference():
+    # the truncated integer engine against the gcd-reduced rational-function
+    # product, on every standard tableau of at most four cells, skew included
+    checked = 0
+    for outer in range(1, 7):
+        for lam in partitions_of(outer):
+            for inner in range(max(0, outer - 4), outer):
+                for mu in sub_partitions(lam, inner):
+                    for T in standard_tableaux(skew(lam, mu)):
+                        for mode in ("row", "column"):
+                            assert fusion_e_skew(T, mode) == rf_fusion_e_skew(T, mode)
+                            checked += 1
+    assert checked > 600
 
 
 # --- theta and skew elements -------------------------------------------------
