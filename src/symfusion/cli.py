@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .exactnum import PoleAtLimit
@@ -141,7 +140,7 @@ def _valid_partitions(group: str, dim: int, max_boxes: int):
                 yield lam
 
 
-def _suite_idempotency(args, entries):
+def _suite_idempotency(args):
     group = args.form
     kind = FORM_KIND[group]
     for lam in _valid_partitions(group, args.N, args.max_boxes):
@@ -154,10 +153,10 @@ def _suite_idempotency(args, entries):
             cfg = FusionConfig(T, args.N, 0, kind)
             F = f_operator_general(cfg)
             ok = ok and verify_scaled_idempotent(F, scalar)
-            entries.append((f"idempotency/{T}", "scaled-square", ok, None))
+            yield f"idempotency/{T}", "scaled-square", ok, None
 
 
-def _suite_prop33(args, entries):
+def _suite_prop33(args):
     group = args.form
     kind = FORM_KIND[group]
     for lam in _valid_partitions(group, args.N, args.max_boxes):
@@ -166,10 +165,10 @@ def _suite_prop33(args, entries):
         for T in standard_tableaux(skew(lam)):
             cfg = FusionConfig(T, args.N, 0, kind)
             ok = verify_prop33(cfg)
-            entries.append((f"traceless-image/{T}", "traceless-image-equality", ok, None))
+            yield f"traceless-image/{T}", "traceless-image-equality", ok, None
 
 
-def _suite_corollary32(args, entries):
+def _suite_corollary32(args):
     group = args.form
     kind = FORM_KIND[group]
     for lam in _valid_partitions(group, args.N, args.max_boxes):
@@ -183,55 +182,52 @@ def _suite_corollary32(args, entries):
                     continue
                 cfg = FusionConfig(T, args.N, 0, kind)
                 ok = verify_corollary32(T, k, cfg)
-                entries.append((f"exchange/{T}/k{k}", "fusion-exchange-relation", ok, None))
+                yield f"exchange/{T}/k{k}", "fusion-exchange-relation", ok, None
 
 
-def _suite_yang_baxter(args, entries):
+def _suite_yang_baxter(args):
     form = symmetric_form(args.N) if args.form == "O" else alternating_form(args.N)
     for which in ("YB35", "tilde37", "bar38", "mixed385"):
         chk = check_yang_baxter_family(which, args.N, form, args.seed)
-        entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+        yield chk.name, chk.statement, chk.passed, chk.witness
     for which in ("RR", "tildebar"):
         chk = check_unitarity(which, args.N, form, args.seed)
-        entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+        yield chk.name, chk.statement, chk.passed, chk.witness
 
 
-def _suite_intertwiners(args, entries):
+def _suite_intertwiners(args):
     kind = FORM_KIND[args.form]
     form = symmetric_form(args.N) if args.form == "O" else alternating_form(args.N)
     max_boxes = min(args.max_boxes, 3)
     for lam in _valid_partitions(args.form, args.N + args.M, max_boxes):
         for T in standard_tableaux(skew(lam)):
             chk = check_intertwiner_E(T, args.N, Fraction(0), args.seed)
-            entries.append((chk.name, chk.statement, chk.passed, chk.witness))
-            try:
-                cfg = FusionConfig(T, args.N, args.M, kind)
-            except ConfigError:
-                continue
+            yield chk.name, chk.statement, chk.passed, chk.witness
+            cfg = FusionConfig(T, args.N, args.M, kind)
             chk = check_intertwiner_F(cfg, args.seed)
-            entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+            yield chk.name, chk.statement, chk.passed, chk.witness
             chk = check_eval_consistency_E(T, args.N, args.seed)
-            entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+            yield chk.name, chk.statement, chk.passed, chk.witness
             if args.M == 0:
                 chk = check_eval_consistency_F(cfg, args.seed)
-                entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+                yield chk.name, chk.statement, chk.passed, chk.witness
     for n, zs in ((1, (Fraction(0),)), (2, (Fraction(0), Fraction(1)))):
         chk = check_rtt(zs, args.N, args.seed)
-        entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+        yield chk.name, chk.statement, chk.passed, chk.witness
         chk = check_reflection_image(zs, args.N, form, args.seed)
-        entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+        yield chk.name, chk.statement, chk.passed, chk.witness
     chk = check_image_coincidence(Fraction(0), args.N, form, args.seed)
-    entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+    yield chk.name, chk.statement, chk.passed, chk.witness
 
 
-def _suite_lemma44(args, entries):
+def _suite_lemma44(args):
     for size in range(0, min(args.max_boxes, 4) + 1):
         for mu in partitions_of(size):
             chk = check_lemma44(mu, args.seed)
-            entries.append((chk.name, chk.statement, chk.passed, chk.witness))
+            yield chk.name, chk.statement, chk.passed, chk.witness
 
 
-def _suite_theta(args, entries):
+def _suite_theta(args):
     configs = [
         (Partition((2,)), 1, 2, 1, "symmetric"),
         (Partition((2, 1)), 1, 2, 2, "symmetric"),
@@ -239,8 +235,8 @@ def _suite_theta(args, entries):
     for lam, m, N, M, kind in configs:
         for T in standard_tableaux(skew(lam)):
             ok = verify_theta_factorization(T, m, N, M, kind)
-            entries.append((f"split-factorization/{T}/m{m}/N{N}/M{M}",
-                            "compression-factorization", ok, None))
+            yield (f"split-factorization/{T}/m{m}/N{N}/M{M}",
+                   "compression-factorization", ok, None)
 
 
 SUITES = {
@@ -259,25 +255,22 @@ def cmd_verify(args) -> int:
     for name in suites:
         if name not in SUITES:
             raise UsageError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-    if args.form == "Sp" and args.N % 2:
-        raise ParityError(f"symplectic verification needs even N, got {args.N}")
+    if args.N < 1 or args.M < 0 or args.max_boxes < 0:
+        raise UsageError(f"need --N >= 1, --M >= 0 and --max-boxes >= 0; got --N {args.N}, "
+                         f"--M {args.M}, --max-boxes {args.max_boxes}")
+    if args.form == "Sp" and (args.N % 2 or args.M % 2):
+        raise ParityError(f"symplectic verification needs even N and M, "
+                          f"got N = {args.N}, M = {args.M}")
+    max_dim()  # a malformed FUSION_MAX_DIM fails here, before any suite runs
     results: list[CheckResult] = []
-
-    def run_suite(name):
-        entries: list[tuple] = []
+    for name in suites:
         t0 = time.monotonic()
-        SUITES[name](args, entries)
-        elapsed = int(1000 * (time.monotonic() - t0))
-        out = []
-        for ename, statement, ok, witness in entries:
-            out.append(CheckResult(name=f"{name}/{ename}", statement=statement,
-                                   passed=bool(ok), witness=witness,
-                                   runtime_ms=elapsed if args.timings else None))
-        return out
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for chunk in pool.map(run_suite, suites):
-            results.extend(chunk)
+        for ename, statement, ok, witness in SUITES[name](args):
+            now = time.monotonic()
+            ms = int(1000 * (now - t0)) if args.timings else None
+            results.append(CheckResult(name=f"{name}/{ename}", statement=statement,
+                                       passed=bool(ok), witness=witness, runtime_ms=ms))
+            t0 = now
 
     certificate = {
         "version": CERT_VERSION,
@@ -340,11 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=0)
     p.add_argument("--max-boxes", type=int, default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=2)
     p.add_argument("--output", default="symfusion-certificate.json",
                    help="certificate path (always written)")
     p.add_argument("--timings", action="store_true",
-                   help="include per-suite runtime_ms (breaks byte reproducibility)")
+                   help="include per-check runtime_ms (breaks byte reproducibility)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -49,7 +49,16 @@ class ConfigError(ValueError):
 
 
 def max_dim() -> int:
-    return int(os.environ.get("FUSION_MAX_DIM", "4096"))
+    """The cap on N^n from FUSION_MAX_DIM (default 4096); a value that is
+    not a positive integer raises ConfigError."""
+    text = os.environ.get("FUSION_MAX_DIM", "4096")
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"FUSION_MAX_DIM must be a positive integer, got {text!r}")
+    return value
 
 
 def _check_dim(N: int, n: int):
@@ -410,7 +419,8 @@ def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
     aug = [[basis_rows[j][i] for j in range(dim)]
            + [Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     pivots, reduced = kernels.frac_rref(aug, 2 * dim, Fraction(0), Fraction(1))
-    assert pivots[:dim] == list(range(dim))
+    if pivots[:dim] != list(range(dim)):
+        raise ArithmeticError("traceless part and contraction span are not independent")
     proj: dict[int, dict[int, Fraction]] = {}
     for i in range(dim):
         # coefficient of basis vector j in e_i is reduced[j][dim + i]
@@ -429,8 +439,7 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
     (restricted plain symmetrizer) ⊗ (small two-parameter operator)."""
     l = L_tab.n
     Lrank = N + M
-    if Lrank ** l > 1000:
-        raise SizeLimitExceeded(f"(N+M)^l = {Lrank ** l} exceeds the 1000 cap")
+    _check_dim(Lrank, l)
     if L_tab.shape.is_skew:
         raise ConfigError("non-skew tableau required")
     group = FORM_GROUP[form_kind]

@@ -1,11 +1,20 @@
-"""Parameterized R-matrices and sampled verification of rational identities.
+"""Parameterized R-matrices and sampled checks of rational identities.
 
 Every identity checked here has operator entries that are rational in
-the parameters with a small documented degree bound (the number of
-R-type factors on a side).  Evaluating both sides at degree_bound + 1
-exact rational sample points off the pole locus therefore certifies the
-identity; samples come from a seeded generator and the seed is recorded
-in the check result.
+the parameters, with a hand-written degree bound (the number of R-type
+factors on a side).  A check evaluates both sides exactly at
+degree_bound + 1 rational sample points off the pole locus, drawn from
+a seeded generator whose seed is recorded in the check result.  For the
+one-variable families this many points decide the identity, provided
+the hand-written bound is right; the two- and three-variable families
+(Yang–Baxter, inversion, symmetry flip, RTT, reflection) are
+random-point tests, not proofs, until their samples come from a product
+grid sized by per-variable degree bounds.
+
+Every factor has the form 1 + sign·X/den for a unit operator X (an
+exchange P_ij or a contraction Q_ij).  Each check builds its unit
+operators once and, at each sample, builds each factor once; both sides
+multiply those same factors, each in its own order.
 """
 
 from __future__ import annotations
@@ -18,23 +27,6 @@ from .fusion import FusionConfig, e_operator, f_operator_general
 from .shapes import Partition, StandardTableau, row_tableau, skew, standard_tableaux
 from .symalg import Permutation, SampleAtPole
 from .tensorop import BilinearForm, SparseOperator, perm_op, q_op
-
-
-@dataclass(frozen=True)
-class ParamOperator:
-    """Deterministic builder sample-point -> operator, with pole data."""
-
-    builder: object
-    arity: int
-    pole_locus: object  # predicate on sample tuples
-    degree_bound: int
-
-    def at(self, point: tuple[Fraction, ...]) -> SparseOperator:
-        if len(point) != self.arity:
-            raise ValueError(f"expected {self.arity} parameters, got {len(point)}")
-        if self.pole_locus(point):
-            raise SampleAtPole(f"sample {point} lies on the pole locus")
-        return self.builder(point)
 
 
 @dataclass
@@ -73,19 +65,15 @@ def sample_points(seed: int, arity: int, count: int, pole_pred) -> list[tuple[Fr
     return out
 
 
-def run_identity_check(name: str, statement: str, lhs: ParamOperator,
-                       rhs: ParamOperator, seed: int,
-                       samples=None) -> IdentityCheck:
-    if lhs.arity != rhs.arity:
-        raise ValueError("sides have different parameter arity")
-    bound = max(lhs.degree_bound, rhs.degree_bound)
-    check = IdentityCheck(name=name, statement=statement, degree_bound=bound, seed=seed)
-    pole = lambda pt: lhs.pole_locus(pt) or rhs.pole_locus(pt)
-    pts = samples if samples is not None else sample_points(seed, lhs.arity, bound + 1, pole)
-    for pt in pts:
+def run_identity_check(name: str, statement: str, sides, arity: int, poles,
+                       degree_bound: int, seed: int) -> IdentityCheck:
+    """Compare sides(pt) = (lhs, rhs) at degree_bound + 1 seeded points
+    off the pole locus; the first mismatch is recorded as the witness."""
+    check = IdentityCheck(name=name, statement=statement, degree_bound=degree_bound,
+                          seed=seed)
+    for pt in sample_points(seed, arity, degree_bound + 1, poles):
         check.samples.append(pt)
-        a = lhs.at(pt)
-        b = rhs.at(pt)
+        a, b = sides(pt)
         if a != b:
             check.passed = False
             check.witness = _difference_witness(pt, a, b)
@@ -105,57 +93,23 @@ def _difference_witness(pt, a: SparseOperator, b: SparseOperator) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# elementary operator factories (on the n-fold power of C^N)
+# factors (on the n-fold power of C^N)
+#
+# The exchange factor R_ij(x, y) is factor(P_ij, -1, x - y), the
+# contraction factor R~_ij(x, y) is factor(Q_ij, +1, x + y), and
+# R̄_ij(x, y) is factor(Q_ij, -1, x + y + N + M).
 
 
-def _pair_op(kind: str, i: int, j: int, n: int, N: int, form: BilinearForm | None):
-    if kind == "P":
-        return perm_op(Permutation.transposition(n, i, j), N)
-    return q_op(i, j, form, n)
+def factor(X: SparseOperator, sign: int, den: Fraction) -> SparseOperator:
+    """1 + sign·X/den for an already-built operator X."""
+    if den == 0:
+        raise SampleAtPole(f"pole: 1 + ({sign})·X/den with den = 0, X = {X!r}")
+    return SparseOperator.identity(X.N, X.n) + X.scaled(sign / Fraction(den))
 
 
-def R(i: int, j: int, N: int, n: int) -> "RFactory":
-    return RFactory("P", i, j, N, n, None, 0)
-
-
-def Rtilde(i: int, j: int, form: BilinearForm, n: int) -> "RFactory":
-    return RFactory("Qplus", i, j, form.N, n, form, 0)
-
-
-def Rbar(i: int, j: int, form: BilinearForm, n: int, M: int = 0) -> "RFactory":
-    return RFactory("Qminus", i, j, form.N, n, form, form.N + M)
-
-
-@dataclass(frozen=True)
-class RFactory:
-    """One exchange/contraction factor with symbolic (x, y) arguments.
-
-    kind "P" is 1 - P_ij/(x - y); "Qplus" is 1 + Q_ij/(x + y);
-    "Qminus" is 1 - Q_ij/(x + y + shift).
-    """
-
-    kind: str
-    i: int
-    j: int
-    N: int
-    n: int
-    form: BilinearForm | None
-    shift: int
-
-    def at(self, x: Fraction, y: Fraction) -> SparseOperator:
-        I = SparseOperator.identity(self.N, self.n)
-        if self.kind == "P":
-            den = x - y
-            if den == 0:
-                raise SampleAtPole(f"x - y = 0 at {(x, y)}")
-            return I - _pair_op("P", self.i, self.j, self.n, self.N, None).scaled(1 / den)
-        den = x + y + self.shift
-        if den == 0:
-            raise SampleAtPole(f"x + y + {self.shift} = 0 at {(x, y)}")
-        Q = _pair_op("Q", self.i, self.j, self.n, self.N, self.form)
-        if self.kind == "Qplus":
-            return I + Q.scaled(1 / den)
-        return I - Q.scaled(1 / den)
+def _swap(i: int, j: int, n: int, N: int) -> SparseOperator:
+    """The exchange P_ij of slots i and j."""
+    return perm_op(Permutation.transposition(n, i, j), N)
 
 
 def _chain(ops: list[SparseOperator]) -> SparseOperator:
@@ -171,51 +125,43 @@ def _chain(ops: list[SparseOperator]) -> SparseOperator:
 
 def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
                              seed: int) -> IdentityCheck:
-    """Three-slot braid identities for the exchange/contraction factors.
+    """Three-slot braid identities A·B·C = C·B·A for the
+    exchange/contraction factors.
 
     which: "YB35" (plain), "tilde37", "bar38", "mixed385".
     """
     n = 3
-    i, j, k = 1, 2, 3
-
-    def build(sides):
-        def f(pt):
-            x, y, z = pt
-            args = {"xy": (x, y), "xz": (x, z), "yz": (y, z)}
-            return _chain([fac.at(*args[key]) for fac, key in sides])
-        return f
-
     if which == "YB35":
-        lhs_seq = [(R(i, j, N, n), "xy"), (R(i, k, N, n), "xz"), (R(j, k, N, n), "yz")]
-        rhs_seq = [(R(j, k, N, n), "yz"), (R(i, k, N, n), "xz"), (R(i, j, N, n), "xy")]
+        P12, P13, P23 = _swap(1, 2, n, N), _swap(1, 3, n, N), _swap(2, 3, n, N)
+        factors = lambda x, y, z: (factor(P12, -1, x - y), factor(P13, -1, x - z),
+                                   factor(P23, -1, y - z))
         poles = lambda pt: pt[0] == pt[1] or pt[0] == pt[2] or pt[1] == pt[2]
     elif which == "tilde37":
-        lhs_seq = [(Rtilde(i, k, form, n), "xz"), (Rtilde(i, j, form, n), "xy"),
-                   (R(j, k, N, n), "yz")]
-        rhs_seq = [(R(j, k, N, n), "yz"), (Rtilde(i, j, form, n), "xy"),
-                   (Rtilde(i, k, form, n), "xz")]
+        Q13, Q12, P23 = q_op(1, 3, form, n), q_op(1, 2, form, n), _swap(2, 3, n, N)
+        factors = lambda x, y, z: (factor(Q13, 1, x + z), factor(Q12, 1, x + y),
+                                   factor(P23, -1, y - z))
         poles = lambda pt: pt[1] == pt[2] or pt[0] + pt[1] == 0 or pt[0] + pt[2] == 0
     elif which == "bar38":
-        lhs_seq = [(Rbar(i, j, form, n), "xy"), (Rbar(i, k, form, n), "xz"),
-                   (R(j, k, N, n), "yz")]
-        rhs_seq = [(R(j, k, N, n), "yz"), (Rbar(i, k, form, n), "xz"),
-                   (Rbar(i, j, form, n), "xy")]
+        Q12, Q13, P23 = q_op(1, 2, form, n), q_op(1, 3, form, n), _swap(2, 3, n, N)
+        factors = lambda x, y, z: (factor(Q12, -1, x + y + N), factor(Q13, -1, x + z + N),
+                                   factor(P23, -1, y - z))
         poles = lambda pt: (pt[1] == pt[2] or pt[0] + pt[1] + N == 0
                             or pt[0] + pt[2] + N == 0)
     elif which == "mixed385":
-        lhs_seq = [(Rtilde(i, j, form, n), "xy"), (R(i, k, N, n), "xz"),
-                   (Rbar(j, k, form, n), "yz")]
-        rhs_seq = [(Rbar(j, k, form, n), "yz"), (R(i, k, N, n), "xz"),
-                   (Rtilde(i, j, form, n), "xy")]
+        Q12, P13, Q23 = q_op(1, 2, form, n), _swap(1, 3, n, N), q_op(2, 3, form, n)
+        factors = lambda x, y, z: (factor(Q12, 1, x + y), factor(P13, -1, x - z),
+                                   factor(Q23, -1, y + z + N))
         poles = lambda pt: (pt[0] == pt[2] or pt[0] + pt[1] == 0
                             or pt[1] + pt[2] + N == 0)
     else:
         raise ValueError(f"unknown family member {which!r}")
 
-    lhs = ParamOperator(build(lhs_seq), 3, poles, 3)
-    rhs = ParamOperator(build(rhs_seq), 3, poles, 3)
+    def sides(pt):
+        A, B, C = factors(*pt)
+        return A * B * C, C * B * A
+
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
-                              lhs, rhs, seed)
+                              sides, 3, poles, 3, seed)
 
 
 def check_unitarity(which: str, N: int, form: BilinearForm | None,
@@ -223,95 +169,70 @@ def check_unitarity(which: str, N: int, form: BilinearForm | None,
     """Two-slot inversion identities: the exchange pair composes to the
     scalar 1 - 1/(x-y)^2, the contraction pair composes to 1."""
     n = 2
-
     if which == "RR":
-        def lhs_b(pt):
-            x, y = pt
-            return R(1, 2, N, n).at(x, y) * R(2, 1, N, n).at(y, x)
+        P = _swap(1, 2, n, N)
 
-        def rhs_b(pt):
+        def sides(pt):
             x, y = pt
-            return SparseOperator.identity(N, n, Fraction(1) - 1 / (x - y) ** 2)
+            return (factor(P, -1, x - y) * factor(P, -1, y - x),
+                    SparseOperator.identity(N, n, Fraction(1) - 1 / (x - y) ** 2))
 
         poles = lambda pt: pt[0] == pt[1]
         statement = "exchange-pair-inversion"
     elif which == "tildebar":
-        def lhs_b(pt):
-            x, y = pt
-            return Rtilde(1, 2, form, n).at(x, y) * Rbar(1, 2, form, n).at(x, y)
+        Q = q_op(1, 2, form, n)
 
-        def rhs_b(pt):
-            return SparseOperator.identity(N, n)
+        def sides(pt):
+            x, y = pt
+            return (factor(Q, 1, x + y) * factor(Q, -1, x + y + N),
+                    SparseOperator.identity(N, n))
 
         poles = lambda pt: pt[0] + pt[1] == 0 or pt[0] + pt[1] + N == 0
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
-    lhs = ParamOperator(lhs_b, 2, poles, 2)
-    rhs = ParamOperator(rhs_b, 2, poles, 2)
-    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed)
+    return run_identity_check(f"unitarity/{which}", statement, sides, 2, poles, 2, seed)
 
 
 def check_symmetry_flip(N: int, form: BilinearForm, seed: int) -> IdentityCheck:
     """The contraction factors are symmetric under swapping slots and
     arguments simultaneously."""
     n = 2
+    Q12, Q21 = q_op(1, 2, form, n), q_op(2, 1, form, n)
 
-    def lhs_b(pt):
+    def sides(pt):
         x, y = pt
-        return Rtilde(1, 2, form, n).at(x, y) * Rbar(1, 2, form, n).at(y, x)
-
-    def rhs_b(pt):
-        x, y = pt
-        return Rtilde(2, 1, form, n).at(y, x) * Rbar(2, 1, form, n).at(x, y)
+        return (factor(Q12, 1, x + y) * factor(Q12, -1, y + x + N),
+                factor(Q21, 1, y + x) * factor(Q21, -1, x + y + N))
 
     poles = lambda pt: pt[0] + pt[1] == 0 or pt[0] + pt[1] + N == 0
-    lhs = ParamOperator(lhs_b, 2, poles, 2)
-    rhs = ParamOperator(rhs_b, 2, poles, 2)
     return run_identity_check("symmetry-flip", "contraction-factor-slot-symmetry",
-                              lhs, rhs, seed)
-
-
-def _T_string(x, zs, N, total, aux: int, quantum0: int, reverse=False, tilde=False,
-              form=None):
-    """Product of exchange factors R_{aux,q}(x, z_k) over the quantum slots."""
-    ops = []
-    ks = range(len(zs) - 1, -1, -1) if reverse else range(len(zs))
-    for k in ks:
-        fac = (Rtilde(aux, quantum0 + k, form, total) if tilde
-               else R(aux, quantum0 + k, N, total))
-        ops.append(fac.at(x, zs[k]))
-    return _chain(ops)
+                              sides, 2, poles, 2, seed)
 
 
 def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityCheck:
-    """Exchange relation for the evaluation image of the generating matrix."""
+    """Exchange relation for the evaluation image of the generating matrix:
+    R12·T1·T2 = T2·T1·R12 with T_a = Π_k R_{a,2+k}(·, z_k)."""
     n = len(z_params)
     total = n + 2
     zs = [Fraction(z) for z in z_params]
+    P12 = _swap(1, 2, total, N)
+    P1 = [_swap(1, 3 + k, total, N) for k in range(n)]
+    P2 = [_swap(2, 3 + k, total, N) for k in range(n)]
 
-    def lhs_b(pt):
+    def sides(pt):
         x, y = pt
-        R12 = R(1, 2, N, total).at(x, y)
-        T1 = _T_string(x, zs, N, total, aux=1, quantum0=3)
-        T2 = _T_string(y, zs, N, total, aux=2, quantum0=3)
-        return R12 * T1 * T2
-
-    def rhs_b(pt):
-        x, y = pt
-        R12 = R(1, 2, N, total).at(x, y)
-        T1 = _T_string(x, zs, N, total, aux=1, quantum0=3)
-        T2 = _T_string(y, zs, N, total, aux=2, quantum0=3)
-        return T2 * T1 * R12
+        R12 = factor(P12, -1, x - y)
+        T1 = _chain([factor(P, -1, x - z) for P, z in zip(P1, zs)])
+        T2 = _chain([factor(P, -1, y - z) for P, z in zip(P2, zs)])
+        return R12 * T1 * T2, T2 * T1 * R12
 
     def poles(pt):
         x, y = pt
         return x == y or any(x == z or y == z for z in zs)
 
-    bound = 2 * n + 1
-    lhs = ParamOperator(lhs_b, 2, poles, bound)
-    rhs = ParamOperator(rhs_b, 2, poles, bound)
-    return run_identity_check(f"rtt/n{n}", "generating-matrix-exchange", lhs, rhs, seed)
+    return run_identity_check(f"rtt/n{n}", "generating-matrix-exchange", sides, 2, poles,
+                              2 * n + 1, seed)
 
 
 def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
@@ -322,21 +243,17 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     total = n + 1
     zs = [c + z_shift for c in O.contents]
     E = _lift_slot1(e_operator(O, N) * perm_op(Permutation.reversal(n), N), N)
+    P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
 
-    def lhs_b(pt):
+    def sides(pt):
         (x,) = pt
-        return _T_string(x, zs, N, total, aux=1, quantum0=2) * E
-
-    def rhs_b(pt):
-        (x,) = pt
-        return E * _T_string(x, zs[::-1], N, total, aux=1, quantum0=2)
+        forward = [factor(P, -1, x - z) for P, z in zip(P1, zs)]
+        backward = [factor(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
+        return _chain(forward + [E]), _chain([E] + backward)
 
     poles = lambda pt: any(pt[0] == z for z in zs)
-    bound = n + 1
-    lhs = ParamOperator(lhs_b, 1, poles, bound)
-    rhs = ParamOperator(rhs_b, 1, poles, bound)
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
-                              lhs, rhs, seed)
+                              sides, 1, poles, n + 1, seed)
 
 
 def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
@@ -351,6 +268,14 @@ def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
     return SparseOperator(N, n + 1, rows)
 
 
+def _image_strings(x, ds, Ps, Qs):
+    """The plain factors R_{a,k}(x, d_k) and the twisted ones R~_{a,k}(x, d_k)
+    in slot order, from the unit operators P_{a,k} in Ps and Q_{a,k} in Qs."""
+    plain = [factor(P, -1, x - d) for P, d in zip(Ps, ds)]
+    tilde = [factor(Q, 1, x + d) for Q, d in zip(Qs, ds)]
+    return plain, tilde
+
+
 def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     """The two-parameter operator intertwines the twisted and plain
     evaluation strings built at the shifted contents d_k."""
@@ -360,66 +285,39 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     total = n + 1
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c + Fraction(cfg.M, 2) - half for c in O.contents]
-    form = cfg.form
     F = _lift_slot1(f_operator_general(cfg), N)
+    P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
+    Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(n)]
 
-    def lhs_b(pt):
-        (x,) = pt
-        tilde = _T_string(x, ds, N, total, aux=1, quantum0=2, reverse=True,
-                          tilde=True, form=form)
-        plain = _T_string(x, ds, N, total, aux=1, quantum0=2)
-        return tilde * plain * F
-
-    def rhs_b(pt):
-        (x,) = pt
+    def sides(pt):
+        plain, tilde = _image_strings(pt[0], ds, P1, Q1)
         # slot k keeps its argument d_k; only the multiplication order flips
-        plain_rev = _T_string(x, ds, N, total, aux=1, quantum0=2, reverse=True)
-        tilde_fwd = _T_string(x, ds, N, total, aux=1, quantum0=2, tilde=True, form=form)
-        return F * plain_rev * tilde_fwd
+        return _chain(tilde[::-1] + plain + [F]), _chain([F] + plain[::-1] + tilde)
 
     poles = lambda pt: any(pt[0] == d or pt[0] + d == 0 for d in ds)
-    bound = 2 * n
-    lhs = ParamOperator(lhs_b, 1, poles, bound)
-    rhs = ParamOperator(rhs_b, 1, poles, bound)
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
-                              "twisted-intertwiner", lhs, rhs, seed)
-
-
-def _S_image(x, zs, N, total, aux, quantum0, form) -> SparseOperator:
-    tilde = _T_string(x, zs, N, total, aux=aux, quantum0=quantum0, reverse=True,
-                      tilde=True, form=form)
-    plain = _T_string(x, zs, N, total, aux=aux, quantum0=quantum0)
-    return tilde * plain
-
-
-def _S_image_twisted(x, zs, N, total, aux, quantum0, form) -> SparseOperator:
-    plain = _T_string(x, zs, N, total, aux=aux, quantum0=quantum0, reverse=True)
-    tilde = _T_string(x, zs, N, total, aux=aux, quantum0=quantum0, tilde=True, form=form)
-    return plain * tilde
+                              "twisted-intertwiner", sides, 1, poles, 2 * n, seed)
 
 
 def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
                            form: BilinearForm, seed: int) -> IdentityCheck:
-    """Reflection relation for the image of the coideal generating matrix."""
+    """Reflection relation R12·S1·R~12·S2 = S2·R~12·S1·R12 for the image
+    S_a = (Π_k R~_{a,2+k})^reversed · Π_k R_{a,2+k} of the coideal
+    generating matrix."""
     n = len(z_params)
     total = n + 2
     zs = [Fraction(z) for z in z_params]
+    P12, Q12 = _swap(1, 2, total, N), q_op(1, 2, form, total)
+    P1, P2 = ([_swap(a, 3 + k, total, N) for k in range(n)] for a in (1, 2))
+    Q1, Q2 = ([q_op(a, 3 + k, form, total) for k in range(n)] for a in (1, 2))
 
-    def lhs_b(pt):
+    def sides(pt):
         x, y = pt
-        R12 = R(1, 2, N, total).at(x, y)
-        Rt12 = Rtilde(1, 2, form, total).at(x, y)
-        S1 = _S_image(x, zs, N, total, 1, 3, form)
-        S2 = _S_image(y, zs, N, total, 2, 3, form)
-        return R12 * S1 * Rt12 * S2
-
-    def rhs_b(pt):
-        x, y = pt
-        R12 = R(1, 2, N, total).at(x, y)
-        Rt12 = Rtilde(1, 2, form, total).at(x, y)
-        S1 = _S_image(x, zs, N, total, 1, 3, form)
-        S2 = _S_image(y, zs, N, total, 2, 3, form)
-        return S2 * Rt12 * S1 * R12
+        R12, Rt12 = factor(P12, -1, x - y), factor(Q12, 1, x + y)
+        plain1, tilde1 = _image_strings(x, zs, P1, Q1)
+        plain2, tilde2 = _image_strings(y, zs, P2, Q2)
+        S1, S2 = _chain(tilde1[::-1] + plain1), _chain(tilde2[::-1] + plain2)
+        return R12 * S1 * Rt12 * S2, S2 * Rt12 * S1 * R12
 
     def poles(pt):
         x, y = pt
@@ -428,32 +326,24 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
             bad = bad or x == z or y == z or x + z == 0 or y + z == 0
         return bad
 
-    bound = 4 * n + 2
-    lhs = ParamOperator(lhs_b, 2, poles, bound)
-    rhs = ParamOperator(rhs_b, 2, poles, bound)
-    return run_identity_check(f"reflection/n{n}/{form.kind}",
-                              "coideal-image-reflection", lhs, rhs, seed)
+    return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
+                              sides, 2, poles, 4 * n + 2, seed)
 
 
 def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
                             seed: int) -> IdentityCheck:
     """For one quantum slot, the plain and twisted realizations of the
-    coideal image coincide."""
-    total = 2
+    coideal image coincide: R~12·R12 = R12·R~12."""
+    P, Q = _swap(1, 2, 2, N), q_op(1, 2, form, 2)
 
-    def lhs_b(pt):
+    def sides(pt):
         (x,) = pt
-        return _S_image(x, [z], N, total, 1, 2, form)
-
-    def rhs_b(pt):
-        (x,) = pt
-        return _S_image_twisted(x, [z], N, total, 1, 2, form)
+        R12, Rt12 = factor(P, -1, x - z), factor(Q, 1, x + z)
+        return Rt12 * R12, R12 * Rt12
 
     poles = lambda pt: pt[0] == z or pt[0] + z == 0
-    lhs = ParamOperator(lhs_b, 1, poles, 2)
-    rhs = ParamOperator(rhs_b, 1, poles, 2)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
-                              lhs, rhs, seed)
+                              sides, 1, poles, 2, seed)
 
 
 def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityCheck:
@@ -463,25 +353,17 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
     total = l + 1
     cs = [Fraction(c) for c in L.contents]
     E = _lift_slot1(e_operator(L, N), N)
+    P1 = [_swap(1, k + 2, total, N) for k in range(l)]
+    P_sum = sum(P1, SparseOperator.zero(N, total))
 
-    def lhs_b(pt):
+    def sides(pt):
         (x,) = pt
-        return _T_string(x, cs, N, total, aux=1, quantum0=2) * E
-
-    def rhs_b(pt):
-        (x,) = pt
-        acc = SparseOperator.identity(N, total)
-        for k in range(l):
-            P = perm_op(Permutation.transposition(total, 1, k + 2), N)
-            acc = acc - P.scaled(1 / pt[0])
-        return acc * E
+        return (_chain([factor(P, -1, x - c) for P, c in zip(P1, cs)] + [E]),
+                factor(P_sum, -1, x) * E)
 
     poles = lambda pt: pt[0] == 0 or any(pt[0] == c for c in cs)
-    bound = l + 1
-    lhs = ParamOperator(lhs_b, 1, poles, bound)
-    rhs = ParamOperator(rhs_b, 1, poles, bound)
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
-                              lhs, rhs, seed)
+                              sides, 1, poles, l + 1, seed)
 
 
 def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
@@ -495,31 +377,18 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     total = l + 1
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c - half for c in L.contents]
-    form = cfg.form
     F = _lift_slot1(f_operator_general(cfg), N)
+    P1 = [_swap(1, 2 + k, total, N) for k in range(l)]
+    Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(l)]
+    PQ_sum = sum((P - Q for P, Q in zip(P1, Q1)), SparseOperator.zero(N, total))
 
-    def lhs_b(pt):
-        (x,) = pt
-        tilde = _T_string(x, ds, N, total, aux=1, quantum0=2, reverse=True,
-                          tilde=True, form=form)
-        plain = _T_string(x, ds, N, total, aux=1, quantum0=2)
-        return tilde * plain * F
-
-    def rhs_b(pt):
-        (x,) = pt
-        acc = SparseOperator.identity(N, total)
-        for k in range(l):
-            P = perm_op(Permutation.transposition(total, 1, k + 2), N)
-            Q = q_op(1, k + 2, form, total)
-            acc = acc - (P - Q).scaled(1 / (pt[0] + half))
-        return acc * F
+    def sides(pt):
+        plain, tilde = _image_strings(pt[0], ds, P1, Q1)
+        return _chain(tilde[::-1] + plain + [F]), factor(PQ_sum, -1, pt[0] + half) * F
 
     poles = lambda pt: pt[0] + half == 0 or any(pt[0] == d or pt[0] + d == 0 for d in ds)
-    bound = 2 * l
-    lhs = ParamOperator(lhs_b, 1, poles, bound)
-    rhs = ParamOperator(rhs_b, 1, poles, bound)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
-                              "twisted-evaluation-collapse", lhs, rhs, seed)
+                              "twisted-evaluation-collapse", sides, 1, poles, 2 * l, seed)
 
 
 # ---------------------------------------------------------------------------

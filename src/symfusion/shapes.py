@@ -221,8 +221,8 @@ def dim_sym_irrep(p: Partition) -> int:
     """Number of standard tableaux of shape p; hook lengths cross-checked
     against exhaustive enumeration at small sizes."""
     dim = _hook_length_count(p)
-    if p.size <= 6:
-        assert dim == len(standard_tableaux(skew(p)))
+    if p.size <= 6 and dim != len(standard_tableaux(skew(p))):
+        raise ArithmeticError(f"hook-length count {dim} disagrees with enumeration for {p}")
     return dim
 
 

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from symfusion.cli import main
 
@@ -87,6 +90,16 @@ def test_verify_timings_flag(tmp_path):
     assert res.returncode == 0
     cert = json.loads(out.read_text())
     assert all("runtime_ms" in e for e in cert["entries"])
+    # timings are per check: together they fit in the wall time of the run
+    out = tmp_path / "yb.json"
+    t0 = time.monotonic()
+    code = main(["verify", "--suite", "yang-baxter", "--N", "2", "--timings",
+                 "--output", str(out)])
+    wall_ms = 1000 * (time.monotonic() - t0)
+    assert code == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert len(entries) == 6
+    assert sum(e["runtime_ms"] for e in entries) <= wall_ms
 
 
 def test_verify_parity_gate():
@@ -120,3 +133,21 @@ def test_verify_yang_baxter_seed13_regression(tmp_path, capsys):
                  "--suite", "yang-baxter", "--seed", "13", "--output", str(out)])
     assert code == 0
     assert all(e["pass"] for e in json.loads(out.read_text())["entries"])
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--N", "0"], None),
+    (["--N", "-2"], None),
+    (["--M", "-1", "--suite", "intertwiners"], None),
+    (["--max-boxes", "-1"], None),
+    (["--form", "Sp", "--N", "4", "--M", "1", "--suite", "lemma44"], None),
+    (["--suite", "lemma44"], "abc"),
+    (["--suite", "lemma44"], "0"),
+], ids=["N0", "N-2", "M-1", "max-boxes-1", "Sp-odd-M", "max-dim-abc", "max-dim-0"])
+def test_verify_rejects_invalid_input(argv, env, tmp_path, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("FUSION_MAX_DIM", env)
+    code = main(["verify", *argv, "--output", str(tmp_path / "cert.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -167,7 +167,8 @@ def test_corollary32_examples():
         verify_corollary32(t21, 1, FusionConfig(t21, 3, 0, "symmetric"))
 
 
-def test_theta_factorization_configs():
+def test_theta_factorization_configs(monkeypatch):
+    monkeypatch.setenv("FUSION_MAX_DIM", "1000")  # the size cap comes from here
     t2 = T((2,))
     assert verify_theta_factorization(t2, 0, 2, 1, "symmetric")
     assert verify_theta_factorization(t2, 1, 2, 1, "symmetric")

@@ -2,20 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from symfusion import rmatrix
 from symfusion.fusion import FusionConfig
-from symfusion.rmatrix import (IdentityCheck, ParamOperator, R, Rbar, Rtilde,
-                               _difference_witness,
+from symfusion.rmatrix import (IdentityCheck, _difference_witness,
                                check_eval_consistency_E,
                                check_eval_consistency_F, check_image_coincidence,
                                check_intertwiner_E, check_intertwiner_F,
                                check_lemma44, check_reflection_image, check_rtt,
                                check_symmetry_flip, check_unitarity,
-                               check_yang_baxter_family, g_mu, h_of,
+                               check_yang_baxter_family, factor, g_mu, h_of,
                                run_identity_check, sample_points)
 from symfusion.shapes import (Partition, partitions_of, row_tableau, skew,
                               standard_tableaux)
 from symfusion.symalg import Permutation, SampleAtPole
-from symfusion.tensorop import (SparseOperator, alternating_form, perm_op,
+from symfusion.tensorop import (SparseOperator, alternating_form, perm_op, q_op,
                                 symmetric_form)
 
 SEED = 1729
@@ -25,26 +25,36 @@ def P(*parts):
     return Partition(parts)
 
 
+def swap12(N=2, n=2):
+    return perm_op(Permutation.transposition(n, 1, 2), N)
+
+
 def test_R_factor_values():
-    # 1 - P/(x-y) at (2, 0)
-    op = R(1, 2, 2, 2).at(Fraction(2), Fraction(0))
+    # the exchange factor 1 - P/(x-y) at (2, 0)
+    P = swap12()
+    op = factor(P, -1, Fraction(2) - Fraction(0))
     expected = SparseOperator.identity(2, 2) - perm_op(Permutation((2, 1)), 2).scaled(
         Fraction(1, 2))
     assert op == expected
+    # the contraction factor 1 + Q/(x+y) at (3, 1)
+    Q = q_op(1, 2, symmetric_form(2), 2)
+    assert factor(Q, 1, Fraction(4)) == SparseOperator.identity(2, 2) + Q.scaled(
+        Fraction(1, 4))
     with pytest.raises(SampleAtPole):
-        R(1, 2, 2, 2).at(Fraction(1), Fraction(1))
+        factor(P, -1, Fraction(1) - Fraction(1))
 
 
 def test_tilde_bar_inverse_at_sample():
-    form = symmetric_form(2)
+    Q = q_op(1, 2, symmetric_form(2), 2)
     x, y = Fraction(3), Fraction(1)
-    prod = Rtilde(1, 2, form, 2).at(x, y) * Rbar(1, 2, form, 2).at(x, y)
+    prod = factor(Q, 1, x + y) * factor(Q, -1, x + y + 2)
     assert prod == SparseOperator.identity(2, 2)
 
 
 def test_RR_flipped_is_scalar():
     x, y = Fraction(5), Fraction(2)
-    prod = R(1, 2, 2, 2).at(x, y) * R(2, 1, 2, 2).at(y, x)
+    P21 = perm_op(Permutation.transposition(2, 2, 1), 2)
+    prod = factor(swap12(), -1, x - y) * factor(P21, -1, y - x)
     assert prod == SparseOperator.identity(2, 2, Fraction(1) - Fraction(1, 9))
 
 
@@ -74,8 +84,9 @@ def test_factor_slot_argument_symmetry():
         for pt in sample_points(SEED, 2, 3, lambda p: p[0] + p[1] == 0
                                 or p[0] + p[1] + 2 == 0):
             x, y = pt
-            assert Rtilde(1, 2, form, 2).at(x, y) == Rtilde(2, 1, form, 2).at(y, x)
-            assert Rbar(1, 2, form, 2).at(x, y) == Rbar(2, 1, form, 2).at(y, x)
+            Q12, Q21 = q_op(1, 2, form, 2), q_op(2, 1, form, 2)
+            assert factor(Q12, 1, x + y) == factor(Q21, 1, y + x)
+            assert factor(Q12, -1, x + y + 2) == factor(Q21, -1, y + x + 2)
 
 
 def test_rtt_examples():
@@ -157,18 +168,12 @@ def test_sample_points_deterministic_and_off_poles():
 
 def test_run_identity_check_failure_witness():
     I = SparseOperator.identity(2, 1)
-
-    def lhs_b(pt):
-        return I
-
-    def rhs_b(pt):
-        return I.scaled(2)
-
-    lhs = ParamOperator(lhs_b, 1, lambda pt: False, 0)
-    rhs = ParamOperator(rhs_b, 1, lambda pt: False, 0)
-    chk = run_identity_check("toy", "toy-statement", lhs, rhs, SEED)
+    chk = run_identity_check("toy", "toy-statement", lambda pt: (I, I.scaled(2)), 1,
+                             lambda pt: False, 0, SEED)
     assert not chk.passed
+    assert len(chk.samples) == 1
     assert chk.witness["row"] == 0 and chk.witness["col"] == 0
+    assert (chk.witness["lhs"], chk.witness["rhs"]) == ("1", "2")
 
 
 def test_zero_identity_and_stored_zero_witness():
@@ -180,11 +185,22 @@ def test_zero_identity_and_stored_zero_witness():
     assert witness["lhs"] == witness["rhs"] == "0"
 
 
-def test_param_operator_pole_rejection():
-    op = ParamOperator(lambda pt: SparseOperator.identity(2, 1), 1,
-                       lambda pt: pt[0] == 0, 0)
-    with pytest.raises(SampleAtPole):
-        op.at((Fraction(0),))
+def test_factor_pole_rejection():
+    # every factor kind raises on its own pole
+    Q = q_op(1, 2, alternating_form(2), 2)
+    x = Fraction(-3)
+    for X, sign, den in ((swap12(), -1, x - x), (Q, 1, x + 3), (Q, -1, x + 1 + 2)):
+        with pytest.raises(SampleAtPole):
+            factor(X, sign, den)
+    # the sides are only ever evaluated off the pole locus
+    poles = lambda pt: pt[0] in (0, 1)
+
+    def sides(pt):
+        d = pt[0] * (pt[0] - 1)
+        return factor(Q, 1, d), factor(Q, 1, d)
+
+    chk = run_identity_check("toy", "toy-statement", sides, 1, poles, 40, SEED)
+    assert chk.passed and len(chk.samples) == 41
 
 
 def test_identity_check_json_shape():
@@ -192,3 +208,59 @@ def test_identity_check_json_shape():
     payload = chk.to_json()
     assert payload["name"] == "x" and payload["paper_ref"] == "s"
     assert payload["pass"] is True
+
+
+def _perturb_first_call(fn):
+    """fn, with entry (0, 1) of the result of its first call shifted by
+    1/7.  That entry moves weight between slots; a shift that commutes with
+    every slot permutation, such as one at (0, 0), can keep an identity."""
+    done = False
+
+    def perturbed(*args, **kwargs):
+        nonlocal done
+        op = fn(*args, **kwargs)
+        if done:
+            return op
+        done = True
+        rows = {r: dict(cols) for r, cols in op.rows.items()}
+        row = rows.setdefault(0, {})
+        row[1] = row.get(1, 0) + Fraction(1, 7)
+        return SparseOperator(op.N, op.n, rows)
+    return perturbed
+
+
+SYM, ALT = symmetric_form(2), alternating_form(2)
+MUTATIONS = {
+    "YB35": ("perm_op", lambda: check_yang_baxter_family("YB35", 2, None, SEED)),
+    "tilde37": ("q_op", lambda: check_yang_baxter_family("tilde37", 2, SYM, SEED)),
+    "bar38": ("q_op", lambda: check_yang_baxter_family("bar38", 2, SYM, SEED)),
+    "mixed385": ("q_op", lambda: check_yang_baxter_family("mixed385", 2, ALT, SEED)),
+    "unitarity-RR": ("perm_op", lambda: check_unitarity("RR", 2, SYM, SEED)),
+    "unitarity-tildebar": ("q_op", lambda: check_unitarity("tildebar", 2, SYM, SEED)),
+    "symmetry-flip": ("q_op", lambda: check_symmetry_flip(2, ALT, SEED)),
+    "rtt": ("perm_op", lambda: check_rtt((Fraction(0), Fraction(1)), 2, SEED)),
+    "intertwiner-E": ("e_operator", lambda: check_intertwiner_E(
+        row_tableau(skew(P(2, 1))), 2, Fraction(0), SEED)),
+    "intertwiner-F": ("f_operator_general", lambda: check_intertwiner_F(
+        FusionConfig(row_tableau(skew(P(2,))), 2, 0, "alternating"), SEED)),
+    "eval-consistency-E": ("e_operator", lambda: check_eval_consistency_E(
+        row_tableau(skew(P(2, 1))), 2, SEED)),
+    "eval-consistency-F": ("f_operator_general", lambda: check_eval_consistency_F(
+        FusionConfig(row_tableau(skew(P(1, 1))), 2, 0, "symmetric"), SEED)),
+    "reflection": ("q_op", lambda: check_reflection_image((Fraction(0),), 2, SYM, SEED)),
+    "image-coincidence": ("perm_op", lambda: check_image_coincidence(
+        Fraction(0), 2, ALT, SEED)),
+}
+
+
+@pytest.mark.parametrize("family", MUTATIONS)
+def test_every_family_rejects_a_perturbed_input(family, monkeypatch):
+    # both sides multiply the same factor objects; a check that still
+    # passed with a wrong input would be comparing a computation with itself
+    target, run = MUTATIONS[family]
+    assert run().passed
+    monkeypatch.setattr(rmatrix, target, _perturb_first_call(getattr(rmatrix, target)))
+    chk = run()
+    assert not chk.passed
+    assert chk.witness is not None and chk.witness["sample"] == [
+        str(x) for x in chk.samples[-1]]
