@@ -115,13 +115,14 @@ def cmd_fusion_f(args) -> int:
         print(f"FATAL: {exc}", file=sys.stderr)
         return 1
     print(f"operator for {T}, {args.form}_{args.N}, M={args.M}")
-    print(f"rank {rank(F)}   nnz {F.nnz()}   hash {operator_hash(F)}")
+    rank_F = rank(F)
+    print(f"rank {rank_F}   nnz {F.nnz()}   hash {operator_hash(F)}")
     cert = certify(cfg)
     for chk in sorted(cert.checks, key=lambda c: c.name):
         print(f"  {'PASS' if chk.passed else 'FAIL'} {chk.name}")
     if args.output:
         payload = cert.to_json()
-        payload["rank"] = rank(F)
+        payload["rank"] = rank_F
         payload["entries"] = F.to_triplets()
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)

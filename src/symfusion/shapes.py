@@ -245,12 +245,24 @@ def validate_label(p: Partition, group: str, dim: int) -> bool:
     raise ValueError(f"unknown group {group!r}")
 
 
-def count_semistandard(s: SkewShape, N: int) -> int:
+def count_semistandard(s: SkewShape, N: int, content=None) -> int:
     """Fillings with entries 1..N weakly increasing along rows, strictly
-    increasing down columns, counted by backtracking."""
+    increasing down columns, counted by backtracking.
+
+    With ``content`` = (α_1..α_N), only fillings in which value v occurs
+    α_v times count (the skew Kostka number).
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     cells = s.cells
+    if content is None:
+        left_over = [len(cells)] * N
+    else:
+        left_over = list(content)
+        if len(left_over) != N or any(a < 0 for a in left_over):
+            raise ValueError(f"content must be {N} nonnegative counts, got {content!r}")
+        if sum(left_over) != len(cells):
+            return 0
     index = {c: i for i, c in enumerate(cells)}
     values = [0] * len(cells)
     count = 0
@@ -269,8 +281,11 @@ def count_semistandard(s: SkewShape, N: int) -> int:
         if up is not None:
             lo = max(lo, values[up] + 1)
         for v in range(lo, N + 1):
-            values[i] = v
-            fill(i + 1)
+            if left_over[v - 1]:
+                left_over[v - 1] -= 1
+                values[i] = v
+                fill(i + 1)
+                left_over[v - 1] += 1
         values[i] = 0
 
     fill(0)

@@ -2,13 +2,12 @@
 
 Basis vectors of the tensor power are multi-indices (i_1..i_n) with
 i_k in 1..N, encoded as row = Σ (i_k - 1)·N^(n-k), i.e. lexicographic
-with i_1 most significant.  All coefficients are exact (Fraction during
-normal use; anything with field semantics works, which the fusion limit
-machinery relies on).
+with i_1 most significant.  All coefficients are exact Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -364,26 +363,46 @@ def kernel_basis(A: SparseOperator) -> SubspaceBasis:
 
 
 def rank(A: SparseOperator) -> int:
-    """Exact rank via integer fraction-free elimination (denominators are
-    cleared row by row, which preserves the row space over the rationals)."""
-    rows = []
-    ncols = A.dim
+    """Exact rank, summed over the connected blocks of A's nonzero pattern.
+
+    Two nonzero rows fall in the same block when they share a column; one
+    union-find pass over the nonzeros finds the blocks.  Permuting rows and
+    columns makes A block-diagonal over them, so rank(A) is the sum of the
+    block ranks.  Each block is densified over its own sorted columns, each
+    row's denominators are cleared with their lcm (which preserves the row
+    space over the rationals), and ``kernels.bareiss_rank`` eliminates it.
+    """
+    parent: dict[int, int] = {}  # column -> parent column; roots map to themselves
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in A.rows.values():
+        root = None
+        for c in row:
+            c = find(parent.setdefault(c, c))
+            if root is None:
+                root = c
+            elif c != root:
+                parent[c] = root
+    blocks: dict[int, list[dict[int, Fraction]]] = {}
     for _, row in sorted(A.rows.items()):
-        lcm = 1
-        for v in row.values():
-            d = v.denominator
-            lcm = lcm * d // _gcd(lcm, d)
-        dense = [0] * ncols
-        for c, v in row.items():
-            dense[c] = int(v * lcm)
-        rows.append(dense)
-    return kernels.bareiss_rank(rows, ncols)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    total = 0
+    for rows in blocks.values():
+        pos = {c: i for i, c in enumerate(sorted({c for row in rows for c in row}))}
+        dense_rows = []
+        for row in rows:
+            lcm = math.lcm(*(v.denominator for v in row.values()))
+            dense = [0] * len(pos)
+            for c, v in row.items():
+                dense[pos[c]] = v.numerator * (lcm // v.denominator)
+            dense_rows.append(dense)
+        total += kernels.bareiss_rank(dense_rows, len(pos))
+    return total
 
 
 @lru_cache(maxsize=None)

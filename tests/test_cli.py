@@ -43,9 +43,12 @@ def test_symmetrizer_term_count():
     assert {"cycles": "()", "coeff": "1"} in payload
 
 
-def test_fusion_f_ranks():
-    res = run_cli("fusion-f", "--form", "O", "--N", "3", "--lambda", "2")
+def test_fusion_f_ranks(tmp_path):
+    out = tmp_path / "f.json"
+    res = run_cli("fusion-f", "--form", "O", "--N", "3", "--lambda", "2",
+                  "--output", str(out))
     assert res.returncode == 0 and "rank 5" in res.stdout
+    assert json.loads(out.read_text())["rank"] == 5
     res = run_cli("fusion-f", "--form", "Sp", "--N", "2", "--lambda", "2")
     assert res.returncode == 0 and "rank 3" in res.stdout
 

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from symfusion import kernels
 from symfusion.exactnum import PoleAtLimit, value_at_zero
 from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               NonStandardNeighbor, SizeLimitExceeded,
@@ -14,8 +16,8 @@ from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
 from symfusion.shapes import (Partition, column_tableau, count_semistandard,
                               row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation
-from symfusion.tensorop import (SparseOperator, alternating_form, perm_op,
-                                q_op, rank, symmetric_form)
+from symfusion.tensorop import (SparseOperator, alternating_form, decode,
+                                perm_op, q_op, rank, symmetric_form)
 
 
 def P(*parts):
@@ -53,6 +55,34 @@ def test_e_operator_examples():
     E = e_operator(sk, 2)
     assert E == I2() - P12_2.scaled(Fraction(1, 2))
     assert rank(E) == 4 == count_semistandard(skew(P(2, 1), P(1)), 2)
+
+
+def test_e_rank_per_content_block_is_kostka():
+    """E commutes with permuting tensor factors, so it preserves the content
+    (the multiset of indices) of a multi-index.  On each content block α its
+    rank is the number of semistandard fillings with content α."""
+    N = 4
+    tableaux = []
+    for lam, mu in (((3, 2), ()), ((3, 1), ()), ((3, 2), (1,)), ((2, 2, 1), (1,))):
+        sh = skew(P(*lam), P(*mu))
+        tableaux += [row_tableau(sh)] if mu else [row_tableau(sh), standard_tableaux(sh)[-1]]
+    for O in tableaux:
+        n = O.n
+        blocks = {}
+        for code in range(N ** n):
+            idx = decode(code, N, n)
+            blocks.setdefault(tuple(idx.count(v) for v in range(1, N + 1)), []).append(code)
+        assert len(blocks) == math.comb(n + N - 1, N - 1)
+        block_of = {code: alpha for alpha, codes in blocks.items() for code in codes}
+        E = e_operator(O, N)
+        assert all(block_of[r] == block_of[c] for r, row in E.rows.items() for c in row)
+        total = 0
+        for alpha, codes in blocks.items():
+            dense = [[E.entry(r, c) for c in codes] for r in codes]
+            pivots, _ = kernels.frac_rref(dense, len(codes), Fraction(0), Fraction(1))
+            assert len(pivots) == count_semistandard(O.shape, N, alpha), (O, alpha)
+            total += len(pivots)
+        assert total == count_semistandard(O.shape, N)
 
 
 def test_f_general_O3_single_row():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +105,22 @@ def test_count_semistandard():
     assert count_semistandard(skew(P(1, 1)), 1) == 0
     # disconnected skew cells are unconstrained against each other
     assert count_semistandard(skew(P(2, 1), P(1)), 2) == 4
+
+
+def test_count_semistandard_by_content():
+    # Kostka numbers of (2,1) on N = 3: K_{(2,1),(2,1)} = 1, K_{(2,1),(1,1,1)} = 2,
+    # K_{(2,1),(3)} = 0, and the count is symmetric under permuting the content
+    s = skew(P(2, 1))
+    for content, kostka in [((2, 1, 0), 1), ((0, 1, 2), 1), ((1, 0, 2), 1),
+                            ((1, 1, 1), 2), ((3, 0, 0), 0), ((0, 0, 3), 0)]:
+        assert count_semistandard(s, 3, content) == kostka
+    total = sum(count_semistandard(s, 3, a) for a in itertools.product(range(4), repeat=3))
+    assert total == count_semistandard(s, 3) == 8
+    assert count_semistandard(s, 3, (1, 1, 0)) == 0  # too few entries
+    assert count_semistandard(skew(P(2, 1), P(1)), 2, (1, 1)) == 2
+    for bad in [(1, 2), (2, 2, -1)]:
+        with pytest.raises(ValueError):
+            count_semistandard(s, 3, bad)
 
 
 def test_partition_helpers():

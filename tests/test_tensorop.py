@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from symfusion import kernels
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
 from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm,
@@ -184,6 +186,57 @@ def test_rank_and_bases():
     assert kernel_basis(sym2).dim == 1
     assert rank(q_op(1, 2, symmetric_form(2), 2)) == 1
     assert rank(q_op(1, 2, alternating_form(2), 2)) == 1
+
+
+def _planted(N, n, blocks, rng):
+    """Operator with one block of each (rows, cols, rank) on disjoint rows and
+    columns, drawn from a seeded shuffle of the basis; returns it with the
+    planted rank."""
+    dim = N ** n
+    row_codes, col_codes = list(range(dim)), list(range(dim))
+    rng.shuffle(row_codes)
+    rng.shuffle(col_codes)
+    rows, planted = {}, 0
+
+    def entry():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 6))
+
+    for nr, nc, k in blocks:
+        rs = [row_codes.pop() for _ in range(nr)]
+        cs = [col_codes.pop() for _ in range(nc)]
+        X = [[entry() for _ in range(k)] for _ in range(nr)]
+        Y = [[entry() for _ in range(nc)] for _ in range(k)]
+        for i, r in enumerate(rs):
+            order = list(enumerate(cs))
+            rng.shuffle(order)  # rows of a block need not list their columns alike
+            row = {c: sum(X[i][t] * Y[t][j] for t in range(k)) for j, c in order}
+            rows[r] = {c: v for c, v in row.items() if v}
+        planted += k
+    return SparseOperator(N, n, {r: row for r, row in rows.items() if row}), planted
+
+
+def test_rank_sums_connected_blocks():
+    rng = random.Random(41)
+    cases = [
+        _planted(3, 3, [(27, 27, 19)], rng),                        # one full block
+        _planted(2, 5, [(1, 1, 1)] * 32, rng),                      # 32 1x1 blocks
+        _planted(2, 5, [(5, 3, 2), (1, 4, 1), (6, 6, 6), (4, 7, 3), (2, 2, 1)], rng),
+        _planted(3, 3, [(9, 9, 4), (3, 8, 3), (1, 1, 1)] + [(2, 1, 1)] * 3, rng),
+        (SparseOperator.zero(2, 3), 0),
+        (SparseOperator(2, 2, {0: {}, 1: {3: Fraction(1, 2), 0: Fraction(-2, 3)},
+                               2: {}, 3: {2: Fraction(5)}}), 2),
+    ]
+    for A, planted in cases:
+        dense = []
+        for _, row in sorted(A.rows.items()):
+            lcm = math.lcm(*(v.denominator for v in row.values()))
+            cleared = [0] * A.dim
+            for c, v in row.items():
+                cleared[c] = int(v * lcm)
+            dense.append(cleared)
+        fractions = [[Fraction(v) for v in row] for row in dense]
+        pivots, _ = kernels.frac_rref(fractions, A.dim, Fraction(0), Fraction(1))
+        assert rank(A) == kernels.bareiss_rank(dense, A.dim) == len(pivots) == planted
 
 
 def test_traceless_dimensions():
