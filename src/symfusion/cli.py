@@ -22,15 +22,14 @@ from fractions import Fraction
 from .exactnum import PoleAtLimit
 from .fusion import (CheckResult, ConfigError, FusionConfig, NotApplicable,
                      SizeLimitExceeded, certify, e_operator, f_operator_closed,
-                     f_operator_general, max_dim, operator_hash,
-                     scaled_idempotency_constant, verify_corollary32,
-                     verify_prop33, verify_scaled_idempotent,
+                     f_operator_general, max_dim, scaled_idempotency_constant,
+                     verify_corollary32, verify_prop33, verify_scaled_idempotent,
                      verify_theta_factorization)
 from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
 from .symalg import e_col, e_row, e_tableau, fusion_e_skew
-from .tensorop import alternating_form, rank, symmetric_form
+from .tensorop import alternating_form, symmetric_form
 from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
                       check_intertwiner_E, check_intertwiner_F,
                       check_image_coincidence, check_lemma44,
@@ -115,14 +114,13 @@ def cmd_fusion_f(args) -> int:
         print(f"FATAL: {exc}", file=sys.stderr)
         return 1
     print(f"operator for {T}, {args.form}_{args.N}, M={args.M}")
-    rank_F = rank(F)
-    print(f"rank {rank_F}   nnz {F.nnz()}   hash {operator_hash(F)}")
     cert = certify(cfg)
+    print(f"rank {cert.rank}   nnz {F.nnz()}   hash {cert.operator_hash}")
     for chk in sorted(cert.checks, key=lambda c: c.name):
         print(f"  {'PASS' if chk.passed else 'FAIL'} {chk.name}")
     if args.output:
         payload = cert.to_json()
-        payload["rank"] = rank_F
+        payload["rank"] = cert.rank
         payload["entries"] = F.to_triplets()
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -11,9 +11,10 @@ as a power series in ε with integer coefficients, truncated mod
 at ε = 0.  Only the coefficients up to ε^v decide the value and the
 pole test, so the truncation is exact: the value is p_v divided by
 Π_t (a_t if a_t else b_t), and a nonzero p_i with i < v is a genuine
-pole.  No factor is ever evaluated early and nothing is reduced along
-the way.  Callers supply only how X_t moves the keys of a vector, which
-is what the group-algebra route and the operator route differ in.
+pole.  The value is returned unreduced, as (±p_v, |Π|).  No factor is
+ever evaluated early and nothing is reduced along the way.  Callers
+supply only how X_t moves the keys of a vector, which is what the
+group-algebra route and the operator route differ in.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ Move = Callable[[IntVector], IntVector]
 
 
 def limit_at_zero(start: IntVector, factors: Sequence[tuple[Move, int, int]],
-                  what: str = "product") -> dict[Hashable, Fraction]:
-    """Value at ε = 0 of the ordered product applied to ``start``.
+                  what: str = "product") -> tuple[IntVector, int]:
+    """(int numerators, den > 0) of the ordered product at ε = 0 on ``start``.
 
     Each factor is (move, a, b) and maps a vector u to
     ((a + b·ε)·u − move(u))/(a + b·ε); ``move`` applies X to one integer
@@ -88,12 +89,12 @@ def _apply_factor(series: list[IntVector], move: Move, a: int, b: int) -> list[I
 
 
 def value_at_zero(series: list[IntVector], den: Sequence[tuple[int, int]],
-                  what: str = "product") -> dict[Hashable, Fraction]:
+                  what: str = "product") -> tuple[IntVector, int]:
     """Read off num/Π(a_t + b_t·ε) at ε = 0 from the truncated numerator.
 
     ``series`` holds the coefficients p_0..p_v of the numerator, with v
     the number of factors whose a_t is 0.  A nonzero p_i with i < v is a
-    genuine pole; otherwise the value is p_v / Π_t (a_t if a_t else b_t).
+    genuine pole; otherwise the value is (±p_v, |Π_t (a_t if a_t else b_t)|).
     """
     v = sum(1 for a, _ in den if a == 0)
     if len(series) != v + 1:
@@ -104,4 +105,4 @@ def value_at_zero(series: list[IntVector], den: Sequence[tuple[int, int]],
     scale = 1
     for a, b in den:
         scale *= a if a else b
-    return {k: Fraction(x, scale) for k, x in series[v].items()}
+    return ({k: -x for k, x in series[v].items()} if scale < 0 else series[v]), abs(scale)

@@ -141,13 +141,13 @@ def _left_multiplication(op: SparseOperator):
     """Left multiplication by an integer operator, on matrices stored as
     vectors with keys row·dim + col: entry (k, c) moves to (r, c) with
     weight op[r][k]."""
+    if op.den != 1:
+        raise ValueError("factor operator must have integer entries")
     dim = op.dim
     cols: dict[int, list[tuple[int, int]]] = {}
     for r, row in op.rows.items():
         for k, v in row.items():
-            if v.denominator != 1:
-                raise ValueError("factor operator must have integer entries")
-            cols.setdefault(k, []).append(((r - k) * dim, v.numerator))
+            cols.setdefault(k, []).append(((r - k) * dim, v))
 
     def move(vec: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -215,13 +215,13 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
         factors.append((_left_multiplication(p), a, b))
     # the product is built from the right, so the factors apply reversed
     dim = N ** n
-    values = limit_at_zero({r * dim + r: 1 for r in range(dim)}, factors[::-1],
-                           "operator product")
-    rows: dict[int, dict[int, Fraction]] = {}
+    values, den = limit_at_zero({r * dim + r: 1 for r in range(dim)}, factors[::-1],
+                                "operator product")
+    rows: dict[int, dict[int, int]] = {}
     for key, v in values.items():
         r, col = divmod(key, dim)
         rows.setdefault(r, {})[col] = v
-    return SparseOperator(N, n, rows)
+    return SparseOperator(N, n, rows, den)
 
 
 CLOSED_FORMULAS = ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case")
@@ -321,9 +321,9 @@ def measured_eigenvalue(E: SparseOperator):
     sq = E * E
     for r, cols in E.rows.items():
         for c, v in cols.items():
-            sigma = sq.entry(r, c) / v
+            sigma = sq.entry(r, c) / Fraction(v, E.den)
             return sigma if sq == E.scaled(sigma) else None
-    return Fraction(0) if sq.is_zero() else None
+    return Fraction(0)
 
 
 def verify_prop33(cfg: FusionConfig) -> bool:
@@ -406,7 +406,7 @@ def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
     for k in range(1, m):
         for l in range(k + 1, m + 1):
             Q = q_op(k, l, form, m)
-            cols: dict[int, dict[int, Fraction]] = {}
+            cols: dict[int, dict[int, int]] = {}  # numerators: the span of Q's columns
             for r, row in Q.rows.items():
                 for c, v in row.items():
                     cols.setdefault(c, {})[r] = v
@@ -418,7 +418,7 @@ def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
     basis_rows = [list(v) for v in T.vectors] + [list(v) for v in C.vectors]
     aug = [[basis_rows[j][i] for j in range(dim)]
            + [Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    pivots, reduced = kernels.frac_rref(aug, 2 * dim, Fraction(0), Fraction(1))
+    pivots, reduced = kernels.frac_rref(aug, 2 * dim)
     if pivots[:dim] != list(range(dim)):
         raise ArithmeticError("traceless part and contraction span are not independent")
     proj: dict[int, dict[int, Fraction]] = {}
@@ -549,6 +549,7 @@ class FusionCertificate:
     config: dict
     checks: list[CheckResult] = field(default_factory=list)
     operator_hash: str | None = None
+    rank: int | None = None  # rank(F), kept out of the JSON form
 
     def add(self, result: CheckResult):
         self.checks.append(result)
@@ -592,8 +593,9 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
         if cfg.M == 0:
             cert.add(CheckResult("traceless-image", "traceless-image-equality",
                                  verify_prop33(cfg)))
+    cert.rank = rank(F)
     cert.add(CheckResult("rank-monotone", "image-dimension-bound",
-                         rank(F) <= rank(E)))
+                         cert.rank <= rank(E)))
     for formula in CLOSED_FORMULAS:
         try:
             G = f_operator_closed(cfg, formula)

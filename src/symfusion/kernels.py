@@ -1,11 +1,13 @@
 """The hot inner loops, on plain Python objects.
 
-Permutations are 1-based image tuples; coefficients are arbitrary exact
-scalars (Fraction or int); matrices are sparse {row: {col: coeff}}
-dicts, except for the dense list rows of the two eliminations.
+Permutations are 1-based image tuples; ``ga_mul`` sees Fraction
+coefficients, ``sparse_mm`` the int numerators of two operators; matrices
+are sparse {row: {col: coeff}} dicts, except in the two eliminations.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def compose(s, t):
@@ -92,12 +94,12 @@ def bareiss_rank(rows, ncols):
     return rank
 
 
-def frac_rref(rows, ncols, zero, one):
-    """Reduced row echelon form over an exact field, in place.
+def frac_rref(rows, ncols):
+    """Reduced row echelon form over the rationals, in place.
 
-    ``rows`` is a list of dense lists of field elements supporting
-    +,-,*,/ and truthiness.  Returns (pivot column list, row list); zero
-    rows are dropped.  ``zero``/``one`` are the field constants.
+    ``rows`` is a list of dense lists of ints and Fractions.  Returns
+    (pivot column list, row list); zero rows are dropped.  The pivot
+    inverse is a Fraction, so int input never turns into floats.
     """
     m = [r for r in rows if any(r)]
     pivots = []
@@ -113,8 +115,8 @@ def frac_rref(rows, ncols, zero, one):
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
         row = m[rank]
-        inv = one / row[col]
-        if inv != one:
+        if row[col] != 1:
+            inv = Fraction(1, row[col])
             for j in range(col, ncols):
                 if row[j]:
                     row[j] = row[j] * inv

@@ -83,11 +83,7 @@ def run_identity_check(name: str, statement: str, sides, arity: int, poles,
 
 def _difference_witness(pt, a: SparseOperator, b: SparseOperator) -> dict:
     diff = a - b
-    cells = [(r, c) for r, cols in diff.rows.items() for c in cols]
-    if not cells:  # equal values, but one side stores explicit zeros
-        cells = [(r, c) for x, y in ((a, b), (b, a)) for r, cols in x.rows.items()
-                 for c in cols if c not in y.rows.get(r, {})]
-    r, c = min(cells, default=(None, None))
+    r, c = min((r, c) for r, cols in diff.rows.items() for c in cols)
     return {"sample": [str(x) for x in pt], "row": r, "col": c,
             "lhs": str(a.entry(r, c)), "rhs": str(b.entry(r, c))}
 
@@ -260,12 +256,12 @@ def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
     """Embed an operator on n slots as identity ⊗ A on 1 + n slots."""
     n = A.n
     dim = A.dim
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for a in range(N):
         base = a * dim
         for r, cols in A.rows.items():
             rows[base + r] = {base + c: v for c, v in cols.items()}
-    return SparseOperator(N, n + 1, rows)
+    return SparseOperator(N, n + 1, rows, A.den)
 
 
 def _image_strings(x, ds, Ps, Qs):

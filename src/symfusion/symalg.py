@@ -392,8 +392,9 @@ def _fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
     factors = [(_times_transposition(i, j), contents[i - 1] - contents[j - 1],
                 slopes[i - 1] - slopes[j - 1])
                for i in range(1, n) for j in range(i + 1, n + 1)]
+    values, den = limit_at_zero({tuple(range(1, n + 1)): 1}, factors, "fusion product")
     e = GroupAlgebraElement(n)
-    e.terms = limit_at_zero({tuple(range(1, n + 1)): 1}, factors, "fusion product")
+    e.terms = {s: Fraction(x, den) for s, x in values.items()}
     return e
 
 

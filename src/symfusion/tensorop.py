@@ -2,7 +2,8 @@
 
 Basis vectors of the tensor power are multi-indices (i_1..i_n) with
 i_k in 1..N, encoded as row = Σ (i_k - 1)·N^(n-k), i.e. lexicographic
-with i_1 most significant.  All coefficients are exact Fractions.
+with i_1 most significant.  Operators hold int numerators over one
+denominator (``SparseOperator``); forms and subspaces hold Fractions.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class BilinearForm:
         N = self.N
         rows = [[self.gram[i][j] for j in range(N)]
                 + [Fraction(int(i == j)) for j in range(N)] for i in range(N)]
-        pivots, reduced = kernels.frac_rref(rows, 2 * N, Fraction(0), Fraction(1))
+        pivots, reduced = kernels.frac_rref(rows, 2 * N)
         if pivots[:N] != list(range(N)) or len(pivots) < N:
             return None
         return tuple(tuple(reduced[i][N + j] for j in range(N)) for i in range(N))
@@ -113,39 +114,46 @@ def dual_basis(form: BilinearForm) -> list[tuple[Fraction, ...]]:
 def pair_vector(form: BilinearForm) -> dict[tuple[int, int], Fraction]:
     """Coordinates of w = Σ e_i ⊗ v_i, the invariant two-tensor."""
     duals = dual_basis(form)
-    w: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, form.N + 1):
-        for b in range(1, form.N + 1):
-            c = duals[i - 1][b - 1]
-            if c:
-                w[(i, b)] = w.get((i, b), Fraction(0)) + c
-    return {k: v for k, v in w.items() if v}
+    return {(i, b): duals[i - 1][b - 1] for i in range(1, form.N + 1)
+            for b in range(1, form.N + 1) if duals[i - 1][b - 1]}
 
 
 class SparseOperator:
-    """Sparse linear map on the n-fold tensor power of C^N."""
+    """Sparse linear map on the n-fold tensor power of C^N.
 
-    __slots__ = ("N", "n", "rows")
+    Entry (r, c) is ``rows[r][c] / den``.  The constructor takes rational
+    entries and brings them to a normal form: only nonzero ints are stored,
+    ``den`` > 0, gcd(den, all numerators) = 1, and the zero operator has
+    ``rows == {}``, ``den == 1``.  So equality compares the stored fields.
+    """
 
-    def __init__(self, N: int, n: int, rows=None):
+    __slots__ = ("N", "n", "rows", "den")
+
+    def __init__(self, N: int, n: int, rows=None, den: int = 1):
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        rows = {r: kept for r, cols in (rows or {}).items()
+                if (kept := {c: v for c, v in cols.items() if v})}
+        if any(type(v) is not int for cols in rows.values() for v in cols.values()):
+            scale = math.lcm(*(v.denominator for cols in rows.values() for v in cols.values()))
+            rows = {r: {c: v.numerator * (scale // v.denominator) for c, v in cols.items()}
+                    for r, cols in rows.items()}
+            den *= scale
         self.N = N
         self.n = n
-        self.rows: dict[int, dict[int, Fraction]] = rows if rows is not None else {}
+        self.rows, self.den = _divide_content(rows, den)
 
     @property
     def dim(self) -> int:
         return self.N ** self.n
 
     @classmethod
-    def identity(cls, N: int, n: int, coeff=Fraction(1)) -> "SparseOperator":
-        if not coeff:
-            return cls.zero(N, n)
-        dim = N ** n
-        return cls(N, n, {r: {r: coeff} for r in range(dim)})
+    def identity(cls, N: int, n: int, coeff=1) -> "SparseOperator":
+        return cls(N, n, {r: {r: coeff} for r in range(N ** n)})
 
     @classmethod
     def zero(cls, N: int, n: int) -> "SparseOperator":
-        return cls(N, n, {})
+        return cls(N, n)
 
     def _check(self, other: "SparseOperator"):
         if (self.N, self.n) != (other.N, other.n):
@@ -153,7 +161,7 @@ class SparseOperator:
                                   f"{(self.N, self.n)} vs {(other.N, other.n)}")
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.rows.get(r, {}).get(c, Fraction(0))
+        return Fraction(self.rows.get(r, {}).get(c, 0), self.den)
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -166,60 +174,70 @@ class SparseOperator:
 
     def __eq__(self, other):
         return (isinstance(other, SparseOperator)
-                and (self.N, self.n) == (other.N, other.n)
+                and (self.N, self.n, self.den) == (other.N, other.n, other.den)
                 and self.rows == other.rows)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._check(other)
-        rows = {r: dict(cols) for r, cols in self.rows.items()}
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        rows = {r: {c: v * fa for c, v in cols.items()} for r, cols in self.rows.items()}
         for r, cols in other.rows.items():
             dst = rows.setdefault(r, {})
             for c, v in cols.items():
-                acc = dst.get(c, 0) + v
-                if acc:
-                    dst[c] = acc
-                else:
-                    dst.pop(c, None)
-            if not dst:
-                del rows[r]
-        return SparseOperator(self.N, self.n, rows)
+                dst[c] = dst.get(c, 0) + v * fb
+        return SparseOperator(self.N, self.n, rows, den)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "SparseOperator":
-        if not c:
-            return SparseOperator.zero(self.N, self.n)
+        c = Fraction(c)
         return SparseOperator(self.N, self.n,
-                              {r: {k: v * c for k, v in cols.items()}
-                               for r, cols in self.rows.items()})
+                              {r: {k: v * c.numerator for k, v in cols.items()}
+                               for r, cols in self.rows.items()},
+                              self.den * c.denominator)
 
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
         self._check(other)
-        return SparseOperator(self.N, self.n, kernels.sparse_mm(self.rows, other.rows))
+        # sparse_mm keeps no zeros, so only the content is left to divide out
+        out = SparseOperator(self.N, self.n)
+        out.rows, out.den = _divide_content(kernels.sparse_mm(self.rows, other.rows),
+                                            self.den * other.den)
+        return out
 
     def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Image of a vector {code: rational}, whose denominators are cleared once."""
+        scale = math.lcm(*(x.denominator for x in vec.values()))
+        ivec = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
+        den = self.den * scale
         out: dict[int, Fraction] = {}
         for r, cols in self.rows.items():
             acc = 0
             for c, v in cols.items():
-                x = vec.get(c)
+                x = ivec.get(c)
                 if x is not None:
                     acc += v * x
             if acc:
-                out[r] = acc
+                out[r] = Fraction(acc, den)
         return out
 
     def to_triplets(self) -> list[dict]:
-        out = []
-        for r in sorted(self.rows):
-            cols = self.rows[r]
-            for c in sorted(cols):
-                out.append({"row": r, "col": c, "value": format_rational(cols[c])})
-        return out
+        return [{"row": r, "col": c, "value": format_rational(Fraction(cols[c], self.den))}
+                for r, cols in sorted(self.rows.items()) for c in sorted(cols)]
 
     def __repr__(self):
-        return f"SparseOperator(N={self.N}, n={self.n}, nnz={self.nnz()})"
+        return f"SparseOperator(N={self.N}, n={self.n}, nnz={self.nnz()}, den={self.den})"
+
+
+def _divide_content(rows: dict[int, dict[int, int]], den: int):
+    """(rows, den) divided by gcd(den, all numerators); no rows give den 1."""
+    g = den
+    for cols in rows.values():
+        g = math.gcd(g, *cols.values())
+        if g == 1:
+            return rows, den
+    return {r: {c: v // g for c, v in cols.items()} for r, cols in rows.items()}, den // g
 
 
 def perm_op(s: Permutation, N: int) -> SparseOperator:
@@ -227,12 +245,11 @@ def perm_op(s: Permutation, N: int) -> SparseOperator:
     n = len(s)
     dim = N ** n
     inv = s.inverse()
-    rows: dict[int, dict[int, Fraction]] = {}
-    one = Fraction(1)
+    rows: dict[int, dict[int, int]] = {}
     for code in range(dim):
         idx = decode(code, N, n)
         tgt = tuple(idx[inv[k] - 1] for k in range(n))
-        rows[encode(tgt, N)] = {code: one}
+        rows[encode(tgt, N)] = {code: 1}
     return SparseOperator(N, n, rows)
 
 
@@ -256,11 +273,7 @@ def q_op(k: int, l: int, form: BilinearForm, n: int) -> SparseOperator:
                 for (i, j), wv in w.items():
                     row = _place(rest, k, l, i, j, N)
                     dst = rows.setdefault(row, {})
-                    acc = dst.get(col, 0) + g * wv
-                    if acc:
-                        dst[col] = acc
-                    else:
-                        dst.pop(col, None)
+                    dst[col] = dst.get(col, 0) + g * wv
     return SparseOperator(N, n, rows)
 
 
@@ -280,30 +293,27 @@ def _place(rest: tuple[int, ...], k: int, l: int, a: int, b: int, N: int) -> int
 def act(a: GroupAlgebraElement, N: int) -> SparseOperator:
     """Operator realization of a group-algebra element by permuting factors.
 
-    Σ_s c_s·perm_op(s), accumulated into one set of rows: perm_op(s) sends
-    basis vector idx to the one holding idx_j in slot s(j), whose code is
-    Σ_j (idx_j - 1)·N^(n - s(j)).
+    Σ_s c_s·perm_op(s), accumulated into one set of int rows over the lcm
+    of the c_s denominators: perm_op(s) sends basis vector idx to the one
+    holding idx_j in slot s(j), whose code is Σ_j (idx_j - 1)·N^(n - s(j)).
     """
     n = a.n
     dim = N ** n
+    den = math.lcm(*(c.denominator for c in a.terms.values()))
     digits = list(zip(*(decode(code, N, n) for code in range(dim))))
     # placed[j][slot - 1][code]: contribution of factor j+1 of code in that slot
     placed = [[[(d - 1) * N ** (n - slot) for d in col] for slot in range(1, n + 1)]
               for col in digits]
-    rows: list[dict[int, Fraction]] = [{} for _ in range(dim)]
+    rows: list[dict[int, int]] = [{} for _ in range(dim)]
     for s, c in a.terms.items():
+        c = c.numerator * (den // c.denominator)
         targets = [0] * dim
         for j, v in enumerate(s):
             targets = list(map(add, targets, placed[j][v - 1]))
         for code, tgt in enumerate(targets):
             row = rows[tgt]
             row[code] = row.get(code, 0) + c
-    out = {}
-    for r, row in enumerate(rows):
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            out[r] = row
-    return SparseOperator(N, n, out)
+    return SparseOperator(N, n, dict(enumerate(rows)), den)
 
 
 @dataclass(frozen=True)
@@ -319,21 +329,21 @@ class SubspaceBasis:
 
 
 def _rref_basis(ambient: int, dense_rows: list[list[Fraction]]) -> SubspaceBasis:
-    _, reduced = kernels.frac_rref(dense_rows, ambient, Fraction(0), Fraction(1))
+    _, reduced = kernels.frac_rref(dense_rows, ambient)
     return SubspaceBasis(ambient, tuple(tuple(r) for r in reduced))
 
 
-def _dense_columns(A: SparseOperator) -> list[list[Fraction]]:
+def _dense_columns(A: SparseOperator) -> list[list[int]]:
     dim = A.dim
-    cols: dict[int, list[Fraction]] = {}
+    cols: dict[int, list[int]] = {}
     for r, row in A.rows.items():
         for c, v in row.items():
-            cols.setdefault(c, [Fraction(0)] * dim)[r] = v
+            cols.setdefault(c, [0] * dim)[r] = v
     return [vec for _, vec in sorted(cols.items())]
 
 
 def image_basis(A: SparseOperator) -> SubspaceBasis:
-    """Column space, reduced by exact elimination."""
+    """Column space of the numerators (the den does not change it), in RREF."""
     return _rref_basis(A.dim, _dense_columns(A))
 
 
@@ -341,14 +351,14 @@ def kernel_basis(A: SparseOperator) -> SubspaceBasis:
     dim = A.dim
     rows = []
     for _, row in sorted(A.rows.items()):
-        dense = [Fraction(0)] * dim
+        dense = [0] * dim
         for c, v in row.items():
             dense[c] = v
         rows.append(dense)
     if not rows:
         return SubspaceBasis(dim, tuple(tuple(Fraction(int(i == j)) for j in range(dim))
                                         for i in range(dim)))
-    pivots, reduced = kernels.frac_rref(rows, dim, Fraction(0), Fraction(1))
+    pivots, reduced = kernels.frac_rref(rows, dim)
     pivot_set = set(pivots)
     free = [c for c in range(dim) if c not in pivot_set]
     vectors = []
@@ -368,9 +378,9 @@ def rank(A: SparseOperator) -> int:
     Two nonzero rows fall in the same block when they share a column; one
     union-find pass over the nonzeros finds the blocks.  Permuting rows and
     columns makes A block-diagonal over them, so rank(A) is the sum of the
-    block ranks.  Each block is densified over its own sorted columns, each
-    row's denominators are cleared with their lcm (which preserves the row
-    space over the rationals), and ``kernels.bareiss_rank`` eliminates it.
+    block ranks.  Each block of integer numerators is densified over its own
+    sorted columns and ``kernels.bareiss_rank`` eliminates it; the common
+    denominator does not change the rank.
     """
     parent: dict[int, int] = {}  # column -> parent column; roots map to themselves
 
@@ -387,19 +397,17 @@ def rank(A: SparseOperator) -> int:
                 root = c
             elif c != root:
                 parent[c] = root
-    blocks: dict[int, list[dict[int, Fraction]]] = {}
+    blocks: dict[int, list[dict[int, int]]] = {}
     for _, row in sorted(A.rows.items()):
-        if row:
-            blocks.setdefault(find(next(iter(row))), []).append(row)
+        blocks.setdefault(find(next(iter(row))), []).append(row)
     total = 0
     for rows in blocks.values():
         pos = {c: i for i, c in enumerate(sorted({c for row in rows for c in row}))}
         dense_rows = []
         for row in rows:
-            lcm = math.lcm(*(v.denominator for v in row.values()))
             dense = [0] * len(pos)
             for c, v in row.items():
-                dense[pos[c]] = v.numerator * (lcm // v.denominator)
+                dense[pos[c]] = v
             dense_rows.append(dense)
         total += kernels.bareiss_rank(dense_rows, len(pos))
     return total
@@ -436,7 +444,7 @@ def traceless_basis(N: int, n: int, form: BilinearForm) -> SubspaceBasis:
                 mat.append(col)
             # kernel of the (used_rows x len(basis)) matrix M with M[:,i]=images[i]
             rows = [[mat[i][j] for i in range(len(basis))] for j in range(len(used_rows))]
-            pivots, reduced = kernels.frac_rref(rows, len(basis), Fraction(0), Fraction(1))
+            pivots, reduced = kernels.frac_rref(rows, len(basis))
             pivot_set = set(pivots)
             free = [c for c in range(len(basis)) if c not in pivot_set]
             new_basis = []
@@ -474,15 +482,6 @@ def subspace_equal(A: SubspaceBasis, B: SubspaceBasis) -> bool:
     return A.vectors == B.vectors  # both are in RREF, a canonical form
 
 
-def contains_subspace(A: SubspaceBasis, B: SubspaceBasis) -> bool:
-    """Whether span(B) is contained in span(A)."""
-    if A.ambient != B.ambient:
-        raise AmbientMismatch(f"ambient dimensions {A.ambient} and {B.ambient} differ")
-    joint = [list(v) for v in A.vectors] + [list(v) for v in B.vectors]
-    _, reduced = kernels.frac_rref(joint, A.ambient, Fraction(0), Fraction(1))
-    return len(reduced) == A.dim
-
-
 def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
     """Exact intersection via the kernel of the stacked coefficient system."""
     if A.ambient != B.ambient:
@@ -496,7 +495,7 @@ def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
         row = [A.vectors[i][col] for i in range(na)]
         row += [-B.vectors[j][col] for j in range(nb)]
         rows.append(row)
-    pivots, reduced = kernels.frac_rref(rows, na + nb, Fraction(0), Fraction(1))
+    pivots, reduced = kernels.frac_rref(rows, na + nb)
     pivot_set = set(pivots)
     free = [c for c in range(na + nb) if c not in pivot_set]
     vectors = []

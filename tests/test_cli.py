@@ -53,6 +53,27 @@ def test_fusion_f_ranks(tmp_path):
     assert res.returncode == 0 and "rank 3" in res.stdout
 
 
+def test_fusion_f_ranks_each_operator_once(monkeypatch, tmp_path, capsys):
+    # certify ranks F and E for rank-monotone; the printed line and the
+    # --output payload reuse its rank(F) instead of ranking F again
+    from symfusion import cli, fusion, tensorop
+    calls = []
+
+    def counting_rank(A, real=tensorop.rank):
+        calls.append(A)
+        return real(A)
+
+    for module in (cli, fusion, tensorop):
+        if hasattr(module, "rank"):
+            monkeypatch.setattr(module, "rank", counting_rank)
+    out = tmp_path / "f.json"
+    assert main(["fusion-f", "--form", "Sp", "--N", "4", "--lambda", "2,1",
+                 "--output", str(out)]) == 0
+    assert len(calls) == 2
+    rank_F = json.loads(out.read_text())["rank"]
+    assert f"rank {rank_F} " in capsys.readouterr().out
+
+
 def test_fusion_f_skew_with_indexed_tableau():
     res = run_cli("fusion-f", "--form", "O", "--N", "2", "--M", "1",
                   "--lambda", "2,1", "--mu", "1", "--tableau", "0")

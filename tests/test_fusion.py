@@ -79,7 +79,7 @@ def test_e_rank_per_content_block_is_kostka():
         total = 0
         for alpha, codes in blocks.items():
             dense = [[E.entry(r, c) for c in codes] for r in codes]
-            pivots, _ = kernels.frac_rref(dense, len(codes), Fraction(0), Fraction(1))
+            pivots, _ = kernels.frac_rref(dense, len(codes))
             assert len(pivots) == count_semistandard(O.shape, N, alpha), (O, alpha)
             total += len(pivots)
         assert total == count_semistandard(O.shape, N)
@@ -227,8 +227,10 @@ def test_pole_detection_machinery():
     # numerator 1 over denominator 2ε must raise
     with pytest.raises(PoleAtLimit):
         value_at_zero([{0: 1}, {}], [(0, 2)])
-    # numerator divisible by ε passes: 3ε/2ε -> 3/2
-    assert value_at_zero([{}, {0: 3}], [(0, 2)]) == {0: Fraction(3, 2)}
+    # numerator divisible by ε passes: 3ε/2ε -> 3/2, as numerators over den
+    assert value_at_zero([{}, {0: 3}], [(0, 2)]) == ({0: 3}, 2)
+    # 3ε/(-2ε) -> -3/2: the denominator comes back positive
+    assert value_at_zero([{}, {0: 3}], [(0, -2)]) == ({0: -3}, 2)
 
 
 def test_dimension_cap(monkeypatch):

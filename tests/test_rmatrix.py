@@ -178,11 +178,15 @@ def test_run_identity_check_failure_witness():
 
 def test_zero_identity_and_stored_zero_witness():
     assert SparseOperator.identity(2, 1, Fraction(0)).is_zero()
-    # operators equal in value but not in storage still get a witness
+    # stored zeros are normalized away, so equal values are equal operators
     stored_zero = SparseOperator(2, 1, {1: {0: Fraction(0)}})
-    witness = _difference_witness((Fraction(1),), stored_zero, SparseOperator.zero(2, 1))
-    assert (witness["row"], witness["col"]) == (1, 0)
-    assert witness["lhs"] == witness["rhs"] == "0"
+    assert stored_zero == SparseOperator.zero(2, 1) and stored_zero.rows == {}
+    # an unequal pair gets its first differing entry as the witness
+    a = SparseOperator(2, 1, {0: {1: 3}, 1: {0: Fraction(1, 2)}})
+    b = SparseOperator(2, 1, {0: {1: Fraction(3, 2)}, 1: {0: Fraction(1, 2)}})
+    witness = _difference_witness((Fraction(1),), a, b)
+    assert (witness["row"], witness["col"]) == (0, 1)
+    assert (witness["lhs"], witness["rhs"]) == ("3", "3/2")
 
 
 def test_factor_pole_rejection():
@@ -222,10 +226,7 @@ def _perturb_first_call(fn):
         if done:
             return op
         done = True
-        rows = {r: dict(cols) for r, cols in op.rows.items()}
-        row = rows.setdefault(0, {})
-        row[1] = row.get(1, 0) + Fraction(1, 7)
-        return SparseOperator(op.N, op.n, rows)
+        return op + SparseOperator(op.N, op.n, {0: {1: Fraction(1, 7)}})
     return perturbed
 
 

@@ -331,8 +331,7 @@ def test_skew_element_divides_full_element():
             rows_full = _left_mult_matrix(e_full)
             rows_sub = _left_mult_matrix(e_sub)
             dim = len(rows_full)
-            _, basis_sub = frac_rref([r[:] for r in rows_sub], dim,
-                                     Fraction(0), Fraction(1))
+            _, basis_sub = frac_rref([r[:] for r in rows_sub], dim)
             joint = [r[:] for r in rows_sub] + [r[:] for r in rows_full]
-            _, basis_joint = frac_rref(joint, dim, Fraction(0), Fraction(1))
+            _, basis_joint = frac_rref(joint, dim)
             assert len(basis_joint) == len(basis_sub)  # row-space containment

@@ -235,7 +235,7 @@ def test_rank_sums_connected_blocks():
                 cleared[c] = int(v * lcm)
             dense.append(cleared)
         fractions = [[Fraction(v) for v in row] for row in dense]
-        pivots, _ = kernels.frac_rref(fractions, A.dim, Fraction(0), Fraction(1))
+        pivots, _ = kernels.frac_rref(fractions, A.dim)
         assert rank(A) == kernels.bareiss_rank(dense, A.dim) == len(pivots) == planted
 
 
@@ -282,3 +282,112 @@ def test_operator_json_triplets():
     trip = P_.to_triplets()
     assert trip[0] == {"row": 0, "col": 0, "value": "1"}
     assert {t["row"] for t in trip} == {0, 1, 2, 3}
+
+
+def _random_operator(N, n, rng):
+    """(operator, reference {(r, c): Fraction}) with negative entries, stored
+    zeros, empty rows and a factor shared by every entry."""
+    dim = N ** n
+    shared = Fraction(rng.choice([1, 2, 6, -4]), rng.choice([1, 3, 9]))
+    rows, ref = {}, {}
+    for r in rng.sample(range(dim), rng.randint(0, dim)):
+        row = rows.setdefault(r, {})
+        for c in rng.sample(range(dim), rng.randint(0, dim)):
+            v = shared * Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+            row[c] = v
+            if v:
+                ref[(r, c)] = v
+    return SparseOperator(N, n, rows), ref
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (r, k), x in a.items():
+        for (k2, c), y in b.items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + sign * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _assert_normal(A):
+    values = [v for cols in A.rows.values() for v in cols.values()]
+    assert type(A.den) is int and A.den > 0
+    assert all(A.rows.values()), "empty row stored"
+    assert all(type(v) is int and v != 0 for v in values)
+    if A.rows:
+        assert math.gcd(A.den, *values) == 1
+    else:
+        assert A.den == 1
+
+
+def _assert_matches(A, ref):
+    _assert_normal(A)
+    dim = A.dim
+    entries = {(r, c): A.entry(r, c) for r in range(dim) for c in range(dim)}
+    assert all(type(v) is Fraction for v in entries.values())
+    assert {key: v for key, v in entries.items() if v} == ref
+    assert A.to_triplets() == [{"row": r, "col": c, "value": str(ref[(r, c)])}
+                               for r, c in sorted(ref)]
+
+
+def test_operator_normal_form():
+    """Integer numerators over one reduced positive denominator, checked
+    against a dict-of-Fraction reference and on every producer."""
+    rng = random.Random(2718)
+    N, n = 2, 2
+    for _ in range(40):
+        (A, a), (B, b) = _random_operator(N, n, rng), _random_operator(N, n, rng)
+        _assert_matches(A, a)
+        _assert_matches(A + B, _ref_add(a, b))
+        _assert_matches(A - B, _ref_add(a, b, -1))
+        _assert_matches(A * B, _ref_mul(a, b))
+        s = Fraction(rng.choice([-6, -1, 0, 2, 9]), rng.choice([1, 4, 6]))
+        _assert_matches(A.scaled(s), {key: v * s for key, v in a.items() if v * s})
+        vec = {c: Fraction(rng.randint(-4, 4), rng.choice([1, 3])) for c in range(N ** n)}
+        vec[0] = rng.randint(-2, 2)  # int entries are cleared too
+        image = A.apply(vec)
+        expected = {}
+        for (r, c), v in a.items():
+            expected[r] = expected.get(r, 0) + v * vec[c]
+        assert image == {r: v for r, v in expected.items() if v}
+        assert all(type(v) is Fraction for v in image.values())
+        # the same value built two ways is the same stored operator
+        assert A.scaled(3).scaled(Fraction(1, 3)) == A
+        assert (A + B) - B == A
+        assert (A - A).rows == {} and (A - A).den == 1
+    assert SparseOperator(2, 1, {1: {0: Fraction(0)}}) == SparseOperator.zero(2, 1)
+    halved = SparseOperator(2, 1, {0: {0: 2, 1: 4}}, 4)
+    assert (halved.rows, halved.den) == ({0: {0: 1, 1: 2}}, 2)
+    with pytest.raises(ValueError):
+        SparseOperator(2, 1, {0: {0: 1}}, 0)
+
+    from symfusion.fusion import FusionConfig, e_operator, f_operator_general
+    skewed = symmetric_form(2, [[2, 0], [0, 3]])  # dual basis 1/2, 1/3
+    Tab = row_tableau(skew(P(2, 1)))
+    produced = [
+        perm_op(Permutation((2, 3, 1)), 2),
+        q_op(1, 2, symmetric_form(3), 2),
+        q_op(1, 3, skewed, 3),
+        q_op(2, 1, alternating_form(2), 2),
+        act(e_tableau(Tab), 2),
+        act(GroupAlgebraElement(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)}), 2),
+        act(GroupAlgebraElement(2, {(1, 2): Fraction(1, 2)})
+            - GroupAlgebraElement(2, {(1, 2): Fraction(1, 2)}), 3),
+        f_operator_general(FusionConfig(row_tableau(skew(P(2))), 3, 0, "symmetric")),
+        f_operator_general(FusionConfig(Tab, 2, 0, "alternating", strict=False)),
+        e_operator(Tab, 2),
+        SparseOperator.identity(2, 2),
+        SparseOperator.identity(2, 2, Fraction(6, 4)),
+        SparseOperator.identity(2, 2, 0),
+    ]
+    A, B = produced[2], produced[1].scaled(Fraction(2, 7))
+    produced += [A + A, A * A, A.scaled(Fraction(-4, 6)), B * B, B + B, A.scaled(0)]
+    for X in produced:
+        _assert_normal(X)
