@@ -342,10 +342,12 @@ def verify_prop33(cfg: FusionConfig) -> bool:
         if not (q_op(k, l, form, n) * F).is_zero():
             return False
     T = traceless_basis(cfg.N, n, form)
-    for vec in T.vectors:
-        dvec = {i: v for i, v in enumerate(vec) if v}
-        if F.apply(dvec) != E.apply(dvec):
-            return False
+    columns: dict[int, dict[int, int]] = {}  # T's vectors as the columns of one operator
+    for j, vec in enumerate(T.vectors):
+        for code, v in vec:
+            columns.setdefault(code, {})[j] = v
+    if not ((F - E) * SparseOperator(cfg.N, n, columns)).is_zero():
+        return False
     lhs = image_basis(F)
     rhs = intersect(image_basis(E), T)
     return subspace_equal(lhs, rhs)
@@ -402,34 +404,29 @@ def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
     if m < 2:
         return {i: {i: Fraction(1)} for i in range(dim)}
     T = traceless_basis(M, m, form)
-    comp_vectors = []
-    for k in range(1, m):
-        for l in range(k + 1, m + 1):
-            Q = q_op(k, l, form, m)
-            cols: dict[int, dict[int, int]] = {}  # numerators: the span of Q's columns
-            for r, row in Q.rows.items():
-                for c, v in row.items():
-                    cols.setdefault(c, {})[r] = v
-            comp_vectors.extend(cols.values())
-    C = span_of_vectors(dim, comp_vectors)
+    C = span_of_vectors(dim, [dict(v) for k, l in _lex_pairs(m)
+                              for v in image_basis(q_op(k, l, form, m)).vectors])
     if T.dim + C.dim != dim:
         raise ArithmeticError("traceless part and contraction span do not fill the space")
-    # Solve [T; C]ᵀ · coeffs = e_i for every i; projector column is T-part.
-    basis_rows = [list(v) for v in T.vectors] + [list(v) for v in C.vectors]
-    aug = [[basis_rows[j][i] for j in range(dim)]
-           + [Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    pivots, reduced = kernels.frac_rref(aug, 2 * dim)
+    # Solve B · coeffs = e_i for every i, where the columns of B are the
+    # vectors of T then C: the echelon form of [B | I] is [d·I | d·B⁻¹] row
+    # by row, and the projector column i is the T-part of B⁻¹ e_i.
+    basis = [dict(v) for v in T.vectors + C.vectors]
+    aug = [[b.get(i, 0) for b in basis] + [int(i == j) for j in range(dim)]
+           for i in range(dim)]
+    pivots, reduced = kernels.echelon(aug, 2 * dim)
     if pivots[:dim] != list(range(dim)):
         raise ArithmeticError("traceless part and contraction span are not independent")
     proj: dict[int, dict[int, Fraction]] = {}
-    for i in range(dim):
-        # coefficient of basis vector j in e_i is reduced[j][dim + i]
-        for r in range(dim):
-            acc = Fraction(0)
-            for j in range(T.dim):
-                acc += reduced[j][dim + i] * T.vectors[j][r]
-            if acc:
-                proj.setdefault(r, {})[i] = acc
+    for j, t in enumerate(basis[:T.dim]):
+        row = reduced[j]
+        for i in range(dim):
+            if row[dim + i]:
+                coeff = Fraction(row[dim + i], row[j])
+                for r, v in t.items():
+                    dst = proj.setdefault(r, {})
+                    dst[i] = dst.get(i, 0) + coeff * v
+    proj = {r: kept for r, cols in proj.items() if (kept := {i: v for i, v in cols.items() if v})}
     return proj
 
 
@@ -462,7 +459,7 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
     # basis of the traceless part of the first factor
     if m:
         T = traceless_basis(M, m, form_M)
-        t_vectors = [{i: v for i, v in enumerate(vec) if v} for vec in T.vectors]
+        t_vectors = [dict(vec) for vec in T.vectors]
     else:
         t_vectors = [{0: Fraction(1)}]
 

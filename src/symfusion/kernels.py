@@ -2,12 +2,13 @@
 
 Permutations are 1-based image tuples; ``ga_mul`` sees Fraction
 coefficients, ``sparse_mm`` the int numerators of two operators; matrices
-are sparse {row: {col: coeff}} dicts, except in the two eliminations.
+are sparse {row: {col: coeff}} dicts, except in ``echelon``, the one
+elimination, which takes dense int rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 
 def compose(s, t):
@@ -59,78 +60,47 @@ def sparse_mm(arows, brows):
     return out
 
 
-def bareiss_rank(rows, ncols):
-    """Rank of an integer matrix via fraction-free Gaussian elimination.
+def echelon(rows, ncols):
+    """Canonical integer reduced row echelon form (integer Gauss–Jordan).
 
-    ``rows`` is a list of lists of Python ints; it is consumed (mutated).
+    ``rows`` holds dense int sequences of length ``ncols``; they are not
+    mutated.  Returns (pivot columns, rows), sorted by pivot: zero rows are
+    dropped, every row is primitive (its entries have gcd 1) with a
+    positive pivot, and each pivot column is zero in every other row.
+    That form depends only on the row space, so two spanning sets of one
+    space give equal output.  Each row is reduced against the pivots so
+    far, then clears its own pivot from them; gcd divisions keep the
+    entries primitive, and no Fraction is built.
     """
-    m = [r for r in rows if any(r)]
-    nrows = len(m)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv < 0:
+    pivots: list[int] = []
+    reduced: list[list[int]] = []
+    for row in rows:
+        # the reduced rows vanish on each other's pivots, so one scale serves all
+        hits = [(p, prow) for p, prow in zip(pivots, reduced) if row[p]]
+        if hits:
+            scale = math.lcm(*(prow[p] for p, prow in hits))
+            row = [x * scale for x in row]
+            for p, prow in hits:
+                c = row[p] // prow[p]
+                row = [x - c * y for x, y in zip(row, prow)]
+        g = math.gcd(*row)
+        if not g:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            head = m[i][col]
-            if head == 0 and pivot == prev:
-                continue
-            mi = m[i]
-            mr = m[rank]
-            for j in range(col, ncols):
-                mi[j] = (pivot * mi[j] - head * mr[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def frac_rref(rows, ncols):
-    """Reduced row echelon form over the rationals, in place.
-
-    ``rows`` is a list of dense lists of ints and Fractions.  Returns
-    (pivot column list, row list); zero rows are dropped.  The pivot
-    inverse is a Fraction, so int input never turns into floats.
-    """
-    m = [r for r in rows if any(r)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        row = m[rank]
-        if row[col] != 1:
-            inv = Fraction(1, row[col])
-            for j in range(col, ncols):
-                if row[j]:
-                    row[j] = row[j] * inv
-        for i in range(len(m)):
-            if i == rank:
-                continue
-            head = m[i][col]
-            if head:
-                mi = m[i]
-                for j in range(col, ncols):
-                    if row[j]:
-                        mi[j] = mi[j] - head * row[j]
+        col = next(j for j, x in enumerate(row) if x)
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+        d = row[col]
+        for i, prow in enumerate(reduced):
+            h = prow[col]
+            if h:
+                prow = [d * x - h * y for x, y in zip(prow, row)]
+                g = math.gcd(*prow)  # the pivot of prow stays positive
+                reduced[i] = [x // g for x in prow] if g != 1 else prow
         pivots.append(col)
-        rank += 1
-        if rank == len(m):
+        reduced.append(row)
+        if len(pivots) == ncols:
             break
-    return pivots, [r for r in m if any(r)]
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [pivots[i] for i in order], [reduced[i] for i in order]

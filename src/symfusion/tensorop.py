@@ -3,7 +3,9 @@
 Basis vectors of the tensor power are multi-indices (i_1..i_n) with
 i_k in 1..N, encoded as row = Σ (i_k - 1)·N^(n-k), i.e. lexicographic
 with i_1 most significant.  Operators hold int numerators over one
-denominator (``SparseOperator``); forms and subspaces hold Fractions.
+denominator (``SparseOperator``) and subspaces hold integer echelon rows
+(``SubspaceBasis``); Fractions appear only at the ``entry``/``apply``
+boundary and in ``BilinearForm``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import add
 
 from . import kernels
@@ -76,13 +79,19 @@ class BilinearForm:
         return self.gram[i - 1][j - 1]
 
     def gram_inverse(self):
+        """G⁻¹ read off the echelon form of [s·G | s] (s clears each row's
+        denominators), which is [d·I | d·G⁻¹] row by row; None if singular."""
         N = self.N
-        rows = [[self.gram[i][j] for j in range(N)]
-                + [Fraction(int(i == j)) for j in range(N)] for i in range(N)]
-        pivots, reduced = kernels.frac_rref(rows, 2 * N)
-        if pivots[:N] != list(range(N)) or len(pivots) < N:
+        rows = []
+        for i, grow in enumerate(self.gram):
+            scale = math.lcm(*(v.denominator for v in grow))
+            rows.append([v.numerator * (scale // v.denominator) for v in grow]
+                        + [scale * (i == j) for j in range(N)])
+        pivots, reduced = kernels.echelon(rows, 2 * N)
+        if pivots[:N] != list(range(N)):
             return None
-        return tuple(tuple(reduced[i][N + j] for j in range(N)) for i in range(N))
+        return tuple(tuple(Fraction(row[N + j], row[i]) for j in range(N))
+                     for i, row in enumerate(reduced))
 
 
 def _default_gram(kind: str, N: int):
@@ -318,70 +327,28 @@ def act(a: GroupAlgebraElement, N: int) -> SparseOperator:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Exact basis of a subspace of the tensor power, rows in RREF."""
+    """Exact basis of a subspace of the tensor power, in canonical form.
+
+    Each vector is a sorted tuple of (code, int) pairs, and together they
+    are the integer RREF of ``kernels.echelon``: primitive rows with a
+    positive pivot, sorted by pivot.  A subspace has exactly one such
+    basis, so equal subspaces have equal ``vectors``.
+    """
 
     ambient: int
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
 
-def _rref_basis(ambient: int, dense_rows: list[list[Fraction]]) -> SubspaceBasis:
-    _, reduced = kernels.frac_rref(dense_rows, ambient)
-    return SubspaceBasis(ambient, tuple(tuple(r) for r in reduced))
-
-
-def _dense_columns(A: SparseOperator) -> list[list[int]]:
-    dim = A.dim
-    cols: dict[int, list[int]] = {}
-    for r, row in A.rows.items():
-        for c, v in row.items():
-            cols.setdefault(c, [0] * dim)[r] = v
-    return [vec for _, vec in sorted(cols.items())]
-
-
-def image_basis(A: SparseOperator) -> SubspaceBasis:
-    """Column space of the numerators (the den does not change it), in RREF."""
-    return _rref_basis(A.dim, _dense_columns(A))
-
-
-def kernel_basis(A: SparseOperator) -> SubspaceBasis:
-    dim = A.dim
-    rows = []
-    for _, row in sorted(A.rows.items()):
-        dense = [0] * dim
-        for c, v in row.items():
-            dense[c] = v
-        rows.append(dense)
-    if not rows:
-        return SubspaceBasis(dim, tuple(tuple(Fraction(int(i == j)) for j in range(dim))
-                                        for i in range(dim)))
-    pivots, reduced = kernels.frac_rref(rows, dim)
-    pivot_set = set(pivots)
-    free = [c for c in range(dim) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        vec = [Fraction(0)] * dim
-        vec[f] = Fraction(1)
-        for prow, pcol in zip(reduced, pivots):
-            if prow[f]:
-                vec[pcol] = -prow[f]
-        vectors.append(tuple(vec))
-    return _rref_basis(dim, [list(v) for v in vectors])
-
-
-def rank(A: SparseOperator) -> int:
-    """Exact rank, summed over the connected blocks of A's nonzero pattern.
-
-    Two nonzero rows fall in the same block when they share a column; one
-    union-find pass over the nonzeros finds the blocks.  Permuting rows and
-    columns makes A block-diagonal over them, so rank(A) is the sum of the
-    block ranks.  Each block of integer numerators is densified over its own
-    sorted columns and ``kernels.bareiss_rank`` eliminates it; the common
-    denominator does not change the rank.
-    """
+def _blocks(rows):
+    """Connected blocks of sparse int rows {col: value}: two rows share a
+    block when they share a column; one union-find pass over the nonzeros
+    finds them.  Yields (sorted block columns, the block's rows densified
+    over those columns); empty rows are skipped."""
+    rows = [row for row in rows if row]
     parent: dict[int, int] = {}  # column -> parent column; roots map to themselves
 
     def find(c: int) -> int:
@@ -389,7 +356,7 @@ def rank(A: SparseOperator) -> int:
             parent[c] = c = parent[parent[c]]
         return c
 
-    for row in A.rows.values():
+    for row in rows:
         root = None
         for c in row:
             c = find(parent.setdefault(c, c))
@@ -398,131 +365,141 @@ def rank(A: SparseOperator) -> int:
             elif c != root:
                 parent[c] = root
     blocks: dict[int, list[dict[int, int]]] = {}
-    for _, row in sorted(A.rows.items()):
+    for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)
-    total = 0
-    for rows in blocks.values():
-        pos = {c: i for i, c in enumerate(sorted({c for row in rows for c in row}))}
+    for block in blocks.values():
+        cols = sorted({c for row in block for c in row})
+        pos = {c: i for i, c in enumerate(cols)}
         dense_rows = []
-        for row in rows:
-            dense = [0] * len(pos)
+        for row in block:
+            dense = [0] * len(cols)
             for c, v in row.items():
                 dense[pos[c]] = v
             dense_rows.append(dense)
-        total += kernels.bareiss_rank(dense_rows, len(pos))
-    return total
+        yield cols, dense_rows
+
+
+def _span(ambient: int, rows) -> SubspaceBasis:
+    """Canonical basis of the span of sparse int rows, eliminated per block.
+
+    The rows of different blocks have disjoint supports, so the union of
+    the blocks' canonical rows, sorted by pivot, is the canonical form of
+    the whole span."""
+    vectors = []
+    for cols, dense in _blocks(rows):
+        _, reduced = kernels.echelon(dense, len(cols))
+        vectors.extend(tuple((cols[j], v) for j, v in enumerate(row) if v) for row in reduced)
+    vectors.sort()
+    return SubspaceBasis(ambient, tuple(vectors))
+
+
+def _null_space(rows, ncols: int) -> list[dict[int, int]]:
+    """Integer basis of {x : row·x = 0 for every sparse int row}, one vector
+    per free column of each block's echelon form, plus one unit vector per
+    column that no row touches."""
+    untouched = set(range(ncols))
+    vectors = []
+    for cols, dense in _blocks(rows):
+        untouched.difference_update(cols)
+        pivots, reduced = kernels.echelon(dense, len(cols))
+        pivot_set = set(pivots)
+        for f in range(len(cols)):
+            if f in pivot_set:
+                continue
+            hits = [(p, row) for p, row in zip(pivots, reduced) if row[f]]
+            scale = math.lcm(*(row[p] for p, row in hits))
+            vec = {cols[f]: scale}
+            for p, row in hits:
+                vec[cols[p]] = -row[f] * (scale // row[p])
+            vectors.append(vec)
+    vectors.extend({c: 1} for c in sorted(untouched))
+    return vectors
+
+
+def image_basis(A: SparseOperator) -> SubspaceBasis:
+    """Column space of the numerators (the den does not change it)."""
+    columns: dict[int, dict[int, int]] = {}
+    for r, row in A.rows.items():
+        for c, v in row.items():
+            columns.setdefault(c, {})[r] = v
+    return _span(A.dim, columns.values())
+
+
+def kernel_basis(A: SparseOperator) -> SubspaceBasis:
+    return _span(A.dim, _null_space(A.rows.values(), A.dim))
+
+
+def rank(A: SparseOperator) -> int:
+    """Exact rank, summed over the connected blocks of A's nonzero pattern.
+
+    Permuting rows and columns makes A block-diagonal over the blocks that
+    ``_blocks`` finds, so rank(A) is the sum of the block ranks: the pivot
+    counts of ``kernels.echelon`` on each block's integer numerators.  The
+    common denominator does not change the rank.
+    """
+    return sum(len(kernels.echelon(dense, len(cols))[0])
+               for cols, dense in _blocks(A.rows.values()))
 
 
 @lru_cache(maxsize=None)
 def traceless_basis(N: int, n: int, form: BilinearForm) -> SubspaceBasis:
-    """Joint kernel of all pairwise contraction operators.
+    """Joint kernel of all pairwise contraction operators, i.e. the kernel
+    of their stacked rows.
 
     Valid as the traceless subspace because inserting the invariant
     two-tensor is injective, so the (k,l)-contraction of a tensor
     vanishes exactly when the corresponding contraction-insertion does.
     """
-    dim = N ** n
-    if n < 2:
-        return SubspaceBasis(dim, tuple(tuple(Fraction(int(i == j)) for j in range(dim))
-                                        for i in range(dim)))
-    # Intersect kernels incrementally; each step solves in the coordinates
-    # of the current basis, which keeps the eliminations small.
-    basis = [{i: Fraction(1)} for i in range(dim)]
-    for k in range(1, n):
-        for l in range(k + 1, n + 1):
-            Q = q_op(k, l, form, n)
-            images = [Q.apply(v) for v in basis]
-            used_rows = sorted({r for img in images for r in img})
-            if not used_rows:
-                continue
-            pos = {r: i for i, r in enumerate(used_rows)}
-            mat = []
-            for img in images:
-                col = [Fraction(0)] * len(used_rows)
-                for r, v in img.items():
-                    col[pos[r]] = v
-                mat.append(col)
-            # kernel of the (used_rows x len(basis)) matrix M with M[:,i]=images[i]
-            rows = [[mat[i][j] for i in range(len(basis))] for j in range(len(used_rows))]
-            pivots, reduced = kernels.frac_rref(rows, len(basis))
-            pivot_set = set(pivots)
-            free = [c for c in range(len(basis)) if c not in pivot_set]
-            new_basis = []
-            for f in free:
-                combo: dict[int, Fraction] = {}
-                _accumulate(combo, basis[f], Fraction(1))
-                for prow, pcol in zip(reduced, pivots):
-                    if prow[f]:
-                        _accumulate(combo, basis[pcol], -prow[f])
-                new_basis.append(combo)
-            basis = new_basis
-            if not basis:
-                break
-    dense = []
-    for combo in basis:
-        vec = [Fraction(0)] * dim
-        for i, v in combo.items():
-            vec[i] = v
-        dense.append(vec)
-    return _rref_basis(dim, dense)
-
-
-def _accumulate(dst: dict[int, Fraction], src: dict[int, Fraction], scale: Fraction):
-    for i, v in src.items():
-        acc = dst.get(i, 0) + v * scale
-        if acc:
-            dst[i] = acc
-        else:
-            dst.pop(i, None)
+    stacked = [row for k, l in combinations(range(1, n + 1), 2)
+               for row in q_op(k, l, form, n).rows.values()]
+    return _span(N ** n, _null_space(stacked, N ** n))
 
 
 def subspace_equal(A: SubspaceBasis, B: SubspaceBasis) -> bool:
     if A.ambient != B.ambient:
         raise AmbientMismatch(f"ambient dimensions {A.ambient} and {B.ambient} differ")
-    return A.vectors == B.vectors  # both are in RREF, a canonical form
+    return A.vectors == B.vectors  # both are in the canonical form
 
 
 def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
     """Exact intersection via the kernel of the stacked coefficient system."""
     if A.ambient != B.ambient:
         raise AmbientMismatch(f"ambient dimensions {A.ambient} and {B.ambient} differ")
-    if A.dim == 0 or B.dim == 0:
-        return SubspaceBasis(A.ambient, ())
-    # Solve x·A - y·B = 0 for coefficient rows (x, y).
-    na, nb = A.dim, B.dim
-    rows = []
-    for col in range(A.ambient):
-        row = [A.vectors[i][col] for i in range(na)]
-        row += [-B.vectors[j][col] for j in range(nb)]
-        rows.append(row)
-    pivots, reduced = kernels.frac_rref(rows, na + nb)
-    pivot_set = set(pivots)
-    free = [c for c in range(na + nb) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        coeffs = [Fraction(0)] * (na + nb)
-        coeffs[f] = Fraction(1)
-        for prow, pcol in zip(reduced, pivots):
-            if prow[f]:
-                coeffs[pcol] = -prow[f]
-        vec = [Fraction(0)] * A.ambient
-        for i in range(na):
-            if coeffs[i]:
-                for col in range(A.ambient):
-                    vec[col] += coeffs[i] * A.vectors[i][col]
-        if any(vec):
-            vectors.append(vec)
-    return _rref_basis(A.ambient, vectors)
+    # Solve Σ x_i·A_i - Σ y_j·B_j = 0: one equation per ambient coordinate
+    # over the unknowns (x, y); the bases are independent, so each solution
+    # gives a nonzero Σ x_i·A_i.
+    system: dict[int, dict[int, int]] = {}
+    for i, vec in enumerate(A.vectors):
+        for c, v in vec:
+            system.setdefault(c, {})[i] = v
+    for j, vec in enumerate(B.vectors, A.dim):
+        for c, v in vec:
+            system.setdefault(c, {})[j] = -v
+    meet = []
+    for coeffs in _null_space(system.values(), A.dim + B.dim):
+        vec: dict[int, int] = {}
+        for i, x in coeffs.items():
+            if i < A.dim:
+                for c, v in A.vectors[i]:
+                    vec[c] = vec.get(c, 0) + x * v
+        meet.append({c: v for c, v in vec.items() if v})
+    return _span(A.ambient, meet)
 
 
 def span_of_vectors(ambient: int, vectors) -> SubspaceBasis:
-    dense = []
+    """Span of rational vectors, each a {code: value} dict or a sequence of
+    length ``ambient``; a code outside 0..ambient-1 raises AmbientMismatch."""
+    rows = []
     for v in vectors:
         if isinstance(v, dict):
-            row = [Fraction(0)] * ambient
-            for i, x in v.items():
-                row[i] = x
-            dense.append(row)
+            items = v.items()
+            if any(not 0 <= i < ambient for i in v):
+                raise AmbientMismatch(f"vector has a code outside 0..{ambient - 1}")
         else:
-            dense.append([Fraction(x) for x in v])
-    return _rref_basis(ambient, dense)
+            items = enumerate(v)
+            if len(v) != ambient:
+                raise AmbientMismatch(f"vector of length {len(v)} in C^{ambient}")
+        entries = {i: Fraction(x) for i, x in items if x}
+        scale = math.lcm(*(x.denominator for x in entries.values()))
+        rows.append({i: x.numerator * (scale // x.denominator) for i, x in entries.items()})
+    return _span(ambient, rows)

@@ -2,8 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from qq_oracle import qq_rank
 
-from symfusion import kernels
 from symfusion.exactnum import PoleAtLimit, value_at_zero
 from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               NonStandardNeighbor, SizeLimitExceeded,
@@ -78,10 +78,9 @@ def test_e_rank_per_content_block_is_kostka():
         assert all(block_of[r] == block_of[c] for r, row in E.rows.items() for c in row)
         total = 0
         for alpha, codes in blocks.items():
-            dense = [[E.entry(r, c) for c in codes] for r in codes]
-            pivots, _ = kernels.frac_rref(dense, len(codes))
-            assert len(pivots) == count_semistandard(O.shape, N, alpha), (O, alpha)
-            total += len(pivots)
+            block_rank = qq_rank([[E.entry(r, c) for c in codes] for r in codes], len(codes))
+            assert block_rank == count_semistandard(O.shape, N, alpha), (O, alpha)
+            total += block_rank
         assert total == count_semistandard(O.shape, N)
 
 
@@ -185,6 +184,22 @@ def test_prop33_examples():
         verify_prop33(FusionConfig(T((2,)), 3, 1, "symmetric"))
 
 
+@pytest.mark.parametrize("perturb", [
+    lambda F: F + SparseOperator(F.N, F.n, {0: {1: Fraction(1, 7)}}),
+    # 2F still kills every contraction and has the image of F: only the
+    # clause "F = E on traceless vectors" rejects it
+    lambda F: F.scaled(2),
+], ids=["entry_shift", "doubled"])
+def test_prop33_rejects_a_perturbed_operator(monkeypatch, perturb):
+    from symfusion import fusion
+
+    cfg = FusionConfig(T((2, 1)), 3, 0, "symmetric")
+    assert verify_prop33(cfg)
+    built = fusion.f_operator_general
+    monkeypatch.setattr(fusion, "f_operator_general", lambda c: perturb(built(c)))
+    assert not verify_prop33(cfg)
+
+
 def test_corollary32_examples():
     t21 = T((2, 1))
     assert verify_corollary32(t21, 2, FusionConfig(t21, 3, 0, "symmetric"))
@@ -210,6 +225,26 @@ def test_theta_factorization_configs(monkeypatch):
         verify_theta_factorization(T((1, 1)), 1, 2, 1, "alternating")  # odd M
     with pytest.raises(SizeLimitExceeded):
         verify_theta_factorization(T((4, 2)), 1, 3, 1, "symmetric")
+
+
+def test_invariant_traceless_projector_with_two_or_more_factors():
+    """H is idempotent, fixes every traceless vector, has the traceless
+    dimension as its rank and kills the image of every contraction: so it
+    is the projector onto the traceless part along the contraction span."""
+    from symfusion.fusion import invariant_traceless_projector
+    from symfusion.tensorop import traceless_basis
+
+    for M, m, form in ((2, 2, symmetric_form(2)), (3, 3, symmetric_form(3)),
+                       (4, 2, alternating_form(4)),
+                       (2, 2, symmetric_form(2, [[2, 1], [1, Fraction(1, 3)]]))):
+        H = SparseOperator(M, m, invariant_traceless_projector(M, m, form))
+        T = traceless_basis(M, m, form)
+        assert H * H == H and rank(H) == T.dim
+        for vec in T.vectors:
+            assert H.apply(dict(vec)) == dict(vec)
+        for k in range(1, m):
+            for l in range(k + 1, m + 1):
+                assert (H * q_op(k, l, form, m)).is_zero()
 
 
 def test_divisibility_for_skew_shape_with_measured_scalar():
@@ -265,8 +300,8 @@ def test_operator_hashes_pinned():
 
 
 def test_rank_of_F_matches_traceless_intersection_dimension():
-    # the two sides go through disjoint code paths: integer elimination
-    # for the rank, field elimination for the subspace intersection
+    # the two sides count different things: the pivots of F's own blocks
+    # against the intersection of two computed subspaces
     from symfusion.tensorop import image_basis, intersect, traceless_basis
 
     cases = [

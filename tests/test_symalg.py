@@ -13,6 +13,7 @@ from symfusion.symalg import (DegreeMismatch, GroupAlgebraElement, Permutation,
                               _fusion_limit, fusion_e, fusion_e_skew, iota,
                               theta, young_p, young_q)
 
+from qq_oracle import qq_rank
 from rf_reference import rf_fusion_e_skew
 
 
@@ -322,8 +323,6 @@ def _left_mult_matrix(elem):
 
 
 def test_skew_element_divides_full_element():
-    from symfusion.kernels import frac_rref
-
     for lam, m in ((P(2, 1), 1), (P(2, 2), 2), (P(3, 1), 1)):
         for T in standard_tableaux(skew(lam)):
             e_full = e_tableau(T)
@@ -331,7 +330,4 @@ def test_skew_element_divides_full_element():
             rows_full = _left_mult_matrix(e_full)
             rows_sub = _left_mult_matrix(e_sub)
             dim = len(rows_full)
-            _, basis_sub = frac_rref([r[:] for r in rows_sub], dim)
-            joint = [r[:] for r in rows_sub] + [r[:] for r in rows_full]
-            _, basis_joint = frac_rref(joint, dim)
-            assert len(basis_joint) == len(basis_sub)  # row-space containment
+            assert qq_rank(rows_sub + rows_full, dim) == qq_rank(rows_sub, dim)  # row-space containment

@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 
-from symfusion import kernels
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
 from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm,
@@ -227,16 +227,57 @@ def test_rank_sums_connected_blocks():
                                2: {}, 3: {2: Fraction(5)}}), 2),
     ]
     for A, planted in cases:
-        dense = []
-        for _, row in sorted(A.rows.items()):
-            lcm = math.lcm(*(v.denominator for v in row.values()))
-            cleared = [0] * A.dim
-            for c, v in row.items():
-                cleared[c] = int(v * lcm)
-            dense.append(cleared)
-        fractions = [[Fraction(v) for v in row] for row in dense]
-        pivots, _ = kernels.frac_rref(fractions, A.dim)
-        assert rank(A) == kernels.bareiss_rank(dense, A.dim) == len(pivots) == planted
+        dense = [[A.entry(r, c) for c in range(A.dim)] for r in sorted(A.rows)]
+        assert rank(A) == qq_rank(dense, A.dim) == planted
+
+
+def _dense(basis):
+    return [[dict(vec).get(c, 0) for c in range(basis.ambient)] for vec in basis.vectors]
+
+
+def test_subspace_layer_matches_sympy():
+    """Image, kernel and intersection of planted block operators are sympy's
+    canonical rows; the intersection goes through sympy as the joint
+    kernel of the two annihilators, a different route."""
+    rng = random.Random(43)
+    pairs = [
+        (_planted(2, 5, [(5, 3, 2), (1, 4, 1), (6, 6, 6), (4, 7, 3), (2, 2, 1)], rng)[0],
+         _planted(2, 5, [(9, 9, 5), (7, 8, 4), (3, 3, 3)], rng)[0]),
+        (_planted(3, 3, [(9, 9, 4), (3, 8, 3), (1, 1, 1)] + [(2, 1, 1)] * 3, rng)[0],
+         _planted(3, 3, [(27, 27, 19)], rng)[0]),
+    ]
+    for A, B in pairs:
+        dim = A.dim
+        mat = [[A.entry(r, c) for c in range(dim)] for r in range(dim)]
+        img, ker = image_basis(A), kernel_basis(A)
+        assert _dense(img) == qq_echelon([list(col) for col in zip(*mat)], dim)[1]
+        assert _dense(ker) == qq_nullspace(mat, dim)
+        assert img.dim + ker.dim == dim
+        for U, V in ((img, ker), (img, image_basis(B)), (ker, kernel_basis(B))):
+            annihilators = qq_nullspace(_dense(U), dim) + qq_nullspace(_dense(V), dim)
+            assert _dense(intersect(U, V)) == qq_nullspace(annihilators, dim)
+
+
+def test_subspace_equal_ignores_the_spanning_set():
+    rng = random.Random(5)
+    vecs = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
+    assert qq_rank(vecs, 6) == 3
+    A = span_of_vectors(6, vecs)
+    scaled = [[Fraction(-2 * x, 7) for x in v] for v in vecs]
+    redundant = [[a + b for a, b in zip(vecs[0], vecs[1])], [0] * 6]
+    as_dicts = [{i: x for i, x in enumerate(v) if x} for v in reversed(vecs)]
+    for spanning in (scaled[::-1], vecs + redundant, as_dicts + redundant):
+        assert subspace_equal(A, span_of_vectors(6, spanning))
+    assert not subspace_equal(A, span_of_vectors(6, vecs[:2] + redundant))
+
+
+def test_span_of_vectors_checks_the_ambient():
+    with pytest.raises(AmbientMismatch):
+        span_of_vectors(2, [(0, 0, 1)])
+    with pytest.raises(AmbientMismatch):
+        span_of_vectors(2, [{2: 1}])
+    with pytest.raises(AmbientMismatch):
+        span_of_vectors(2, [{-1: 1}])
 
 
 def test_traceless_dimensions():
@@ -257,8 +298,7 @@ def test_traceless_matches_stacked_kernel():
             for l in range(k + 1, n + 1):
                 Q = q_op(k, l, form, n)
                 for vec in T.vectors:
-                    dv = {i: v for i, v in enumerate(vec) if v}
-                    assert Q.apply(dv) == {}
+                    assert Q.apply(dict(vec)) == {}
 
 
 def test_subspace_operations():
