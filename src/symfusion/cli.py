@@ -29,7 +29,7 @@ from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
 from .symalg import e_col, e_row, e_tableau, fusion_e_skew
-from .tensorop import alternating_form, symmetric_form
+from .tensorop import BilinearForm
 from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
                       check_intertwiner_E, check_intertwiner_F,
                       check_image_coincidence, check_lemma44,
@@ -139,53 +139,49 @@ def _valid_partitions(group: str, dim: int, max_boxes: int):
                 yield lam
 
 
+def _sweep_tableaux(args):
+    """Standard tableaux of every valid label of at most --max-boxes boxes
+    whose N^n is within the size cap."""
+    for lam in _valid_partitions(args.form, args.N, args.max_boxes):
+        if args.N ** lam.size <= max_dim():
+            yield from standard_tableaux(skew(lam))
+
+
 def _suite_idempotency(args):
-    group = args.form
-    kind = FORM_KIND[group]
-    for lam in _valid_partitions(group, args.N, args.max_boxes):
-        if args.N ** lam.size > max_dim():
-            continue
-        scalar = scaled_idempotency_constant(lam)
-        for T in standard_tableaux(skew(lam)):
-            e = e_tableau(T)
-            ok = (e * e) == e.scaled(scalar)
-            cfg = FusionConfig(T, args.N, 0, kind)
-            F = f_operator_general(cfg)
-            ok = ok and verify_scaled_idempotent(F, scalar)
-            yield f"idempotency/{T}", "scaled-square", ok, None
+    kind = FORM_KIND[args.form]
+    for T in _sweep_tableaux(args):
+        scalar = scaled_idempotency_constant(T.shape.lam)
+        e = e_tableau(T)
+        ok = (e * e) == e.scaled(scalar)
+        cfg = FusionConfig(T, args.N, 0, kind)
+        F = f_operator_general(cfg)
+        ok = ok and verify_scaled_idempotent(F, scalar)
+        yield f"idempotency/{T}", "scaled-square", ok, None
 
 
 def _suite_prop33(args):
-    group = args.form
-    kind = FORM_KIND[group]
-    for lam in _valid_partitions(group, args.N, args.max_boxes):
-        if args.N ** lam.size > max_dim():
-            continue
-        for T in standard_tableaux(skew(lam)):
-            cfg = FusionConfig(T, args.N, 0, kind)
-            ok = verify_prop33(cfg)
-            yield f"traceless-image/{T}", "traceless-image-equality", ok, None
+    kind = FORM_KIND[args.form]
+    for T in _sweep_tableaux(args):
+        cfg = FusionConfig(T, args.N, 0, kind)
+        ok = verify_prop33(cfg)
+        yield f"traceless-image/{T}", "traceless-image-equality", ok, None
 
 
 def _suite_corollary32(args):
-    group = args.form
-    kind = FORM_KIND[group]
-    for lam in _valid_partitions(group, args.N, args.max_boxes):
-        if args.N ** lam.size > max_dim():
-            continue
-        for T in standard_tableaux(skew(lam)):
-            rows = T.rows()
-            cols = T.columns()
-            for k in range(1, T.n):
-                if rows[k - 1] == rows[k] or cols[k - 1] == cols[k]:
-                    continue
-                cfg = FusionConfig(T, args.N, 0, kind)
-                ok = verify_corollary32(T, k, cfg)
-                yield f"exchange/{T}/k{k}", "fusion-exchange-relation", ok, None
+    kind = FORM_KIND[args.form]
+    for T in _sweep_tableaux(args):
+        rows = T.rows()
+        cols = T.columns()
+        for k in range(1, T.n):
+            if rows[k - 1] == rows[k] or cols[k - 1] == cols[k]:
+                continue
+            cfg = FusionConfig(T, args.N, 0, kind)
+            ok = verify_corollary32(T, k, cfg)
+            yield f"exchange/{T}/k{k}", "fusion-exchange-relation", ok, None
 
 
 def _suite_yang_baxter(args):
-    form = symmetric_form(args.N) if args.form == "O" else alternating_form(args.N)
+    form = BilinearForm(FORM_KIND[args.form], args.N)
     for which in ("YB35", "tilde37", "bar38", "mixed385"):
         chk = check_yang_baxter_family(which, args.N, form, args.seed)
         yield chk.name, chk.statement, chk.passed, chk.witness
@@ -196,7 +192,7 @@ def _suite_yang_baxter(args):
 
 def _suite_intertwiners(args):
     kind = FORM_KIND[args.form]
-    form = symmetric_form(args.N) if args.form == "O" else alternating_form(args.N)
+    form = BilinearForm(kind, args.N)
     max_boxes = min(args.max_boxes, 3)
     for lam in _valid_partitions(args.form, args.N + args.M, max_boxes):
         for T in standard_tableaux(skew(lam)):

@@ -1,7 +1,9 @@
-"""Exact scalars and the one diagonal-limit engine.
+"""Exact scalars, their one normal form and the one diagonal-limit engine.
 
-Rationals are ``fractions.Fraction`` (already normalized: positive
-denominator, gcd-reduced, arbitrary precision).
+Every rational container of the library (group-algebra elements and
+operators) stores int numerators over one denominator, brought to the
+normal form of ``normal_form``.  ``fractions.Fraction`` is the scalar at
+the public boundary: single entries, coefficients and parsed input.
 
 The limit engine evaluates at ε = 0 an ordered product of factors
 ((a_t + b_t·ε)·1 − X_t)/(a_t + b_t·ε) applied to a start vector, for
@@ -19,8 +21,10 @@ group-algebra route and the operator route differ in.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Hashable, Sequence
 from fractions import Fraction
+from itertools import chain
 
 Rational = Fraction
 
@@ -40,6 +44,35 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+def normal_form(parts: Sequence[dict], den: int = 1) -> tuple[list[dict], int]:
+    """Bring rational values ``value / den`` to int numerators over one den.
+
+    ``parts`` is a list of {key: rational} dicts that share ``den`` (an
+    operator passes its rows, an element its one terms dict).  Returns new
+    dicts, in the same order, and the new den: only nonzero ints are kept,
+    den > 0 and gcd(den, all numerators) = 1, so a value has exactly one
+    stored form; when no value is left, den is 1.
+    """
+    if type(den) is not int or den < 1:
+        raise ValueError(f"den must be a positive int, got {den!r}")
+    # the zero and type scans run in C; a Python pass is made only where needed
+    if 0 in chain.from_iterable(map(dict.values, parts)):
+        parts = [{k: v for k, v in part.items() if v} for part in parts]
+    else:
+        parts = list(map(dict, parts))
+    if set(map(type, chain.from_iterable(map(dict.values, parts)))) - {int}:
+        scale = math.lcm(*(v.denominator for part in parts for v in part.values()))
+        parts = [{k: v.numerator * (scale // v.denominator) for k, v in part.items()}
+                 for part in parts]
+        den *= scale
+    g = den
+    for part in parts:
+        g = math.gcd(g, *part.values())
+        if g == 1:
+            return parts, den
+    return [{k: v // g for k, v in part.items()} for part in parts], den // g
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,13 +28,13 @@ from functools import lru_cache
 
 from . import kernels
 from .exactnum import DivisionByZero, PoleAtLimit, limit_at_zero
-from .shapes import (Partition, SkewShape, StandardTableau, conjugate,
+from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
-from .symalg import Permutation, e_tableau, fusion_e_skew, skew_tableau_of
-from .tensorop import (BilinearForm, SparseOperator, act, alternating_form,
-                       decode, encode, image_basis, intersect, perm_op, q_op,
-                       rank, span_of_vectors, subspace_equal, symmetric_form,
-                       traceless_basis)
+from .symalg import (Permutation, e_tableau, fusion_e_skew, inner_tableau_of,
+                     skew_tableau_of)
+from .tensorop import (BilinearForm, SparseOperator, act, decode, encode,
+                       image_basis, intersect, perm_op, q_op, rank,
+                       span_of_vectors, subspace_equal, traceless_basis)
 
 
 class NotApplicable(ValueError):
@@ -115,8 +116,7 @@ class FusionConfig:
 
     @property
     def form(self) -> BilinearForm:
-        return (symmetric_form(self.N) if self.form_kind == "symmetric"
-                else alternating_form(self.N))
+        return BilinearForm(self.form_kind, self.N)
 
     @property
     def n(self) -> int:
@@ -382,19 +382,21 @@ class NonStandardNeighbor(ValueError):
 # block factorization through the split of the ambient space
 
 
-def _block_codes(L: int, M: int, m: int, n: int):
-    """Codes of the component with the first m letters in the first-M part
-    and the last n letters in the last-N part of the split space."""
+def _block_codes(L: int, M: int, m: int, n: int) -> dict[tuple[int, int], int]:
+    """Code in the split space of each (mcode, ncode) pair of the component
+    with the first m letters in the first-M part and the last n letters in
+    the last-N part."""
+    codes = {}
     for mcode in range(max(M, 1) ** m if m else 1):
         midx = decode(mcode, M, m) if m else ()
         for ncode in range((L - M) ** n):
             nidx = decode(ncode, L - M, n)
-            full = tuple(midx) + tuple(M + i for i in nidx)
-            yield mcode, ncode, encode(full, L)
+            codes[mcode, ncode] = encode(tuple(midx) + tuple(M + i for i in nidx), L)
+    return codes
 
 
-def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
-    """Matrix of the unique equivariant projector onto the traceless part.
+def invariant_traceless_projector(M: int, m: int, form: BilinearForm) -> SparseOperator:
+    """The unique equivariant projector onto the traceless part.
 
     The complement of the traceless subspace is the span of the images of
     all contraction operators, itself invariant; the projector along it
@@ -402,7 +404,7 @@ def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
     """
     dim = M ** m
     if m < 2:
-        return {i: {i: Fraction(1)} for i in range(dim)}
+        return SparseOperator.identity(M, m)
     T = traceless_basis(M, m, form)
     C = span_of_vectors(dim, [dict(v) for k, l in _lex_pairs(m)
                               for v in image_basis(q_op(k, l, form, m)).vectors])
@@ -417,23 +419,43 @@ def invariant_traceless_projector(M: int, m: int, form: BilinearForm):
     pivots, reduced = kernels.echelon(aug, 2 * dim)
     if pivots[:dim] != list(range(dim)):
         raise ArithmeticError("traceless part and contraction span are not independent")
-    proj: dict[int, dict[int, Fraction]] = {}
-    for j, t in enumerate(basis[:T.dim]):
+    den = math.lcm(*(reduced[j][j] for j in range(T.dim)))
+    proj: dict[int, dict[int, int]] = {}
+    for j, t in enumerate(T.vectors):
         row = reduced[j]
+        scale = den // row[j]
         for i in range(dim):
             if row[dim + i]:
-                coeff = Fraction(row[dim + i], row[j])
-                for r, v in t.items():
+                coeff = row[dim + i] * scale
+                for r, v in t:
                     dst = proj.setdefault(r, {})
                     dst[i] = dst.get(i, 0) + coeff * v
-    proj = {r: kept for r, cols in proj.items() if (kept := {i: v for i, v in cols.items() if v})}
-    return proj
+    return SparseOperator(M, m, proj, den)
+
+
+def _kron_on_block(A: SparseOperator, B: SparseOperator) -> SparseOperator:
+    """A ⊗ B placed on the split block of the (A.N + B.N)-dimensional
+    space, zero elsewhere: entry (A-row r, B-row s) × (A-col c, B-col t)
+    is A[r][c]·B[s][t], at the codes ``_block_codes`` gives each pair."""
+    L = A.N + B.N
+    embed = _block_codes(L, A.N, A.n, B.n)
+    rows = {embed[r, s]: {embed[c, t]: av * bv for c, av in arow.items()
+                          for t, bv in brow.items()}
+            for r, arow in A.rows.items() for s, brow in B.rows.items()}
+    return SparseOperator(L, A.n + B.n, rows, A.den * B.den)
 
 
 def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
                                form_kind: str) -> bool:
     """Compression of the big operator to the split subspace factors as
-    (restricted plain symmetrizer) ⊗ (small two-parameter operator)."""
+    (restricted plain symmetrizer) ⊗ (small two-parameter operator).
+
+    On traceless u_j ⊗ e_nc this reads (H ⊗ 1)·big·(u_j ⊗ e_nc) =
+    (E_ups·u_j) ⊗ (small·e_nc), with H the traceless projector of the
+    first factor.  All those columns are checked at once: T̂ holds
+    u_j ⊗ e_nc as its column j·N^n + nc, and the check is the operator
+    equation Ĥ·(big·T̂) = Û·T̂ with Ĥ = H ⊗ 1 and Û = E_ups ⊗ small.
+    """
     l = L_tab.n
     Lrank = N + M
     _check_dim(Lrank, l)
@@ -442,7 +464,7 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
     group = FORM_GROUP[form_kind]
     if form_kind == "alternating" and (M % 2 or N % 2):
         raise NotApplicable("alternating split needs even N and M")
-    upsilon = _restrict_tableau(L_tab, m)
+    upsilon = inner_tableau_of(L_tab, m)
     mu = upsilon.shape.lam
     if m and (M == 0 or not validate_label(mu, group, M)):
         raise NotApplicable(f"{mu} is not a valid {group}_{M} label")
@@ -451,73 +473,25 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
 
     big = f_operator_general(FusionConfig(L_tab, Lrank, 0, form_kind))
     small = f_operator_general(FusionConfig(omega, N, M, form_kind))
-    form_M = (symmetric_form(M) if form_kind == "symmetric"
-              else alternating_form(M)) if M and m else None
-    E_ups = act(e_tableau(upsilon), M) if m else None
-    H = invariant_traceless_projector(M, m, form_M) if m else None
-
-    # basis of the traceless part of the first factor
     if m:
-        T = traceless_basis(M, m, form_M)
-        t_vectors = [dict(vec) for vec in T.vectors]
+        form_M = BilinearForm(form_kind, M)
+        E_ups = act(e_tableau(upsilon), M)
+        H = invariant_traceless_projector(M, m, form_M)
+        traceless = traceless_basis(M, m, form_M).vectors
     else:
-        t_vectors = [{0: Fraction(1)}]
+        E_ups = H = SparseOperator.identity(M, 0)
+        traceless = (((0, 1),),)  # the unit vector of the one-dimensional first factor
 
-    block = list(_block_codes(Lrank, M, m, n))
-    embed = {(mc, nc): full for mc, nc, full in block}
-    split = {full: (mc, nc) for mc, nc, full in block}
-
-    def project_J(vec: dict[int, Fraction]) -> dict[tuple[int, int], Fraction]:
-        out: dict[tuple[int, int], Fraction] = {}
-        for full, v in vec.items():
-            pair = split.get(full)
-            if pair is None:
-                continue
-            mc, nc = pair
-            if H is None:
-                acc = out.get((mc, nc), 0) + v
-                if acc:
-                    out[(mc, nc)] = acc
-                else:
-                    out.pop((mc, nc), None)
-            else:
-                for r, hv in ((r, cols[mc]) for r, cols in H.items() if mc in cols):
-                    acc = out.get((r, nc), 0) + hv * v
-                    if acc:
-                        out[(r, nc)] = acc
-                    else:
-                        out.pop((r, nc), None)
-        return out
-
-    for u in t_vectors:
-        for ncode in range(N ** n):
-            emb = {embed[(mc, ncode)]: uv for mc, uv in u.items()}
-            lhs = project_J(big.apply(emb))
-            eu = E_ups.apply(u) if E_ups is not None else dict(u)
-            fw = small.apply({ncode: Fraction(1)})
-            rhs: dict[tuple[int, int], Fraction] = {}
-            for mc, uv in eu.items():
-                for nc, fv in fw.items():
-                    val = uv * fv
-                    if val:
-                        rhs[(mc, nc)] = val
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _restrict_tableau(L_tab: StandardTableau, m: int) -> StandardTableau:
-    """Tableau formed by the boxes of L holding 1..m (non-skew)."""
-    rows: dict[int, int] = {}
-    for (i, j), k in zip(L_tab.shape.cells, L_tab.entries):
-        if k <= m:
-            rows[i] = max(rows.get(i, 0), j)
-    mu = Partition(tuple(rows.get(i, 0) for i in range(1, len(rows) + 1)))
-    shape = SkewShape(mu, Partition())
-    entries = []
-    for cell in shape.cells:
-        entries.append(L_tab.entries[L_tab.shape.cells.index(cell)])
-    return StandardTableau(shape, entries)
+    embed = _block_codes(Lrank, M, m, n)
+    t_rows: dict[int, dict[int, int]] = {}
+    for j, u in enumerate(traceless):
+        for mc, v in u:
+            for nc in range(N ** n):
+                t_rows.setdefault(embed[mc, nc], {})[j * N ** n + nc] = v
+    T_hat = SparseOperator(Lrank, l, t_rows)
+    H_hat = _kron_on_block(H, SparseOperator.identity(N, n))
+    U_hat = _kron_on_block(E_ups, small)
+    return H_hat * (big * T_hat) == U_hat * T_hat
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The hot inner loops, on plain Python objects.
 
-Permutations are 1-based image tuples; ``ga_mul`` sees Fraction
-coefficients, ``sparse_mm`` the int numerators of two operators; matrices
+Permutations are 1-based image tuples; ``ga_mul`` sees the int
+numerators of two group-algebra elements, ``sparse_mm`` those of two
+operators (both need only ring arithmetic on the coefficients); matrices
 are sparse {row: {col: coeff}} dicts, except in ``echelon``, the one
 elimination, which takes dense int rows.
 """

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import kernels
-from .exactnum import format_rational, limit_at_zero
-from .shapes import SkewShape, StandardTableau, row_tableau
+from .exactnum import format_rational, limit_at_zero, normal_form
+from .shapes import Partition, SkewShape, StandardTableau, row_tableau
 
 
 class DegreeMismatch(ValueError):
@@ -113,23 +113,22 @@ def compose(s: Permutation, t: Permutation) -> Permutation:
 class GroupAlgebraElement:
     """Formal combination of permutations of a fixed degree.
 
-    Coefficients are exact rationals (Fraction; ints compare equal to
-    them); zero coefficients are never stored.  Term keys are raw image
-    tuples for kernel speed.
+    The coefficient of s is ``terms[s] / den``.  The constructor takes
+    rational coefficients (repeated keys add up) and brings them to
+    ``exactnum.normal_form``: nonzero int numerators over one positive
+    ``den`` with no common factor, den 1 for zero.  So equality compares
+    the stored fields.  Term keys are raw image tuples for kernel speed.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "den")
 
-    def __init__(self, n: int, terms=None):
+    def __init__(self, n: int, terms=None, den: int = 1):
+        acc = {}
+        for s, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            key = tuple(s)
+            acc[key] = acc.get(key, 0) + c
         self.n = n
-        self.terms = {}
-        if terms:
-            for s, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    key = tuple(s)
-                    self.terms[key] = self.terms.get(key, 0) + c
-                    if not self.terms[key]:
-                        del self.terms[key]
+        (self.terms,), self.den = normal_form([acc], den)
 
     @classmethod
     def one(cls, n: int, coeff=Fraction(1)) -> "GroupAlgebraElement":
@@ -148,63 +147,42 @@ class GroupAlgebraElement:
 
     def __eq__(self, other):
         return (isinstance(other, GroupAlgebraElement)
-                and self.n == other.n and self.terms == other.terms)
+                and (self.n, self.den) == (other.n, other.den) and self.terms == other.terms)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
-        out = dict(self.terms)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {s: c * fa for s, c in self.terms.items()}
         for s, c in other.terms.items():
-            acc = out.get(s, 0) + c
-            if acc:
-                out[s] = acc
-            else:
-                out.pop(s, None)
-        e = GroupAlgebraElement(self.n)
-        e.terms = out
-        return e
+            out[s] = out.get(s, 0) + c * fb
+        return GroupAlgebraElement(self.n, out, den)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "GroupAlgebraElement":
-        e = GroupAlgebraElement(self.n)
-        if c:
-            e.terms = {s: v * c for s, v in self.terms.items()}
-        return e
+        c = Fraction(c)
+        return GroupAlgebraElement(self.n, {s: v * c.numerator for s, v in self.terms.items()},
+                                   self.den * c.denominator)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
-        e = GroupAlgebraElement(self.n)
-        e.terms = kernels.ga_mul(self.terms, other.terms)
-        return e
-
-    def map_coeffs(self, f) -> "GroupAlgebraElement":
-        e = GroupAlgebraElement(self.n)
-        for s, c in self.terms.items():
-            v = f(c)
-            if v:
-                e.terms[s] = v
-        return e
+        return GroupAlgebraElement(self.n, kernels.ga_mul(self.terms, other.terms),
+                                   self.den * other.den)
 
     def coeff(self, s) -> Fraction:
-        return self.terms.get(tuple(s), Fraction(0))
+        return Fraction(self.terms.get(tuple(s), 0), self.den)
 
-    def identity_coeff(self):
+    def identity_coeff(self) -> Fraction:
         return self.coeff(range(1, self.n + 1))
 
-    def support(self) -> list[Permutation]:
-        return [Permutation(s) for s in sorted(self.terms)]
-
     def to_json(self) -> list[dict]:
-        out = []
-        for s in sorted(self.terms):
-            out.append({"cycles": Permutation(s).cycles(),
-                        "coeff": format_rational(self.terms[s])})
-        return out
+        return [{"cycles": Permutation(s).cycles(), "coeff": format_rational(self.coeff(s))}
+                for s in sorted(self.terms)]
 
     def __repr__(self):
-        parts = [f"{self.terms[s]!r}*{Permutation(s).cycles()}"
-                 for s in sorted(self.terms)]
+        parts = [f"{self.coeff(s)!r}*{Permutation(s).cycles()}" for s in sorted(self.terms)]
         return f"GA{self.n}[" + " + ".join(parts) + "]"
 
 
@@ -226,7 +204,7 @@ def _stabilizer_sum(T: StandardTableau, by_rows: bool, signed: bool) -> GroupAlg
             for src, dst in zip(block, perm):
                 images[src - 1] = dst
         s = Permutation(images)
-        terms[tuple(s)] = Fraction(s.sign() if signed else 1)
+        terms[tuple(s)] = s.sign() if signed else 1
     return GroupAlgebraElement(n, terms)
 
 
@@ -253,7 +231,7 @@ def _row_numerator(T: StandardTableau) -> tuple[dict[tuple, int], int]:
     """
     p = young_p(T)
     q = young_q(T)
-    x = kernels.ga_mul({s: 1 for s in p.terms}, {s: int(c) for s, c in q.terms.items()})
+    x = kernels.ga_mul(p.terms, q.terms)  # both over den 1
     block_of = [0] * T.n
     for (i, _), k in zip(T.shape.cells, T.entries):
         block_of[k - 1] = i
@@ -282,9 +260,7 @@ def _from_numerators(n: int, terms: dict[tuple, int], denom: int) -> GroupAlgebr
     """The element Σ terms[s]/denom · s; its identity coefficient must be 1."""
     if terms.get(tuple(range(1, n + 1))) != denom:
         raise ArithmeticError("diagonal matrix element lost its unit identity coefficient")
-    e = GroupAlgebraElement(n)
-    e.terms = {s: Fraction(c, denom) for s, c in terms.items()}
-    return e
+    return GroupAlgebraElement(n, terms, denom)
 
 
 def e_row(T: StandardTableau) -> GroupAlgebraElement:
@@ -341,7 +317,8 @@ def e_tableau(T: StandardTableau, greedy: str = "smallest") -> GroupAlgebraEleme
     transpositions: with h = 1/d, d = c_{k+1} - c_k taken on the current
     tableau, the exchanged element is (s_k - h)·e·(s_k - h)/(1 - h²).
     Numerators stay integers over one tracked denominator, which gains a
-    factor d² - 1 per exchange; Fractions are built once, at the end.
+    factor d² - 1 per exchange; the pair enters the element's normal form
+    at the end.
     """
     _require_non_skew(T)
     chain = chain_from_row(T, greedy)
@@ -365,10 +342,12 @@ def _exchange(terms: dict[tuple, int], k: int, d: int) -> dict[tuple, int]:
     d2 = d * d
     out: dict[tuple, int] = {}
     for t, x in terms.items():
-        st = tuple(k + 1 if v == k else k if v == k + 1 else v for v in t)
-        ts = t[:k - 1] + (t[k], t[k - 1]) + t[k + 1:]
-        sts = st[:k - 1] + (st[k], st[k - 1]) + st[k + 1:]
-        for key, c in ((sts, d2 * x), (st, -d * x), (ts, -d * x), (t, x)):
+        st = list(t)
+        st[t.index(k)], st[t.index(k + 1)] = k + 1, k
+        ts, sts = list(t), st[:]
+        ts[k - 1], ts[k] = t[k], t[k - 1]
+        sts[k - 1], sts[k] = st[k], st[k - 1]
+        for key, c in ((tuple(sts), d2 * x), (tuple(st), -d * x), (tuple(ts), -d * x), (t, x)):
             out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
 
@@ -392,10 +371,8 @@ def _fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
     factors = [(_times_transposition(i, j), contents[i - 1] - contents[j - 1],
                 slopes[i - 1] - slopes[j - 1])
                for i in range(1, n) for j in range(i + 1, n + 1)]
-    values, den = limit_at_zero({tuple(range(1, n + 1)): 1}, factors, "fusion product")
-    e = GroupAlgebraElement(n)
-    e.terms = {s: Fraction(x, den) for s, x in values.items()}
-    return e
+    return GroupAlgebraElement(n, *limit_at_zero({tuple(range(1, n + 1)): 1}, factors,
+                                                 "fusion product"))
 
 
 def fusion_e(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
@@ -418,22 +395,17 @@ def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
 
 def iota(a: GroupAlgebraElement, m: int) -> GroupAlgebraElement:
     """Embed a degree-n element into degree m+n, acting on {m+1..m+n}."""
-    out = GroupAlgebraElement(m + a.n)
     prefix = tuple(range(1, m + 1))
-    for s, c in a.terms.items():
-        out.terms[prefix + tuple(v + m for v in s)] = c
-    return out
+    return GroupAlgebraElement(m + a.n, {prefix + tuple(v + m for v in s): c
+                                         for s, c in a.terms.items()}, a.den)
 
 
 def theta(a: GroupAlgebraElement, m: int) -> GroupAlgebraElement:
     """Keep the terms whose permutation preserves {1..m} as a set."""
     if not 0 <= m < max(a.n, 1):
         raise ValueError(f"need 0 <= m < {a.n}, got {m}")
-    out = GroupAlgebraElement(a.n)
-    for s, c in a.terms.items():
-        if all(s[i] <= m for i in range(m)):
-            out.terms[s] = c
-    return out
+    return GroupAlgebraElement(a.n, {s: c for s, c in a.terms.items()
+                                     if all(s[i] <= m for i in range(m))}, a.den)
 
 
 def e_skew_extract(L: StandardTableau, m: int) -> GroupAlgebraElement:
@@ -447,28 +419,31 @@ def e_skew_extract(L: StandardTableau, m: int) -> GroupAlgebraElement:
     if not 0 <= m < L.n:
         raise ValueError(f"need 0 <= m < {L.n}, got {m}")
     th = theta(e_tableau(L), m)
-    n = L.n - m
-    out = GroupAlgebraElement(n)
     ident = tuple(range(1, m + 1))
-    for s, c in th.terms.items():
-        if s[:m] == ident:
-            out.terms[tuple(v - m for v in s[m:])] = c
-    return out
+    return GroupAlgebraElement(L.n - m, {tuple(v - m for v in s[m:]): c
+                                         for s, c in th.terms.items() if s[:m] == ident},
+                               th.den)
 
 
-def skew_tableau_of(L: StandardTableau, m: int) -> StandardTableau:
-    """The skew tableau formed by the boxes of L holding m+1..n."""
-    from .shapes import Partition, SkewShape
-
+def _inner_shape(L: StandardTableau, m: int) -> Partition:
+    """The partition formed by the boxes of L holding 1..m."""
     mu_rows: dict[int, int] = {}
     for (i, j), k in zip(L.shape.cells, L.entries):
         if k <= m:
             mu_rows[i] = max(mu_rows.get(i, 0), j)
-    mu = Partition(tuple(mu_rows.get(i, 0)
-                         for i in range(1, len(L.shape.lam.parts) + 1)))
-    shape = SkewShape(L.shape.lam, mu)
-    entries = [L.entries[L.shape.cells.index(c)] - m for c in shape.cells]
-    return StandardTableau(shape, entries)
+    return Partition(tuple(mu_rows.get(i, 0) for i in range(1, len(L.shape.lam.parts) + 1)))
+
+
+def inner_tableau_of(L: StandardTableau, m: int) -> StandardTableau:
+    """The (non-skew) tableau formed by the boxes of L holding 1..m."""
+    shape = SkewShape(_inner_shape(L, m), Partition())
+    return StandardTableau(shape, [L.entries[L.shape.cells.index(c)] for c in shape.cells])
+
+
+def skew_tableau_of(L: StandardTableau, m: int) -> StandardTableau:
+    """The skew tableau formed by the boxes of L holding m+1..n."""
+    shape = SkewShape(L.shape.lam, _inner_shape(L, m))
+    return StandardTableau(shape, [L.entries[L.shape.cells.index(c)] - m for c in shape.cells])
 
 
 def extend_tableau(O: StandardTableau, U: StandardTableau) -> StandardTableau:
@@ -501,6 +476,7 @@ def check_prop25(L: StandardTableau, x_samples) -> bool:
     c = L.contents
     e1 = iota(e_tableau(L), 1)
     poles = set(c) | {0} | {ci - cj for ci in c for cj in c}
+    ident = tuple(range(1, l + 2))
     for x in x_samples:
         x = Fraction(x)
         if x in poles:
@@ -508,13 +484,12 @@ def check_prop25(L: StandardTableau, x_samples) -> bool:
         lhs = e1
         for k in range(l, 0, -1):
             factor = GroupAlgebraElement(l + 1, {
-                tuple(Permutation.identity(l + 1)): Fraction(1),
+                ident: 1,
                 tuple(Permutation.transposition(l + 1, 1, k + 1)): -1 / (x - c[k - 1]),
             })
             lhs = factor * lhs
-        rhs_factor = GroupAlgebraElement(l + 1, {tuple(Permutation.identity(l + 1)): Fraction(1)})
-        for k in range(1, l + 1):
-            rhs_factor.terms[tuple(Permutation.transposition(l + 1, 1, k + 1))] = Fraction(-1) / x
+        rhs_factor = GroupAlgebraElement(l + 1, [(ident, 1)] + [
+            (Permutation.transposition(l + 1, 1, k + 1), -1 / x) for k in range(1, l + 1)])
         rhs = rhs_factor * e1
         if lhs != rhs:
             return False

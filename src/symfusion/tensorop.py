@@ -3,7 +3,9 @@
 Basis vectors of the tensor power are multi-indices (i_1..i_n) with
 i_k in 1..N, encoded as row = Σ (i_k - 1)·N^(n-k), i.e. lexicographic
 with i_1 most significant.  Operators hold int numerators over one
-denominator (``SparseOperator``) and subspaces hold integer echelon rows
+denominator (``SparseOperator``, in the ``exactnum.normal_form`` that a
+group-algebra element shares, so ``act`` reads an element's numerators
+and den directly) and subspaces hold integer echelon rows
 (``SubspaceBasis``); Fractions appear only at the ``entry``/``apply``
 boundary and in ``BilinearForm``.
 """
@@ -18,7 +20,7 @@ from itertools import combinations
 from operator import add
 
 from . import kernels
-from .exactnum import format_rational
+from .exactnum import format_rational, normal_form
 from .symalg import GroupAlgebraElement, Permutation
 
 
@@ -84,9 +86,8 @@ class BilinearForm:
         N = self.N
         rows = []
         for i, grow in enumerate(self.gram):
-            scale = math.lcm(*(v.denominator for v in grow))
-            rows.append([v.numerator * (scale // v.denominator) for v in grow]
-                        + [scale * (i == j) for j in range(N)])
+            (num,), scale = normal_form([dict(enumerate(grow))])
+            rows.append([num.get(j, 0) for j in range(N)] + [scale * (i == j) for j in range(N)])
         pivots, reduced = kernels.echelon(rows, 2 * N)
         if pivots[:N] != list(range(N)):
             return None
@@ -131,26 +132,19 @@ class SparseOperator:
     """Sparse linear map on the n-fold tensor power of C^N.
 
     Entry (r, c) is ``rows[r][c] / den``.  The constructor takes rational
-    entries and brings them to a normal form: only nonzero ints are stored,
-    ``den`` > 0, gcd(den, all numerators) = 1, and the zero operator has
-    ``rows == {}``, ``den == 1``.  So equality compares the stored fields.
+    entries and brings them to ``exactnum.normal_form``; no empty row is
+    kept, so the zero operator has ``rows == {}``, ``den == 1``, and
+    equality compares the stored fields.
     """
 
     __slots__ = ("N", "n", "rows", "den")
 
     def __init__(self, N: int, n: int, rows=None, den: int = 1):
-        if type(den) is not int or den < 1:
-            raise ValueError(f"den must be a positive int, got {den!r}")
-        rows = {r: kept for r, cols in (rows or {}).items()
-                if (kept := {c: v for c, v in cols.items() if v})}
-        if any(type(v) is not int for cols in rows.values() for v in cols.values()):
-            scale = math.lcm(*(v.denominator for cols in rows.values() for v in cols.values()))
-            rows = {r: {c: v.numerator * (scale // v.denominator) for c, v in cols.items()}
-                    for r, cols in rows.items()}
-            den *= scale
+        rows = rows or {}
+        parts, self.den = normal_form(list(rows.values()), den)
         self.N = N
         self.n = n
-        self.rows, self.den = _divide_content(rows, den)
+        self.rows = {r: cols for r, cols in zip(rows, parts) if cols}
 
     @property
     def dim(self) -> int:
@@ -209,16 +203,12 @@ class SparseOperator:
 
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
         self._check(other)
-        # sparse_mm keeps no zeros, so only the content is left to divide out
-        out = SparseOperator(self.N, self.n)
-        out.rows, out.den = _divide_content(kernels.sparse_mm(self.rows, other.rows),
-                                            self.den * other.den)
-        return out
+        return SparseOperator(self.N, self.n, kernels.sparse_mm(self.rows, other.rows),
+                              self.den * other.den)
 
     def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Image of a vector {code: rational}, whose denominators are cleared once."""
-        scale = math.lcm(*(x.denominator for x in vec.values()))
-        ivec = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
+        """Image of a vector {code: rational}, brought to int numerators once."""
+        (ivec,), scale = normal_form([vec])
         den = self.den * scale
         out: dict[int, Fraction] = {}
         for r, cols in self.rows.items():
@@ -237,16 +227,6 @@ class SparseOperator:
 
     def __repr__(self):
         return f"SparseOperator(N={self.N}, n={self.n}, nnz={self.nnz()}, den={self.den})"
-
-
-def _divide_content(rows: dict[int, dict[int, int]], den: int):
-    """(rows, den) divided by gcd(den, all numerators); no rows give den 1."""
-    g = den
-    for cols in rows.values():
-        g = math.gcd(g, *cols.values())
-        if g == 1:
-            return rows, den
-    return {r: {c: v // g for c, v in cols.items()} for r, cols in rows.items()}, den // g
 
 
 def perm_op(s: Permutation, N: int) -> SparseOperator:
@@ -302,27 +282,25 @@ def _place(rest: tuple[int, ...], k: int, l: int, a: int, b: int, N: int) -> int
 def act(a: GroupAlgebraElement, N: int) -> SparseOperator:
     """Operator realization of a group-algebra element by permuting factors.
 
-    Σ_s c_s·perm_op(s), accumulated into one set of int rows over the lcm
-    of the c_s denominators: perm_op(s) sends basis vector idx to the one
-    holding idx_j in slot s(j), whose code is Σ_j (idx_j - 1)·N^(n - s(j)).
+    Σ_s c_s·perm_op(s), accumulated into one set of int rows over the
+    element's den: perm_op(s) sends basis vector idx to the one holding
+    idx_j in slot s(j), whose code is Σ_j (idx_j - 1)·N^(n - s(j)).
     """
     n = a.n
     dim = N ** n
-    den = math.lcm(*(c.denominator for c in a.terms.values()))
     digits = list(zip(*(decode(code, N, n) for code in range(dim))))
     # placed[j][slot - 1][code]: contribution of factor j+1 of code in that slot
     placed = [[[(d - 1) * N ** (n - slot) for d in col] for slot in range(1, n + 1)]
               for col in digits]
     rows: list[dict[int, int]] = [{} for _ in range(dim)]
     for s, c in a.terms.items():
-        c = c.numerator * (den // c.denominator)
         targets = [0] * dim
         for j, v in enumerate(s):
             targets = list(map(add, targets, placed[j][v - 1]))
         for code, tgt in enumerate(targets):
             row = rows[tgt]
             row[code] = row.get(code, 0) + c
-    return SparseOperator(N, n, dict(enumerate(rows)), den)
+    return SparseOperator(N, n, dict(enumerate(rows)), a.den)
 
 
 @dataclass(frozen=True)
@@ -499,7 +477,6 @@ def span_of_vectors(ambient: int, vectors) -> SubspaceBasis:
             items = enumerate(v)
             if len(v) != ambient:
                 raise AmbientMismatch(f"vector of length {len(v)} in C^{ambient}")
-        entries = {i: Fraction(x) for i, x in items if x}
-        scale = math.lcm(*(x.denominator for x in entries.values()))
-        rows.append({i: x.numerator * (scale // x.denominator) for i, x in entries.items()})
+        (row,), _ = normal_form([{i: Fraction(x) for i, x in items}])
+        rows.append(row)
     return _span(ambient, rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from symfusion.exactnum import DivisionByZero, PoleAtLimit, format_rational
+from symfusion.kernels import ga_mul
 from symfusion.symalg import GroupAlgebraElement, Permutation
 
 ZERO = Fraction(0)
@@ -262,16 +263,16 @@ def rf_fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
     """Value at ε = 0 of the ordered product of
     1 - (i j)/(c_i - c_j + (g_i - g_j)·ε) over lexicographic pairs."""
     eps = RationalFunction.x()
-    elem = GroupAlgebraElement.one(n, RationalFunction.const(1))
+    ident = tuple(Permutation.identity(n))
+    terms = {ident: RationalFunction.const(1)}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             den = (contents[i - 1] - contents[j - 1]) + (slopes[i - 1] - slopes[j - 1]) * eps
-            factor = GroupAlgebraElement(n, {
-                tuple(Permutation.identity(n)): RationalFunction.const(1),
+            terms = ga_mul(terms, {
+                ident: RationalFunction.const(1),
                 tuple(Permutation.transposition(n, i, j)): -(ONE / den),
             })
-            elem = elem * factor
-    return elem.map_coeffs(eval_at_zero)
+    return GroupAlgebraElement(n, {s: eval_at_zero(c) for s, c in terms.items()})
 
 
 def rf_fusion_e_skew(T, mode: str = "row") -> GroupAlgebraElement:

@@ -221,10 +221,44 @@ def test_theta_factorization_configs(monkeypatch):
         assert verify_theta_factorization(t, 1, 2, 2, "symmetric")
     for t in standard_tableaux(skew(P(2, 2))):
         assert verify_theta_factorization(t, 1, 2, 2, "alternating")
+    # m >= 2: the projector is not the identity, and traceless vectors share rows
+    assert verify_theta_factorization(T((2, 1, 1)), 2, 2, 3, "symmetric")
+    for t in standard_tableaux(skew(P(3, 1))):
+        assert verify_theta_factorization(t, 2, 2, 2, "symmetric")
+    assert verify_theta_factorization(T((2, 2)), 2, 2, 2, "alternating")
     with pytest.raises(NotApplicable):
         verify_theta_factorization(T((1, 1)), 1, 2, 1, "alternating")  # odd M
     with pytest.raises(SizeLimitExceeded):
         verify_theta_factorization(T((4, 2)), 1, 3, 1, "symmetric")
+
+
+def test_theta_factorization_rejects_perturbed_factors(monkeypatch):
+    """A doubled small operator, or a projector off by 1/7 in one entry,
+    breaks the factorization at m = 2."""
+    from symfusion import fusion
+
+    monkeypatch.setenv("FUSION_MAX_DIM", "1000")
+    case = (T((2, 1, 1)), 2, 2, 3, "symmetric")
+    assert verify_theta_factorization(*case)
+    general = fusion.f_operator_general
+    projector = fusion.invariant_traceless_projector
+
+    def doubled_small(cfg):
+        F = general(cfg)
+        return F.scaled(2) if cfg.M else F  # the big operator has M = 0
+
+    def shifted(M, m, form):
+        H = projector(M, m, form)
+        r = min(H.rows)
+        return H + SparseOperator(M, m, {r: {min(H.rows[r]): Fraction(1, 7)}})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion, "f_operator_general", doubled_small)
+        assert not verify_theta_factorization(*case)
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion, "invariant_traceless_projector", shifted)
+        assert not verify_theta_factorization(*case)
+    assert verify_theta_factorization(*case)
 
 
 def test_invariant_traceless_projector_with_two_or_more_factors():
@@ -237,7 +271,7 @@ def test_invariant_traceless_projector_with_two_or_more_factors():
     for M, m, form in ((2, 2, symmetric_form(2)), (3, 3, symmetric_form(3)),
                        (4, 2, alternating_form(4)),
                        (2, 2, symmetric_form(2, [[2, 1], [1, Fraction(1, 3)]]))):
-        H = SparseOperator(M, m, invariant_traceless_projector(M, m, form))
+        H = invariant_traceless_projector(M, m, form)
         T = traceless_basis(M, m, form)
         assert H * H == H and rank(H) == T.dim
         for vec in T.vectors:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +12,8 @@ from symfusion.symalg import (DegreeMismatch, GroupAlgebraElement, Permutation,
                               SampleAtPole, SkewShapeError, WrongTableau,
                               chain_from_row, check_prop25, compose, e_col,
                               e_row, e_skew_extract, e_tableau, extend_tableau,
-                              _fusion_limit, fusion_e, fusion_e_skew, iota,
-                              theta, young_p, young_q)
+                              _fusion_limit, fusion_e, fusion_e_skew,
+                              inner_tableau_of, iota, theta, young_p, young_q)
 
 from qq_oracle import qq_rank
 from rf_reference import rf_fusion_e_skew
@@ -56,6 +58,90 @@ def test_permutation_cycles_and_sign():
     assert Permutation((2, 1, 3)).sign() == -1
     assert Permutation((2, 3, 1)).sign() == 1
     assert Permutation.reversal(3) == Permutation((3, 2, 1))
+
+
+# --- the element's normal form ------------------------------------------------
+
+
+def _random_element(n, rng):
+    """An element built from repeated keys, zero and cancelling terms, int
+    and Fraction coefficients, with its dict-of-Fraction reference."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    shared = Fraction(rng.choice([1, 2, 6, -4]), rng.choice([1, 3, 9]))
+    pairs, ref = [], {}
+    for _ in range(rng.randint(0, 8)):
+        s = rng.choice(perms)
+        c = shared * Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+        if c.denominator == 1 and rng.random() < 0.5:
+            c = int(c)
+        pairs.append((s, c))
+        if rng.random() < 0.3:
+            pairs.append((s, -c))  # the two terms cancel
+        else:
+            ref[s] = ref.get(s, 0) + c
+    return GroupAlgebraElement(n, pairs), {s: c for s, c in ref.items() if c}
+
+
+def _assert_ga_normal(e):
+    values = list(e.terms.values())
+    assert type(e.den) is int and e.den > 0
+    assert all(type(v) is int and v != 0 for v in values)
+    if values:
+        assert math.gcd(e.den, *values) == 1
+    else:
+        assert e.den == 1
+
+
+def _assert_ga_matches(e, ref):
+    _assert_ga_normal(e)
+    for s in itertools.permutations(range(1, e.n + 1)):
+        c = e.coeff(s)
+        assert type(c) is Fraction and c == ref.get(s, 0)
+    assert e.to_json() == [{"cycles": Permutation(s).cycles(), "coeff": str(Fraction(ref[s]))}
+                           for s in sorted(ref)]
+
+
+def test_group_algebra_normal_form():
+    """Integer numerators over one reduced positive denominator, checked
+    against a dict-of-Fraction reference and on every producer."""
+    rng = random.Random(1414)
+    n = 3
+    for _ in range(40):
+        (A, a), (B, b) = _random_element(n, rng), _random_element(n, rng)
+        _assert_ga_matches(A, a)
+        added = {s: a.get(s, 0) + b.get(s, 0) for s in set(a) | set(b)}
+        _assert_ga_matches(A + B, {s: c for s, c in added.items() if c})
+        taken = {s: a.get(s, 0) - b.get(s, 0) for s in set(a) | set(b)}
+        _assert_ga_matches(A - B, {s: c for s, c in taken.items() if c})
+        prod = {}
+        for sa, x in a.items():
+            for sb, y in b.items():
+                key = tuple(compose(Permutation(sa), Permutation(sb)))
+                prod[key] = prod.get(key, 0) + x * y
+        _assert_ga_matches(A * B, {s: c for s, c in prod.items() if c})
+        k = Fraction(rng.choice([-6, -1, 0, 2, 9]), rng.choice([1, 4, 6]))
+        _assert_ga_matches(A.scaled(k), {s: c * k for s, c in a.items() if c * k})
+        assert A.scaled(3).scaled(Fraction(1, 3)) == A
+        assert (A + B) - B == A
+        assert (A - A).terms == {} and (A - A).den == 1
+    halved = GroupAlgebraElement(2, {(1, 2): 2, (2, 1): 4}, 4)
+    assert (halved.terms, halved.den) == ({(1, 2): 1, (2, 1): 2}, 2)
+    assert GroupAlgebraElement(2, {(1, 2): Fraction(0)}) == GroupAlgebraElement(2)
+    with pytest.raises(ValueError):
+        GroupAlgebraElement(2, {(1, 2): 1}, 0)
+
+    produced = []
+    for lam in (P(2, 1), P(3, 1), P(2, 2)):
+        for T in standard_tableaux(skew(lam)):
+            e = e_tableau(T)
+            produced += [e, fusion_e_skew(T, "column"), iota(e, 2)]
+            produced += [theta(e, m) for m in range(lam.size)]
+            produced += [e_skew_extract(T, m) for m in range(lam.size)]
+        produced += [e_row(row_tableau(skew(lam))), e_col(column_tableau(skew(lam)))]
+    for sk in (skew(P(2, 1), P(1)), skew(P(3, 2), P(1))):
+        produced += [fusion_e_skew(O, "row") for O in standard_tableaux(sk)]
+    for e in produced:
+        _assert_ga_normal(e)
 
 
 # --- Young symmetrizer building blocks --------------------------------------
@@ -234,24 +320,16 @@ def test_extract_factorization_identity():
     for lam in (P(2, 1), P(2, 2), P(3, 1)):
         for T in standard_tableaux(skew(lam)):
             for m in range(lam.size):
-                ups = _inner_tableau(T, m)
+                ups = inner_tableau_of(T, m)
                 lhs = theta(e_tableau(T), m)
                 rhs = _embed_inner(ups, T.n) * iota(e_skew_extract(T, m), m)
                 assert lhs == rhs
 
 
-def _inner_tableau(T, m):
-    from symfusion.fusion import _restrict_tableau
-
-    return _restrict_tableau(T, m)
-
-
 def _embed_inner(ups, n):
     e = e_tableau(ups)
-    out = GroupAlgebraElement(n)
-    for s, c in e.terms.items():
-        out.terms[tuple(s) + tuple(range(len(s) + 1, n + 1))] = c
-    return out
+    return GroupAlgebraElement(n, {tuple(s) + tuple(range(len(s) + 1, n + 1)): e.coeff(s)
+                                   for s in e.terms})
 
 
 def test_fusion_e_skew_examples():
@@ -315,8 +393,8 @@ def _left_mult_matrix(elem):
         unit = GroupAlgebraElement(n, {g: Fraction(1)})
         prod = elem * unit
         row = [Fraction(0)] * len(basis)
-        for s, c in prod.terms.items():
-            row[index[s]] = c
+        for s in prod.terms:
+            row[index[s]] = prod.coeff(s)
         mat.append(row)
     # rows indexed by result basis element: build as matrix rows of L(elem)
     return [[mat[j][i] for j in range(len(basis))] for i in range(len(basis))]
