@@ -37,11 +37,6 @@ class PoleAtLimit(ArithmeticError):
     """The reduced denominator vanishes at the evaluation point."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the decimal-free "p/q" (or "p") textual form."""
-    return Fraction(text.strip())
-
-
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 

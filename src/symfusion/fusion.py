@@ -14,6 +14,13 @@ product's zero at ε = 0.  This is exact; the value and the pole test at
 ε = 0 are read off per entry at the very end, and no individual factor
 is ever evaluated early.  The same engine takes the group-algebra limit
 in ``symalg``.
+
+Every contraction and exchange factor commutes with g^{⊗n} for a signed
+permutation g of the basis that preserves the Gram, so F does too, and
+its columns come in orbits of such g.  The engine is linear in its start
+vector, so it runs on one column per orbit (``tensorop.column_orbits``);
+the other columns are rebuilt as ± images, and the result is checked
+exactly to commute with every generator.
 """
 
 from __future__ import annotations
@@ -27,14 +34,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from .exactnum import DivisionByZero, PoleAtLimit, limit_at_zero
+from .exactnum import DivisionByZero, PoleAtLimit, limit_at_zero, normal_form
 from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import (Permutation, e_tableau, fusion_e_skew, inner_tableau_of,
                      skew_tableau_of)
-from .tensorop import (BilinearForm, SparseOperator, act, decode, encode,
-                       image_basis, intersect, perm_op, q_op, rank,
-                       span_of_vectors, subspace_equal, traceless_basis)
+from .tensorop import (BilinearForm, SparseOperator, act, column_orbits,
+                       commutes_with, decode, encode, image_basis, intersect,
+                       perm_op, q_op, rank, span_of_vectors, subspace_equal,
+                       traceless_basis)
 
 
 class NotApplicable(ValueError):
@@ -190,8 +198,10 @@ def f_operator_general(cfg: FusionConfig) -> SparseOperator:
     return _f_operator_cached(cfg)
 
 
-@lru_cache(maxsize=None)
-def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
+def _f_factors(cfg: FusionConfig) -> list:
+    """The engine factors (move, a, b) of the contraction-exchange product,
+    in the order they apply to a start vector (the product is built from
+    the right, so this is the product's order reversed)."""
     O = cfg.tableau
     n = O.n
     N = cfg.N
@@ -213,15 +223,54 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
             raise ConfigError("vanishing exchange denominator; tableau not standard?")
         p = perm_op(Permutation.transposition(n, k, l), N)
         factors.append((_left_multiplication(p), a, b))
-    # the product is built from the right, so the factors apply reversed
+    return factors[::-1]
+
+
+def _image_column(column: dict[int, int], table, s: int) -> dict[int, int]:
+    """s·g^{⊗n} applied to a column {row: value}, by the code table of g."""
+    targets, signs = table
+    return {targets[r]: s * signs[r] * v for r, v in column.items()}
+
+
+@lru_cache(maxsize=None)
+def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
+    """F, with the limit engine run on one column per orbit only.
+
+    Every factor commutes with g^{⊗n} for each signed permutation g that
+    preserves the Gram, and so does F: column π_g(c) of F is
+    s_g(c)·g^{⊗n}·(column c).  The engine is linear in its start vector,
+    so it starts from the representatives of ``tensorop.column_orbits``
+    alone, and every other column is rebuilt from its breadth-first
+    parent.  The truncated series of a rebuilt column is ± the image of
+    its parent's, so a pole shows in the representatives too.  The
+    rebuilt F is then checked exactly to commute with every generator,
+    which covers each orbit's stabilizer; a mismatch raises
+    ArithmeticError.  With no generator this is the build on all columns.
+    """
+    N, n = cfg.N, cfg.n
     dim = N ** n
-    values, den = limit_at_zero({r * dim + r: 1 for r in range(dim)}, factors[::-1],
-                                "operator product")
-    rows: dict[int, dict[int, int]] = {}
+    orbits = column_orbits(cfg.form, n)
+    values, den = limit_at_zero({c * dim + c: 1 for c in orbits.representatives},
+                                _f_factors(cfg), "operator product")
+    # the rebuilt entries are ± these, so reducing here leaves F reduced
+    (values,), den = normal_form([values], den)
+    columns: dict[int, dict[int, int]] = {c: {} for c in orbits.representatives}
     for key, v in values.items():
         r, col = divmod(key, dim)
-        rows.setdefault(r, {})[col] = v
-    return SparseOperator(N, n, rows, den)
+        columns[col][r] = v
+    for code, parent, t in orbits.steps:
+        table = orbits.tables[t]
+        columns[code] = _image_column(columns[parent], table, table[1][parent])
+    rows: dict[int, dict[int, int]] = {}
+    for col in list(columns):
+        for r, v in columns.pop(col).items():
+            rows.setdefault(r, {})[col] = v
+    F = SparseOperator(N, n, rows, den)
+    for table in orbits.tables:
+        if not commutes_with(F, table):
+            raise ArithmeticError("the orbit-built F does not commute with a "
+                                  "monomial isometry of the form")
+    return F
 
 
 CLOSED_FORMULAS = ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case")

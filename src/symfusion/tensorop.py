@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import add
+from typing import NamedTuple
 
 from . import kernels
 from .exactnum import format_rational, normal_form
@@ -180,19 +181,27 @@ class SparseOperator:
                 and (self.N, self.n, self.den) == (other.N, other.n, other.den)
                 and self.rows == other.rows)
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+    def _combine(self, other: "SparseOperator", sign: int) -> "SparseOperator":
+        """self + sign·other over the lcm of the dens, normalized once; a
+        side whose scale factor is 1 is copied, not rescaled."""
         self._check(other)
         den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        rows = {r: {c: v * fa for c, v in cols.items()} for r, cols in self.rows.items()}
+        fa, fb = den // self.den, sign * (den // other.den)
+        rows = {r: _rescaled(cols, fa) for r, cols in self.rows.items()}
         for r, cols in other.rows.items():
-            dst = rows.setdefault(r, {})
-            for c, v in cols.items():
-                dst[c] = dst.get(c, 0) + v * fb
+            dst = rows.get(r)
+            if dst is None:
+                rows[r] = _rescaled(cols, fb)
+            else:
+                for c, v in cols.items():
+                    dst[c] = dst.get(c, 0) + v * fb
         return SparseOperator(self.N, self.n, rows, den)
 
+    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + other.scaled(-1)
+        return self._combine(other, -1)
 
     def scaled(self, c) -> "SparseOperator":
         c = Fraction(c)
@@ -227,6 +236,10 @@ class SparseOperator:
 
     def __repr__(self):
         return f"SparseOperator(N={self.N}, n={self.n}, nnz={self.nnz()}, den={self.den})"
+
+
+def _rescaled(cols: dict[int, int], f: int) -> dict[int, int]:
+    return dict(cols) if f == 1 else {c: v * f for c, v in cols.items()}
 
 
 def perm_op(s: Permutation, N: int) -> SparseOperator:
@@ -301,6 +314,149 @@ def act(a: GroupAlgebraElement, N: int) -> SparseOperator:
             row = rows[tgt]
             row[code] = row.get(code, 0) + c
     return SparseOperator(N, n, dict(enumerate(rows)), a.den)
+
+
+# ---------------------------------------------------------------------------
+# monomial isometries of the form and their column orbits
+#
+# A signed permutation g = (perm, signs) of the basis sends e_i to
+# signs[i]·e_{perm[i]} (0-based letters).  When g preserves the Gram,
+# g^{⊗n} commutes with every perm_op and q_op, since the pairing and the
+# invariant two-tensor are g-invariant.
+
+
+def preserves_gram(form: BilinearForm, g: tuple[tuple[int, ...], tuple[int, ...]]) -> bool:
+    """Whether <g e_i, g e_j> = <e_i, e_j> for all i, j, exactly."""
+    perm, signs = g
+    G = form.gram
+    return all(signs[i] * signs[j] * G[perm[i]][perm[j]] == G[i][j]
+               for i in range(form.N) for j in range(form.N))
+
+
+def _candidates(form: BilinearForm):
+    """Single sign flips, signed transpositions, then signed pairs of
+    disjoint transpositions (a b)(c d) where the Gram links each letter of
+    one pair to a letter of the other (a-c and b-d, or a-d and b-c)."""
+    N = form.N
+    G = form.gram
+    ident = tuple(range(N))
+
+    def signed(swaps, letters):
+        perm = list(ident)
+        for i, j in swaps:
+            perm[i], perm[j] = j, i
+        for choice in range(2 ** len(letters)):
+            signs = [1] * N
+            for bit, i in enumerate(letters):
+                if choice >> bit & 1:
+                    signs[i] = -1
+            yield tuple(perm), tuple(signs)
+
+    for i in range(N):
+        yield ident, tuple(-1 if k == i else 1 for k in range(N))
+    for i, j in combinations(range(N), 2):
+        yield from signed([(i, j)], [i, j])
+    for a, b in combinations(range(N), 2):
+        for c, d in combinations(range(N), 2):
+            if a < c and not {a, b} & {c, d} and (G[a][c] and G[b][d] or G[a][d] and G[b][c]):
+                yield from signed([(a, b), (c, d)], [a, b, c, d])
+
+
+@lru_cache(maxsize=None)
+def monomial_isometries(form: BilinearForm) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """A small generating set of signed permutations that preserve the Gram.
+
+    Derived from the Gram alone: a candidate of ``_candidates`` is kept
+    when it preserves the Gram exactly and joins two classes of signed
+    letters ±e_i under the generators kept so far (a union-find over the
+    2N signed letters).  So at most 2N - 1 generators are kept, the cost is
+    polynomial in N, and the group is never enumerated.  Empty when only
+    the identity qualifies.
+    """
+    parent = {(i, s): (i, s) for i in range(form.N) for s in (1, -1)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    kept = []
+    for g in _candidates(form):
+        perm, signs = g
+        moves = [(find((i, s)), find((perm[i], s * signs[i])))
+                 for i in range(form.N) for s in (1, -1)]
+        if all(x == y for x, y in moves) or not preserves_gram(form, g):
+            continue
+        kept.append(g)
+        for x, y in moves:
+            parent[find(x)] = find(y)
+    return tuple(kept)
+
+
+def code_table(g, N: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(π_g, s_g) on codes: g^{⊗n}·e_code = s_g(code)·e_{π_g(code)}."""
+    perm, signs = g
+    targets, sgn = [0], [1]
+    for _ in range(n):
+        targets = [t * N + perm[i] for t in targets for i in range(N)]
+        sgn = [s * signs[i] for s in sgn for i in range(N)]
+    return tuple(targets), tuple(sgn)
+
+
+class ColumnOrbits(NamedTuple):
+    """The orbits of the codes of the n-fold tensor power under the
+    generators of ``monomial_isometries``.
+
+    ``tables`` holds each generator's ``code_table``; ``representatives``
+    holds the least code of each orbit; ``steps`` lists every other code
+    in breadth-first order as (code, parent, t) with
+    code = tables[t][0][parent], so each parent comes before its
+    children.
+    """
+
+    tables: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    representatives: tuple[int, ...]
+    steps: tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def column_orbits(form: BilinearForm, n: int) -> ColumnOrbits:
+    """Orbits by one breadth-first search per orbit over the code tables."""
+    dim = form.N ** n
+    tables = tuple(code_table(g, form.N, n) for g in monomial_isometries(form))
+    seen = bytearray(dim)
+    reps, steps = [], []
+    for start in range(dim):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        reps.append(start)
+        queue = [start]
+        for x in queue:
+            for t, (targets, _) in enumerate(tables):
+                y = targets[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    steps.append((y, x, t))
+                    queue.append(y)
+    return ColumnOrbits(tables, tuple(reps), tuple(steps))
+
+
+def commutes_with(A: SparseOperator, table) -> bool:
+    """A·g^{⊗n} == g^{⊗n}·A exactly, i.e. A[π r][π c] = s(r)·s(c)·A[r][c]
+    for every stored entry; π is a bijection, so this also covers the
+    positions where A is zero."""
+    targets, signs = table
+    rows = A.rows
+    for r, row in rows.items():
+        image = rows.get(targets[r])
+        if image is None or len(image) != len(row):
+            return False
+        sr = signs[r]
+        for c, v in row.items():
+            if image.get(targets[c]) != sr * signs[c] * v:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

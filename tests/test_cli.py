@@ -175,3 +175,16 @@ def test_verify_rejects_invalid_input(argv, env, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_O3_certificate_digest(tmp_path, monkeypatch, capsys):
+    """The default-seed O_3 sweep writes the certificate it wrote before
+    F was built on column orbits, byte for byte."""
+    import hashlib
+
+    monkeypatch.delenv("FUSION_MAX_DIM", raising=False)
+    out = tmp_path / "cert.json"
+    assert main(["verify", "--form", "O", "--N", "3", "--max-boxes", "4",
+                 "--seed", "1729", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "086e4175d858db7783942acf79081b9be43e548d5dde094632cec09d65c84e38")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from qq_oracle import qq_rank
 
-from symfusion.exactnum import PoleAtLimit, value_at_zero
+from symfusion.exactnum import PoleAtLimit, limit_at_zero, value_at_zero
 from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               NonStandardNeighbor, SizeLimitExceeded,
                               e_operator, f_operator_closed,
@@ -16,8 +16,9 @@ from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
 from symfusion.shapes import (Partition, column_tableau, count_semistandard,
                               row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation
-from symfusion.tensorop import (SparseOperator, alternating_form, decode,
-                                perm_op, q_op, rank, symmetric_form)
+from symfusion.tensorop import (SparseOperator, alternating_form,
+                                column_orbits, decode, perm_op, q_op, rank,
+                                symmetric_form)
 
 
 def P(*parts):
@@ -389,3 +390,82 @@ def test_route_agreement_small_sweep():
             except NotApplicable:
                 continue
             assert G == F, (tab, N, M, kind, formula)
+
+
+def _unreduced_f(cfg):
+    """Reference route: the limit engine on every column of the identity,
+    with no symmetry used."""
+    from symfusion import fusion
+
+    dim = cfg.N ** cfg.n
+    values, den = limit_at_zero({c * dim + c: 1 for c in range(dim)},
+                                fusion._f_factors(cfg), "operator product")
+    rows = {}
+    for key, v in values.items():
+        r, c = divmod(key, dim)
+        rows.setdefault(r, {})[c] = v
+    return SparseOperator(cfg.N, cfg.n, rows, den)
+
+
+def _orbit_cases():
+    cases = [FusionConfig(t, 4, 0, kind)
+             for lam in ((2, 1), (3, 1), (2, 2))
+             for t in standard_tableaux(skew(P(*lam)))
+             for kind in ("symmetric", "alternating")]
+    cases.append(FusionConfig(T((2, 1)), 3, 0, "symmetric"))
+    cases.append(FusionConfig(T((2, 2), (1,)), 2, 2, "symmetric"))
+    return cases
+
+
+def test_orbit_build_matches_unreduced_reference():
+    """F built on column orbits equals the engine run on every column."""
+    for cfg in _orbit_cases():
+        orbits = column_orbits(cfg.form, cfg.n)
+        assert len(orbits.representatives) < cfg.N ** cfg.n
+        assert f_operator_general(cfg) == _unreduced_f(cfg), cfg.describe()
+
+
+def test_f_commutes_with_every_derived_generator():
+    """F·g^{⊗n} = g^{⊗n}·F as operator products, for every generator."""
+    cases = _orbit_cases() + [FusionConfig(T((3, 2)), 4, 0, "symmetric")]
+    for cfg in cases:
+        F = f_operator_general(cfg)
+        for targets, signs in column_orbits(cfg.form, cfg.n).tables:
+            G = SparseOperator(cfg.N, cfg.n, {targets[c]: {c: signs[c]}
+                                              for c in range(cfg.N ** cfg.n)})
+            assert F * G == G * F, cfg.describe()
+
+
+def test_orbit_build_rejects_a_flipped_rebuilt_column(monkeypatch):
+    """A rebuilt column with the wrong sign fails the commutation check."""
+    from symfusion import fusion
+
+    cfg = FusionConfig(T((3, 1)), 4, 0, "alternating")
+    image = fusion._image_column
+    flipped = []
+
+    def flip_first(column, table, s):
+        out = image(column, table, s)
+        if out and not flipped:
+            flipped.append(True)
+            return {r: -v for r, v in out.items()}
+        return out
+
+    monkeypatch.setattr(fusion, "_image_column", flip_first)
+    with pytest.raises(ArithmeticError):
+        fusion._f_operator_cached.__wrapped__(cfg)  # uncached build
+    assert flipped
+    monkeypatch.setattr(fusion, "_image_column", image)
+    assert fusion._f_operator_cached.__wrapped__(cfg) == _unreduced_f(cfg)
+
+
+def test_cap_row_tableau_F_pinned(monkeypatch):
+    """F for the (3,3) row tableau on Sp_4 at the default cap, dim 4096,
+    pinned from the build on all columns."""
+    from symfusion import fusion
+
+    monkeypatch.delenv("FUSION_MAX_DIM", raising=False)
+    cfg = FusionConfig(T((3, 3)), 4, 0, "alternating")
+    fusion._check_dim(cfg.N, cfg.n)
+    F = fusion._f_operator_cached.__wrapped__(cfg)  # uncached: 659k entries
+    assert (operator_hash(F), F.nnz(), F.den) == ("3bb3e2c912794c7c", 658832, 21)

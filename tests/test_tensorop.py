@@ -8,9 +8,11 @@ from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
 from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm,
-                                SparseOperator, act, alternating_form, decode,
-                                dual_basis, encode, image_basis, intersect,
-                                kernel_basis, perm_op, q_op, rank,
+                                SparseOperator, act, alternating_form,
+                                code_table, column_orbits, commutes_with,
+                                decode, dual_basis, encode, image_basis,
+                                intersect, kernel_basis, monomial_isometries,
+                                perm_op, preserves_gram, q_op, rank,
                                 span_of_vectors, subspace_equal, symmetric_form,
                                 traceless_basis)
 
@@ -431,3 +433,98 @@ def test_operator_normal_form():
     produced += [A + A, A * A, A.scaled(Fraction(-4, 6)), B * B, B + B, A.scaled(0)]
     for X in produced:
         _assert_normal(X)
+
+
+HYPERBOLIC_4 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+
+def _all_monomial_isometries(form):
+    """Every signed permutation preserving the Gram, by enumeration."""
+    from itertools import permutations, product
+    return [(perm, signs) for perm in permutations(range(form.N))
+            for signs in product((1, -1), repeat=form.N)
+            if preserves_gram(form, (perm, signs))]
+
+
+def _orbit_count(tables, dim):
+    parent = list(range(dim))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for targets, _ in tables:
+        for code, image in enumerate(targets):
+            parent[find(code)] = find(image)
+    return len({find(c) for c in range(dim)})
+
+
+def test_monomial_isometries_generate_the_column_orbits():
+    """The derived generators preserve the Gram and give the same column
+    orbits as the whole enumerated group of monomial isometries."""
+    for form, n_gens, group_order in ((symmetric_form(4), 7, 384),
+                                      (alternating_form(4), 3, 32),
+                                      (symmetric_form(4, HYPERBOLIC_4), None, None),
+                                      (symmetric_form(3), 5, 48),
+                                      (alternating_form(2), 1, 4)):
+        gens = monomial_isometries(form)
+        assert all(preserves_gram(form, g) for g in gens)
+        group = _all_monomial_isometries(form)
+        if n_gens is not None:
+            assert (len(gens), len(group)) == (n_gens, group_order)
+        for n in (1, 2, 3, 4):
+            dim = form.N ** n
+            orbits = column_orbits(form, n)
+            full = _orbit_count([code_table(g, form.N, n) for g in group], dim)
+            assert len(orbits.representatives) == full
+            # each code once: a representative, or a step after its parent
+            placed = set(orbits.representatives)
+            for code, parent, t in orbits.steps:
+                assert parent in placed and code not in placed
+                assert orbits.tables[t][0][parent] == code
+                placed.add(code)
+            assert placed == set(range(dim))
+    # a Gram with no monomial symmetry but the identity gives no generator
+    assert monomial_isometries(symmetric_form(2, [[2, 1], [1, Fraction(1, 3)]])) == ()
+
+
+def test_column_orbit_counts():
+    """Orbit counts at N = 4 for five and six tensor factors (counts only)."""
+    counts = {(kind, n): len(column_orbits(BilinearForm(kind, 4), n).representatives)
+              for kind in ("symmetric", "alternating") for n in (5, 6)}
+    assert counts == {("alternating", 5): 136, ("symmetric", 5): 51,
+                      ("alternating", 6): 528, ("symmetric", 6): 187}
+
+
+def test_gram_check_rejects_a_flipped_sign():
+    """Every derived generator of the Sp_4 and the hyperbolic O_4 Gram
+    stops preserving it when any one of its signs is flipped."""
+    for form in (alternating_form(4), symmetric_form(4, HYPERBOLIC_4)):
+        gens = monomial_isometries(form)
+        assert gens
+        for perm, signs in gens:
+            for i in range(form.N):
+                flipped = tuple(-s if k == i else s for k, s in enumerate(signs))
+                assert not preserves_gram(form, (perm, flipped))
+
+
+def test_code_table_is_the_tensor_power():
+    """code_table reads g^{⊗n} e_idx = Π s_{i_k}·e_{σ(idx)} off the digits,
+    and each generator's g^{⊗n} commutes with every perm_op and q_op."""
+    N, n = 4, 3
+    for form in (symmetric_form(4), alternating_form(4), symmetric_form(4, HYPERBOLIC_4)):
+        qs = [q_op(k, l, form, n) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+        ps = [perm_op(s, N) for s in (Permutation((2, 1, 3)), Permutation((2, 3, 1)))]
+        for g in monomial_isometries(form):
+            perm, signs = g
+            targets, sgn = code_table(g, N, n)
+            for code in range(N ** n):
+                idx = decode(code, N, n)
+                assert targets[code] == encode(tuple(perm[i - 1] + 1 for i in idx), N)
+                assert sgn[code] == math.prod(signs[i - 1] for i in idx)
+            assert all(commutes_with(X, (targets, sgn)) for X in qs + ps)
+    # a signed permutation that breaks the form does not commute with q_op
+    bad = ((0, 1, 2, 3), (-1, 1, 1, 1))
+    assert not preserves_gram(alternating_form(4), bad)
+    assert not commutes_with(q_op(1, 2, alternating_form(4), 2), code_table(bad, 4, 2))
