@@ -2,7 +2,7 @@
 procedure, their analogues for orthogonal and symplectic forms, and
 machine verification of the operator identities they satisfy."""
 
-from .exactnum import DivisionByZero, PoleAtLimit, Rational
+from .exactnum import DivisionByZero, PoleAtLimit
 from .shapes import (ContainmentError, ParityError, Partition, SkewShape,
                      StandardTableau, column_tableau, conjugate,
                      count_semistandard, dim_sym_irrep, row_tableau, skew,

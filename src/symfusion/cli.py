@@ -21,14 +21,13 @@ from fractions import Fraction
 
 from .exactnum import PoleAtLimit
 from .fusion import (CheckResult, ConfigError, FusionConfig, NotApplicable,
-                     SizeLimitExceeded, certify, e_operator, f_operator_closed,
-                     f_operator_general, max_dim, scaled_idempotency_constant,
-                     verify_corollary32, verify_prop33, verify_scaled_idempotent,
-                     verify_theta_factorization)
+                     SizeLimitExceeded, certify, f_operator_general, max_dim,
+                     scaled_idempotency_constant, verify_corollary32, verify_prop33,
+                     verify_scaled_idempotent, verify_theta_factorization)
 from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
-from .symalg import e_col, e_row, e_tableau, fusion_e_skew
+from .symalg import e_tableau, fusion_e_skew
 from .tensorop import BilinearForm
 from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
                       check_intertwiner_E, check_intertwiner_F,

@@ -26,8 +26,6 @@ from collections.abc import Callable, Hashable, Sequence
 from fractions import Fraction
 from itertools import chain
 
-Rational = Fraction
-
 
 class DivisionByZero(ZeroDivisionError):
     """A denominator that must not vanish is zero."""

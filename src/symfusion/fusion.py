@@ -26,7 +26,6 @@ exactly to commute with every generator.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,7 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from .exactnum import DivisionByZero, PoleAtLimit, limit_at_zero, normal_form
+from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_zero,
+                       normal_form)
 from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import (Permutation, e_tableau, fusion_e_skew, inner_tableau_of,
@@ -586,8 +586,18 @@ class FusionCertificate:
 
 
 def operator_hash(A: SparseOperator) -> str:
-    payload = json.dumps(A.to_triplets(), separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+    """First 16 hex digits of the sha256 of the compact JSON of
+    ``A.to_triplets()``, streamed one sorted row at a time instead of built."""
+    digest = hashlib.sha256(b"[")
+    sep = ""
+    for r, cols in sorted(A.rows.items()):
+        entries = ",".join(
+            f'{{"row":{r},"col":{c},"value":"{format_rational(Fraction(cols[c], A.den))}"}}'
+            for c in sorted(cols))
+        digest.update(f"{sep}{entries}".encode())
+        sep = ","
+    digest.update(b"]")
+    return digest.hexdigest()[:16]
 
 
 def certify(cfg: FusionConfig) -> FusionCertificate:

@@ -1,20 +1,26 @@
 """Parameterized R-matrices and sampled checks of rational identities.
 
-Every identity checked here has operator entries that are rational in
-the parameters, with a hand-written degree bound (the number of R-type
-factors on a side).  A check evaluates both sides exactly at
-degree_bound + 1 rational sample points off the pole locus, drawn from
-a seeded generator whose seed is recorded in the check result.  For the
-one-variable families this many points decide the identity, provided
-the hand-written bound is right; the two- and three-variable families
-(Yang–Baxter, inversion, symmetry flip, RTT, reflection) are
+Each operator identity is stated once, as two ordered lists ``lhs`` and
+``rhs`` whose products must agree.  An item is a constant operator (F,
+E, the identity) or a factor (X, sign, den) standing for 1 + sign·X/den,
+where X is a unit operator (an exchange P_ij or a contraction Q_ij) and
+den an affine form in the spectral parameters (``Affine``).  The pole
+locus is the union of the zero sets of the factors' denominators, so no
+check writes it separately.
+
+The entries are rational in the parameters, with a hand-written degree
+bound (the number of R-type factors on a side).  A check evaluates both
+sides exactly at degree_bound + 1 rational sample points off the pole
+locus, drawn from a seeded generator whose seed is recorded in the check
+result.  For the one-variable families this many points decide the
+identity, provided the hand-written bound is right; the two- and
+three-variable families (Yang–Baxter, inversion, RTT, reflection) are
 random-point tests, not proofs, until their samples come from a product
 grid sized by per-variable degree bounds.
 
-Every factor has the form 1 + sign·X/den for a unit operator X (an
-exchange P_ij or a contraction Q_ij).  Each check builds its unit
-operators once and, at each sample, builds each factor once; both sides
-multiply those same factors, each in its own order.
+Each check builds its unit operators and its factors once.  At each
+sample every factor's operator is built once, and both sides multiply
+those same objects, each in its own order.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
+from operator import mul
 
 from .fusion import FusionConfig, e_operator, f_operator_general
 from .shapes import Partition, StandardTableau, row_tableau, skew, standard_tableaux
@@ -51,6 +60,52 @@ class IdentityCheck:
         }
 
 
+class Affine:
+    """The affine form const + Σ_i coeffs[i]·x_(i+1) in the spectral
+    parameters, with rational coefficients.  Forms add and subtract with
+    each other and with ints and Fractions; ``at`` evaluates one."""
+
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const=0, coeffs=()):
+        self.const = Fraction(const)
+        self.coeffs = tuple(map(Fraction, coeffs))
+
+    def _combine(self, other, sign: int) -> "Affine":
+        if isinstance(other, (int, Fraction)):
+            return Affine(self.const + sign * other, self.coeffs)
+        if isinstance(other, Affine):
+            return Affine(self.const + sign * other.const,
+                          [a + sign * b for a, b in
+                           zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        return NotImplemented
+
+    def __add__(self, other) -> "Affine":
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Affine":
+        return self._combine(other, -1)
+
+    def __rsub__(self, other) -> "Affine":
+        return (-self)._combine(other, 1)
+
+    def __neg__(self) -> "Affine":
+        return Affine(-self.const, [-a for a in self.coeffs])
+
+    def at(self, pt: tuple[Fraction, ...]) -> Fraction:
+        """The value at the point x = pt."""
+        if len(self.coeffs) > len(pt):
+            raise ValueError(f"form in {len(self.coeffs)} variables at a point of {len(pt)}")
+        return self.const + sum(a * v for a, v in zip(self.coeffs, pt))
+
+
+def variables(k: int) -> tuple[Affine, ...]:
+    """The coordinate forms x_1..x_k."""
+    return tuple(Affine(0, [0] * i + [1]) for i in range(k))
+
+
 def sample_points(seed: int, arity: int, count: int, pole_pred) -> list[tuple[Fraction, ...]]:
     """Deterministic rational sample tuples, rejection-sampled off the poles."""
     rng = random.Random(seed)
@@ -65,15 +120,28 @@ def sample_points(seed: int, arity: int, count: int, pole_pred) -> list[tuple[Fr
     return out
 
 
-def run_identity_check(name: str, statement: str, sides, arity: int, poles,
+def run_identity_check(name: str, statement: str, lhs: list, rhs: list, arity: int,
                        degree_bound: int, seed: int) -> IdentityCheck:
-    """Compare sides(pt) = (lhs, rhs) at degree_bound + 1 seeded points
-    off the pole locus; the first mismatch is recorded as the witness."""
+    """Compare the ordered products of ``lhs`` and ``rhs`` at
+    degree_bound + 1 seeded points where no factor's den vanishes; the
+    first mismatch is recorded as the witness.
+
+    An item is a constant SparseOperator or a factor tuple (X, sign, den)
+    for 1 + sign·X/den with den an ``Affine``.  A factor tuple listed
+    twice, on one side or both, is built once per point.
+    """
     check = IdentityCheck(name=name, statement=statement, degree_bound=degree_bound,
                           seed=seed)
-    for pt in sample_points(seed, arity, degree_bound + 1, poles):
+    factors = {id(item): item for item in lhs + rhs if isinstance(item, tuple)}
+
+    def on_pole(pt):
+        return any(den.at(pt) == 0 for _, _, den in factors.values())
+
+    for pt in sample_points(seed, arity, degree_bound + 1, on_pole):
         check.samples.append(pt)
-        a, b = sides(pt)
+        built = {key: factor(X, sign, den.at(pt)) for key, (X, sign, den) in factors.items()}
+        a, b = (reduce(mul, [built.get(id(item), item) for item in side])
+                for side in (lhs, rhs))
         if a != b:
             check.passed = False
             check.witness = _difference_witness(pt, a, b)
@@ -91,9 +159,9 @@ def _difference_witness(pt, a: SparseOperator, b: SparseOperator) -> dict:
 # ---------------------------------------------------------------------------
 # factors (on the n-fold power of C^N)
 #
-# The exchange factor R_ij(x, y) is factor(P_ij, -1, x - y), the
-# contraction factor R~_ij(x, y) is factor(Q_ij, +1, x + y), and
-# R̄_ij(x, y) is factor(Q_ij, -1, x + y + N + M).
+# The exchange factor R_ij(x, y) is (P_ij, -1, x - y), the contraction
+# factor R~_ij(x, y) is (Q_ij, +1, x + y), and R̄_ij(x, y) is
+# (Q_ij, -1, x + y + N + M).
 
 
 def factor(X: SparseOperator, sign: int, den: Fraction) -> SparseOperator:
@@ -108,13 +176,6 @@ def _swap(i: int, j: int, n: int, N: int) -> SparseOperator:
     return perm_op(Permutation.transposition(n, i, j), N)
 
 
-def _chain(ops: list[SparseOperator]) -> SparseOperator:
-    out = ops[0]
-    for op in ops[1:]:
-        out = out * op
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the identity families
 
@@ -127,37 +188,23 @@ def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
     which: "YB35" (plain), "tilde37", "bar38", "mixed385".
     """
     n = 3
+    x, y, z = variables(3)
     if which == "YB35":
         P12, P13, P23 = _swap(1, 2, n, N), _swap(1, 3, n, N), _swap(2, 3, n, N)
-        factors = lambda x, y, z: (factor(P12, -1, x - y), factor(P13, -1, x - z),
-                                   factor(P23, -1, y - z))
-        poles = lambda pt: pt[0] == pt[1] or pt[0] == pt[2] or pt[1] == pt[2]
+        abc = [(P12, -1, x - y), (P13, -1, x - z), (P23, -1, y - z)]
     elif which == "tilde37":
         Q13, Q12, P23 = q_op(1, 3, form, n), q_op(1, 2, form, n), _swap(2, 3, n, N)
-        factors = lambda x, y, z: (factor(Q13, 1, x + z), factor(Q12, 1, x + y),
-                                   factor(P23, -1, y - z))
-        poles = lambda pt: pt[1] == pt[2] or pt[0] + pt[1] == 0 or pt[0] + pt[2] == 0
+        abc = [(Q13, 1, x + z), (Q12, 1, x + y), (P23, -1, y - z)]
     elif which == "bar38":
         Q12, Q13, P23 = q_op(1, 2, form, n), q_op(1, 3, form, n), _swap(2, 3, n, N)
-        factors = lambda x, y, z: (factor(Q12, -1, x + y + N), factor(Q13, -1, x + z + N),
-                                   factor(P23, -1, y - z))
-        poles = lambda pt: (pt[1] == pt[2] or pt[0] + pt[1] + N == 0
-                            or pt[0] + pt[2] + N == 0)
+        abc = [(Q12, -1, x + y + N), (Q13, -1, x + z + N), (P23, -1, y - z)]
     elif which == "mixed385":
         Q12, P13, Q23 = q_op(1, 2, form, n), _swap(1, 3, n, N), q_op(2, 3, form, n)
-        factors = lambda x, y, z: (factor(Q12, 1, x + y), factor(P13, -1, x - z),
-                                   factor(Q23, -1, y + z + N))
-        poles = lambda pt: (pt[0] == pt[2] or pt[0] + pt[1] == 0
-                            or pt[1] + pt[2] + N == 0)
+        abc = [(Q12, 1, x + y), (P13, -1, x - z), (Q23, -1, y + z + N)]
     else:
         raise ValueError(f"unknown family member {which!r}")
-
-    def sides(pt):
-        A, B, C = factors(*pt)
-        return A * B * C, C * B * A
-
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
-                              sides, 3, poles, 3, seed)
+                              abc, abc[::-1], 3, 3, seed)
 
 
 def check_unitarity(which: str, N: int, form: BilinearForm | None,
@@ -165,45 +212,20 @@ def check_unitarity(which: str, N: int, form: BilinearForm | None,
     """Two-slot inversion identities: the exchange pair composes to the
     scalar 1 - 1/(x-y)^2, the contraction pair composes to 1."""
     n = 2
+    x, y = variables(2)
+    I = SparseOperator.identity(N, n)
     if which == "RR":
         P = _swap(1, 2, n, N)
-
-        def sides(pt):
-            x, y = pt
-            return (factor(P, -1, x - y) * factor(P, -1, y - x),
-                    SparseOperator.identity(N, n, Fraction(1) - 1 / (x - y) ** 2))
-
-        poles = lambda pt: pt[0] == pt[1]
+        lhs = [(P, -1, x - y), (P, -1, y - x)]
+        rhs = [(I, -1, x - y), (I, 1, x - y)]
         statement = "exchange-pair-inversion"
     elif which == "tildebar":
         Q = q_op(1, 2, form, n)
-
-        def sides(pt):
-            x, y = pt
-            return (factor(Q, 1, x + y) * factor(Q, -1, x + y + N),
-                    SparseOperator.identity(N, n))
-
-        poles = lambda pt: pt[0] + pt[1] == 0 or pt[0] + pt[1] + N == 0
+        lhs, rhs = [(Q, 1, x + y), (Q, -1, x + y + N)], [I]
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
-    return run_identity_check(f"unitarity/{which}", statement, sides, 2, poles, 2, seed)
-
-
-def check_symmetry_flip(N: int, form: BilinearForm, seed: int) -> IdentityCheck:
-    """The contraction factors are symmetric under swapping slots and
-    arguments simultaneously."""
-    n = 2
-    Q12, Q21 = q_op(1, 2, form, n), q_op(2, 1, form, n)
-
-    def sides(pt):
-        x, y = pt
-        return (factor(Q12, 1, x + y) * factor(Q12, -1, y + x + N),
-                factor(Q21, 1, y + x) * factor(Q21, -1, x + y + N))
-
-    poles = lambda pt: pt[0] + pt[1] == 0 or pt[0] + pt[1] + N == 0
-    return run_identity_check("symmetry-flip", "contraction-factor-slot-symmetry",
-                              sides, 2, poles, 2, seed)
+    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, 2, 2, seed)
 
 
 def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityCheck:
@@ -211,24 +233,13 @@ def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityChec
     R12·T1·T2 = T2·T1·R12 with T_a = Π_k R_{a,2+k}(·, z_k)."""
     n = len(z_params)
     total = n + 2
+    x, y = variables(2)
     zs = [Fraction(z) for z in z_params]
-    P12 = _swap(1, 2, total, N)
-    P1 = [_swap(1, 3 + k, total, N) for k in range(n)]
-    P2 = [_swap(2, 3 + k, total, N) for k in range(n)]
-
-    def sides(pt):
-        x, y = pt
-        R12 = factor(P12, -1, x - y)
-        T1 = _chain([factor(P, -1, x - z) for P, z in zip(P1, zs)])
-        T2 = _chain([factor(P, -1, y - z) for P, z in zip(P2, zs)])
-        return R12 * T1 * T2, T2 * T1 * R12
-
-    def poles(pt):
-        x, y = pt
-        return x == y or any(x == z or y == z for z in zs)
-
-    return run_identity_check(f"rtt/n{n}", "generating-matrix-exchange", sides, 2, poles,
-                              2 * n + 1, seed)
+    R12 = (_swap(1, 2, total, N), -1, x - y)
+    T1 = [(_swap(1, 3 + k, total, N), -1, x - z) for k, z in enumerate(zs)]
+    T2 = [(_swap(2, 3 + k, total, N), -1, y - z) for k, z in enumerate(zs)]
+    return run_identity_check(f"rtt/n{n}", "generating-matrix-exchange",
+                              [R12] + T1 + T2, T2 + T1 + [R12], 2, 2 * n + 1, seed)
 
 
 def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
@@ -237,19 +248,14 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     evaluation strings with opposite parameter order."""
     n = O.n
     total = n + 1
+    (x,) = variables(1)
     zs = [c + z_shift for c in O.contents]
     E = _lift_slot1(e_operator(O, N) * perm_op(Permutation.reversal(n), N), N)
     P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
-
-    def sides(pt):
-        (x,) = pt
-        forward = [factor(P, -1, x - z) for P, z in zip(P1, zs)]
-        backward = [factor(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
-        return _chain(forward + [E]), _chain([E] + backward)
-
-    poles = lambda pt: any(pt[0] == z for z in zs)
+    forward = [(P, -1, x - z) for P, z in zip(P1, zs)]
+    backward = [(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
-                              sides, 1, poles, n + 1, seed)
+                              forward + [E], [E] + backward, 1, n + 1, seed)
 
 
 def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
@@ -264,11 +270,11 @@ def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
     return SparseOperator(N, n + 1, rows, A.den)
 
 
-def _image_strings(x, ds, Ps, Qs):
+def _image_strings(x: Affine, ds, Ps, Qs):
     """The plain factors R_{a,k}(x, d_k) and the twisted ones R~_{a,k}(x, d_k)
     in slot order, from the unit operators P_{a,k} in Ps and Q_{a,k} in Qs."""
-    plain = [factor(P, -1, x - d) for P, d in zip(Ps, ds)]
-    tilde = [factor(Q, 1, x + d) for Q, d in zip(Qs, ds)]
+    plain = [(P, -1, x - d) for P, d in zip(Ps, ds)]
+    tilde = [(Q, 1, x + d) for Q, d in zip(Qs, ds)]
     return plain, tilde
 
 
@@ -279,20 +285,17 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     n = O.n
     N = cfg.N
     total = n + 1
+    (x,) = variables(1)
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c + Fraction(cfg.M, 2) - half for c in O.contents]
     F = _lift_slot1(f_operator_general(cfg), N)
     P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
     Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(n)]
-
-    def sides(pt):
-        plain, tilde = _image_strings(pt[0], ds, P1, Q1)
-        # slot k keeps its argument d_k; only the multiplication order flips
-        return _chain(tilde[::-1] + plain + [F]), _chain([F] + plain[::-1] + tilde)
-
-    poles = lambda pt: any(pt[0] == d or pt[0] + d == 0 for d in ds)
+    plain, tilde = _image_strings(x, ds, P1, Q1)
+    # slot k keeps its argument d_k; only the multiplication order flips
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
-                              "twisted-intertwiner", sides, 1, poles, 2 * n, seed)
+                              "twisted-intertwiner", tilde[::-1] + plain + [F],
+                              [F] + plain[::-1] + tilde, 1, 2 * n, seed)
 
 
 def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
@@ -302,44 +305,28 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
     generating matrix."""
     n = len(z_params)
     total = n + 2
+    x, y = variables(2)
     zs = [Fraction(z) for z in z_params]
     P12, Q12 = _swap(1, 2, total, N), q_op(1, 2, form, total)
     P1, P2 = ([_swap(a, 3 + k, total, N) for k in range(n)] for a in (1, 2))
     Q1, Q2 = ([q_op(a, 3 + k, form, total) for k in range(n)] for a in (1, 2))
-
-    def sides(pt):
-        x, y = pt
-        R12, Rt12 = factor(P12, -1, x - y), factor(Q12, 1, x + y)
-        plain1, tilde1 = _image_strings(x, zs, P1, Q1)
-        plain2, tilde2 = _image_strings(y, zs, P2, Q2)
-        S1, S2 = _chain(tilde1[::-1] + plain1), _chain(tilde2[::-1] + plain2)
-        return R12 * S1 * Rt12 * S2, S2 * Rt12 * S1 * R12
-
-    def poles(pt):
-        x, y = pt
-        bad = x == y or x + y == 0
-        for z in zs:
-            bad = bad or x == z or y == z or x + z == 0 or y + z == 0
-        return bad
-
+    R12, Rt12 = (P12, -1, x - y), (Q12, 1, x + y)
+    plain1, tilde1 = _image_strings(x, zs, P1, Q1)
+    plain2, tilde2 = _image_strings(y, zs, P2, Q2)
+    S1, S2 = tilde1[::-1] + plain1, tilde2[::-1] + plain2
     return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
-                              sides, 2, poles, 4 * n + 2, seed)
+                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], 2, 4 * n + 2,
+                              seed)
 
 
 def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
                             seed: int) -> IdentityCheck:
     """For one quantum slot, the plain and twisted realizations of the
     coideal image coincide: R~12·R12 = R12·R~12."""
-    P, Q = _swap(1, 2, 2, N), q_op(1, 2, form, 2)
-
-    def sides(pt):
-        (x,) = pt
-        R12, Rt12 = factor(P, -1, x - z), factor(Q, 1, x + z)
-        return Rt12 * R12, R12 * Rt12
-
-    poles = lambda pt: pt[0] == z or pt[0] + z == 0
+    (x,) = variables(1)
+    R12, Rt12 = (_swap(1, 2, 2, N), -1, x - z), (q_op(1, 2, form, 2), 1, x + z)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
-                              sides, 1, poles, 2, seed)
+                              [Rt12, R12], [R12, Rt12], 1, 2, seed)
 
 
 def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityCheck:
@@ -347,19 +334,13 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
     sum of exchanges with the extra strand."""
     l = L.n
     total = l + 1
-    cs = [Fraction(c) for c in L.contents]
+    (x,) = variables(1)
     E = _lift_slot1(e_operator(L, N), N)
     P1 = [_swap(1, k + 2, total, N) for k in range(l)]
     P_sum = sum(P1, SparseOperator.zero(N, total))
-
-    def sides(pt):
-        (x,) = pt
-        return (_chain([factor(P, -1, x - c) for P, c in zip(P1, cs)] + [E]),
-                factor(P_sum, -1, x) * E)
-
-    poles = lambda pt: pt[0] == 0 or any(pt[0] == c for c in cs)
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
-                              sides, 1, poles, l + 1, seed)
+                              [(P, -1, x - c) for P, c in zip(P1, L.contents)] + [E],
+                              [(P_sum, -1, x), E], 1, l + 1, seed)
 
 
 def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
@@ -371,20 +352,17 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     l = L.n
     N = cfg.N
     total = l + 1
+    (x,) = variables(1)
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c - half for c in L.contents]
     F = _lift_slot1(f_operator_general(cfg), N)
     P1 = [_swap(1, 2 + k, total, N) for k in range(l)]
     Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(l)]
     PQ_sum = sum((P - Q for P, Q in zip(P1, Q1)), SparseOperator.zero(N, total))
-
-    def sides(pt):
-        plain, tilde = _image_strings(pt[0], ds, P1, Q1)
-        return _chain(tilde[::-1] + plain + [F]), factor(PQ_sum, -1, pt[0] + half) * F
-
-    poles = lambda pt: pt[0] + half == 0 or any(pt[0] == d or pt[0] + d == 0 for d in ds)
+    plain, tilde = _image_strings(x, ds, P1, Q1)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
-                              "twisted-evaluation-collapse", sides, 1, poles, 2 * l, seed)
+                              "twisted-evaluation-collapse", tilde[::-1] + plain + [F],
+                              [(PQ_sum, -1, x + half), F], 1, 2 * l, seed)
 
 
 # ---------------------------------------------------------------------------

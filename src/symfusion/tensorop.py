@@ -256,40 +256,32 @@ def perm_op(s: Permutation, N: int) -> SparseOperator:
 
 
 def q_op(k: int, l: int, form: BilinearForm, n: int) -> SparseOperator:
-    """Contraction-insertion in slots (k, l): u⊗v -> <u,v>·w, identity elsewhere."""
+    """Contraction-insertion in slots (k, l): u⊗v -> <u,v>·w, identity elsewhere.
+
+    Column code c holding letters a, b in slots k, l maps to the rows
+    c - a·N^(n-k) - b·N^(n-l) + (i·N^(n-k) + j·N^(n-l)) over the pairs (i, j)
+    of w, with weight <e_a, e_b>·w_ij (0-based letters in the codes)."""
     if not (1 <= k <= n and 1 <= l <= n) or k == l:
         raise IndexError(f"slots must be distinct and within 1..{n}: {(k, l)}")
     if k > l:
         k, l = l, k
     N = form.N
+    wk, wl = N ** (n - k), N ** (n - l)
     w = pair_vector(form)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for rest_code in range(N ** (n - 2)):
-        rest = decode(rest_code, N, n - 2) if n > 2 else ()
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                g = form.pairing(a, b)
-                if not g:
-                    continue
-                col = _place(rest, k, l, a, b, N)
-                for (i, j), wv in w.items():
-                    row = _place(rest, k, l, i, j, N)
-                    dst = rows.setdefault(row, {})
-                    dst[col] = dst.get(col, 0) + g * wv
-    return SparseOperator(N, n, rows)
-
-
-def _place(rest: tuple[int, ...], k: int, l: int, a: int, b: int, N: int) -> int:
-    idx = []
-    it = iter(rest)
-    for slot in range(1, len(rest) + 3):
-        if slot == k:
-            idx.append(a)
-        elif slot == l:
-            idx.append(b)
-        else:
-            idx.append(next(it))
-    return encode(tuple(idx), N)
+    pairs = [(a, b) for a in range(N) for b in range(N) if form.gram[a][b]]
+    # one {row offset: int weight} per column pair (a, b), over one den
+    weights, den = normal_form([{(i - 1) * wk + (j - 1) * wl: form.gram[a][b] * wv
+                                 for (i, j), wv in w.items()} for a, b in pairs])
+    by_pair = {ab: list(ws.items()) for ab, ws in zip(pairs, weights)}
+    rows: dict[int, dict[int, int]] = {}
+    for c in range(N ** n):
+        a, b = c // wk % N, c // wl % N
+        terms = by_pair.get((a, b))
+        if terms:
+            base = c - a * wk - b * wl
+            for off, v in terms:
+                rows.setdefault(base + off, {})[c] = v
+    return SparseOperator(N, n, rows, den)
 
 
 def act(a: GroupAlgebraElement, N: int) -> SparseOperator:

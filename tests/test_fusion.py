@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -314,6 +315,7 @@ def test_operator_hash_stability():
     E = e_operator(T((2,)), 2)
     assert operator_hash(E) == operator_hash(I2() + P12_2)
     assert operator_hash(E) != operator_hash(I2())
+    assert operator_hash(SparseOperator.zero(2, 2)) == hashlib.sha256(b"[]").hexdigest()[:16]
 
 
 # operator_hash of (F, E) for row tableaux at N = 4, pinned from the

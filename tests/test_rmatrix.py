@@ -9,9 +9,9 @@ from symfusion.rmatrix import (IdentityCheck, _difference_witness,
                                check_eval_consistency_F, check_image_coincidence,
                                check_intertwiner_E, check_intertwiner_F,
                                check_lemma44, check_reflection_image, check_rtt,
-                               check_symmetry_flip, check_unitarity,
-                               check_yang_baxter_family, factor, g_mu, h_of,
-                               run_identity_check, sample_points)
+                               check_unitarity, check_yang_baxter_family, factor,
+                               g_mu, h_of, run_identity_check, sample_points,
+                               variables)
 from symfusion.shapes import (Partition, partitions_of, row_tableau, skew,
                               standard_tableaux)
 from symfusion.symalg import Permutation, SampleAtPole
@@ -71,11 +71,6 @@ def test_yang_baxter_family(which, kind):
 def test_unitarity_checks(which):
     for form in (symmetric_form(2), alternating_form(2)):
         assert check_unitarity(which, 2, form, SEED).passed
-
-
-def test_symmetry_flip():
-    for form in (symmetric_form(2), alternating_form(2)):
-        assert check_symmetry_flip(2, form, SEED).passed
 
 
 def test_factor_slot_argument_symmetry():
@@ -168,8 +163,7 @@ def test_sample_points_deterministic_and_off_poles():
 
 def test_run_identity_check_failure_witness():
     I = SparseOperator.identity(2, 1)
-    chk = run_identity_check("toy", "toy-statement", lambda pt: (I, I.scaled(2)), 1,
-                             lambda pt: False, 0, SEED)
+    chk = run_identity_check("toy", "toy-statement", [I], [I.scaled(2)], 1, 0, SEED)
     assert not chk.passed
     assert len(chk.samples) == 1
     assert chk.witness["row"] == 0 and chk.witness["col"] == 0
@@ -196,15 +190,26 @@ def test_factor_pole_rejection():
     for X, sign, den in ((swap12(), -1, x - x), (Q, 1, x + 3), (Q, -1, x + 1 + 2)):
         with pytest.raises(SampleAtPole):
             factor(X, sign, den)
-    # the sides are only ever evaluated off the pole locus
-    poles = lambda pt: pt[0] in (0, 1)
-
-    def sides(pt):
-        d = pt[0] * (pt[0] - 1)
-        return factor(Q, 1, d), factor(Q, 1, d)
-
-    chk = run_identity_check("toy", "toy-statement", sides, 1, poles, 40, SEED)
+    # the sides are only ever evaluated off the zeros of the factors' dens
+    (x,) = variables(1)
+    factors = [(Q, 1, x), (Q, 1, x - 1)]
+    chk = run_identity_check("toy", "toy-statement", factors, factors, 1, 40, SEED)
     assert chk.passed and len(chk.samples) == 41
+    assert all(pt[0] not in (0, 1) for pt in chk.samples)
+
+
+def test_affine_forms():
+    x, y, z = variables(3)
+    pt = (Fraction(3), Fraction(-1, 2), Fraction(5))
+    assert (x - y).at(pt) == Fraction(7, 2)
+    assert (x + y + 4).at(pt) == Fraction(13, 2)
+    assert (1 - x).at(pt) == -2
+    assert (Fraction(1, 2) - (x + z)).at(pt) == Fraction(-15, 2)
+    assert (x + Fraction(3, 2) - z).at(pt) == Fraction(-1, 2)
+    assert (-(y - z)).at(pt) == Fraction(11, 2)
+    assert (x - x).at(pt) == 0
+    with pytest.raises(ValueError):
+        z.at(pt[:2])
 
 
 def test_identity_check_json_shape():
@@ -238,7 +243,6 @@ MUTATIONS = {
     "mixed385": ("q_op", lambda: check_yang_baxter_family("mixed385", 2, ALT, SEED)),
     "unitarity-RR": ("perm_op", lambda: check_unitarity("RR", 2, SYM, SEED)),
     "unitarity-tildebar": ("q_op", lambda: check_unitarity("tildebar", 2, SYM, SEED)),
-    "symmetry-flip": ("q_op", lambda: check_symmetry_flip(2, ALT, SEED)),
     "rtt": ("perm_op", lambda: check_rtt((Fraction(0), Fraction(1)), 2, SEED)),
     "intertwiner-E": ("e_operator", lambda: check_intertwiner_E(
         row_tableau(skew(P(2, 1))), 2, Fraction(0), SEED)),
