@@ -105,8 +105,6 @@ def cmd_fusion_f(args) -> int:
     shape = skew(lam, mu)
     T = _pick_tableau(shape, args.tableau)
     cfg = FusionConfig(T, args.N, args.M, FORM_KIND[args.form])
-    if args.N ** shape.n > max_dim():
-        raise UsageError(f"N^n = {args.N ** shape.n} exceeds FUSION_MAX_DIM = {max_dim()}")
     try:
         F = f_operator_general(cfg)
     except PoleAtLimit as exc:

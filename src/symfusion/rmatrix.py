@@ -1,22 +1,25 @@
 """Parameterized R-matrices and sampled checks of rational identities.
 
-Each operator identity is stated once, as two ordered lists ``lhs`` and
-``rhs`` whose products must agree.  An item is a constant operator (F,
-E, the identity) or a factor (X, sign, den) standing for 1 + sign·X/den,
-where X is a unit operator (an exchange P_ij or a contraction Q_ij) and
-den an affine form in the spectral parameters (``Affine``).  The pole
-locus is the union of the zero sets of the factors' denominators, so no
-check writes it separately.
+Each identity is stated once, as two ordered lists ``lhs`` and ``rhs``
+whose products must agree.  An item is a constant operator (F, E, the
+identity) or a factor (X, sign, den) standing for 1 + sign·X/den, where
+X is a unit operator (an exchange P_ij, a contraction Q_ij, or the
+identity for a scalar) and den an affine form in the spectral parameters
+(``Affine``).  The dens determine the rest of a check: the pole locus is
+the union of their zero sets, the variables are those they mention, and
+the degree bound is the degree of the lcm of the two sides' denominator
+products.  Multiplied by that lcm, the difference of the sides is a
+polynomial of at most that degree.
 
-The entries are rational in the parameters, with a hand-written degree
-bound (the number of R-type factors on a side).  A check evaluates both
-sides exactly at degree_bound + 1 rational sample points off the pole
-locus, drawn from a seeded generator whose seed is recorded in the check
-result.  For the one-variable families this many points decide the
-identity, provided the hand-written bound is right; the two- and
-three-variable families (Yang–Baxter, inversion, RTT, reflection) are
-random-point tests, not proofs, until their samples come from a product
-grid sized by per-variable degree bounds.
+A check evaluates both sides exactly at degree_bound + 1 rational sample
+points off the pole locus, drawn from a seeded generator whose seed is
+recorded in the check result.  For the one-variable families
+(intertwiners, evaluation collapses, image coincidence, the normalizing
+function) this many points decide the identity, since a nonzero
+polynomial of degree d has at most d roots.  The two- and three-variable
+families (Yang–Baxter, inversion, RTT, reflection) are random-point
+tests, not proofs, until their samples come from a product grid sized by
+per-variable degree bounds.
 
 Each check builds its unit operators and its factors once.  At each
 sample every factor's operator is built once, and both sides multiply
@@ -26,6 +29,7 @@ those same objects, each in its own order.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -33,9 +37,13 @@ from itertools import zip_longest
 from operator import mul
 
 from .fusion import FusionConfig, e_operator, f_operator_general
-from .shapes import Partition, StandardTableau, row_tableau, skew, standard_tableaux
-from .symalg import Permutation, SampleAtPole
+from .shapes import Partition, StandardTableau, skew, standard_tableaux
+from .symalg import Permutation
 from .tensorop import BilinearForm, SparseOperator, perm_op, q_op
+
+
+class SampleAtPole(ValueError):
+    """A sample point hits the pole locus of a rational identity."""
 
 
 @dataclass
@@ -47,17 +55,6 @@ class IdentityCheck:
     samples: list[tuple[Fraction, ...]] = field(default_factory=list)
     passed: bool = True
     witness: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_ref": self.statement,
-            "degree_bound": self.degree_bound,
-            "seed": self.seed,
-            "samples": [[str(x) for x in pt] for pt in self.samples],
-            "pass": self.passed,
-            **({"witness": self.witness} if self.witness else {}),
-        }
 
 
 class Affine:
@@ -120,24 +117,51 @@ def sample_points(seed: int, arity: int, count: int, pole_pred) -> list[tuple[Fr
     return out
 
 
-def run_identity_check(name: str, statement: str, lhs: list, rhs: list, arity: int,
-                       degree_bound: int, seed: int) -> IdentityCheck:
+def _line(den: Affine) -> tuple | None:
+    """den up to a nonzero scalar: (const, coeffs...) divided by the first
+    nonzero coefficient, trailing zero coefficients dropped; None for a
+    nonzero constant.  A den that is identically zero raises ValueError."""
+    nonzero = [i for i, a in enumerate(den.coeffs) if a]
+    if not nonzero:
+        if not den.const:
+            raise ValueError("a factor's den is identically zero")
+        return None
+    lead = den.coeffs[nonzero[0]]
+    return (den.const / lead, *(a / lead for a in den.coeffs[:nonzero[-1] + 1]))
+
+
+def _lcm_degree(lhs: list, rhs: list) -> int:
+    """The degree of the lcm of the two sides' denominator products.  Forms
+    repeated within a side add their multiplicities, a form on both sides
+    counts once at the larger one, and constant dens add nothing."""
+    lcm = Counter()
+    for side in (lhs, rhs):
+        lcm |= Counter(_line(item[2]) for item in side if isinstance(item, tuple))
+    lcm.pop(None, None)
+    return sum(lcm.values())
+
+
+def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
+                       seed: int) -> IdentityCheck:
     """Compare the ordered products of ``lhs`` and ``rhs`` at
     degree_bound + 1 seeded points where no factor's den vanishes; the
     first mismatch is recorded as the witness.
 
     An item is a constant SparseOperator or a factor tuple (X, sign, den)
     for 1 + sign·X/den with den an ``Affine``.  A factor tuple listed
-    twice, on one side or both, is built once per point.
+    twice, on one side or both, is built once per point.  A point has one
+    coordinate per variable of the longest den, and degree_bound is
+    ``_lcm_degree(lhs, rhs)``, so a check with no variable takes one point.
     """
-    check = IdentityCheck(name=name, statement=statement, degree_bound=degree_bound,
-                          seed=seed)
+    check = IdentityCheck(name=name, statement=statement,
+                          degree_bound=_lcm_degree(lhs, rhs), seed=seed)
     factors = {id(item): item for item in lhs + rhs if isinstance(item, tuple)}
+    arity = max((len(den.coeffs) for _, _, den in factors.values()), default=0)
 
     def on_pole(pt):
         return any(den.at(pt) == 0 for _, _, den in factors.values())
 
-    for pt in sample_points(seed, arity, degree_bound + 1, on_pole):
+    for pt in sample_points(seed, arity, check.degree_bound + 1, on_pole):
         check.samples.append(pt)
         built = {key: factor(X, sign, den.at(pt)) for key, (X, sign, den) in factors.items()}
         a, b = (reduce(mul, [built.get(id(item), item) for item in side])
@@ -204,7 +228,7 @@ def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
     else:
         raise ValueError(f"unknown family member {which!r}")
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
-                              abc, abc[::-1], 3, 3, seed)
+                              abc, abc[::-1], seed)
 
 
 def check_unitarity(which: str, N: int, form: BilinearForm | None,
@@ -225,7 +249,7 @@ def check_unitarity(which: str, N: int, form: BilinearForm | None,
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
-    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, 2, 2, seed)
+    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed)
 
 
 def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityCheck:
@@ -239,7 +263,7 @@ def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityChec
     T1 = [(_swap(1, 3 + k, total, N), -1, x - z) for k, z in enumerate(zs)]
     T2 = [(_swap(2, 3 + k, total, N), -1, y - z) for k, z in enumerate(zs)]
     return run_identity_check(f"rtt/n{n}", "generating-matrix-exchange",
-                              [R12] + T1 + T2, T2 + T1 + [R12], 2, 2 * n + 1, seed)
+                              [R12] + T1 + T2, T2 + T1 + [R12], seed)
 
 
 def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
@@ -255,7 +279,7 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     forward = [(P, -1, x - z) for P, z in zip(P1, zs)]
     backward = [(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
-                              forward + [E], [E] + backward, 1, n + 1, seed)
+                              forward + [E], [E] + backward, seed)
 
 
 def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
@@ -295,7 +319,7 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     # slot k keeps its argument d_k; only the multiplication order flips
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
                               "twisted-intertwiner", tilde[::-1] + plain + [F],
-                              [F] + plain[::-1] + tilde, 1, 2 * n, seed)
+                              [F] + plain[::-1] + tilde, seed)
 
 
 def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
@@ -315,8 +339,7 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
     plain2, tilde2 = _image_strings(y, zs, P2, Q2)
     S1, S2 = tilde1[::-1] + plain1, tilde2[::-1] + plain2
     return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
-                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], 2, 4 * n + 2,
-                              seed)
+                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed)
 
 
 def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
@@ -326,7 +349,7 @@ def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
     (x,) = variables(1)
     R12, Rt12 = (_swap(1, 2, 2, N), -1, x - z), (q_op(1, 2, form, 2), 1, x + z)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
-                              [Rt12, R12], [R12, Rt12], 1, 2, seed)
+                              [Rt12, R12], [R12, Rt12], seed)
 
 
 def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityCheck:
@@ -340,7 +363,7 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
     P_sum = sum(P1, SparseOperator.zero(N, total))
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
                               [(P, -1, x - c) for P, c in zip(P1, L.contents)] + [E],
-                              [(P_sum, -1, x), E], 1, l + 1, seed)
+                              [(P_sum, -1, x), E], seed)
 
 
 def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
@@ -362,68 +385,36 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     plain, tilde = _image_strings(x, ds, P1, Q1)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
                               "twisted-evaluation-collapse", tilde[::-1] + plain + [F],
-                              [(PQ_sum, -1, x + half), F], 1, 2 * l, seed)
+                              [(PQ_sum, -1, x + half), F], seed)
 
 
 # ---------------------------------------------------------------------------
-# scalar identity
+# scalar identity, on the one-dimensional space
 
 
-def g_mu(mu: Partition, x: Fraction) -> Fraction:
-    """The normalizing rational function attached to the inner shape."""
-    x = Fraction(x)
-    out = Fraction(1)
-    for k, part in enumerate(mu.parts, start=1):
-        num = (x - part + k) * (x + k - 1)
-        den = (x - part + k - 1) * (x + k)
-        if den == 0:
-            raise SampleAtPole(f"x = {x} is a pole of the normalizing function")
-        out *= Fraction(num, den)
-    return out
+def _g_factors(mu: Partition, x: Affine, I: SparseOperator) -> list:
+    """The normalizing function g_μ of the inner shape: per row k the
+    factors (x - μ_k + k)/(x - μ_k + k - 1) and (x + k - 1)/(x + k)."""
+    return [f for k, part in enumerate(mu.parts, start=1)
+            for f in ((I, 1, x - part + k - 1), (I, -1, x + k))]
 
 
-def h_of(mu: Partition, x: Fraction, tableau: StandardTableau | None = None) -> Fraction:
-    """Product of ((x - c)^2 - 1)/(x - c)^2 over the contents of a tableau
-    of the shape; independent of the tableau choice."""
-    x = Fraction(x)
-    if tableau is None:
-        tableau = row_tableau(skew(mu))
-    out = Fraction(1)
-    for c in tableau.contents:
-        d = (x - c) ** 2
-        if d == 0:
-            raise SampleAtPole(f"x = {x} is a content of the shape")
-        out *= (d - 1) / d
-    return out
+def _h_factors(T: StandardTableau, x: Affine, I: SparseOperator) -> list:
+    """h_T, the product of ((x - c)^2 - 1)/(x - c)^2 over the contents c
+    of T: per content the factors 1 - 1/(x - c) and 1 + 1/(x - c)."""
+    return [f for c in T.contents for f in ((I, -1, x - c), (I, 1, x - c))]
 
 
-def check_lemma44(mu: Partition, seed: int, count: int = 5) -> IdentityCheck:
-    """g·h = 1 at sampled points, with h computed from two tableaux."""
-    check = IdentityCheck(name=f"normalize/{mu}", statement="normalizing-product-inverse",
-                          degree_bound=2 * mu.size, seed=seed)
+def check_lemma44(mu: Partition, seed: int) -> IdentityCheck:
+    """g_μ·h_T = 1 for the first and for the last standard tableau T of μ
+    (once when μ has one); the entry fails when either statement does."""
+    (x,) = variables(1)
+    I = SparseOperator.identity(1, 1)
+    g = _g_factors(mu, x, I)
     tabs = standard_tableaux(skew(mu))
-    second = tabs[-1] if len(tabs) > 1 else tabs[0] if tabs else None
-
-    def pole(pt):
-        x = pt[0]
-        try:
-            g_mu(mu, x)
-            h_of(mu, x)
-            return False
-        except SampleAtPole:
-            return True
-
-    for pt in sample_points(seed, 1, count, pole):
-        x = pt[0]
-        check.samples.append(pt)
-        g = g_mu(mu, x)
-        h1 = h_of(mu, x)
-        ok = g * h1 == 1
-        if second is not None:
-            h2 = h_of(mu, x, second)
-            ok = ok and h1 == h2
-        if not ok:
-            check.passed = False
-            check.witness = {"x": str(x), "g": str(g), "h": str(h1)}
+    for T in (tabs[0], tabs[-1])[:len(tabs)]:
+        check = run_identity_check(f"normalize/{mu}", "normalizing-product-inverse",
+                                   [I] + g + _h_factors(T, x, I), [I], seed)
+        if not check.passed:
             break
     return check

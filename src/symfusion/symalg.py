@@ -30,10 +30,6 @@ class WrongTableau(ValueError):
     """The tableau is not the row (resp. column) tableau of its shape."""
 
 
-class SampleAtPole(ValueError):
-    """A sample point hits the pole locus of a rational identity."""
-
-
 class Permutation(tuple):
     """One-line notation on {1..n}: self[i-1] is the image of i."""
 
@@ -462,35 +458,3 @@ def extend_tableau(O: StandardTableau, U: StandardTableau) -> StandardTableau:
         else:
             entries.append(O.entries[O.shape.cells.index(cell)] + m)
     return StandardTableau(full, entries)
-
-
-def check_prop25(L: StandardTableau, x_samples) -> bool:
-    """Exchange identity for the fusion string against one extra strand.
-
-    Both sides live in the algebra of degree l+1; checking at enough
-    generic samples (degree bound l+1 after clearing denominators, so
-    l+2 samples suffice) proves the rational identity.
-    """
-    _require_non_skew(L)
-    l = L.n
-    c = L.contents
-    e1 = iota(e_tableau(L), 1)
-    poles = set(c) | {0} | {ci - cj for ci in c for cj in c}
-    ident = tuple(range(1, l + 2))
-    for x in x_samples:
-        x = Fraction(x)
-        if x in poles:
-            raise SampleAtPole(f"sample {x} lies on the pole locus")
-        lhs = e1
-        for k in range(l, 0, -1):
-            factor = GroupAlgebraElement(l + 1, {
-                ident: 1,
-                tuple(Permutation.transposition(l + 1, 1, k + 1)): -1 / (x - c[k - 1]),
-            })
-            lhs = factor * lhs
-        rhs_factor = GroupAlgebraElement(l + 1, [(ident, 1)] + [
-            (Permutation.transposition(l + 1, 1, k + 1), -1 / x) for k in range(1, l + 1)])
-        rhs = rhs_factor * e1
-        if lhs != rhs:
-            return False
-    return True

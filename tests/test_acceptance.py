@@ -195,13 +195,15 @@ def _minimal_M(kind, lam, mu):
 
 
 def test_criterion_07_normalizing_function():
-    """g·h = 1 at five samples, h identical across tableau choices."""
+    """g·h = 1 for two tableaux of each shape, at degree + 1 samples: the
+    degree of the cleared identity in its one variable, so the samples
+    decide it."""
     checked = 0
     for size in range(0, 5):
         for mu in partitions_of(size):
             chk = check_lemma44(mu, SEED)
             assert chk.passed, mu
-            assert len(chk.samples) == 5
+            assert len(chk.samples) == chk.degree_bound + 1
             checked += 1
     print(f"\nACCEPTANCE 7 normalizing-function: PASS ({checked} shapes)")
 

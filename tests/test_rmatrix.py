@@ -4,17 +4,16 @@ import pytest
 
 from symfusion import rmatrix
 from symfusion.fusion import FusionConfig
-from symfusion.rmatrix import (IdentityCheck, _difference_witness,
-                               check_eval_consistency_E,
+from symfusion.rmatrix import (Affine, SampleAtPole, _difference_witness,
+                               _g_factors, _h_factors, check_eval_consistency_E,
                                check_eval_consistency_F, check_image_coincidence,
                                check_intertwiner_E, check_intertwiner_F,
                                check_lemma44, check_reflection_image, check_rtt,
                                check_unitarity, check_yang_baxter_family, factor,
-                               g_mu, h_of, run_identity_check, sample_points,
-                               variables)
+                               run_identity_check, sample_points, variables)
 from symfusion.shapes import (Partition, partitions_of, row_tableau, skew,
                               standard_tableaux)
-from symfusion.symalg import Permutation, SampleAtPole
+from symfusion.symalg import Permutation
 from symfusion.tensorop import (SparseOperator, alternating_form, perm_op, q_op,
                                 symmetric_form)
 
@@ -128,21 +127,42 @@ def test_image_coincidence_single_slot():
 def test_eval_consistency_checks():
     T = row_tableau(skew(P(2, 1)))
     assert check_eval_consistency_E(T, 2, SEED).passed
+    # every tableau with three cells at N = 4, where the realization of the
+    # group algebra on four slots is faithful
+    for lam in (P(3), P(2, 1)):
+        for T in standard_tableaux(skew(lam)):
+            assert check_eval_consistency_E(T, 4, SEED).passed, T
     cfg = FusionConfig(row_tableau(skew(P(2,))), 2, 0, "alternating")
     assert check_eval_consistency_F(cfg, SEED).passed
     cfg = FusionConfig(row_tableau(skew(P(1, 1))), 2, 0, "symmetric")
     assert check_eval_consistency_F(cfg, SEED).passed
 
 
+def _scalar(factors, x):
+    """The product of scalar factors (I, sign, den) at the point x."""
+    out = Fraction(1)
+    for I, sign, den in factors:
+        out *= factor(I, sign, den.at((x,))).entry(0, 0)
+    return out
+
+
 def test_g_mu_h_examples():
-    x = Fraction(3)
-    assert g_mu(P(1), x) == Fraction(9, 8)
-    assert h_of(P(1), x) == Fraction(8, 9)
-    assert g_mu(P(), x) == 1 and h_of(P(), x) == 1
-    for x in (Fraction(5), Fraction(-7)):
-        assert g_mu(P(2, 1), x) * h_of(P(2, 1), x) == 1
+    (x,) = variables(1)
+    I = SparseOperator.identity(1, 1)
+
+    def g(mu, at):
+        return _scalar(_g_factors(mu, x, I), at)
+
+    def h(mu, at):
+        return _scalar(_h_factors(row_tableau(skew(mu)), x, I), at)
+
+    assert g(P(1), Fraction(3)) == Fraction(9, 8)
+    assert h(P(1), Fraction(3)) == Fraction(8, 9)
+    assert g(P(), Fraction(3)) == 1 and h(P(), Fraction(3)) == 1
+    for at in (Fraction(5), Fraction(-7)):
+        assert g(P(2, 1), at) * h(P(2, 1), at) == 1
     with pytest.raises(SampleAtPole):
-        h_of(P(1), Fraction(0))
+        h(P(1), Fraction(0))
 
 
 def test_lemma44_sweep():
@@ -150,7 +170,8 @@ def test_lemma44_sweep():
         for mu in partitions_of(size):
             chk = check_lemma44(mu, SEED)
             assert chk.passed, mu
-            assert len(chk.samples) == 5
+            assert chk.degree_bound == 2 * len(mu.parts) + 2 * mu.size
+            assert len(chk.samples) == chk.degree_bound + 1
 
 
 def test_sample_points_deterministic_and_off_poles():
@@ -163,9 +184,9 @@ def test_sample_points_deterministic_and_off_poles():
 
 def test_run_identity_check_failure_witness():
     I = SparseOperator.identity(2, 1)
-    chk = run_identity_check("toy", "toy-statement", [I], [I.scaled(2)], 1, 0, SEED)
+    chk = run_identity_check("toy", "toy-statement", [I], [I.scaled(2)], SEED)
     assert not chk.passed
-    assert len(chk.samples) == 1
+    assert chk.samples == [()]
     assert chk.witness["row"] == 0 and chk.witness["col"] == 0
     assert (chk.witness["lhs"], chk.witness["rhs"]) == ("1", "2")
 
@@ -192,10 +213,10 @@ def test_factor_pole_rejection():
             factor(X, sign, den)
     # the sides are only ever evaluated off the zeros of the factors' dens
     (x,) = variables(1)
-    factors = [(Q, 1, x), (Q, 1, x - 1)]
-    chk = run_identity_check("toy", "toy-statement", factors, factors, 1, 40, SEED)
-    assert chk.passed and len(chk.samples) == 41
-    assert all(pt[0] not in (0, 1) for pt in chk.samples)
+    factors = [(Q, 1, x - k) for k in range(40)]
+    chk = run_identity_check("toy", "toy-statement", factors, factors, SEED)
+    assert chk.passed and chk.degree_bound == 40 and len(chk.samples) == 41
+    assert all(pt[0] not in range(40) for pt in chk.samples)
 
 
 def test_affine_forms():
@@ -212,11 +233,62 @@ def test_affine_forms():
         z.at(pt[:2])
 
 
-def test_identity_check_json_shape():
-    chk = IdentityCheck(name="x", statement="s", degree_bound=1, seed=3)
-    payload = chk.to_json()
-    assert payload["name"] == "x" and payload["paper_ref"] == "s"
-    assert payload["pass"] is True
+def test_degree_and_variables_come_from_the_dens():
+    x, y = variables(2)
+    I = SparseOperator.identity(2, 1)
+    # x - y and y - x are one form, and so are x - y and 2x - 2y; a repeat
+    # within a side adds; across the sides a form counts at its larger
+    # multiplicity; a constant den adds nothing
+    lhs = [(I, 1, x - y), (I, -1, y - x), (I, 1, Affine(3)), (I, 1, x + 1)]
+    rhs = [(I, 1, Affine(0, [2, -2])), (I, 1, x + 1), (I, 1, x + 1)]
+    chk = run_identity_check("toy", "toy-statement", lhs, rhs, SEED)
+    assert chk.degree_bound == 2 + 2 and len(chk.samples[0]) == 2
+    # x written with a trailing zero coefficient is still x, but the
+    # variables are counted from the longest den
+    chk = run_identity_check("toy", "toy-statement", [(I, 1, (x + y) - y)], [(I, 1, x)],
+                             SEED)
+    assert chk.passed and chk.degree_bound == 1
+    assert all(len(pt) == 2 for pt in chk.samples)
+
+
+def test_no_variable_means_one_point():
+    # constant dens only: degree 0, so one point with no coordinate
+    I = SparseOperator.identity(2, 1)
+    chk = run_identity_check("toy", "toy-statement", [(I, 1, Affine(3))],
+                             [I.scaled(Fraction(4, 3))], SEED)
+    assert chk.passed and chk.degree_bound == 0 and chk.samples == [()]
+
+
+def test_identically_zero_den_is_rejected_before_sampling():
+    (x,) = variables(1)
+    I = SparseOperator.identity(1, 1)
+    for den in (Affine(0), x - x):
+        with pytest.raises(ValueError, match="identically zero"):
+            run_identity_check("toy", "toy-statement", [(I, 1, den)], [I], SEED)
+
+
+def test_derived_degrees_per_family():
+    # (variables, degree) of each family: the symmetrizer families have
+    # degree n, as both sides' dens are x - c over the n contents (and x)
+    def shape(chk):
+        return len(chk.samples[0]), chk.degree_bound
+
+    sym = symmetric_form(2)
+    for which in ("YB35", "tilde37", "bar38", "mixed385"):
+        assert shape(check_yang_baxter_family(which, 2, sym, SEED)) == (3, 3)
+    for which in ("RR", "tildebar"):
+        assert shape(check_unitarity(which, 2, sym, SEED)) == (2, 2)
+    zs = (Fraction(0), Fraction(1))
+    assert shape(check_rtt(zs, 2, SEED)) == (2, 5)
+    assert shape(check_reflection_image(zs, 2, sym, SEED)) == (2, 10)
+    assert shape(check_image_coincidence(Fraction(0), 2, sym, SEED)) == (1, 2)
+    T = row_tableau(skew(P(2, 2)))  # contents 0, 1, -1, 0: a repeated form
+    assert shape(check_intertwiner_E(T, 2, Fraction(0), SEED)) == (1, 4)
+    assert shape(check_eval_consistency_E(T, 2, SEED)) == (1, 4)
+    cfg = FusionConfig(row_tableau(skew(P(1, 1))), 2, 0, "symmetric")
+    assert shape(check_intertwiner_F(cfg, SEED)) == (1, 4)
+    assert shape(check_eval_consistency_F(cfg, SEED)) == (1, 4)
+    assert shape(check_lemma44(P(1, 1, 1, 1), SEED)) == (1, 16)
 
 
 def _perturb_first_call(fn):
@@ -256,6 +328,26 @@ MUTATIONS = {
     "image-coincidence": ("perm_op", lambda: check_image_coincidence(
         Fraction(0), 2, ALT, SEED)),
 }
+
+
+@pytest.mark.parametrize("target, tableau", [("_g_factors", None), ("_h_factors", 0),
+                                             ("_h_factors", -1)])
+def test_lemma44_rejects_a_shifted_den(target, tableau, monkeypatch):
+    # a den of g shifted by 1, or one of h for the first or the last
+    # tableau only: the entry fails when either of its statements does
+    assert check_lemma44(P(2, 1), SEED).passed
+    tabs = standard_tableaux(skew(P(2, 1)))
+    original = getattr(rmatrix, target)
+
+    def shifted(arg, x, I):
+        (X, sign, den), *rest = original(arg, x, I)
+        hit = tableau is None or arg == tabs[tableau]
+        return [(X, sign, den + 1 if hit else den), *rest]
+
+    monkeypatch.setattr(rmatrix, target, shifted)
+    chk = check_lemma44(P(2, 1), SEED)
+    assert not chk.passed
+    assert chk.witness["sample"] == [str(x) for x in chk.samples[-1]]
 
 
 @pytest.mark.parametrize("family", MUTATIONS)

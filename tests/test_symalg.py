@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from symfusion.exactnum import PoleAtLimit
 from symfusion.shapes import (Partition, column_tableau, dim_sym_irrep,
                               partitions_of, row_tableau, skew,
                               standard_tableaux, sub_partitions)
 from symfusion.symalg import (DegreeMismatch, GroupAlgebraElement, Permutation,
-                              SampleAtPole, SkewShapeError, WrongTableau,
-                              chain_from_row, check_prop25, compose, e_col,
-                              e_row, e_skew_extract, e_tableau, extend_tableau,
+                              SkewShapeError, WrongTableau, chain_from_row,
+                              compose, e_col, e_row, e_skew_extract,
+                              e_tableau, extend_tableau,
                               _fusion_limit, fusion_e, fusion_e_skew,
                               inner_tableau_of, iota, theta, young_p, young_q)
 
-from qq_oracle import qq_rank
-from rf_reference import rf_fusion_e_skew
+from qq_oracle import qq_fusion_e_skew, qq_fusion_limit, qq_rank
 
 
 def P(*parts):
@@ -282,8 +282,8 @@ def test_fusion_limit_is_line_independent():
 
 
 def test_fusion_engine_matches_rf_reference():
-    # the truncated integer engine against the gcd-reduced rational-function
-    # product, on every standard tableau of at most four cells, skew included
+    # the truncated integer engine against the product over sympy's QQ(ε),
+    # on every standard tableau of at most four cells, skew included
     checked = 0
     for outer in range(1, 7):
         for lam in partitions_of(outer):
@@ -291,9 +291,17 @@ def test_fusion_engine_matches_rf_reference():
                 for mu in sub_partitions(lam, inner):
                     for T in standard_tableaux(skew(lam, mu)):
                         for mode in ("row", "column"):
-                            assert fusion_e_skew(T, mode) == rf_fusion_e_skew(T, mode)
+                            assert fusion_e_skew(T, mode) == qq_fusion_e_skew(T, mode)
                             checked += 1
     assert checked > 600
+
+
+def test_sympy_oracle_raises_on_a_pole():
+    # 1 - (1 2)/(-ε) has a pole at ε = 0, for the oracle as for the engine
+    with pytest.raises(ZeroDivisionError):
+        qq_fusion_limit(2, (0, 0), (1, 2))
+    with pytest.raises(PoleAtLimit):
+        _fusion_limit(2, (0, 0), (1, 2))
 
 
 # --- theta and skew elements -------------------------------------------------
@@ -355,27 +363,6 @@ def test_skew_routes_agree_and_inner_choice_is_irrelevant():
                     for U in standard_tableaux(skew(mu)):
                         L = extend_tableau(O, U)
                         assert e_skew_extract(L, m) == row_route
-
-
-# --- the one-extra-strand exchange identity ---------------------------------
-
-
-def test_check_prop25_examples():
-    assert check_prop25(row_tableau(skew(P(1))), [Fraction(5)])
-    assert check_prop25(row_tableau(skew(P(2))), [Fraction(5)])
-    assert check_prop25(row_tableau(skew(P(2, 1))), [Fraction(7)])
-
-
-def test_check_prop25_full_sampling():
-    for lam in (P(3), P(2, 1), P(2, 2)):
-        for T in standard_tableaux(skew(lam)):
-            samples = [Fraction(k, 1) for k in range(5, 5 + lam.size + 2)]
-            assert check_prop25(T, samples)
-
-
-def test_check_prop25_pole_rejection():
-    with pytest.raises(SampleAtPole):
-        check_prop25(row_tableau(skew(P(2))), [Fraction(0)])
 
 
 # --- divisibility through the regular representation -------------------------
