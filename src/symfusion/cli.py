@@ -152,7 +152,7 @@ def _suite_idempotency(args):
         ok = (e * e) == e.scaled(scalar)
         cfg = FusionConfig(T, args.N, 0, kind)
         F = f_operator_general(cfg)
-        ok = ok and verify_scaled_idempotent(F, scalar)
+        ok = ok and verify_scaled_idempotent(F, scalar, cfg.form)
         yield f"idempotency/{T}", "scaled-square", ok, None
 
 

@@ -39,10 +39,10 @@ from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import (Permutation, e_tableau, fusion_e_skew, inner_tableau_of,
                      skew_tableau_of)
-from .tensorop import (BilinearForm, SparseOperator, act, column_orbits,
-                       commutes_with, decode, encode, image_basis, intersect,
-                       perm_op, q_op, rank, span_of_vectors, subspace_equal,
-                       traceless_basis)
+from .tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
+                       column_orbits, commutes_with, decode, encode, image_basis,
+                       intersect, left_multiplication, perm_op, q_op, rank,
+                       span_of_vectors, subspace_equal, traceless_basis)
 
 
 class NotApplicable(ValueError):
@@ -142,32 +142,6 @@ class FusionConfig:
 
 
 # ---------------------------------------------------------------------------
-# integer operators as moves of the limit engine
-
-
-def _left_multiplication(op: SparseOperator):
-    """Left multiplication by an integer operator, on matrices stored as
-    vectors with keys row·dim + col: entry (k, c) moves to (r, c) with
-    weight op[r][k]."""
-    if op.den != 1:
-        raise ValueError("factor operator must have integer entries")
-    dim = op.dim
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for r, row in op.rows.items():
-        for k, v in row.items():
-            cols.setdefault(k, []).append(((r - k) * dim, v))
-
-    def move(vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for key, x in vec.items():
-            for shift, w in cols.get(key // dim, ()):
-                nk = key + shift
-                out[nk] = out.get(nk, 0) + w * x
-        return out
-    return move
-
-
-# ---------------------------------------------------------------------------
 # the operators
 
 
@@ -215,14 +189,17 @@ def _f_factors(cfg: FusionConfig) -> list:
     for k, l in _lex_pairs(n):
         a = c[k - 1] + c[l - 1] + int(base_shift)
         b = g[k - 1] + g[l - 1]
-        factors.append((_left_multiplication(q_op(k, l, form, n)), a, b))
+        Q = q_op(k, l, form, n)
+        if Q.den != 1:
+            raise ValueError("factor operator must have integer entries")
+        factors.append((left_multiplication(Q), a, b))
     for k, l in _lex_pairs(n):
         a = c[k - 1] - c[l - 1]
         b = g[k - 1] - g[l - 1]
         if a == 0 and b == 0:
             raise ConfigError("vanishing exchange denominator; tableau not standard?")
         p = perm_op(Permutation.transposition(n, k, l), N)
-        factors.append((_left_multiplication(p), a, b))
+        factors.append((left_multiplication(p), a, b))
     return factors[::-1]
 
 
@@ -283,6 +260,16 @@ def f_operator_closed(cfg: FusionConfig, formula: str) -> SparseOperator:
     when it fails.  The result must agree exactly with the general route,
     which the acceptance suite checks across the sweep.
     """
+    factors = _closed_factors(cfg, formula)
+    out = e_operator(cfg.tableau, cfg.N)
+    for Q, sign, d in reversed(factors):
+        out = out + Q.scaled(Fraction(sign, d)) * out
+    return out
+
+
+def _closed_factors(cfg: FusionConfig, formula: str) -> list:
+    """The contraction factors (Q_kl, -1, d) of a closed formula, one for
+    1 - Q_kl/d, in product order: the formula is their product times E."""
     from .shapes import column_tableau, row_tableau
 
     O = cfg.tableau
@@ -330,13 +317,13 @@ def f_operator_closed(cfg: FusionConfig, formula: str) -> SparseOperator:
         raise ValueError(f"unknown formula {formula!r}")
 
     form = cfg.form
-    out = e_operator(O, cfg.N)
-    for k, l in reversed(pairs):
+    factors = []
+    for k, l in pairs:
         d = c[k - 1] + c[l - 1] + shift
         if d == 0:
             raise DivisionByZero(f"closed formula {formula}: factor ({k},{l}) has denominator 0")
-        out = out - q_op(k, l, form, n).scaled(Fraction(1, d)) * out
-    return out
+        factors.append((q_op(k, l, form, n), -1, d))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +341,19 @@ def _factorial(n: int) -> int:
     return out
 
 
-def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction) -> bool:
-    return A * A == A.scaled(scalar)
+def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction,
+                             form: BilinearForm | None = None) -> bool:
+    """A·A = scalar·A, compared on the orbit columns of ``form``'s monomial
+    isometries (the identity Gram's when None; see ``OrbitComparison``)."""
+    return OrbitComparison(A.N, A.n, form).difference([A, A], [scalar, A]) is None
 
 
-def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction) -> bool:
-    FE = F * E
-    EF = E * F
-    S = F.scaled(scalar)
-    return FE == S and EF == S
-
-
-def measured_eigenvalue(E: SparseOperator):
-    """Scalar σ with E² = σ·E, if one exists (None otherwise)."""
-    sq = E * E
-    for r, cols in E.rows.items():
-        for c, v in cols.items():
-            sigma = sq.entry(r, c) / Fraction(v, E.den)
-            return sigma if sq == E.scaled(sigma) else None
-    return Fraction(0)
+def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction,
+                        form: BilinearForm | None = None) -> bool:
+    """F·E = scalar·F and E·F = scalar·F, compared as in
+    ``verify_scaled_idempotent``."""
+    compare = OrbitComparison(F.N, F.n, form)
+    return all(compare.difference(lhs, [scalar, F]) is None for lhs in ([F, E], [E, F]))
 
 
 def verify_prop33(cfg: FusionConfig) -> bool:
@@ -403,7 +384,10 @@ def verify_prop33(cfg: FusionConfig) -> bool:
 
 
 def verify_corollary32(L: StandardTableau, k: int, cfg: FusionConfig) -> bool:
-    """Exchange relation moving the operator between adjacent tableaux."""
+    """Exchange relation moving the operator between adjacent tableaux:
+    P·(1 - P/(c_(k+1) - c_k))·F = F_k·(1 - P/(c_k - c_(k+1)))·P with P the
+    exchange of k and k + 1, compared on the orbit columns of the form's
+    monomial isometries (``OrbitComparison``)."""
     if cfg.tableau != L:
         cfg = FusionConfig(L, cfg.N, cfg.M, cfg.form_kind, cfg.strict)
     c = L.contents
@@ -417,10 +401,8 @@ def verify_corollary32(L: StandardTableau, k: int, cfg: FusionConfig) -> bool:
     F = f_operator_general(cfg)
     Fk = f_operator_general(FusionConfig(Lk, cfg.N, cfg.M, cfg.form_kind, cfg.strict))
     P = perm_op(Permutation.transposition(n, k, k + 1), N)
-    I = SparseOperator.identity(N, n)
-    R_back = I - P.scaled(Fraction(1, c[k] - c[k - 1]))
-    R_fwd = I - P.scaled(Fraction(1, c[k - 1] - c[k]))
-    return P * R_back * F == Fk * R_fwd * P
+    R_back, R_fwd = (P, -1, c[k] - c[k - 1]), (P, -1, c[k - 1] - c[k])
+    return OrbitComparison(N, n, cfg.form).difference([P, R_back, F], [Fk, R_fwd, P]) is None
 
 
 class NonStandardNeighbor(ValueError):
@@ -602,7 +584,10 @@ def operator_hash(A: SparseOperator) -> str:
 
 def certify(cfg: FusionConfig) -> FusionCertificate:
     """Build the operator for one configuration and run the checks that
-    make sense for it; every check names the statement it instantiates."""
+    make sense for it; every check names the statement it instantiates.
+    Each closed formula's chain of contraction factors is applied to E's
+    orbit columns and compared with F's (``OrbitComparison``), so no
+    closed-form operator is built."""
     cert = FusionCertificate(config=cfg.describe())
     try:
         F = f_operator_general(cfg)
@@ -617,20 +602,21 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
     if non_skew:
         scalar = scaled_idempotency_constant(cfg.tableau.shape.lam)
         cert.add(CheckResult("scaled-idempotency", "scaled-square",
-                             verify_scaled_idempotent(F, scalar)))
+                             verify_scaled_idempotent(F, scalar, cfg.form)))
         cert.add(CheckResult("two-sided-divisibility", "symmetrizer-divides",
-                             verify_divisibility(F, E, scalar)))
+                             verify_divisibility(F, E, scalar, cfg.form)))
         if cfg.M == 0:
             cert.add(CheckResult("traceless-image", "traceless-image-equality",
                                  verify_prop33(cfg)))
     cert.rank = rank(F)
     cert.add(CheckResult("rank-monotone", "image-dimension-bound",
                          cert.rank <= rank(E)))
+    compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
     for formula in CLOSED_FORMULAS:
         try:
-            G = f_operator_closed(cfg, formula)
+            chain = _closed_factors(cfg, formula)
         except NotApplicable:
             continue
         cert.add(CheckResult(f"closed-form/{formula}", "closed-form-agreement",
-                             G == F))
+                             compare.difference([F], chain + [E]) is None))
     return cert

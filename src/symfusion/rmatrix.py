@@ -21,25 +21,32 @@ families (Yang–Baxter, inversion, RTT, reflection) are random-point
 tests, not proofs, until their samples come from a product grid sized by
 per-variable degree bounds.
 
-Each check builds its unit operators and its factors once.  At each
-sample every factor's operator is built once, and both sides multiply
-those same objects, each in its own order.
+No operator product is formed.  Each check builds its unit operators
+once, and one ``tensorop.OrbitComparison`` applies both sides right to
+left to the unit columns of the orbit representatives under the
+monomial isometries of the family's form (of the identity Gram when no
+contraction appears), every step an integer move: a factor at den = p/q
+maps u to p·d_X·u + sign·q·X_num·u with X = X_num/d_X.  Every unit
+operator commutes with those isometries (checked exactly, once per
+check), so agreement on the representatives is agreement everywhere; if
+one does not, all columns are compared.  An operator on fewer slots, such
+as E or F next to the extra strand, stands for 1 ⊗ it and is never built
+on the larger space.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
-from operator import mul
 
 from .fusion import FusionConfig, e_operator, f_operator_general
 from .shapes import Partition, StandardTableau, skew, standard_tableaux
 from .symalg import Permutation
-from .tensorop import BilinearForm, SparseOperator, perm_op, q_op
+from .tensorop import BilinearForm, OrbitComparison, SparseOperator, perm_op, q_op
 
 
 class SampleAtPole(ValueError):
@@ -103,17 +110,31 @@ def variables(k: int) -> tuple[Affine, ...]:
     return tuple(Affine(0, [0] * i + [1]) for i in range(k))
 
 
+# the distinct values p/q, |p| <= 48 and 1 <= q <= 5, that a coordinate is
+# drawn from: one per pair in lowest terms
+_VALUE_COUNT = sum(math.gcd(p, q) == 1 for p in range(-48, 49) for q in range(1, 6))
+
+
 def sample_points(seed: int, arity: int, count: int, pole_pred) -> list[tuple[Fraction, ...]]:
-    """Deterministic rational sample tuples, rejection-sampled off the poles."""
+    """Deterministic rational sample tuples, rejection-sampled off the poles.
+
+    Every drawn tuple is remembered, rejected ones too; once all
+    ``_VALUE_COUNT ** arity`` candidates have been drawn and fewer than
+    ``count`` are off the poles, ValueError is raised instead of drawing
+    forever."""
     rng = random.Random(seed)
     out: list[tuple[Fraction, ...]] = []
-    seen = set()
+    drawn = set()
     while len(out) < count:
+        if len(drawn) == _VALUE_COUNT ** arity:
+            raise ValueError(f"only {len(out)} of the {_VALUE_COUNT ** arity} candidate points "
+                             f"avoid the poles; {count} are needed")
         pt = tuple(Fraction(rng.randint(-48, 48), rng.randint(1, 5)) for _ in range(arity))
-        if pt in seen or pole_pred(pt):
+        if pt in drawn:
             continue
-        seen.add(pt)
-        out.append(pt)
+        drawn.add(pt)
+        if not pole_pred(pt):
+            out.append(pt)
     return out
 
 
@@ -142,42 +163,43 @@ def _lcm_degree(lhs: list, rhs: list) -> int:
 
 
 def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
-                       seed: int) -> IdentityCheck:
+                       seed: int, form: BilinearForm | None = None) -> IdentityCheck:
     """Compare the ordered products of ``lhs`` and ``rhs`` at
     degree_bound + 1 seeded points where no factor's den vanishes; the
     first mismatch is recorded as the witness.
 
-    An item is a constant SparseOperator or a factor tuple (X, sign, den)
-    for 1 + sign·X/den with den an ``Affine``.  A factor tuple listed
-    twice, on one side or both, is built once per point.  A point has one
-    coordinate per variable of the longest den, and degree_bound is
-    ``_lcm_degree(lhs, rhs)``, so a check with no variable takes one point.
+    An item is a constant SparseOperator, where one on fewer slots stands
+    for 1 ⊗ it, or a factor tuple (X, sign, den) for 1 + sign·X/den with
+    den an ``Affine``.  A point has one coordinate per variable of the
+    longest den, and degree_bound is ``_lcm_degree(lhs, rhs)``, so a check
+    with no variable takes one point.  The sides are compared by one
+    ``tensorop.OrbitComparison`` on the orbit columns of ``form``'s
+    monomial isometries, or of the identity Gram's when ``form`` is None
+    (for checks without a contraction), so each operator's move is built
+    and its commutation checked once per check.
     """
     check = IdentityCheck(name=name, statement=statement,
                           degree_bound=_lcm_degree(lhs, rhs), seed=seed)
     factors = {id(item): item for item in lhs + rhs if isinstance(item, tuple)}
     arity = max((len(den.coeffs) for _, _, den in factors.values()), default=0)
+    ops = [item[0] if isinstance(item, tuple) else item for item in lhs + rhs]
+    compare = OrbitComparison(ops[0].N, max(op.n for op in ops), form)
 
     def on_pole(pt):
         return any(den.at(pt) == 0 for _, _, den in factors.values())
 
     for pt in sample_points(seed, arity, check.degree_bound + 1, on_pole):
         check.samples.append(pt)
-        built = {key: factor(X, sign, den.at(pt)) for key, (X, sign, den) in factors.items()}
-        a, b = (reduce(mul, [built.get(id(item), item) for item in side])
-                for side in (lhs, rhs))
-        if a != b:
+        at = {key: (X, sign, den.at(pt)) for key, (X, sign, den) in factors.items()}
+        diff = compare.difference(*([at.get(id(item), item) for item in side]
+                                    for side in (lhs, rhs)))
+        if diff is not None:
+            r, c, a, b = diff
             check.passed = False
-            check.witness = _difference_witness(pt, a, b)
+            check.witness = {"sample": [str(x) for x in pt], "row": r, "col": c,
+                             "lhs": str(a), "rhs": str(b)}
             break
     return check
-
-
-def _difference_witness(pt, a: SparseOperator, b: SparseOperator) -> dict:
-    diff = a - b
-    r, c = min((r, c) for r, cols in diff.rows.items() for c in cols)
-    return {"sample": [str(x) for x in pt], "row": r, "col": c,
-            "lhs": str(a.entry(r, c)), "rhs": str(b.entry(r, c))}
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +211,8 @@ def _difference_witness(pt, a: SparseOperator, b: SparseOperator) -> dict:
 
 
 def factor(X: SparseOperator, sign: int, den: Fraction) -> SparseOperator:
-    """1 + sign·X/den for an already-built operator X."""
+    """1 + sign·X/den for an already-built operator X, as a full operator:
+    the reference for the factor step of ``OrbitComparison``."""
     if den == 0:
         raise SampleAtPole(f"pole: 1 + ({sign})·X/den with den = 0, X = {X!r}")
     return SparseOperator.identity(X.N, X.n) + X.scaled(sign / Fraction(den))
@@ -228,7 +251,7 @@ def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
     else:
         raise ValueError(f"unknown family member {which!r}")
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
-                              abc, abc[::-1], seed)
+                              abc, abc[::-1], seed, None if which == "YB35" else form)
 
 
 def check_unitarity(which: str, N: int, form: BilinearForm | None,
@@ -242,14 +265,14 @@ def check_unitarity(which: str, N: int, form: BilinearForm | None,
         P = _swap(1, 2, n, N)
         lhs = [(P, -1, x - y), (P, -1, y - x)]
         rhs = [(I, -1, x - y), (I, 1, x - y)]
-        statement = "exchange-pair-inversion"
+        statement, form = "exchange-pair-inversion", None
     elif which == "tildebar":
         Q = q_op(1, 2, form, n)
         lhs, rhs = [(Q, 1, x + y), (Q, -1, x + y + N)], [I]
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
-    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed)
+    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed, form)
 
 
 def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityCheck:
@@ -274,24 +297,13 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     total = n + 1
     (x,) = variables(1)
     zs = [c + z_shift for c in O.contents]
-    E = _lift_slot1(e_operator(O, N) * perm_op(Permutation.reversal(n), N), N)
+    # E·(order reversal) on the last n slots, each standing for 1 ⊗ it
+    E = [e_operator(O, N), perm_op(Permutation.reversal(n), N)]
     P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
     forward = [(P, -1, x - z) for P, z in zip(P1, zs)]
     backward = [(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
-                              forward + [E], [E] + backward, seed)
-
-
-def _lift_slot1(A: SparseOperator, N: int) -> SparseOperator:
-    """Embed an operator on n slots as identity ⊗ A on 1 + n slots."""
-    n = A.n
-    dim = A.dim
-    rows: dict[int, dict[int, int]] = {}
-    for a in range(N):
-        base = a * dim
-        for r, cols in A.rows.items():
-            rows[base + r] = {base + c: v for c, v in cols.items()}
-    return SparseOperator(N, n + 1, rows, A.den)
+                              forward + E, E + backward, seed)
 
 
 def _image_strings(x: Affine, ds, Ps, Qs):
@@ -312,14 +324,14 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     (x,) = variables(1)
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c + Fraction(cfg.M, 2) - half for c in O.contents]
-    F = _lift_slot1(f_operator_general(cfg), N)
+    F = f_operator_general(cfg)
     P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
     Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(n)]
     plain, tilde = _image_strings(x, ds, P1, Q1)
     # slot k keeps its argument d_k; only the multiplication order flips
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
                               "twisted-intertwiner", tilde[::-1] + plain + [F],
-                              [F] + plain[::-1] + tilde, seed)
+                              [F] + plain[::-1] + tilde, seed, cfg.form)
 
 
 def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
@@ -339,7 +351,7 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
     plain2, tilde2 = _image_strings(y, zs, P2, Q2)
     S1, S2 = tilde1[::-1] + plain1, tilde2[::-1] + plain2
     return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
-                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed)
+                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed, form)
 
 
 def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
@@ -349,7 +361,7 @@ def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
     (x,) = variables(1)
     R12, Rt12 = (_swap(1, 2, 2, N), -1, x - z), (q_op(1, 2, form, 2), 1, x + z)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
-                              [Rt12, R12], [R12, Rt12], seed)
+                              [Rt12, R12], [R12, Rt12], seed, form)
 
 
 def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityCheck:
@@ -358,7 +370,7 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
     l = L.n
     total = l + 1
     (x,) = variables(1)
-    E = _lift_slot1(e_operator(L, N), N)
+    E = e_operator(L, N)
     P1 = [_swap(1, k + 2, total, N) for k in range(l)]
     P_sum = sum(P1, SparseOperator.zero(N, total))
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
@@ -378,14 +390,14 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     (x,) = variables(1)
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c - half for c in L.contents]
-    F = _lift_slot1(f_operator_general(cfg), N)
+    F = f_operator_general(cfg)
     P1 = [_swap(1, 2 + k, total, N) for k in range(l)]
     Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(l)]
     PQ_sum = sum((P - Q for P, Q in zip(P1, Q1)), SparseOperator.zero(N, total))
     plain, tilde = _image_strings(x, ds, P1, Q1)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
                               "twisted-evaluation-collapse", tilde[::-1] + plain + [F],
-                              [(PQ_sum, -1, x + half), F], seed)
+                              [(PQ_sum, -1, x + half), F], seed, cfg.form)
 
 
 # ---------------------------------------------------------------------------

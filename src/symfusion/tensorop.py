@@ -451,6 +451,117 @@ def commutes_with(A: SparseOperator, table) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# operator products applied to unit columns
+#
+# A set of columns of a matrix on the tensor power is one integer vector
+# with keys row·dim + col, the layout the limit engine's start vector uses.
+
+
+def left_multiplication(op: SparseOperator, dim: int | None = None):
+    """The move u ↦ op.rows·u by op's integer numerators (the den is the
+    caller's), on vectors with keys row·dim + col: entry (k, c) moves to
+    (r, c) with weight op.rows[r][k].
+
+    ``dim`` defaults to op.dim.  A multiple N^m·op.dim stands for
+    1^{⊗m} ⊗ op, which moves row a·op.dim + k to a·op.dim + r for every
+    a, so the lifted operator is never built.
+    """
+    dim = dim or op.dim
+    shifts: dict[int, list[tuple[int, int]]] = {}
+    for r, row in op.rows.items():
+        for k, v in row.items():
+            shifts.setdefault(k, []).append(((r - k) * dim, v))
+    if dim != op.dim:
+        shifts = {a + k: s for a in range(0, dim, op.dim) for k, s in shifts.items()}
+
+    def move(vec: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for key, x in vec.items():
+            for shift, w in shifts.get(key // dim, ()):
+                nk = key + shift
+                out[nk] = out.get(nk, 0) + w * x
+        return out
+    return move
+
+
+class OrbitComparison:
+    """Exact comparison of ordered operator products on the tensor power
+    of C^N with n slots, on one unit column per orbit.
+
+    A side is a list of items, applied right to left: a SparseOperator
+    (one on fewer slots stands for 1 ⊗ it, acting on the last slots), a
+    rational scalar, or a factor (X, sign, den) for 1 + sign·X/den with den
+    a nonzero rational.  Every step is an integer move: a constant C maps
+    u ↦ C.rows·u and multiplies the side's den by C.den; a factor at
+    den = p/q maps u ↦ p·d_X·u + sign·q·X.rows·u and multiplies the den by
+    p·d_X, with d_X = X.den.  One move is built per operator.
+
+    The generators are the monomial isometries of ``form``, or of the
+    identity Gram when ``form`` is None, and each operator is checked
+    exactly to commute with their tensor powers.  Then both sides commute
+    with them, column π_g(c) of each side is s_g(c)·g^{⊗n}·(column c), and
+    the sides agree exactly when they agree on the orbit representatives.
+    Once an operator fails that check, every column is compared instead.
+    """
+
+    def __init__(self, N: int, n: int, form: BilinearForm | None = None):
+        self.N, self.n, self.dim = N, n, N ** n
+        self.form = form if form is not None else BilinearForm("symmetric", N)
+        self.columns = column_orbits(self.form, n).representatives
+        self._moves: dict[int, tuple] = {}  # id(op) -> (op, move)
+
+    def _move(self, op: SparseOperator):
+        entry = self._moves.get(id(op))
+        if entry is None:
+            if op.N != self.N or op.n > self.n:
+                raise AmbientMismatch(f"operator on {(op.N, op.n)} in a product on "
+                                      f"{(self.N, self.n)}")
+            if not all(commutes_with(op, t) for t in column_orbits(self.form, op.n).tables):
+                self.columns = range(self.dim)
+            entry = self._moves[id(op)] = (op, left_multiplication(op, self.dim))
+        return entry[1]
+
+    def _apply(self, side: list, start: dict[int, int]) -> tuple[dict[int, int], int]:
+        vec, den = start, 1
+        for item in reversed(side):
+            if isinstance(item, SparseOperator):
+                vec = self._move(item)(vec)
+                den *= item.den
+            elif isinstance(item, tuple):
+                X, sign, value = item
+                a = value.numerator * X.den
+                if not a:
+                    raise ZeroDivisionError(f"factor 1 + ({sign})·X/den at den = 0, X = {X!r}")
+                b = sign * value.denominator
+                out = {k: a * x for k, x in vec.items()}
+                for k, x in self._move(X)(vec).items():
+                    out[k] = out.get(k, 0) + b * x
+                vec = {k: x for k, x in out.items() if x}
+                den *= a
+            else:
+                c = Fraction(item)
+                vec = {k: c.numerator * x for k, x in vec.items()}
+                den *= c.denominator
+        return vec, den
+
+    def difference(self, lhs: list, rhs: list):
+        """None when the products of ``lhs`` and ``rhs`` are equal, else
+        (row, col, lhs entry, rhs entry) at their least differing entry
+        among the compared columns."""
+        for item in lhs + rhs:  # every commutation check runs before any column is picked
+            if not isinstance(item, (int, Fraction)):
+                self._move(item[0] if isinstance(item, tuple) else item)
+        dim = self.dim
+        start = {c * dim + c: 1 for c in self.columns}
+        (a, da), (b, db) = self._apply(lhs, start), self._apply(rhs, start)
+        keys = [k for k in a.keys() | b.keys() if a.get(k, 0) * db != b.get(k, 0) * da]
+        if not keys:
+            return None
+        key = min(keys)
+        return (*divmod(key, dim), Fraction(a.get(key, 0), da), Fraction(b.get(key, 0), db))
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Exact basis of a subspace of the tensor power, in canonical form.

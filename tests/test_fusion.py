@@ -9,7 +9,7 @@ from symfusion.exactnum import PoleAtLimit, limit_at_zero, value_at_zero
 from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               NonStandardNeighbor, SizeLimitExceeded,
                               e_operator, f_operator_closed,
-                              f_operator_general, measured_eigenvalue,
+                              f_operator_general,
                               operator_hash, scaled_idempotency_constant,
                               verify_corollary32, verify_divisibility,
                               verify_prop33, verify_scaled_idempotent,
@@ -172,10 +172,14 @@ def test_divisibility_examples():
 
 def test_measured_eigenvalue():
     E = e_operator(T((2,)), 2)
-    assert measured_eigenvalue(E) == 2
-    # the two-box disconnected skew element is not essentially idempotent
+    assert verify_scaled_idempotent(E, 2)
+    # the two-box disconnected skew element is not essentially idempotent:
+    # the one scalar that fits its entry (0, 0) does not fit E² = σ·E
     sk = [t for t in standard_tableaux(skew(P(2, 1), P(1))) if t.contents == (1, -1)][0]
-    assert measured_eigenvalue(e_operator(sk, 2)) is None
+    E = e_operator(sk, 2)
+    sq = E * E
+    sigma = sq.entry(0, 0) / E.entry(0, 0)
+    assert sq != E.scaled(sigma)
 
 
 def test_prop33_examples():
@@ -212,6 +216,53 @@ def test_corollary32_examples():
                                                    strict=False))
     with pytest.raises(NonStandardNeighbor):
         verify_corollary32(t21, 1, FusionConfig(t21, 3, 0, "symmetric"))
+
+
+def _on_the_orbit_of_zero(F, form):
+    """F plus 1 on the diagonal over the orbit of code 0: a perturbation
+    that commutes with every generator, so no check falls back."""
+    orbit = {0}
+    for code, parent, _ in column_orbits(form, F.n).steps:
+        if parent in orbit:
+            orbit.add(code)
+    return F + SparseOperator(F.N, F.n, {c: {c: 1} for c in orbit})
+
+
+def _doubled(F, form):
+    return F.scaled(2)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda F, form: F + SparseOperator(F.N, F.n, {0: {1: Fraction(1, 7)}}),
+    _doubled,
+    _on_the_orbit_of_zero,
+], ids=["entry_shift", "doubled", "orbit_shift"])
+@pytest.mark.parametrize("kind, N", [("symmetric", 3), ("alternating", 4)])
+def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
+    from symfusion import fusion
+
+    L = T((2, 1))
+    cfg = FusionConfig(L, N, 0, kind)
+    F, E = f_operator_general(cfg), e_operator(L, N)
+    bad = perturb(F, cfg.form)
+    assert verify_scaled_idempotent(F, 3, cfg.form) and verify_divisibility(F, E, 3, cfg.form)
+    # each verifier gives the verdict of the full products; divisibility is
+    # homogeneous in F, so 2F still passes it
+    assert bad * bad != bad.scaled(3)
+    assert not verify_scaled_idempotent(bad, 3, cfg.form)
+    divides = bad * E == bad.scaled(3) == E * bad
+    assert verify_divisibility(bad, E, 3, cfg.form) == divides
+    assert divides == (perturb is _doubled)
+    # k = 2 exchanges the contents 1 and -1 of the row tableau
+    assert verify_corollary32(L, 2, cfg)
+    P = perm_op(Permutation.transposition(3, 2, 3), N)
+    I = SparseOperator.identity(N, 3)
+    Fk = f_operator_general(FusionConfig(L.swap_adjacent(2), N, 0, kind))
+    assert (P * (I + P.scaled(Fraction(1, 2))) * bad) != Fk * (I - P.scaled(Fraction(1, 2))) * P
+    built = fusion.f_operator_general
+    monkeypatch.setattr(fusion, "f_operator_general",
+                        lambda c: perturb(built(c), c.form) if c == cfg else built(c))
+    assert not verify_corollary32(L, 2, cfg)
 
 
 def test_theta_factorization_configs(monkeypatch):
@@ -285,13 +336,12 @@ def test_invariant_traceless_projector_with_two_or_more_factors():
 
 def test_divisibility_for_skew_shape_with_measured_scalar():
     # single-row skew: the symmetrizer operator is essentially idempotent,
-    # so the measured eigenvalue feeds the divisibility reformulation
+    # with E² = 2·E, so σ = 2 feeds the divisibility reformulation
     O = T((3,), (1,))
     cfg = FusionConfig(O, 2, 1, "symmetric")
     E = e_operator(O, 2)
-    sigma = measured_eigenvalue(E)
-    assert sigma == 2
-    assert verify_divisibility(f_operator_general(cfg), E, sigma)
+    assert verify_scaled_idempotent(E, 2)
+    assert verify_divisibility(f_operator_general(cfg), E, 2)
 
 
 def test_pole_detection_machinery():

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import mul
 
 import pytest
 
 from symfusion import rmatrix
-from symfusion.fusion import FusionConfig
-from symfusion.rmatrix import (Affine, SampleAtPole, _difference_witness,
+from symfusion.fusion import FusionConfig, e_operator, f_operator_general
+from symfusion.rmatrix import (Affine, SampleAtPole,
                                _g_factors, _h_factors, check_eval_consistency_E,
                                check_eval_consistency_F, check_image_coincidence,
                                check_intertwiner_E, check_intertwiner_F,
@@ -14,7 +18,8 @@ from symfusion.rmatrix import (Affine, SampleAtPole, _difference_witness,
 from symfusion.shapes import (Partition, partitions_of, row_tableau, skew,
                               standard_tableaux)
 from symfusion.symalg import Permutation
-from symfusion.tensorop import (SparseOperator, alternating_form, perm_op, q_op,
+from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator,
+                                alternating_form, column_orbits, perm_op, q_op,
                                 symmetric_form)
 
 SEED = 1729
@@ -199,7 +204,8 @@ def test_zero_identity_and_stored_zero_witness():
     # an unequal pair gets its first differing entry as the witness
     a = SparseOperator(2, 1, {0: {1: 3}, 1: {0: Fraction(1, 2)}})
     b = SparseOperator(2, 1, {0: {1: Fraction(3, 2)}, 1: {0: Fraction(1, 2)}})
-    witness = _difference_witness((Fraction(1),), a, b)
+    assert OrbitComparison(2, 1).difference([a], [b]) == (0, 1, 3, Fraction(3, 2))
+    witness = run_identity_check("toy", "toy-statement", [a], [b], SEED).witness
     assert (witness["row"], witness["col"]) == (0, 1)
     assert (witness["lhs"], witness["rhs"]) == ("3", "3/2")
 
@@ -217,6 +223,16 @@ def test_factor_pole_rejection():
     chk = run_identity_check("toy", "toy-statement", factors, factors, SEED)
     assert chk.passed and chk.degree_bound == 40 and len(chk.samples) == 41
     assert all(pt[0] not in range(40) for pt in chk.samples)
+
+
+def test_sample_points_raise_when_the_poles_leave_too_few():
+    # the poles x = 0..299 leave 286 of the 335 values a coordinate takes,
+    # and degree 300 needs 301 points: every candidate is drawn, then it raises
+    (x,) = variables(1)
+    I = SparseOperator.identity(2, 1)
+    factors = [(I, 1, x - k) for k in range(300)]
+    with pytest.raises(ValueError, match="avoid the poles"):
+        run_identity_check("toy", "toy-statement", factors, factors, SEED)
 
 
 def test_affine_forms():
@@ -361,3 +377,120 @@ def test_every_family_rejects_a_perturbed_input(family, monkeypatch):
     assert not chk.passed
     assert chk.witness is not None and chk.witness["sample"] == [
         str(x) for x in chk.samples[-1]]
+
+
+# ---------------------------------------------------------------------------
+# the orbit-column comparison against full products
+
+
+def _full_product(side, N, n):
+    """The product of a side as one operator, each factor built by
+    ``factor`` and each scalar as a multiple of the identity."""
+    out = SparseOperator.identity(N, n)
+    for item in side:
+        if isinstance(item, tuple):
+            item = factor(*item)
+        elif not isinstance(item, SparseOperator):
+            item = SparseOperator.identity(N, n, item)
+        out = out * item
+    return out
+
+
+def _orbit_indicator(form, n, rep):
+    """The diagonal operator that is 1 on the orbit of the representative
+    ``rep`` and 0 elsewhere: it commutes with every generator, whose signs
+    square to 1, and it is nonzero in that one orbit."""
+    orbit = {rep}
+    for code, parent, _ in column_orbits(form, n).steps:
+        if parent in orbit:
+            orbit.add(code)
+    return SparseOperator(form.N, n, {c: {c: 1} for c in orbit})
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+def test_orbit_comparison_matches_full_equality(kind):
+    rng = random.Random(SEED)
+    form = BilinearForm(kind, 4)
+    for n in (2, 3, 4):
+        pairs = list(combinations(range(1, n + 1), 2))
+        units = [q_op(k, l, form, n) for k, l in pairs] + [
+            perm_op(Permutation.transposition(n, k, l), 4) for k, l in pairs]
+
+        def combination():
+            # a random integer combination of products of unit operators
+            return reduce(lambda a, b: a + b, (
+                reduce(mul, rng.choices(units, k=rng.randint(1, 3))).scaled(
+                    rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(3)))
+
+        lhs = [combination(), (rng.choice(units), 1, Fraction(5, 3)), combination(),
+               Fraction(2, 7)]
+        full = _full_product(lhs, 4, n)
+        reps = column_orbits(form, n).representatives
+        rep = rng.choice(reps)
+        D = _orbit_indicator(form, n, rep)
+        cases = [(lhs, [full]), (lhs, [full + D])]
+        if n == 3:
+            T = row_tableau(skew(P(2, 1)))
+            F, E = f_operator_general(FusionConfig(T, 4, 0, kind)), e_operator(T, 4)
+            cases += [([F, F], [3, F]), ([F, E], [3, F]), ([E, F], [3, F + D])]
+        compare = OrbitComparison(4, n, form)
+        outcomes = []
+        for a, b in cases:
+            same = compare.difference(a, b) is None
+            assert same == (_full_product(a, 4, n) == _full_product(b, 4, n))
+            outcomes.append(same)
+        assert compare.columns == reps  # every operator commutes: no fallback
+        assert outcomes[:2] == [True, False] and (n != 3 or outcomes[2:] == [True, True, False])
+        # the sides differ only on the diagonal of rep's orbit, and rep is
+        # the one compared column there
+        value = full.entry(rep, rep)
+        assert compare.difference(lhs, [full + D]) == (rep, rep, value, value + 1)
+
+
+def test_a_non_equivariant_operator_turns_on_every_column():
+    form = alternating_form(4)
+    Q, P12 = q_op(1, 2, form, 2), swap12(4)
+    reps, reps3 = (column_orbits(form, n).representatives for n in (2, 3))
+    # a column that the exchange moves, off the representatives on two
+    # slots, and whose lifts a·16 + c are off them on three
+    c = next(c for c in range(16) if c % 5 and c not in reps
+             and all(a * 16 + c not in reps3 for a in range(4)))
+    bad = Q + SparseOperator(4, 2, {0: {c: Fraction(1, 7)}})
+    compare = OrbitComparison(4, 2, form)
+    assert compare.difference([bad], [Q]) == (0, c, Q.entry(0, c) + Fraction(1, 7),
+                                              Q.entry(0, c))
+    assert compare.columns == range(16)
+    # as 1 ⊗ bad on three slots it is checked on its own two
+    compare = OrbitComparison(4, 3, form)
+    assert compare.difference([bad], [Q])[:2] == (0, c)
+    assert compare.columns == range(64)
+    # in a sampled check the witness is the least differing entry of the
+    # full products at the failing sample
+    (x,) = variables(1)
+    chk = run_identity_check("toy", "toy-statement", [(bad, 1, x), (P12, -1, x)],
+                             [(P12, -1, x), (bad, 1, x)], SEED, form)
+    assert not chk.passed
+    w = chk.witness
+    x0 = Fraction(w["sample"][0])
+    a = factor(bad, 1, x0) * factor(P12, -1, x0)
+    b = factor(P12, -1, x0) * factor(bad, 1, x0)
+    assert (w["row"], w["col"]) == min((r, k) for r, row in (a - b).rows.items() for k in row)
+    assert (Fraction(w["lhs"]), Fraction(w["rhs"])) == (a.entry(w["row"], w["col"]),
+                                                       b.entry(w["row"], w["col"]))
+
+
+def test_identity_gram_generators_do_not_pass_a_contraction_check():
+    # Q of Sp_4 and its cut to the identity Gram's representative columns
+    # agree on those columns only; Q does not commute with the identity
+    # Gram's isometries, so every column is compared
+    Q = q_op(1, 2, alternating_form(4), 2)
+    reps = column_orbits(symmetric_form(4), 2).representatives
+    cut = SparseOperator(4, 2, {r: {c: v for c, v in row.items() if c in reps}
+                                for r, row in Q.rows.items()}, Q.den)
+    chk = run_identity_check("toy", "toy-statement", [Q], [cut], SEED)
+    assert not chk.passed and chk.witness["col"] not in reps
+    # a true contraction identity still passes there
+    x, y = variables(2)
+    chk = run_identity_check("toy", "toy-statement", [(Q, 1, x + y), (Q, -1, x + y + 4)],
+                             [SparseOperator.identity(4, 2)], SEED)
+    assert chk.passed
