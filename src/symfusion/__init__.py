@@ -7,16 +7,15 @@ from .shapes import (ContainmentError, ParityError, Partition, SkewShape,
                      StandardTableau, column_tableau, conjugate,
                      count_semistandard, dim_sym_irrep, row_tableau, skew,
                      standard_tableaux, validate_label)
-from .symalg import (GroupAlgebraElement, Permutation, e_col, e_row,
-                     e_skew_extract, e_tableau, fusion_e, fusion_e_skew,
+from .symalg import (GroupAlgebraElement, Permutation, compose, e_col,
+                     e_row, e_skew_extract, e_tableau, fusion_e_skew, iota,
                      theta, young_p, young_q)
 from .tensorop import (BilinearForm, SparseOperator, SubspaceBasis, act,
-                       alternating_form, dual_basis, image_basis,
-                       kernel_basis, perm_op, q_op, rank, symmetric_form,
-                       traceless_basis)
+                       dual_basis, image_basis, kernel_basis, perm_op, q_op,
+                       rank, traceless_basis)
 from .fusion import (FusionCertificate, FusionConfig, NotApplicable,
-                     SizeLimitExceeded, e_operator, f_operator_closed,
-                     f_operator_general, verify_corollary32, verify_prop33,
+                     SizeLimitExceeded, e_operator, f_operator_general,
+                     verify_corollary32, verify_divisibility, verify_prop33,
                      verify_scaled_idempotent, verify_theta_factorization)
 
 __version__ = "0.1.0"

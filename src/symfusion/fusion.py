@@ -253,23 +253,12 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
 CLOSED_FORMULAS = ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case")
 
 
-def f_operator_closed(cfg: FusionConfig, formula: str) -> SparseOperator:
-    """Closed-form contraction product times the plain symmetrizer.
-
-    Each formula has an applicability condition; NotApplicable is raised
-    when it fails.  The result must agree exactly with the general route,
-    which the acceptance suite checks across the sweep.
-    """
-    factors = _closed_factors(cfg, formula)
-    out = e_operator(cfg.tableau, cfg.N)
-    for Q, sign, d in reversed(factors):
-        out = out + Q.scaled(Fraction(sign, d)) * out
-    return out
-
-
 def _closed_factors(cfg: FusionConfig, formula: str) -> list:
     """The contraction factors (Q_kl, -1, d) of a closed formula, one for
-    1 - Q_kl/d, in product order: the formula is their product times E."""
+    1 - Q_kl/d, in product order: the formula is their product times E.
+
+    Each formula has an applicability condition; NotApplicable is raised
+    when it fails.  ``certify`` compares the product with F."""
     from .shapes import column_tableau, row_tableau
 
     O = cfg.tableau
@@ -331,14 +320,7 @@ def _closed_factors(cfg: FusionConfig, formula: str) -> list:
 
 
 def scaled_idempotency_constant(lam: Partition) -> Fraction:
-    return Fraction(_factorial(lam.size), dim_sym_irrep(lam))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return Fraction(math.factorial(lam.size), dim_sym_irrep(lam))
 
 
 def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction,
@@ -585,9 +567,11 @@ def operator_hash(A: SparseOperator) -> str:
 def certify(cfg: FusionConfig) -> FusionCertificate:
     """Build the operator for one configuration and run the checks that
     make sense for it; every check names the statement it instantiates.
-    Each closed formula's chain of contraction factors is applied to E's
-    orbit columns and compared with F's (``OrbitComparison``), so no
-    closed-form operator is built."""
+    The operator equations share one ``OrbitComparison``, so each of F and
+    E gets one move and one commutation check: σ·F against F·F, F·E and
+    E·F for the scaled square and divisibility, and F against each closed
+    formula's chain of contraction factors times E, which is the only
+    route that evaluates a closed formula."""
     cert = FusionCertificate(config=cfg.describe())
     try:
         F = f_operator_general(cfg)
@@ -598,20 +582,20 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
     cert.operator_hash = operator_hash(F)
     cert.add(CheckResult("regular-limit", "fusion-product-regularity", True))
     E = e_operator(cfg.tableau, cfg.N)
-    non_skew = not cfg.tableau.shape.is_skew
-    if non_skew:
-        scalar = scaled_idempotency_constant(cfg.tableau.shape.lam)
+    compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
+    if not cfg.tableau.shape.is_skew:
+        scaled_F = [scaled_idempotency_constant(cfg.tableau.shape.lam), F]
         cert.add(CheckResult("scaled-idempotency", "scaled-square",
-                             verify_scaled_idempotent(F, scalar, cfg.form)))
+                             compare.difference([F, F], scaled_F) is None))
         cert.add(CheckResult("two-sided-divisibility", "symmetrizer-divides",
-                             verify_divisibility(F, E, scalar, cfg.form)))
+                             all(compare.difference(lhs, scaled_F) is None
+                                 for lhs in ([F, E], [E, F]))))
         if cfg.M == 0:
             cert.add(CheckResult("traceless-image", "traceless-image-equality",
                                  verify_prop33(cfg)))
     cert.rank = rank(F)
     cert.add(CheckResult("rank-monotone", "image-dimension-bound",
                          cert.rank <= rank(E)))
-    compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
     for formula in CLOSED_FORMULAS:
         try:
             chain = _closed_factors(cfg, formula)

@@ -125,9 +125,6 @@ class StandardTableau:
     def n(self) -> int:
         return self.shape.n
 
-    def cell_of(self, k: int) -> tuple[int, int]:
-        return self.shape.cells[self.entries.index(k)]
-
     @property
     def contents(self) -> tuple[int, ...]:
         """c_k = column - row of the box holding k, for k = 1..n."""
@@ -303,8 +300,3 @@ def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
         for rest in partitions_of(n - first, first):
             out.append(Partition((first,) + rest.parts))
     return out
-
-
-def sub_partitions(lam: Partition, m: int) -> list[Partition]:
-    """Partitions of m contained in lam."""
-    return [mu for mu in partitions_of(m) if lam.contains(mu)]

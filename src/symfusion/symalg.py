@@ -126,14 +126,6 @@ class GroupAlgebraElement:
         self.n = n
         (self.terms,), self.den = normal_form([acc], den)
 
-    @classmethod
-    def one(cls, n: int, coeff=Fraction(1)) -> "GroupAlgebraElement":
-        return cls(n, {tuple(range(1, n + 1)): coeff})
-
-    @classmethod
-    def from_permutation(cls, s: Permutation, coeff=Fraction(1)) -> "GroupAlgebraElement":
-        return cls(len(s), {tuple(s): coeff})
-
     def _check(self, other: "GroupAlgebraElement"):
         if self.n != other.n:
             raise DegreeMismatch(f"degrees {self.n} and {other.n} differ")
@@ -371,18 +363,14 @@ def _fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
                                                  "fusion product"))
 
 
-def fusion_e(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
-    """Value of the fusion product at the diagonal limit for non-skew T.
+def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
+    """Value of the fusion product at the diagonal limit, for any (skew)
+    standard tableau T.
 
     The constrained variables are substituted along the line t_k = g_k·ε
     where g_k is the row (mode "row") or column (mode "column") index of
     the box of k; regularity makes the value line-independent.
     """
-    _require_non_skew(T)
-    return fusion_e_skew(T, mode)
-
-
-def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
     if mode not in ("row", "column"):
         raise ValueError(f"mode must be 'row' or 'column', got {mode!r}")
     groups = T.rows() if mode == "row" else T.columns()

@@ -6,8 +6,9 @@ with i_1 most significant.  Operators hold int numerators over one
 denominator (``SparseOperator``, in the ``exactnum.normal_form`` that a
 group-algebra element shares, so ``act`` reads an element's numerators
 and den directly) and subspaces hold integer echelon rows
-(``SubspaceBasis``); Fractions appear only at the ``entry``/``apply``
-boundary and in ``BilinearForm``.
+(``SubspaceBasis``); Fractions appear only where rationals enter or leave
+(``entry``, ``scaled``, ``to_triplets``, ``span_of_vectors``, the scalars
+and witnesses of ``OrbitComparison``) and in ``BilinearForm``.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class BilinearForm:
         if self.gram_inverse() is None:
             raise SingularForm("Gram matrix is singular")
 
-    def pairing(self, i: int, j: int) -> Fraction:
-        """<e_i, e_j> with 1-based indices."""
-        return self.gram[i - 1][j - 1]
-
     def gram_inverse(self):
         """G⁻¹ read off the echelon form of [s·G | s] (s clears each row's
         denominators), which is [d·I | d·G⁻¹] row by row; None if singular."""
@@ -106,19 +103,9 @@ def _default_gram(kind: str, N: int):
     return gram
 
 
-def symmetric_form(N: int, gram=None) -> BilinearForm:
-    return BilinearForm("symmetric", N, gram)
-
-
-def alternating_form(N: int, gram=None) -> BilinearForm:
-    return BilinearForm("alternating", N, gram)
-
-
 def dual_basis(form: BilinearForm) -> list[tuple[Fraction, ...]]:
     """Vectors v_j with <e_i, v_j> = delta_ij, solved from the Gram matrix."""
-    inv = form.gram_inverse()
-    if inv is None:
-        raise SingularForm("Gram matrix is singular")
+    inv = form.gram_inverse()  # not None: the constructor rejects a singular Gram
     return [tuple(inv[k][j] for k in range(form.N)) for j in range(form.N)]
 
 
@@ -214,21 +201,6 @@ class SparseOperator:
         self._check(other)
         return SparseOperator(self.N, self.n, kernels.sparse_mm(self.rows, other.rows),
                               self.den * other.den)
-
-    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Image of a vector {code: rational}, brought to int numerators once."""
-        (ivec,), scale = normal_form([vec])
-        den = self.den * scale
-        out: dict[int, Fraction] = {}
-        for r, cols in self.rows.items():
-            acc = 0
-            for c, v in cols.items():
-                x = ivec.get(c)
-                if x is not None:
-                    acc += v * x
-            if acc:
-                out[r] = Fraction(acc, den)
-        return out
 
     def to_triplets(self) -> list[dict]:
         return [{"row": r, "col": c, "value": format_rational(Fraction(cols[c], self.den))}

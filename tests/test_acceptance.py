@@ -9,8 +9,8 @@ most six boxes, matching the bound on extending tableaux.
 
 from fractions import Fraction
 
-from symfusion.fusion import (FusionConfig, NotApplicable, e_operator,
-                              f_operator_closed, f_operator_general,
+from symfusion.fusion import (FusionConfig, NotApplicable, _closed_factors,
+                              e_operator, f_operator_general,
                               scaled_idempotency_constant, verify_corollary32,
                               verify_prop33, verify_scaled_idempotent,
                               verify_theta_factorization)
@@ -19,11 +19,10 @@ from symfusion.rmatrix import (check_intertwiner_E, check_intertwiner_F,
                                check_reflection_image, check_rtt,
                                check_unitarity, check_yang_baxter_family)
 from symfusion.shapes import (Partition, count_semistandard, partitions_of,
-                              skew, standard_tableaux, sub_partitions,
-                              validate_label)
+                              skew, standard_tableaux, validate_label)
 from symfusion.symalg import (e_skew_extract, e_tableau, extend_tableau,
                               fusion_e_skew)
-from symfusion.tensorop import alternating_form, rank, symmetric_form
+from symfusion.tensorop import BilinearForm, OrbitComparison, rank
 
 SEED = 1729
 
@@ -37,7 +36,7 @@ def _skew_shapes(max_outer, min_cells, max_cells):
     for outer in range(1, max_outer + 1):
         for lam in partitions_of(outer):
             for inner in range(max(0, outer - max_cells), outer - min_cells + 1):
-                for mu in sub_partitions(lam, inner):
+                for mu in filter(lam.contains, partitions_of(inner)):
                     yield lam, mu
 
 
@@ -117,18 +116,22 @@ def _closed_sweep():
 
 
 def test_criterion_04_closed_form_agreement():
-    """Every applicable closed formula equals the general product route."""
+    """Every applicable closed formula equals the general product route:
+    F against the formula's chain of contraction factors times E, on the
+    orbit columns, as ``certify`` compares them."""
     checked = 0
     applied = 0
     for cfg in _closed_sweep():
         F = f_operator_general(cfg)
+        E = e_operator(cfg.tableau, cfg.N)
+        compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
         checked += 1
         for formula in ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case"):
             try:
-                G = f_operator_closed(cfg, formula)
+                chain = _closed_factors(cfg, formula)
             except NotApplicable:
                 continue
-            assert G == F, (cfg.describe(), formula)
+            assert compare.difference([F], chain + [E]) is None, (cfg.describe(), formula)
             applied += 1
     assert applied > checked  # every config admits at least one formula
     print(f"\nACCEPTANCE 4 closed-form-agreement: PASS "
@@ -153,7 +156,7 @@ def test_criterion_05_rank_oracle():
 def test_criterion_06_identity_certificates():
     """All sampled rational identities pass at degree_bound + 1 samples."""
     results = []
-    sym2, alt2 = symmetric_form(2), alternating_form(2)
+    sym2, alt2 = BilinearForm("symmetric", 2), BilinearForm("alternating", 2)
     for form in (sym2, alt2):
         for which in ("YB35", "tilde37", "bar38", "mixed385"):
             results.append(check_yang_baxter_family(which, 2, form, SEED))

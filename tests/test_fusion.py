@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -6,20 +7,20 @@ import pytest
 from qq_oracle import qq_rank
 
 from symfusion.exactnum import PoleAtLimit, limit_at_zero, value_at_zero
+from symfusion import fusion
 from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               NonStandardNeighbor, SizeLimitExceeded,
-                              e_operator, f_operator_closed,
-                              f_operator_general,
-                              operator_hash, scaled_idempotency_constant,
+                              _closed_factors, certify, e_operator,
+                              f_operator_general, operator_hash,
+                              scaled_idempotency_constant,
                               verify_corollary32, verify_divisibility,
                               verify_prop33, verify_scaled_idempotent,
                               verify_theta_factorization)
 from symfusion.shapes import (Partition, column_tableau, count_semistandard,
                               row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation
-from symfusion.tensorop import (SparseOperator, alternating_form,
-                                column_orbits, decode, perm_op, q_op, rank,
-                                symmetric_form)
+from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator,
+                                column_orbits, decode, perm_op, q_op, rank)
 
 
 def P(*parts):
@@ -90,7 +91,7 @@ def test_f_general_O3_single_row():
     cfg = FusionConfig(T((2,)), 3, 0, "symmetric")
     F = f_operator_general(cfg)
     I = SparseOperator.identity(3, 2)
-    Q = q_op(1, 2, symmetric_form(3), 2)
+    Q = q_op(1, 2, BilinearForm("symmetric", 3), 2)
     Pm = perm_op(Permutation((2, 1)), 3)
     assert F == I + Pm - Q.scaled(Fraction(2, 3))
     assert (Q * F).is_zero()
@@ -110,41 +111,69 @@ def test_f_general_O2_single_column():
     F = f_operator_general(cfg)
     assert F == I2() - P12_2
     assert rank(F) == 1
-    assert (q_op(1, 2, symmetric_form(2), 2) * F).is_zero()
+    assert (q_op(1, 2, BilinearForm("symmetric", 2), 2) * F).is_zero()
+
+
+def closed_form_difference(cfg, formula, chain=None):
+    """certify's closed-form check: F against the closed formula's chain of
+    contraction factors times E, on orbit columns; None when they agree."""
+    chain = _closed_factors(cfg, formula) if chain is None else chain
+    return OrbitComparison(cfg.N, cfg.n, cfg.form).difference(
+        [f_operator_general(cfg)], chain + [e_operator(cfg.tableau, cfg.N)])
 
 
 def test_closed_formula_examples():
     cfg = FusionConfig(T((2,)), 3, 0, "symmetric")
-    F = f_operator_general(cfg)
-    assert f_operator_closed(cfg, "col_O") == F
-    assert f_operator_closed(cfg, "regular_case") == F
-    assert f_operator_closed(cfg, "any_SO") == F
+    for formula in ("col_O", "regular_case", "any_SO"):
+        assert closed_form_difference(cfg, formula) is None, formula
     cfg_sp = FusionConfig(T((2,)), 2, 0, "alternating")
-    assert f_operator_closed(cfg_sp, "row_Sp") == f_operator_general(cfg_sp)
-    assert f_operator_closed(cfg_sp, "any_Sp") == f_operator_general(cfg_sp)
-    # empty pair set: both boxes share the single column
+    for formula in ("row_Sp", "any_Sp"):
+        assert closed_form_difference(cfg_sp, formula) is None, formula
+    # empty pair set: both boxes share the single column, so the formula is E
     cfg_col = FusionConfig(T((1, 1)), 2, 0, "symmetric")
-    assert f_operator_closed(cfg_col, "col_O") == e_operator(T((1, 1)), 2)
+    assert _closed_factors(cfg_col, "col_O") == []
+    assert closed_form_difference(cfg_col, "col_O") is None
+
+
+def test_closed_form_check_rejects_a_shifted_den(monkeypatch):
+    """Shifting the den of one factor of a closed formula by 1 fails the
+    closed-form check of ``certify``, for every factor of these chains."""
+    cases = ((FusionConfig(T((2, 1)), 4, 0, "alternating"), "row_Sp"),
+             (FusionConfig(T((2, 1), which="col"), 3, 0, "symmetric"), "col_O"))
+    for cfg, formula in cases:
+        check = f"closed-form/{formula}"
+        chain = _closed_factors(cfg, formula)
+        assert chain and closed_form_difference(cfg, formula) is None
+        assert {c.name: c.passed for c in certify(cfg).checks}[check]
+        for i, (Q, sign, d) in enumerate(chain):
+            shifted = chain[:i] + [(Q, sign, d + 1)] + chain[i + 1:]
+            assert closed_form_difference(cfg, formula, shifted) is not None, (formula, i)
+            with monkeypatch.context() as patch:
+                patch.setattr(fusion, "_closed_factors",
+                              lambda c, f: shifted if f == formula else _closed_factors(c, f))
+                verdicts = {c.name: c.passed for c in certify(cfg).checks}
+            assert not verdicts[check], (formula, i)
+            assert all(ok for name, ok in verdicts.items() if name != check)
 
 
 def test_closed_formula_applicability():
     cfg = FusionConfig(T((2,)), 3, 0, "symmetric")
     with pytest.raises(NotApplicable):
-        f_operator_closed(cfg, "row_Sp")
+        _closed_factors(cfg, "row_Sp")
     with pytest.raises(NotApplicable):
-        f_operator_closed(cfg, "any_Sp")
+        _closed_factors(cfg, "any_Sp")
     cfg_col = FusionConfig(T((1, 1)), 2, 0, "symmetric")
     with pytest.raises(NotApplicable):
-        f_operator_closed(cfg_col, "any_SO")  # 2*2 > 2
+        _closed_factors(cfg_col, "any_SO")  # 2*2 > 2
     with pytest.raises(NotApplicable):
-        f_operator_closed(cfg_col, "regular_case")
+        _closed_factors(cfg_col, "regular_case")
     # non-column tableau rejected by col_O
     cfg_rowtab = FusionConfig(T((2, 1), which="row"), 3, 0, "symmetric")
     tabs = standard_tableaux(skew(P(2, 1)))
     other = [t for t in tabs if t != column_tableau(skew(P(2, 1)))][0]
     assert other == cfg_rowtab.tableau
     with pytest.raises(NotApplicable):
-        f_operator_closed(cfg_rowtab, "col_O")
+        _closed_factors(cfg_rowtab, "col_O")
 
 
 def test_scaled_idempotency_examples():
@@ -265,6 +294,35 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
     assert not verify_corollary32(L, 2, cfg)
 
 
+def _plus_P13_E(F, form):
+    """F + P_13·E: still F·E = 3F, but not E·F = 3F."""
+    return F + perm_op(Permutation.transposition(3, 1, 3), F.N) * e_operator(T((2, 1)), F.N)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda F, form: F + SparseOperator(F.N, F.n, {0: {1: Fraction(1, 7)}}),
+    _doubled,
+    _on_the_orbit_of_zero,
+    _plus_P13_E,
+], ids=["entry_shift", "doubled", "orbit_shift", "plus_P13_E"])
+@pytest.mark.parametrize("kind, N", [("symmetric", 3), ("alternating", 4)])
+def test_certify_gives_the_verifiers_verdicts(monkeypatch, perturb, kind, N):
+    """certify runs its operator equations on one shared OrbitComparison;
+    on a perturbed F its verdicts are those of the standalone verifiers,
+    and every closed formula rejects it."""
+    cfg = FusionConfig(T((2, 1)), N, 0, kind)
+    E = e_operator(cfg.tableau, N)
+    bad = perturb(f_operator_general(cfg), cfg.form)
+    assert (bad * E == bad.scaled(3)) is (perturb in (_doubled, _plus_P13_E))
+    built = fusion.f_operator_general
+    monkeypatch.setattr(fusion, "f_operator_general", lambda c: bad if c == cfg else built(c))
+    verdicts = {c.name: c.passed for c in certify(cfg).checks}
+    assert verdicts["scaled-idempotency"] is verify_scaled_idempotent(bad, 3, cfg.form) is False
+    assert (verdicts["two-sided-divisibility"] is verify_divisibility(bad, E, 3, cfg.form)
+            is (perturb is _doubled))
+    assert not any(ok for name, ok in verdicts.items() if name.startswith("closed-form/"))
+
+
 def test_theta_factorization_configs(monkeypatch):
     monkeypatch.setenv("FUSION_MAX_DIM", "1000")  # the size cap comes from here
     t2 = T((2,))
@@ -321,14 +379,18 @@ def test_invariant_traceless_projector_with_two_or_more_factors():
     from symfusion.fusion import invariant_traceless_projector
     from symfusion.tensorop import traceless_basis
 
-    for M, m, form in ((2, 2, symmetric_form(2)), (3, 3, symmetric_form(3)),
-                       (4, 2, alternating_form(4)),
-                       (2, 2, symmetric_form(2, [[2, 1], [1, Fraction(1, 3)]]))):
+    for M, m, form in ((2, 2, BilinearForm("symmetric", 2)), (3, 3, BilinearForm("symmetric", 3)),
+                       (4, 2, BilinearForm("alternating", 4)),
+                       (2, 2, BilinearForm("symmetric", 2, [[2, 1], [1, Fraction(1, 3)]]))):
         H = invariant_traceless_projector(M, m, form)
         T = traceless_basis(M, m, form)
         assert H * H == H and rank(H) == T.dim
-        for vec in T.vectors:
-            assert H.apply(dict(vec)) == dict(vec)
+        traceless = {}  # T's vectors as the columns of one operator
+        for j, vec in enumerate(T.vectors):
+            for code, v in vec:
+                traceless.setdefault(code, {})[j] = v
+        traceless = SparseOperator(M, m, traceless)
+        assert H * traceless == traceless
         for k in range(1, m):
             for l in range(k + 1, m + 1):
                 assert (H * q_op(k, l, form, m)).is_zero()
@@ -368,6 +430,17 @@ def test_operator_hash_stability():
     assert operator_hash(SparseOperator.zero(2, 2)) == hashlib.sha256(b"[]").hexdigest()[:16]
 
 
+def test_operator_hash_is_the_sha256_of_the_triplets():
+    """operator_hash streams the compact JSON of to_triplets by hand; it
+    must stay the same bytes."""
+    handmade = SparseOperator(2, 2, {0: {0: Fraction(-3, 4), 3: 2}, 2: {1: Fraction(5, 6)}})
+    F = f_operator_general(FusionConfig(T((2,)), 3, 0, "symmetric"))  # I + P - 2Q/3
+    for A in (handmade, F):
+        assert A.den != 1 and any(v < 0 for row in A.rows.values() for v in row.values())
+        text = json.dumps(A.to_triplets(), separators=(",", ":"))
+        assert operator_hash(A) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 # operator_hash of (F, E) for row tableaux at N = 4, pinned from the
 # integer-polynomial and rational-function limit routes that the integer
 # series engine replaced; it must reproduce them exactly
@@ -401,15 +474,13 @@ def test_rank_of_F_matches_traceless_intersection_dimension():
     for tab, N, kind in cases:
         cfg = FusionConfig(tab, N, 0, kind)
         F = f_operator_general(cfg)
-        form = symmetric_form(N) if kind == "symmetric" else alternating_form(N)
+        form = BilinearForm(kind, N)
         E = e_operator(tab, N)
         meet = intersect(image_basis(E), traceless_basis(N, tab.n, form))
         assert rank(F) == meet.dim
 
 
 def test_certify_collects_passing_checks():
-    from symfusion.fusion import certify
-
     cert = certify(FusionConfig(T((2,)), 3, 0, "symmetric"))
     assert cert.all_passed()
     names = {c.name for c in cert.checks}
@@ -435,13 +506,12 @@ def test_route_agreement_small_sweep():
     ]
     for tab, N, M, kind in cases:
         cfg = FusionConfig(tab, N, M, kind)
-        F = f_operator_general(cfg)
         for formula in ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case"):
             try:
-                G = f_operator_closed(cfg, formula)
+                chain = _closed_factors(cfg, formula)
             except NotApplicable:
                 continue
-            assert G == F, (tab, N, M, kind, formula)
+            assert closed_form_difference(cfg, formula, chain) is None, (tab, N, M, kind, formula)
 
 
 def _unreduced_f(cfg):

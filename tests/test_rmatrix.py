@@ -19,8 +19,7 @@ from symfusion.shapes import (Partition, partitions_of, row_tableau, skew,
                               standard_tableaux)
 from symfusion.symalg import Permutation
 from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator,
-                                alternating_form, column_orbits, perm_op, q_op,
-                                symmetric_form)
+                                column_orbits, perm_op, q_op)
 
 SEED = 1729
 
@@ -41,7 +40,7 @@ def test_R_factor_values():
         Fraction(1, 2))
     assert op == expected
     # the contraction factor 1 + Q/(x+y) at (3, 1)
-    Q = q_op(1, 2, symmetric_form(2), 2)
+    Q = q_op(1, 2, BilinearForm("symmetric", 2), 2)
     assert factor(Q, 1, Fraction(4)) == SparseOperator.identity(2, 2) + Q.scaled(
         Fraction(1, 4))
     with pytest.raises(SampleAtPole):
@@ -49,7 +48,7 @@ def test_R_factor_values():
 
 
 def test_tilde_bar_inverse_at_sample():
-    Q = q_op(1, 2, symmetric_form(2), 2)
+    Q = q_op(1, 2, BilinearForm("symmetric", 2), 2)
     x, y = Fraction(3), Fraction(1)
     prod = factor(Q, 1, x + y) * factor(Q, -1, x + y + 2)
     assert prod == SparseOperator.identity(2, 2)
@@ -65,7 +64,7 @@ def test_RR_flipped_is_scalar():
 @pytest.mark.parametrize("which", ["YB35", "tilde37", "bar38", "mixed385"])
 @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
 def test_yang_baxter_family(which, kind):
-    form = symmetric_form(2) if kind == "symmetric" else alternating_form(2)
+    form = BilinearForm(kind, 2)
     chk = check_yang_baxter_family(which, 2, form, SEED)
     assert chk.passed
     assert len(chk.samples) == chk.degree_bound + 1 == 4
@@ -73,13 +72,13 @@ def test_yang_baxter_family(which, kind):
 
 @pytest.mark.parametrize("which", ["RR", "tildebar"])
 def test_unitarity_checks(which):
-    for form in (symmetric_form(2), alternating_form(2)):
+    for form in (BilinearForm("symmetric", 2), BilinearForm("alternating", 2)):
         assert check_unitarity(which, 2, form, SEED).passed
 
 
 def test_factor_slot_argument_symmetry():
     # tilde and bar factors are invariant under swapping slots with arguments
-    for form in (symmetric_form(2), alternating_form(2)):
+    for form in (BilinearForm("symmetric", 2), BilinearForm("alternating", 2)):
         for pt in sample_points(SEED, 2, 3, lambda p: p[0] + p[1] == 0
                                 or p[0] + p[1] + 2 == 0):
             x, y = pt
@@ -118,13 +117,13 @@ def test_intertwiner_F_examples():
 
 
 def test_reflection_equation():
-    for form in (symmetric_form(2), alternating_form(2)):
+    for form in (BilinearForm("symmetric", 2), BilinearForm("alternating", 2)):
         assert check_reflection_image((Fraction(0),), 2, form, SEED).passed
         assert check_reflection_image((Fraction(0), Fraction(1)), 2, form, SEED).passed
 
 
 def test_image_coincidence_single_slot():
-    for form in (symmetric_form(2), alternating_form(2)):
+    for form in (BilinearForm("symmetric", 2), BilinearForm("alternating", 2)):
         for z in (Fraction(0), Fraction(3)):
             assert check_image_coincidence(z, 2, form, SEED).passed
 
@@ -212,7 +211,7 @@ def test_zero_identity_and_stored_zero_witness():
 
 def test_factor_pole_rejection():
     # every factor kind raises on its own pole
-    Q = q_op(1, 2, alternating_form(2), 2)
+    Q = q_op(1, 2, BilinearForm("alternating", 2), 2)
     x = Fraction(-3)
     for X, sign, den in ((swap12(), -1, x - x), (Q, 1, x + 3), (Q, -1, x + 1 + 2)):
         with pytest.raises(SampleAtPole):
@@ -289,7 +288,7 @@ def test_derived_degrees_per_family():
     def shape(chk):
         return len(chk.samples[0]), chk.degree_bound
 
-    sym = symmetric_form(2)
+    sym = BilinearForm("symmetric", 2)
     for which in ("YB35", "tilde37", "bar38", "mixed385"):
         assert shape(check_yang_baxter_family(which, 2, sym, SEED)) == (3, 3)
     for which in ("RR", "tildebar"):
@@ -323,7 +322,7 @@ def _perturb_first_call(fn):
     return perturbed
 
 
-SYM, ALT = symmetric_form(2), alternating_form(2)
+SYM, ALT = BilinearForm("symmetric", 2), BilinearForm("alternating", 2)
 MUTATIONS = {
     "YB35": ("perm_op", lambda: check_yang_baxter_family("YB35", 2, None, SEED)),
     "tilde37": ("q_op", lambda: check_yang_baxter_family("tilde37", 2, SYM, SEED)),
@@ -448,7 +447,7 @@ def test_orbit_comparison_matches_full_equality(kind):
 
 
 def test_a_non_equivariant_operator_turns_on_every_column():
-    form = alternating_form(4)
+    form = BilinearForm("alternating", 4)
     Q, P12 = q_op(1, 2, form, 2), swap12(4)
     reps, reps3 = (column_orbits(form, n).representatives for n in (2, 3))
     # a column that the exchange moves, off the representatives on two
@@ -483,8 +482,8 @@ def test_identity_gram_generators_do_not_pass_a_contraction_check():
     # Q of Sp_4 and its cut to the identity Gram's representative columns
     # agree on those columns only; Q does not commute with the identity
     # Gram's isometries, so every column is compared
-    Q = q_op(1, 2, alternating_form(4), 2)
-    reps = column_orbits(symmetric_form(4), 2).representatives
+    Q = q_op(1, 2, BilinearForm("alternating", 4), 2)
+    reps = column_orbits(BilinearForm("symmetric", 4), 2).representatives
     cut = SparseOperator(4, 2, {r: {c: v for c, v in row.items() if c in reps}
                                 for r, row in Q.rows.items()}, Q.den)
     chk = run_identity_check("toy", "toy-statement", [Q], [cut], SEED)

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from symfusion.shapes import (ContainmentError, ParityError, Partition,
                               column_tableau, conjugate, count_semistandard,
                               dim_sym_irrep, partitions_of, row_tableau, skew,
-                              standard_tableaux, sub_partitions,
-                              validate_label)
+                              standard_tableaux, validate_label)
 
 
 def P(*parts):
@@ -126,4 +125,5 @@ def test_count_semistandard_by_content():
 def test_partition_helpers():
     assert [p.parts for p in partitions_of(4)] == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                                    (1, 1, 1, 1)]
-    assert [m.parts for m in sub_partitions(P(2, 1), 1)] == [(1,)]
+    assert [[m.parts for m in partitions_of(k) if P(2, 1).contains(m)]
+            for k in (1, 2, 3)] == [[(1,)], [(2,), (1, 1)], [(2, 1)]]

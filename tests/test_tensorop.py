@@ -8,12 +8,11 @@ from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
 from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm,
-                                SparseOperator, act, alternating_form,
-                                code_table, column_orbits, commutes_with,
-                                decode, dual_basis, encode, image_basis,
-                                intersect, kernel_basis, monomial_isometries,
-                                perm_op, preserves_gram, q_op, rank,
-                                span_of_vectors, subspace_equal, symmetric_form,
+                                SparseOperator, act, code_table, column_orbits,
+                                commutes_with, decode, dual_basis, encode,
+                                image_basis, intersect, kernel_basis,
+                                monomial_isometries, perm_op, preserves_gram,
+                                q_op, rank, span_of_vectors, subspace_equal,
                                 traceless_basis)
 
 
@@ -23,6 +22,21 @@ def P(*parts):
 
 def unit(N, n, index):
     return {encode(index, N): Fraction(1)}
+
+
+def column(A, index):
+    """Column ``index`` of A as {row code: value}, read through ``entry``."""
+    c = encode(index, A.N)
+    return {r: A.entry(r, c) for r in range(A.dim) if A.entry(r, c)}
+
+
+def as_columns(N, n, vectors):
+    """The operator whose column j is vectors[j], a tuple of (code, value)."""
+    rows = {}
+    for j, vec in enumerate(vectors):
+        for code, v in vec:
+            rows.setdefault(code, {})[j] = v
+    return SparseOperator(N, n, rows)
 
 
 def test_multiindex_encoding():
@@ -36,8 +50,8 @@ def test_perm_op_examples():
     I = perm_op(Permutation.identity(2), 2)
     assert I == SparseOperator.identity(2, 2)
     swap = perm_op(Permutation((2, 1)), 2)
-    assert swap.apply(unit(2, 2, (1, 2))) == unit(2, 2, (2, 1))
-    assert swap.apply(unit(2, 2, (2, 1))) == unit(2, 2, (1, 2))
+    assert column(swap, (1, 2)) == unit(2, 2, (2, 1))
+    assert column(swap, (2, 1)) == unit(2, 2, (1, 2))
     assert swap.nnz() == 4  # exactly N^n entries, all 1
 
 
@@ -63,36 +77,37 @@ def test_form_validation():
 
 
 def test_dual_basis_examples():
-    assert dual_basis(symmetric_form(2)) == [(1, 0), (0, 1)]
-    alt = alternating_form(2)
+    assert dual_basis(BilinearForm("symmetric", 2)) == [(1, 0), (0, 1)]
+    alt = BilinearForm("alternating", 2)
     assert dual_basis(alt) == [(0, 1), (-1, 0)]  # v1 = e2, v2 = -e1
     # <e1, v1> = 1 and <e2, v1> = 0 define v1
     v1, v2 = dual_basis(alt)
-    assert sum(alt.pairing(1, j + 1) * v1[j] for j in range(2)) == 1
-    assert sum(alt.pairing(2, j + 1) * v1[j] for j in range(2)) == 0
-    scaled = symmetric_form(2, [[2, 0], [0, 1]])
+    assert sum(alt.gram[0][j] * v1[j] for j in range(2)) == 1
+    assert sum(alt.gram[1][j] * v1[j] for j in range(2)) == 0
+    scaled = BilinearForm("symmetric", 2, [[2, 0], [0, 1]])
     assert dual_basis(scaled)[0] == (Fraction(1, 2), 0)
 
 
 def test_q_op_symmetric_identity_form():
-    form = symmetric_form(2)
+    form = BilinearForm("symmetric", 2)
     Q = q_op(1, 2, form, 2)
     w = {encode((1, 1), 2): Fraction(1), encode((2, 2), 2): Fraction(1)}
-    assert Q.apply(unit(2, 2, (1, 1))) == w
-    assert Q.apply(unit(2, 2, (1, 2))) == {}
+    assert column(Q, (1, 1)) == w
+    assert column(Q, (1, 2)) == {}
     assert Q * Q == Q.scaled(2)
 
 
 def test_q_op_alternating():
-    form = alternating_form(2)
+    form = BilinearForm("alternating", 2)
     Q = q_op(1, 2, form, 2)
-    assert Q.apply(unit(2, 2, (1, 2))) == {encode((1, 2), 2): Fraction(1),
-                                           encode((2, 1), 2): Fraction(-1)}
-    assert Q.apply(unit(2, 2, (1, 1))) == {}
+    assert column(Q, (1, 2)) == {encode((1, 2), 2): Fraction(1),
+                                 encode((2, 1), 2): Fraction(-1)}
+    assert column(Q, (1, 1)) == {}
 
 
 def test_q_op_relations_both_forms():
-    for form in (symmetric_form(2), symmetric_form(3), alternating_form(2)):
+    for form in (BilinearForm("symmetric", 2), BilinearForm("symmetric", 3),
+                 BilinearForm("alternating", 2)):
         N = form.N
         sign = 1 if form.kind == "symmetric" else -1
         for n in (2, 3):
@@ -109,9 +124,9 @@ def test_q_op_relations_both_forms():
 
 def test_q_op_index_errors():
     with pytest.raises(IndexError):
-        q_op(1, 1, symmetric_form(2), 2)
+        q_op(1, 1, BilinearForm("symmetric", 2), 2)
     with pytest.raises(IndexError):
-        q_op(0, 2, symmetric_form(2), 2)
+        q_op(0, 2, BilinearForm("symmetric", 2), 2)
 
 
 def test_pair_vector_is_basis_independent():
@@ -119,7 +134,7 @@ def test_pair_vector_is_basis_independent():
     rng = random.Random(23)
     N = 2
     for kind in ("symmetric", "alternating"):
-        base = symmetric_form(N) if kind == "symmetric" else alternating_form(N)
+        base = BilinearForm(kind, N)
         while True:
             A = [[Fraction(rng.randint(-3, 3)) for _ in range(N)] for _ in range(N)]
             det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
@@ -155,8 +170,7 @@ def _inv2(A):
 
 def test_act_examples():
     a = GroupAlgebraElement(2, {(1, 2): Fraction(1), (2, 1): Fraction(1)})
-    out = act(a, 2).apply(unit(2, 2, (1, 2)))
-    assert out == {encode((1, 2), 2): Fraction(1), encode((2, 1), 2): Fraction(1)}
+    assert column(act(a, 2), (1, 2)) == {encode((1, 2), 2): Fraction(1), encode((2, 1), 2): Fraction(1)}
     e11 = e_tableau(row_tableau(skew(P(1, 1))))
     assert act(e11, 1).is_zero()
     e21 = e_tableau(row_tableau(skew(P(2, 1))))
@@ -186,8 +200,8 @@ def test_rank_and_bases():
     assert rank(sym2) == 3
     assert image_basis(sym2).dim == 3
     assert kernel_basis(sym2).dim == 1
-    assert rank(q_op(1, 2, symmetric_form(2), 2)) == 1
-    assert rank(q_op(1, 2, alternating_form(2), 2)) == 1
+    assert rank(q_op(1, 2, BilinearForm("symmetric", 2), 2)) == 1
+    assert rank(q_op(1, 2, BilinearForm("alternating", 2), 2)) == 1
 
 
 def _planted(N, n, blocks, rng):
@@ -283,24 +297,22 @@ def test_span_of_vectors_checks_the_ambient():
 
 
 def test_traceless_dimensions():
-    assert traceless_basis(2, 2, symmetric_form(2)).dim == 3
-    assert traceless_basis(2, 1, symmetric_form(2)).dim == 2
-    assert traceless_basis(2, 2, alternating_form(2)).dim == 3
+    assert traceless_basis(2, 2, BilinearForm("symmetric", 2)).dim == 3
+    assert traceless_basis(2, 1, BilinearForm("symmetric", 2)).dim == 2
+    assert traceless_basis(2, 2, BilinearForm("alternating", 2)).dim == 3
     # third power of the plane: only the single-row label survives,
     # a two-dimensional space of harmonic cubics
-    assert traceless_basis(2, 3, symmetric_form(2)).dim == 2
+    assert traceless_basis(2, 3, BilinearForm("symmetric", 2)).dim == 2
 
 
 def test_traceless_matches_stacked_kernel():
-    for form in (symmetric_form(2), alternating_form(2), symmetric_form(3)):
+    for form in (BilinearForm("symmetric", 2), BilinearForm("alternating", 2),
+                 BilinearForm("symmetric", 3)):
         N, n = form.N, 3
-        stacked = SparseOperator.zero(N, n)
         T = traceless_basis(N, n, form)
         for k in range(1, n):
             for l in range(k + 1, n + 1):
-                Q = q_op(k, l, form, n)
-                for vec in T.vectors:
-                    assert Q.apply(dict(vec)) == {}
+                assert (q_op(k, l, form, n) * as_columns(N, n, T.vectors)).is_zero()
 
 
 def test_subspace_operations():
@@ -312,7 +324,7 @@ def test_subspace_operations():
     I = SparseOperator.identity(2, 2)
     P_ = perm_op(Permutation((2, 1)), 2)
     sym_img = image_basis(I + P_)
-    tr = traceless_basis(2, 2, symmetric_form(2))
+    tr = traceless_basis(2, 2, BilinearForm("symmetric", 2))
     meet = intersect(sym_img, tr)
     assert meet.dim == 2
     with pytest.raises(AmbientMismatch):
@@ -392,14 +404,6 @@ def test_operator_normal_form():
         _assert_matches(A * B, _ref_mul(a, b))
         s = Fraction(rng.choice([-6, -1, 0, 2, 9]), rng.choice([1, 4, 6]))
         _assert_matches(A.scaled(s), {key: v * s for key, v in a.items() if v * s})
-        vec = {c: Fraction(rng.randint(-4, 4), rng.choice([1, 3])) for c in range(N ** n)}
-        vec[0] = rng.randint(-2, 2)  # int entries are cleared too
-        image = A.apply(vec)
-        expected = {}
-        for (r, c), v in a.items():
-            expected[r] = expected.get(r, 0) + v * vec[c]
-        assert image == {r: v for r, v in expected.items() if v}
-        assert all(type(v) is Fraction for v in image.values())
         # the same value built two ways is the same stored operator
         assert A.scaled(3).scaled(Fraction(1, 3)) == A
         assert (A + B) - B == A
@@ -411,13 +415,13 @@ def test_operator_normal_form():
         SparseOperator(2, 1, {0: {0: 1}}, 0)
 
     from symfusion.fusion import FusionConfig, e_operator, f_operator_general
-    skewed = symmetric_form(2, [[2, 0], [0, 3]])  # dual basis 1/2, 1/3
+    skewed = BilinearForm("symmetric", 2, [[2, 0], [0, 3]])  # dual basis 1/2, 1/3
     Tab = row_tableau(skew(P(2, 1)))
     produced = [
         perm_op(Permutation((2, 3, 1)), 2),
-        q_op(1, 2, symmetric_form(3), 2),
+        q_op(1, 2, BilinearForm("symmetric", 3), 2),
         q_op(1, 3, skewed, 3),
-        q_op(2, 1, alternating_form(2), 2),
+        q_op(2, 1, BilinearForm("alternating", 2), 2),
         act(e_tableau(Tab), 2),
         act(GroupAlgebraElement(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)}), 2),
         act(GroupAlgebraElement(2, {(1, 2): Fraction(1, 2)})
@@ -463,11 +467,11 @@ def _orbit_count(tables, dim):
 def test_monomial_isometries_generate_the_column_orbits():
     """The derived generators preserve the Gram and give the same column
     orbits as the whole enumerated group of monomial isometries."""
-    for form, n_gens, group_order in ((symmetric_form(4), 7, 384),
-                                      (alternating_form(4), 3, 32),
-                                      (symmetric_form(4, HYPERBOLIC_4), None, None),
-                                      (symmetric_form(3), 5, 48),
-                                      (alternating_form(2), 1, 4)):
+    for form, n_gens, group_order in ((BilinearForm("symmetric", 4), 7, 384),
+                                      (BilinearForm("alternating", 4), 3, 32),
+                                      (BilinearForm("symmetric", 4, HYPERBOLIC_4), None, None),
+                                      (BilinearForm("symmetric", 3), 5, 48),
+                                      (BilinearForm("alternating", 2), 1, 4)):
         gens = monomial_isometries(form)
         assert all(preserves_gram(form, g) for g in gens)
         group = _all_monomial_isometries(form)
@@ -486,7 +490,7 @@ def test_monomial_isometries_generate_the_column_orbits():
                 placed.add(code)
             assert placed == set(range(dim))
     # a Gram with no monomial symmetry but the identity gives no generator
-    assert monomial_isometries(symmetric_form(2, [[2, 1], [1, Fraction(1, 3)]])) == ()
+    assert monomial_isometries(BilinearForm("symmetric", 2, [[2, 1], [1, Fraction(1, 3)]])) == ()
 
 
 def test_column_orbit_counts():
@@ -500,7 +504,7 @@ def test_column_orbit_counts():
 def test_gram_check_rejects_a_flipped_sign():
     """Every derived generator of the Sp_4 and the hyperbolic O_4 Gram
     stops preserving it when any one of its signs is flipped."""
-    for form in (alternating_form(4), symmetric_form(4, HYPERBOLIC_4)):
+    for form in (BilinearForm("alternating", 4), BilinearForm("symmetric", 4, HYPERBOLIC_4)):
         gens = monomial_isometries(form)
         assert gens
         for perm, signs in gens:
@@ -513,7 +517,8 @@ def test_code_table_is_the_tensor_power():
     """code_table reads g^{⊗n} e_idx = Π s_{i_k}·e_{σ(idx)} off the digits,
     and each generator's g^{⊗n} commutes with every perm_op and q_op."""
     N, n = 4, 3
-    for form in (symmetric_form(4), alternating_form(4), symmetric_form(4, HYPERBOLIC_4)):
+    for form in (BilinearForm("symmetric", 4), BilinearForm("alternating", 4),
+                 BilinearForm("symmetric", 4, HYPERBOLIC_4)):
         qs = [q_op(k, l, form, n) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
         ps = [perm_op(s, N) for s in (Permutation((2, 1, 3)), Permutation((2, 3, 1)))]
         for g in monomial_isometries(form):
@@ -526,5 +531,5 @@ def test_code_table_is_the_tensor_power():
             assert all(commutes_with(X, (targets, sgn)) for X in qs + ps)
     # a signed permutation that breaks the form does not commute with q_op
     bad = ((0, 1, 2, 3), (-1, 1, 1, 1))
-    assert not preserves_gram(alternating_form(4), bad)
-    assert not commutes_with(q_op(1, 2, alternating_form(4), 2), code_table(bad, 4, 2))
+    assert not preserves_gram(BilinearForm("alternating", 4), bad)
+    assert not commutes_with(q_op(1, 2, BilinearForm("alternating", 4), 2), code_table(bad, 4, 2))

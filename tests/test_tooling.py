@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symfusion"
@@ -30,3 +31,43 @@ def test_library_imports_no_unused_name():
                            for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in read]
     assert not unused, unused
+
+
+# Definitions that nothing in the library calls but that stay, each for a reason
+KEPT_UNCALLED = {
+    "factor": "rmatrix: the tests' full-operator reference for OrbitComparison's factor step",
+    "extend_tableau": "symalg: perfbench's ga_fusion workload imports it",
+}
+
+
+def _definitions(tree):
+    """(name, node) for the module-level functions and classes and the
+    non-dunder methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item
+
+
+def _references(tree) -> list[str]:
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_library_defines_nothing_uncalled():
+    # a definition is live when some library code outside its own def reads
+    # its name, or when __init__ re-exports it
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in ast.walk(trees.pop("__init__.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    counts = Counter(name for tree in trees.values() for name in _references(tree))
+    uncalled = [f"{module}:{node.lineno} {name}" for module, tree in trees.items()
+                for name, node in _definitions(tree)
+                if name not in exported and name not in KEPT_UNCALLED
+                and counts[name] == _references(node).count(name)]
+    assert not uncalled, uncalled
