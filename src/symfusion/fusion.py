@@ -254,8 +254,9 @@ CLOSED_FORMULAS = ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case")
 
 
 def _closed_factors(cfg: FusionConfig, formula: str) -> list:
-    """The contraction factors (Q_kl, -1, d) of a closed formula, one for
-    1 - Q_kl/d, in product order: the formula is their product times E.
+    """The contraction factors (("Q", k, l), -1, d) of a closed formula, one
+    for 1 - Q_kl/d with Q_kl named as ``OrbitComparison`` reads it, in
+    product order: the formula is their product times E.
 
     Each formula has an applicability condition; NotApplicable is raised
     when it fails.  ``certify`` compares the product with F."""
@@ -305,13 +306,12 @@ def _closed_factors(cfg: FusionConfig, formula: str) -> list:
     else:
         raise ValueError(f"unknown formula {formula!r}")
 
-    form = cfg.form
     factors = []
     for k, l in pairs:
         d = c[k - 1] + c[l - 1] + shift
         if d == 0:
             raise DivisionByZero(f"closed formula {formula}: factor ({k},{l}) has denominator 0")
-        factors.append((q_op(k, l, form, n), -1, d))
+        factors.append((("Q", k, l), -1, d))
     return factors
 
 
@@ -338,10 +338,13 @@ def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction,
     return all(compare.difference(lhs, [scalar, F]) is None for lhs in ([F, E], [E, F]))
 
 
-def verify_prop33(cfg: FusionConfig) -> bool:
+def verify_prop33(cfg: FusionConfig, compare: OrbitComparison | None = None) -> bool:
     """Image of F equals image of E intersected with the traceless
-    subspace; F kills every contraction; F agrees with E on traceless
-    vectors.  Only meaningful at M = 0 with a non-skew tableau."""
+    subspace; F kills every contraction, each Q_kl·F compared with 0 on
+    one ``OrbitComparison``; F agrees with E on traceless vectors.  Only
+    meaningful at M = 0 with a non-skew tableau.  ``compare`` is a
+    comparison on cfg's space and form to share, such as ``certify``'s,
+    which has moved and checked F already; by default a new one."""
     if cfg.M != 0:
         raise ConfigError("the traceless-image equality is an M = 0 statement")
     if cfg.tableau.shape.is_skew:
@@ -350,9 +353,10 @@ def verify_prop33(cfg: FusionConfig) -> bool:
     form = cfg.form
     F = f_operator_general(cfg)
     E = e_operator(cfg.tableau, cfg.N)
-    for k, l in _lex_pairs(n):
-        if not (q_op(k, l, form, n) * F).is_zero():
-            return False
+    if compare is None:
+        compare = OrbitComparison(cfg.N, n, form)
+    if any(compare.difference([("Q", k, l), F], [0]) is not None for k, l in _lex_pairs(n)):
+        return False
     T = traceless_basis(cfg.N, n, form)
     columns: dict[int, dict[int, int]] = {}  # T's vectors as the columns of one operator
     for j, vec in enumerate(T.vectors):
@@ -378,13 +382,12 @@ def verify_corollary32(L: StandardTableau, k: int, cfg: FusionConfig) -> bool:
     if rows[k - 1] == rows[k] or cols[k - 1] == cols[k]:
         raise NonStandardNeighbor(f"exchanging {k} and {k + 1} in {L} is not standard")
     Lk = L.swap_adjacent(k)
-    n = L.n
-    N = cfg.N
     F = f_operator_general(cfg)
     Fk = f_operator_general(FusionConfig(Lk, cfg.N, cfg.M, cfg.form_kind, cfg.strict))
-    P = perm_op(Permutation.transposition(n, k, k + 1), N)
+    P = ("P", k, k + 1)
     R_back, R_fwd = (P, -1, c[k] - c[k - 1]), (P, -1, c[k - 1] - c[k])
-    return OrbitComparison(N, n, cfg.form).difference([P, R_back, F], [Fk, R_fwd, P]) is None
+    return OrbitComparison(cfg.N, L.n, cfg.form).difference([P, R_back, F],
+                                                            [Fk, R_fwd, P]) is None
 
 
 class NonStandardNeighbor(ValueError):
@@ -568,10 +571,17 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
     """Build the operator for one configuration and run the checks that
     make sense for it; every check names the statement it instantiates.
     The operator equations share one ``OrbitComparison``, so each of F and
-    E gets one move and one commutation check: σ·F against F·F, F·E and
-    E·F for the scaled square and divisibility, and F against each closed
+    E gets one move and one commutation check: σ·F against F·E and E·F
+    for divisibility, and at M = 0 against F·F for the scaled square; 0
+    against each Q_kl·F in ``verify_prop33``; and F against each closed
     formula's chain of contraction factors times E, which is the only
-    route that evaluates a closed formula."""
+    route that evaluates a closed formula.  Formulas with the same chain,
+    such as ``regular_case`` and ``any_Sp``, share one comparison and keep
+    one entry each.
+
+    At M > 0, F·F is not a multiple of F in general (for (2) on O_2 with
+    M = 1 the ratios of their entries differ), so the scaled square, like
+    the traceless image, is checked at M = 0 only."""
     cert = FusionCertificate(config=cfg.describe())
     try:
         F = f_operator_general(cfg)
@@ -585,22 +595,24 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
     compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
     if not cfg.tableau.shape.is_skew:
         scaled_F = [scaled_idempotency_constant(cfg.tableau.shape.lam), F]
-        cert.add(CheckResult("scaled-idempotency", "scaled-square",
-                             compare.difference([F, F], scaled_F) is None))
         cert.add(CheckResult("two-sided-divisibility", "symmetrizer-divides",
                              all(compare.difference(lhs, scaled_F) is None
                                  for lhs in ([F, E], [E, F]))))
         if cfg.M == 0:
+            cert.add(CheckResult("scaled-idempotency", "scaled-square",
+                                 compare.difference([F, F], scaled_F) is None))
             cert.add(CheckResult("traceless-image", "traceless-image-equality",
-                                 verify_prop33(cfg)))
+                                 verify_prop33(cfg, compare)))
     cert.rank = rank(F)
     cert.add(CheckResult("rank-monotone", "image-dimension-bound",
                          cert.rank <= rank(E)))
+    agrees: dict[tuple, bool] = {}  # chain -> verdict
     for formula in CLOSED_FORMULAS:
         try:
-            chain = _closed_factors(cfg, formula)
+            chain = tuple(_closed_factors(cfg, formula))
         except NotApplicable:
             continue
-        cert.add(CheckResult(f"closed-form/{formula}", "closed-form-agreement",
-                             compare.difference([F], chain + [E]) is None))
+        if chain not in agrees:
+            agrees[chain] = compare.difference([F], [*chain, E]) is None
+        cert.add(CheckResult(f"closed-form/{formula}", "closed-form-agreement", agrees[chain]))
     return cert

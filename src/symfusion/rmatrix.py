@@ -21,17 +21,22 @@ families (Yang–Baxter, inversion, RTT, reflection) are random-point
 tests, not proofs, until their samples come from a product grid sized by
 per-variable degree bounds.
 
-No operator product is formed.  Each check builds its unit operators
-once, and one ``tensorop.OrbitComparison`` applies both sides right to
-left to the unit columns of the orbit representatives under the
-monomial isometries of the family's form (of the identity Gram when no
-contraction appears), every step an integer move: a factor at den = p/q
-maps u to p·d_X·u + sign·q·X_num·u with X = X_num/d_X.  Every unit
-operator commutes with those isometries (checked exactly, once per
-check), so agreement on the representatives is agreement everywhere; if
-one does not, all columns are compared.  An operator on fewer slots, such
-as E or F next to the extra strand, stands for 1 ⊗ it and is never built
-on the larger space.
+Unit operators are named, not built: ("P", i, j) is the exchange P_ij
+and ("Q", k, l) the contraction Q_kl of the check's form, so the
+exchange factor R_ij(x, y) is (("P", i, j), -1, x - y).
+
+No operator product is formed.  One ``tensorop.OrbitComparison`` per
+check applies both sides right to left to the unit columns of the orbit
+representatives under the monomial isometries of the family's form (of
+the identity Gram when no contraction appears), every step an integer
+move: a factor at den = p/q maps u to p·d_X·u + sign·q·X_num·u with
+X = X_num/d_X.  Every operator commutes with those isometries, checked
+exactly: each named unit operator is built, moved and checked once per
+process, and each constant operator (E, F, a sum such as P_sum) once per
+check.  So agreement on the representatives is agreement everywhere; if
+one operator does not commute, all columns are compared.  An operator on
+fewer slots, such as E or F next to the extra strand, stands for 1 ⊗ it
+and is never built on the larger space.
 """
 
 from __future__ import annotations
@@ -151,39 +156,52 @@ def _line(den: Affine) -> tuple | None:
     return (den.const / lead, *(a / lead for a in den.coeffs[:nonzero[-1] + 1]))
 
 
+def _is_factor(item) -> bool:
+    """Whether a side's item is a factor (X, sign, den), not a constant:
+    an operator, a unit operator's name such as ("P", 1, 2), or a scalar."""
+    return isinstance(item, tuple) and not isinstance(item[0], str)
+
+
 def _lcm_degree(lhs: list, rhs: list) -> int:
     """The degree of the lcm of the two sides' denominator products.  Forms
     repeated within a side add their multiplicities, a form on both sides
     counts once at the larger one, and constant dens add nothing."""
     lcm = Counter()
     for side in (lhs, rhs):
-        lcm |= Counter(_line(item[2]) for item in side if isinstance(item, tuple))
+        lcm |= Counter(_line(item[2]) for item in side if _is_factor(item))
     lcm.pop(None, None)
     return sum(lcm.values())
 
 
-def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
-                       seed: int, form: BilinearForm | None = None) -> IdentityCheck:
+def run_identity_check(name: str, statement: str, lhs: list, rhs: list, seed: int,
+                       form: BilinearForm | None = None, N: int | None = None) -> IdentityCheck:
     """Compare the ordered products of ``lhs`` and ``rhs`` at
     degree_bound + 1 seeded points where no factor's den vanishes; the
     first mismatch is recorded as the witness.
 
-    An item is a constant SparseOperator, where one on fewer slots stands
-    for 1 ⊗ it, or a factor tuple (X, sign, den) for 1 + sign·X/den with
-    den an ``Affine``.  A point has one coordinate per variable of the
-    longest den, and degree_bound is ``_lcm_degree(lhs, rhs)``, so a check
-    with no variable takes one point.  The sides are compared by one
-    ``tensorop.OrbitComparison`` on the orbit columns of ``form``'s
-    monomial isometries, or of the identity Gram's when ``form`` is None
-    (for checks without a contraction), so each operator's move is built
-    and its commutation checked once per check.
+    An item is a constant operator, or a factor tuple (X, sign, den) for
+    1 + sign·X/den with X an operator and den an ``Affine``.  An operator
+    is a SparseOperator, where one on fewer slots stands for 1 ⊗ it, or a
+    unit operator's name, ("P", i, j) or ("Q", k, l).  The product acts on
+    C^N with N given, or that of the first SparseOperator, and on as many
+    slots as the largest SparseOperator has or a name mentions.  A point
+    has one coordinate per variable of the longest den, and degree_bound
+    is ``_lcm_degree(lhs, rhs)``, so a check with no variable takes one
+    point.  The sides are compared by one ``tensorop.OrbitComparison`` on
+    the orbit columns of ``form``'s monomial isometries, or of the identity
+    Gram's when ``form`` is None (for checks without a contraction), so
+    each SparseOperator's move is built and its commutation checked once
+    per check, and each name's once per process.
     """
     check = IdentityCheck(name=name, statement=statement,
                           degree_bound=_lcm_degree(lhs, rhs), seed=seed)
-    factors = {id(item): item for item in lhs + rhs if isinstance(item, tuple)}
+    factors = {id(item): item for item in lhs + rhs if _is_factor(item)}
     arity = max((len(den.coeffs) for _, _, den in factors.values()), default=0)
-    ops = [item[0] if isinstance(item, tuple) else item for item in lhs + rhs]
-    compare = OrbitComparison(ops[0].N, max(op.n for op in ops), form)
+    ops = [item[0] if _is_factor(item) else item for item in lhs + rhs]
+    if N is None:
+        N = next(op.N for op in ops if isinstance(op, SparseOperator))
+    n = max(max(op[1:]) if isinstance(op, tuple) else op.n for op in ops)
+    compare = OrbitComparison(N, n, form)
 
     def on_pole(pt):
         return any(den.at(pt) == 0 for _, _, den in factors.values())
@@ -205,9 +223,9 @@ def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
 # ---------------------------------------------------------------------------
 # factors (on the n-fold power of C^N)
 #
-# The exchange factor R_ij(x, y) is (P_ij, -1, x - y), the contraction
-# factor R~_ij(x, y) is (Q_ij, +1, x + y), and R̄_ij(x, y) is
-# (Q_ij, -1, x + y + N + M).
+# The exchange factor R_ij(x, y) is (("P", i, j), -1, x - y), the
+# contraction factor R~_ij(x, y) is (("Q", i, j), +1, x + y), and
+# R̄_ij(x, y) is (("Q", i, j), -1, x + y + N + M).
 
 
 def factor(X: SparseOperator, sign: int, den: Fraction) -> SparseOperator:
@@ -216,11 +234,6 @@ def factor(X: SparseOperator, sign: int, den: Fraction) -> SparseOperator:
     if den == 0:
         raise SampleAtPole(f"pole: 1 + ({sign})·X/den with den = 0, X = {X!r}")
     return SparseOperator.identity(X.N, X.n) + X.scaled(sign / Fraction(den))
-
-
-def _swap(i: int, j: int, n: int, N: int) -> SparseOperator:
-    """The exchange P_ij of slots i and j."""
-    return perm_op(Permutation.transposition(n, i, j), N)
 
 
 # ---------------------------------------------------------------------------
@@ -234,59 +247,50 @@ def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
 
     which: "YB35" (plain), "tilde37", "bar38", "mixed385".
     """
-    n = 3
     x, y, z = variables(3)
     if which == "YB35":
-        P12, P13, P23 = _swap(1, 2, n, N), _swap(1, 3, n, N), _swap(2, 3, n, N)
-        abc = [(P12, -1, x - y), (P13, -1, x - z), (P23, -1, y - z)]
+        abc = [(("P", 1, 2), -1, x - y), (("P", 1, 3), -1, x - z), (("P", 2, 3), -1, y - z)]
     elif which == "tilde37":
-        Q13, Q12, P23 = q_op(1, 3, form, n), q_op(1, 2, form, n), _swap(2, 3, n, N)
-        abc = [(Q13, 1, x + z), (Q12, 1, x + y), (P23, -1, y - z)]
+        abc = [(("Q", 1, 3), 1, x + z), (("Q", 1, 2), 1, x + y), (("P", 2, 3), -1, y - z)]
     elif which == "bar38":
-        Q12, Q13, P23 = q_op(1, 2, form, n), q_op(1, 3, form, n), _swap(2, 3, n, N)
-        abc = [(Q12, -1, x + y + N), (Q13, -1, x + z + N), (P23, -1, y - z)]
+        abc = [(("Q", 1, 2), -1, x + y + N), (("Q", 1, 3), -1, x + z + N),
+               (("P", 2, 3), -1, y - z)]
     elif which == "mixed385":
-        Q12, P13, Q23 = q_op(1, 2, form, n), _swap(1, 3, n, N), q_op(2, 3, form, n)
-        abc = [(Q12, 1, x + y), (P13, -1, x - z), (Q23, -1, y + z + N)]
+        abc = [(("Q", 1, 2), 1, x + y), (("P", 1, 3), -1, x - z), (("Q", 2, 3), -1, y + z + N)]
     else:
         raise ValueError(f"unknown family member {which!r}")
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
-                              abc, abc[::-1], seed, None if which == "YB35" else form)
+                              abc, abc[::-1], seed, None if which == "YB35" else form, N)
 
 
 def check_unitarity(which: str, N: int, form: BilinearForm | None,
                     seed: int) -> IdentityCheck:
     """Two-slot inversion identities: the exchange pair composes to the
     scalar 1 - 1/(x-y)^2, the contraction pair composes to 1."""
-    n = 2
     x, y = variables(2)
-    I = SparseOperator.identity(N, n)
+    I = SparseOperator.identity(N, 2)
     if which == "RR":
-        P = _swap(1, 2, n, N)
-        lhs = [(P, -1, x - y), (P, -1, y - x)]
+        lhs = [(("P", 1, 2), -1, x - y), (("P", 1, 2), -1, y - x)]
         rhs = [(I, -1, x - y), (I, 1, x - y)]
         statement, form = "exchange-pair-inversion", None
     elif which == "tildebar":
-        Q = q_op(1, 2, form, n)
-        lhs, rhs = [(Q, 1, x + y), (Q, -1, x + y + N)], [I]
+        lhs, rhs = [(("Q", 1, 2), 1, x + y), (("Q", 1, 2), -1, x + y + N)], [I]
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
-    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed, form)
+    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed, form, N)
 
 
 def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityCheck:
     """Exchange relation for the evaluation image of the generating matrix:
     R12·T1·T2 = T2·T1·R12 with T_a = Π_k R_{a,2+k}(·, z_k)."""
-    n = len(z_params)
-    total = n + 2
     x, y = variables(2)
     zs = [Fraction(z) for z in z_params]
-    R12 = (_swap(1, 2, total, N), -1, x - y)
-    T1 = [(_swap(1, 3 + k, total, N), -1, x - z) for k, z in enumerate(zs)]
-    T2 = [(_swap(2, 3 + k, total, N), -1, y - z) for k, z in enumerate(zs)]
-    return run_identity_check(f"rtt/n{n}", "generating-matrix-exchange",
-                              [R12] + T1 + T2, T2 + T1 + [R12], seed)
+    R12 = (("P", 1, 2), -1, x - y)
+    T1 = [(("P", 1, 3 + k), -1, x - z) for k, z in enumerate(zs)]
+    T2 = [(("P", 2, 3 + k), -1, y - z) for k, z in enumerate(zs)]
+    return run_identity_check(f"rtt/n{len(zs)}", "generating-matrix-exchange",
+                              [R12] + T1 + T2, T2 + T1 + [R12], seed, N=N)
 
 
 def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
@@ -294,21 +298,21 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     """The symmetrizer times the order reversal intertwines the two
     evaluation strings with opposite parameter order."""
     n = O.n
-    total = n + 1
     (x,) = variables(1)
     zs = [c + z_shift for c in O.contents]
     # E·(order reversal) on the last n slots, each standing for 1 ⊗ it
     E = [e_operator(O, N), perm_op(Permutation.reversal(n), N)]
-    P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
+    P1 = [("P", 1, 2 + k) for k in range(n)]
     forward = [(P, -1, x - z) for P, z in zip(P1, zs)]
     backward = [(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
-                              forward + E, E + backward, seed)
+                              forward + E, E + backward, seed, N=N)
 
 
 def _image_strings(x: Affine, ds, Ps, Qs):
     """The plain factors R_{a,k}(x, d_k) and the twisted ones R~_{a,k}(x, d_k)
-    in slot order, from the unit operators P_{a,k} in Ps and Q_{a,k} in Qs."""
+    in slot order, from the names of the unit operators P_{a,k} in Ps and
+    Q_{a,k} in Qs."""
     plain = [(P, -1, x - d) for P, d in zip(Ps, ds)]
     tilde = [(Q, 1, x + d) for Q, d in zip(Qs, ds)]
     return plain, tilde
@@ -319,19 +323,17 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     evaluation strings built at the shifted contents d_k."""
     O = cfg.tableau
     n = O.n
-    N = cfg.N
-    total = n + 1
     (x,) = variables(1)
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c + Fraction(cfg.M, 2) - half for c in O.contents]
     F = f_operator_general(cfg)
-    P1 = [_swap(1, 2 + k, total, N) for k in range(n)]
-    Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(n)]
+    P1 = [("P", 1, 2 + k) for k in range(n)]
+    Q1 = [("Q", 1, 2 + k) for k in range(n)]
     plain, tilde = _image_strings(x, ds, P1, Q1)
     # slot k keeps its argument d_k; only the multiplication order flips
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
                               "twisted-intertwiner", tilde[::-1] + plain + [F],
-                              [F] + plain[::-1] + tilde, seed, cfg.form)
+                              [F] + plain[::-1] + tilde, seed, cfg.form, cfg.N)
 
 
 def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
@@ -340,18 +342,16 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
     S_a = (Π_k R~_{a,2+k})^reversed · Π_k R_{a,2+k} of the coideal
     generating matrix."""
     n = len(z_params)
-    total = n + 2
     x, y = variables(2)
     zs = [Fraction(z) for z in z_params]
-    P12, Q12 = _swap(1, 2, total, N), q_op(1, 2, form, total)
-    P1, P2 = ([_swap(a, 3 + k, total, N) for k in range(n)] for a in (1, 2))
-    Q1, Q2 = ([q_op(a, 3 + k, form, total) for k in range(n)] for a in (1, 2))
-    R12, Rt12 = (P12, -1, x - y), (Q12, 1, x + y)
+    P1, P2 = ([("P", a, 3 + k) for k in range(n)] for a in (1, 2))
+    Q1, Q2 = ([("Q", a, 3 + k) for k in range(n)] for a in (1, 2))
+    R12, Rt12 = (("P", 1, 2), -1, x - y), (("Q", 1, 2), 1, x + y)
     plain1, tilde1 = _image_strings(x, zs, P1, Q1)
     plain2, tilde2 = _image_strings(y, zs, P2, Q2)
     S1, S2 = tilde1[::-1] + plain1, tilde2[::-1] + plain2
     return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
-                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed, form)
+                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed, form, N)
 
 
 def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
@@ -359,9 +359,9 @@ def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
     """For one quantum slot, the plain and twisted realizations of the
     coideal image coincide: R~12·R12 = R12·R~12."""
     (x,) = variables(1)
-    R12, Rt12 = (_swap(1, 2, 2, N), -1, x - z), (q_op(1, 2, form, 2), 1, x + z)
+    R12, Rt12 = (("P", 1, 2), -1, x - z), (("Q", 1, 2), 1, x + z)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
-                              [Rt12, R12], [R12, Rt12], seed, form)
+                              [Rt12, R12], [R12, Rt12], seed, form, N)
 
 
 def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityCheck:
@@ -371,11 +371,11 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
     total = l + 1
     (x,) = variables(1)
     E = e_operator(L, N)
-    P1 = [_swap(1, k + 2, total, N) for k in range(l)]
-    P_sum = sum(P1, SparseOperator.zero(N, total))
+    P_sum = sum((perm_op(Permutation.transposition(total, 1, k + 2), N) for k in range(l)),
+                SparseOperator.zero(N, total))
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
-                              [(P, -1, x - c) for P, c in zip(P1, L.contents)] + [E],
-                              [(P_sum, -1, x), E], seed)
+                              [(("P", 1, k + 2), -1, x - c) for k, c in enumerate(L.contents)]
+                              + [E], [(P_sum, -1, x), E], seed, N=N)
 
 
 def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
@@ -391,13 +391,14 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
     ds = [c - half for c in L.contents]
     F = f_operator_general(cfg)
-    P1 = [_swap(1, 2 + k, total, N) for k in range(l)]
-    Q1 = [q_op(1, 2 + k, cfg.form, total) for k in range(l)]
-    PQ_sum = sum((P - Q for P, Q in zip(P1, Q1)), SparseOperator.zero(N, total))
-    plain, tilde = _image_strings(x, ds, P1, Q1)
+    PQ_sum = sum((perm_op(Permutation.transposition(total, 1, 2 + k), N)
+                  - q_op(1, 2 + k, cfg.form, total) for k in range(l)),
+                 SparseOperator.zero(N, total))
+    plain, tilde = _image_strings(x, ds, [("P", 1, 2 + k) for k in range(l)],
+                                  [("Q", 1, 2 + k) for k in range(l)])
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
                               "twisted-evaluation-collapse", tilde[::-1] + plain + [F],
-                              [(PQ_sum, -1, x + half), F], seed, cfg.form)
+                              [(PQ_sum, -1, x + half), F], seed, cfg.form, N)
 
 
 # ---------------------------------------------------------------------------

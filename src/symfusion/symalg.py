@@ -60,12 +60,6 @@ class Permutation(tuple):
     def __call__(self, i: int) -> int:
         return self[i - 1]
 
-    def inverse(self) -> "Permutation":
-        images = [0] * len(self)
-        for i, v in enumerate(self, start=1):
-            images[v - 1] = i
-        return Permutation(images)
-
     def sign(self) -> int:
         seen = [False] * len(self)
         sign = 1

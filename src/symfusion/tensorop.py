@@ -9,6 +9,16 @@ and den directly) and subspaces hold integer echelon rows
 (``SubspaceBasis``); Fractions appear only where rationals enter or leave
 (``entry``, ``scaled``, ``to_triplets``, ``span_of_vectors``, the scalars
 and witnesses of ``OrbitComparison``) and in ``BilinearForm``.
+
+``perm_op`` and ``q_op`` build their tables from code arithmetic (slot
+weights N^(n-k)), never decoding a code, and cache nothing; the F engine
+builds its factors with them.  The exchanges P_ij and contractions Q_kl
+of the identity checks are named instead, ("P", i, j) and ("Q", k, l):
+``OrbitComparison`` resolves each name through one bounded cache,
+``_unit``, keyed by (name, N, n, form), whose entry holds the operator's
+move, den and exact commutation verdict.  So each distinct unit operator
+is built and checked once per process, and no caller ever holds, and so
+cannot mutate, the cached operator.
 """
 
 from __future__ import annotations
@@ -215,16 +225,17 @@ def _rescaled(cols: dict[int, int], f: int) -> dict[int, int]:
 
 
 def perm_op(s: Permutation, N: int) -> SparseOperator:
-    """Operator permuting tensor factors: factor k moves to slot s(k)."""
+    """Operator permuting tensor factors: factor k moves to slot s(k).
+
+    Column code c, with 0-based letter d_k in slot k, has its one entry in
+    row Σ_k d_k·N^(n - s(k)); the targets are built slot by slot, as
+    ``code_table`` builds those of g^{⊗n}, so no code is decoded."""
     n = len(s)
-    dim = N ** n
-    inv = s.inverse()
-    rows: dict[int, dict[int, int]] = {}
-    for code in range(dim):
-        idx = decode(code, N, n)
-        tgt = tuple(idx[inv[k] - 1] for k in range(n))
-        rows[encode(tgt, N)] = {code: 1}
-    return SparseOperator(N, n, rows)
+    targets = [0]
+    for image in s:
+        weight = N ** (n - image)
+        targets = [t + d * weight for t in targets for d in range(N)]
+    return SparseOperator(N, n, {t: {code: 1} for code, t in enumerate(targets)})
 
 
 def q_op(k: int, l: int, form: BilinearForm, n: int) -> SparseOperator:
@@ -457,57 +468,108 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
     return move
 
 
+def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOperator:
+    """The unit operator that ``name`` names on n slots of C^N: ("P", i, j)
+    the exchange P_ij of slots i and j, ("Q", k, l) the contraction Q_kl of
+    ``form``.  Built anew on every call; ``OrbitComparison`` resolves names
+    through ``_unit``, which calls this once per name."""
+    kind, k, l = name
+    if not (1 <= k <= n and 1 <= l <= n) or k == l:
+        raise IndexError(f"slots must be distinct and within 1..{n}: {name!r}")
+    if kind == "P":
+        return perm_op(Permutation.transposition(n, k, l), N)
+    if kind == "Q":
+        return q_op(k, l, form, n)
+    raise ValueError(f"unknown unit operator {name!r}: the kinds are P and Q")
+
+
+@lru_cache(maxsize=256)
+def _unit(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
+    """(move, den, commutes) of a named unit operator: its
+    ``left_multiplication``, its den, and whether it commutes exactly with
+    every generator of ``column_orbits(form, n)``; so each is built and
+    checked once per process.  The operator itself stays inside: no caller
+    can reach, and so mutate, it."""
+    op = unit_operator(name, N, n, form)
+    return (left_multiplication(op), op.den,
+            all(commutes_with(op, t) for t in column_orbits(form, n).tables))
+
+
+def _is_name(item) -> bool:
+    """Whether a product item names a unit operator, as ("P", 1, 2) does."""
+    return isinstance(item, tuple) and isinstance(item[0], str)
+
+
 class OrbitComparison:
     """Exact comparison of ordered operator products on the tensor power
     of C^N with n slots, on one unit column per orbit.
 
-    A side is a list of items, applied right to left: a SparseOperator
-    (one on fewer slots stands for 1 ⊗ it, acting on the last slots), a
-    rational scalar, or a factor (X, sign, den) for 1 + sign·X/den with den
-    a nonzero rational.  Every step is an integer move: a constant C maps
-    u ↦ C.rows·u and multiplies the side's den by C.den; a factor at
-    den = p/q maps u ↦ p·d_X·u + sign·q·X.rows·u and multiplies the den by
-    p·d_X, with d_X = X.den.  One move is built per operator.
+    A side is a list of items, applied right to left: a constant operator,
+    a rational scalar, or a factor (X, sign, den) for 1 + sign·X/den with X
+    an operator and den a nonzero rational.  An operator is a
+    SparseOperator (one on fewer slots stands for 1 ⊗ it, acting on the
+    last slots) or the name of a unit operator on all n slots, ("P", i, j)
+    or ("Q", k, l) as ``unit_operator`` reads it, with Q_kl of ``form``.
+    Every step is an integer move: a constant C maps u ↦ C.rows·u and
+    multiplies the side's den by C.den; a factor at den = p/q maps
+    u ↦ p·d_X·u + sign·q·X.rows·u and multiplies the den by p·d_X, with
+    d_X = X.den.  One move is built per SparseOperator, and one per name
+    and process (``_unit``).
 
     The generators are the monomial isometries of ``form``, or of the
     identity Gram when ``form`` is None, and each operator is checked
-    exactly to commute with their tensor powers.  Then both sides commute
-    with them, column π_g(c) of each side is s_g(c)·g^{⊗n}·(column c), and
-    the sides agree exactly when they agree on the orbit representatives.
-    Once an operator fails that check, every column is compared instead.
+    exactly to commute with their tensor powers: a SparseOperator once per
+    comparison, a name once per process, its verdict kept with its move.
+    Then both sides commute with them, column π_g(c) of each side is
+    s_g(c)·g^{⊗n}·(column c), and the sides agree exactly when they agree
+    on the orbit representatives.  Once an operator fails that check, every
+    column is compared instead.
     """
 
     def __init__(self, N: int, n: int, form: BilinearForm | None = None):
         self.N, self.n, self.dim = N, n, N ** n
         self.form = form if form is not None else BilinearForm("symmetric", N)
+        if self.form.N != N:
+            raise AmbientMismatch(f"a form on C^{self.form.N} in a product on C^{N}")
         self.columns = column_orbits(self.form, n).representatives
-        self._moves: dict[int, tuple] = {}  # id(op) -> (op, move)
+        # name or id(op) -> (move, den, op), the op kept so that its id stays its own
+        self._moves: dict = {}
 
-    def _move(self, op: SparseOperator):
-        entry = self._moves.get(id(op))
+    def _move(self, op) -> tuple:
+        """(move, den) of an operator or a name."""
+        key = op if _is_name(op) else id(op)
+        entry = self._moves.get(key)
         if entry is None:
-            if op.N != self.N or op.n > self.n:
-                raise AmbientMismatch(f"operator on {(op.N, op.n)} in a product on "
-                                      f"{(self.N, self.n)}")
-            if not all(commutes_with(op, t) for t in column_orbits(self.form, op.n).tables):
+            if _is_name(op):
+                move, den, commutes = _unit(op, self.N, self.n, self.form)
+            else:
+                if op.N != self.N or op.n > self.n:
+                    raise AmbientMismatch(f"operator on {(op.N, op.n)} in a product on "
+                                          f"{(self.N, self.n)}")
+                move, den = left_multiplication(op, self.dim), op.den
+                commutes = all(commutes_with(op, t)
+                               for t in column_orbits(self.form, op.n).tables)
+            if not commutes:
                 self.columns = range(self.dim)
-            entry = self._moves[id(op)] = (op, left_multiplication(op, self.dim))
-        return entry[1]
+            entry = self._moves[key] = (move, den, op)
+        return entry[:2]
 
     def _apply(self, side: list, start: dict[int, int]) -> tuple[dict[int, int], int]:
         vec, den = start, 1
         for item in reversed(side):
-            if isinstance(item, SparseOperator):
-                vec = self._move(item)(vec)
-                den *= item.den
+            if isinstance(item, SparseOperator) or _is_name(item):
+                move, d = self._move(item)
+                vec = move(vec)
+                den *= d
             elif isinstance(item, tuple):
                 X, sign, value = item
-                a = value.numerator * X.den
+                move, d = self._move(X)
+                a = value.numerator * d
                 if not a:
                     raise ZeroDivisionError(f"factor 1 + ({sign})·X/den at den = 0, X = {X!r}")
                 b = sign * value.denominator
                 out = {k: a * x for k, x in vec.items()}
-                for k, x in self._move(X)(vec).items():
+                for k, x in move(vec).items():
                     out[k] = out.get(k, 0) + b * x
                 vec = {k: x for k, x in out.items() if x}
                 den *= a
@@ -522,8 +584,10 @@ class OrbitComparison:
         (row, col, lhs entry, rhs entry) at their least differing entry
         among the compared columns."""
         for item in lhs + rhs:  # every commutation check runs before any column is picked
-            if not isinstance(item, (int, Fraction)):
-                self._move(item[0] if isinstance(item, tuple) else item)
+            if isinstance(item, SparseOperator) or _is_name(item):
+                self._move(item)
+            elif isinstance(item, tuple):
+                self._move(item[0])
         dim = self.dim
         start = {c * dim + c: 1 for c in self.columns}
         (a, da), (b, db) = self._apply(lhs, start), self._apply(rhs, start)

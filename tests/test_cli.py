@@ -188,3 +188,49 @@ def test_verify_O3_certificate_digest(tmp_path, monkeypatch, capsys):
                  "--seed", "1729", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "086e4175d858db7783942acf79081b9be43e548d5dde094632cec09d65c84e38")
+
+
+def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, capsys,
+                                                       fresh_units):
+    """Over the Sp_4 sweep every exchange and contraction the checks name is
+    built once and checked once against each generator of its form; every
+    later use reads the unit cache."""
+    from collections import Counter
+
+    from symfusion import tensorop
+
+    builds, checks, built = Counter(), Counter(), {}
+
+    def counting_build(name, N, n, form, real=tensorop.unit_operator):
+        op = real(name, N, n, form)
+        builds[name, N, n, form] += 1
+        built[id(op)] = (op, (name, N, n, form))  # the op is kept, so its id stays its own
+        return op
+
+    def counting_check(A, table, real=tensorop.commutes_with):
+        if id(A) in built:
+            checks[built[id(A)][1], id(table)] += 1
+        return real(A, table)
+
+    monkeypatch.setattr(tensorop, "unit_operator", counting_build)
+    monkeypatch.setattr(tensorop, "commutes_with", counting_check)
+    assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
+                 "--output", str(tmp_path / "cert.json")]) == 0
+    assert {name[0][0] for name in builds} == {"P", "Q"}
+    assert set(builds.values()) == {1}
+    assert set(checks.values()) == {1}
+    for key in builds:
+        _, _, n, form = key
+        tables = tensorop.column_orbits(form, n).tables
+        assert {t for k, t in checks if k == key} == {id(t) for t in tables}, key
+
+
+def test_fusion_f_at_positive_M_checks_the_scaled_square_only_at_M0():
+    # F·F is no multiple of F at M > 0 (test_fusion pins why), so the check
+    # is left out there; divisibility and every closed formula still run
+    res = run_cli("fusion-f", "--form", "O", "--N", "2", "--M", "1", "--lambda", "2")
+    assert res.returncode == 0, res.stdout
+    assert "scaled-idempotency" not in res.stdout
+    for name in ("two-sided-divisibility", "closed-form/col_O", "closed-form/any_SO",
+                 "closed-form/regular_case"):
+        assert f"PASS {name}\n" in res.stdout, name

@@ -137,8 +137,11 @@ def test_closed_formula_examples():
 
 def test_closed_form_check_rejects_a_shifted_den(monkeypatch):
     """Shifting the den of one factor of a closed formula by 1 fails the
-    closed-form check of ``certify``, for every factor of these chains."""
+    closed-form check of ``certify``, for every factor of these chains.
+    On O_4, ``regular_case`` has the chain of ``any_SO`` and shares its
+    comparison; shifted alone, it fails alone."""
     cases = ((FusionConfig(T((2, 1)), 4, 0, "alternating"), "row_Sp"),
+             (FusionConfig(T((2, 1)), 4, 0, "symmetric"), "regular_case"),
              (FusionConfig(T((2, 1), which="col"), 3, 0, "symmetric"), "col_O"))
     for cfg, formula in cases:
         check = f"closed-form/{formula}"
@@ -154,6 +157,44 @@ def test_closed_form_check_rejects_a_shifted_den(monkeypatch):
                 verdicts = {c.name: c.passed for c in certify(cfg).checks}
             assert not verdicts[check], (formula, i)
             assert all(ok for name, ok in verdicts.items() if name != check)
+
+
+def test_certify_compares_each_distinct_chain_once(monkeypatch):
+    # on Sp_4, any_Sp and regular_case have one chain: one comparison, two
+    # entries; row_Sp drops the pairs within a row, so it is compared apart
+    cfg = FusionConfig(T((2, 1)), 4, 0, "alternating")
+    assert _closed_factors(cfg, "any_Sp") == _closed_factors(cfg, "regular_case")
+    compared = []
+    difference = OrbitComparison.difference
+
+    def counting(self, lhs, rhs):
+        if len(lhs) == 1:  # [F] against a closed formula's chain times E
+            compared.append(tuple(rhs[:-1]))
+        return difference(self, lhs, rhs)
+
+    monkeypatch.setattr(OrbitComparison, "difference", counting)
+    verdicts = {c.name: c.passed for c in certify(cfg).checks}
+    assert sorted(compared) == sorted({tuple(_closed_factors(cfg, f))
+                                       for f in ("row_Sp", "any_Sp")})
+    assert {name for name in verdicts if name.startswith("closed-form/")} == {
+        "closed-form/row_Sp", "closed-form/any_Sp", "closed-form/regular_case"}
+    assert all(verdicts.values())
+
+
+def test_scaled_square_is_no_statement_at_positive_M():
+    # for (2) on O_2 with M = 1, F·F is no multiple of F at all: the ratios
+    # of their entries take three values, so certify checks it at M = 0 only
+    cfg = FusionConfig(T((2,)), 2, 1, "symmetric")
+    F = f_operator_general(cfg)
+    FF = F * F
+    assert {(r, c) for r, row in FF.rows.items() for c in row} <= {
+        (r, c) for r, row in F.rows.items() for c in row}
+    ratios = {FF.entry(r, c) / F.entry(r, c) for r, row in F.rows.items() for c in row}
+    assert ratios == {Fraction(5, 3), Fraction(2), Fraction(8, 3)}
+    names = {c.name for c in certify(cfg).checks}
+    assert "scaled-idempotency" not in names and "two-sided-divisibility" in names
+    assert "scaled-idempotency" in {c.name for c in certify(
+        FusionConfig(T((2,)), 3, 0, "symmetric")).checks}
 
 
 def test_closed_formula_applicability():

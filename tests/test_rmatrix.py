@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from symfusion import rmatrix
+from symfusion import rmatrix, tensorop
 from symfusion.fusion import FusionConfig, e_operator, f_operator_general
 from symfusion.rmatrix import (Affine, SampleAtPole,
                                _g_factors, _h_factors, check_eval_consistency_E,
@@ -366,12 +366,16 @@ def test_lemma44_rejects_a_shifted_den(target, tableau, monkeypatch):
 
 
 @pytest.mark.parametrize("family", MUTATIONS)
-def test_every_family_rejects_a_perturbed_input(family, monkeypatch):
+def test_every_family_rejects_a_perturbed_input(family, monkeypatch, fresh_units):
     # both sides multiply the same factor objects; a check that still
-    # passed with a wrong input would be comparing a computation with itself
+    # passed with a wrong input would be comparing a computation with itself.
+    # Exchanges and contractions are named, and their builders sit behind
+    # the unit cache in tensorop, which is cleared once the builder is patched
     target, run = MUTATIONS[family]
     assert run().passed
-    monkeypatch.setattr(rmatrix, target, _perturb_first_call(getattr(rmatrix, target)))
+    owner = tensorop if target in ("perm_op", "q_op") else rmatrix
+    monkeypatch.setattr(owner, target, _perturb_first_call(getattr(owner, target)))
+    tensorop._unit.cache_clear()
     chk = run()
     assert not chk.passed
     assert chk.witness is not None and chk.witness["sample"] == [

@@ -1,19 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 
+from symfusion import tensorop
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
-from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm,
-                                SparseOperator, act, code_table, column_orbits,
-                                commutes_with, decode, dual_basis, encode,
-                                image_basis, intersect, kernel_basis,
+from symfusion.tensorop import (AmbientMismatch, BilinearForm, OrbitComparison,
+                                SingularForm, SparseOperator, act, code_table,
+                                column_orbits, commutes_with, decode, dual_basis,
+                                encode, image_basis, intersect, kernel_basis,
                                 monomial_isometries, perm_op, preserves_gram,
                                 q_op, rank, span_of_vectors, subspace_equal,
-                                traceless_basis)
+                                traceless_basis, unit_operator)
 
 
 def P(*parts):
@@ -53,6 +55,72 @@ def test_perm_op_examples():
     assert column(swap, (1, 2)) == unit(2, 2, (2, 1))
     assert column(swap, (2, 1)) == unit(2, 2, (1, 2))
     assert swap.nnz() == 4  # exactly N^n entries, all 1
+
+
+def decoded_perm_op(s: Permutation, N: int) -> SparseOperator:
+    """Reference route: decode every code, move the letter of slot k to
+    slot s(k), encode the result."""
+    n = len(s)
+    inverse = [0] * n
+    for k, image in enumerate(s, start=1):
+        inverse[image - 1] = k
+    rows = {}
+    for code in range(N ** n):
+        idx = decode(code, N, n)
+        rows[encode(tuple(idx[inverse[k] - 1] for k in range(n)), N)] = {code: 1}
+    return SparseOperator(N, n, rows)
+
+
+def test_perm_op_matches_the_decoded_reference():
+    # every permutation of up to four slots, at N = 2 and N = 3; the rows
+    # come in the same order too, so nothing downstream sees the change
+    for N in (2, 3):
+        for n in range(1, 5):
+            for images in permutations(range(1, n + 1)):
+                s = Permutation(images)
+                got, want = perm_op(s, N), decoded_perm_op(s, N)
+                assert got == want and list(got.rows) == list(want.rows), (N, s)
+
+
+def test_unit_operator_names():
+    form = BilinearForm("alternating", 2)
+    assert unit_operator(("P", 3, 1), 2, 3, form) == perm_op(Permutation((3, 2, 1)), 2)
+    assert unit_operator(("Q", 2, 3), 2, 3, form) == q_op(2, 3, form, 3)
+    for bad in (("P", 1, 1), ("P", 0, 2), ("Q", 1, 4)):
+        with pytest.raises(IndexError):
+            unit_operator(bad, 2, 3, form)
+    with pytest.raises(ValueError, match="unknown unit operator"):
+        unit_operator(("R", 1, 2), 2, 3, form)
+    with pytest.raises(AmbientMismatch):
+        OrbitComparison(3, 2, form)
+
+
+def test_a_cached_failing_verdict_turns_on_every_column(monkeypatch, fresh_units):
+    """A named unit operator whose commutation check fails makes every
+    comparison that names it compare all columns, also the later ones that
+    take its move and verdict from the cache."""
+    form = BilinearForm("alternating", 4)
+    reps = column_orbits(form, 2).representatives
+    # the perturbed column is off the orbit columns, so only a comparison
+    # on every column can see it
+    c = next(c for c in range(16) if c % 5 and c not in reps)
+    Q = q_op(1, 2, form, 2)
+    bad = Q + SparseOperator(4, 2, {0: {c: Fraction(1, 7)}})
+    builds = []
+
+    def perturbed(name, N, n, form):
+        builds.append(name)
+        return bad if name == ("Q", 1, 2) else unit_operator(name, N, n, form)
+
+    monkeypatch.setattr(tensorop, "unit_operator", perturbed)
+    value = Fraction(3)
+    for side, ref in ([("Q", 1, 2)], [Q]), ([(("Q", 1, 2), 1, value)], [(Q, 1, value)]):
+        compare = OrbitComparison(4, 2, form)
+        diff = compare.difference(side, ref)
+        assert compare.columns == range(16)
+        assert diff[:2] == (0, c)
+    assert builds == [("Q", 1, 2)]
+    assert tensorop._unit.cache_info().hits == 1
 
 
 def test_perm_op_is_a_homomorphism():
