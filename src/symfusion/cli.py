@@ -28,7 +28,7 @@ from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
 from .symalg import e_tableau, fusion_e_skew
-from .tensorop import BilinearForm
+from .tensorop import standard_form
 from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
                       check_intertwiner_E, check_intertwiner_F,
                       check_image_coincidence, check_lemma44,
@@ -178,7 +178,7 @@ def _suite_corollary32(args):
 
 
 def _suite_yang_baxter(args):
-    form = BilinearForm(FORM_KIND[args.form], args.N)
+    form = standard_form(FORM_KIND[args.form], args.N)
     for which in ("YB35", "tilde37", "bar38", "mixed385"):
         chk = check_yang_baxter_family(which, args.N, form, args.seed)
         yield chk.name, chk.statement, chk.passed, chk.witness
@@ -189,7 +189,7 @@ def _suite_yang_baxter(args):
 
 def _suite_intertwiners(args):
     kind = FORM_KIND[args.form]
-    form = BilinearForm(kind, args.N)
+    form = standard_form(kind, args.N)
     max_boxes = min(args.max_boxes, 3)
     for lam in _valid_partitions(args.form, args.N + args.M, max_boxes):
         for T in standard_tableaux(skew(lam)):

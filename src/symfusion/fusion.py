@@ -17,10 +17,11 @@ in ``symalg``.
 
 Every contraction and exchange factor commutes with g^{⊗n} for a signed
 permutation g of the basis that preserves the Gram, so F does too, and
-its columns come in orbits of such g.  The engine is linear in its start
-vector, so it runs on one column per orbit (``tensorop.column_orbits``);
-the other columns are rebuilt as ± images, and the result is checked
-exactly to commute with every generator.
+its columns come in orbits of such g; each factor's exact verdict comes
+with its move from ``tensorop.unit_move``.  The engine is linear in its
+start vector, so it runs on one column per orbit
+(``tensorop.column_orbits``); the other columns are rebuilt as ± images,
+and the result is checked exactly to commute with every generator.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_ze
                        normal_form)
 from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
-from .symalg import (Permutation, e_tableau, fusion_e_skew, inner_tableau_of,
-                     skew_tableau_of)
+from .symalg import e_tableau, fusion_e_skew, inner_tableau_of, skew_tableau_of
 from .tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
                        column_orbits, commutes_with, decode, encode, image_basis,
-                       intersect, left_multiplication, perm_op, q_op, rank,
-                       span_of_vectors, subspace_equal, traceless_basis)
+                       intersect, q_op, rank, span_of_vectors, standard_form,
+                       subspace_equal, traceless_basis, unit_move)
 
 
 class NotApplicable(ValueError):
@@ -124,7 +124,7 @@ class FusionConfig:
 
     @property
     def form(self) -> BilinearForm:
-        return BilinearForm(self.form_kind, self.N)
+        return standard_form(self.form_kind, self.N)
 
     @property
     def n(self) -> int:
@@ -175,32 +175,29 @@ def f_operator_general(cfg: FusionConfig) -> SparseOperator:
 def _f_factors(cfg: FusionConfig) -> list:
     """The engine factors (move, a, b) of the contraction-exchange product,
     in the order they apply to a start vector (the product is built from
-    the right, so this is the product's order reversed)."""
+    the right, so this is the product's order reversed), each the
+    ``unit_move`` of ("Q", k, l) or ("P", k, l).  The orbit build needs
+    integer, equivariant factors; any other raises ArithmeticError."""
     O = cfg.tableau
     n = O.n
-    N = cfg.N
     c = O.contents
     g = O.columns() if cfg.constraint_mode == "column" else O.rows()
     base_shift = cfg.N + cfg.M + (2 * cfg.base_point)  # integer: N+M∓1
     if base_shift.denominator != 1:
         raise ConfigError(f"base point {cfg.base_point} is not a half-integer")
-    form = cfg.form
+    pairs = _lex_pairs(n)
+    contractions = [(("Q", k, l), c[k - 1] + c[l - 1] + int(base_shift), g[k - 1] + g[l - 1])
+                    for k, l in pairs]
+    exchanges = [(("P", k, l), c[k - 1] - c[l - 1], g[k - 1] - g[l - 1]) for k, l in pairs]
+    if any(a == b == 0 for _, a, b in exchanges):
+        raise ConfigError("vanishing exchange denominator; tableau not standard?")
     factors = []
-    for k, l in _lex_pairs(n):
-        a = c[k - 1] + c[l - 1] + int(base_shift)
-        b = g[k - 1] + g[l - 1]
-        Q = q_op(k, l, form, n)
-        if Q.den != 1:
-            raise ValueError("factor operator must have integer entries")
-        factors.append((left_multiplication(Q), a, b))
-    for k, l in _lex_pairs(n):
-        a = c[k - 1] - c[l - 1]
-        b = g[k - 1] - g[l - 1]
-        if a == 0 and b == 0:
-            raise ConfigError("vanishing exchange denominator; tableau not standard?")
-        p = perm_op(Permutation.transposition(n, k, l), N)
-        factors.append((left_multiplication(p), a, b))
-    return factors[::-1]
+    for name, a, b in reversed(contractions + exchanges):
+        move, den, commutes = unit_move(name, cfg.N, n, cfg.form)
+        if den != 1 or not commutes:
+            raise ArithmeticError(f"factor {name} is not integer or not equivariant")
+        factors.append((move, a, b))
+    return factors
 
 
 def _image_column(column: dict[int, int], table, s: int) -> dict[int, int]:
@@ -214,11 +211,11 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
     """F, with the limit engine run on one column per orbit only.
 
     Every factor commutes with g^{⊗n} for each signed permutation g that
-    preserves the Gram, and so does F: column π_g(c) of F is
-    s_g(c)·g^{⊗n}·(column c).  The engine is linear in its start vector,
-    so it starts from the representatives of ``tensorop.column_orbits``
-    alone, and every other column is rebuilt from its breadth-first
-    parent.  The truncated series of a rebuilt column is ± the image of
+    preserves the Gram (``_f_factors`` checks it), and so does F: column
+    π_g(c) of F is s_g(c)·g^{⊗n}·(column c).  The engine is linear in its
+    start vector, so it starts from the representatives of
+    ``tensorop.column_orbits`` alone, and every other column is rebuilt
+    from its breadth-first parent.  The truncated series of a rebuilt column is ± the image of
     its parent's, so a pole shows in the representatives too.  The
     rebuilt F is then checked exactly to commute with every generator,
     which covers each orbit's stabilizer; a mismatch raises
@@ -338,26 +335,20 @@ def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction,
     return all(compare.difference(lhs, [scalar, F]) is None for lhs in ([F, E], [E, F]))
 
 
-def verify_prop33(cfg: FusionConfig, compare: OrbitComparison | None = None) -> bool:
-    """Image of F equals image of E intersected with the traceless
-    subspace; F kills every contraction, each Q_kl·F compared with 0 on
-    one ``OrbitComparison``; F agrees with E on traceless vectors.  Only
-    meaningful at M = 0 with a non-skew tableau.  ``compare`` is a
-    comparison on cfg's space and form to share, such as ``certify``'s,
-    which has moved and checked F already; by default a new one."""
+def verify_prop33(cfg: FusionConfig) -> bool:
+    """F agrees with E on traceless vectors, and the image of F equals the
+    image of E intersected with the traceless subspace T.  T is the joint
+    kernel of the contractions Q_kl, so the image equality also says that
+    F kills every contraction, Q_kl·F = 0.  Only meaningful at M = 0 with
+    a non-skew tableau."""
     if cfg.M != 0:
         raise ConfigError("the traceless-image equality is an M = 0 statement")
     if cfg.tableau.shape.is_skew:
         raise ConfigError("non-skew tableau required")
     n = cfg.n
-    form = cfg.form
     F = f_operator_general(cfg)
     E = e_operator(cfg.tableau, cfg.N)
-    if compare is None:
-        compare = OrbitComparison(cfg.N, n, form)
-    if any(compare.difference([("Q", k, l), F], [0]) is not None for k, l in _lex_pairs(n)):
-        return False
-    T = traceless_basis(cfg.N, n, form)
+    T = traceless_basis(cfg.N, n, cfg.form)
     columns: dict[int, dict[int, int]] = {}  # T's vectors as the columns of one operator
     for j, vec in enumerate(T.vectors):
         for code, v in vec:
@@ -490,7 +481,7 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
     big = f_operator_general(FusionConfig(L_tab, Lrank, 0, form_kind))
     small = f_operator_general(FusionConfig(omega, N, M, form_kind))
     if m:
-        form_M = BilinearForm(form_kind, M)
+        form_M = standard_form(form_kind, M)
         E_ups = act(e_tableau(upsilon), M)
         H = invariant_traceless_projector(M, m, form_M)
         traceless = traceless_basis(M, m, form_M).vectors
@@ -572,12 +563,12 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
     make sense for it; every check names the statement it instantiates.
     The operator equations share one ``OrbitComparison``, so each of F and
     E gets one move and one commutation check: σ·F against F·E and E·F
-    for divisibility, and at M = 0 against F·F for the scaled square; 0
-    against each Q_kl·F in ``verify_prop33``; and F against each closed
-    formula's chain of contraction factors times E, which is the only
-    route that evaluates a closed formula.  Formulas with the same chain,
-    such as ``regular_case`` and ``any_Sp``, share one comparison and keep
-    one entry each.
+    for divisibility, and at M = 0 against F·F for the scaled square; and
+    F against each closed formula's chain of contraction factors times E,
+    which is the only route that evaluates a closed formula.  The chain
+    names its Q_kl, so they take the moves that F's build cached.
+    Formulas with the same chain, such as ``regular_case`` and ``any_Sp``,
+    share one comparison and keep one entry each.
 
     At M > 0, F·F is not a multiple of F in general (for (2) on O_2 with
     M = 1 the ratios of their entries differ), so the scaled square, like
@@ -602,7 +593,7 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
             cert.add(CheckResult("scaled-idempotency", "scaled-square",
                                  compare.difference([F, F], scaled_F) is None))
             cert.add(CheckResult("traceless-image", "traceless-image-equality",
-                                 verify_prop33(cfg, compare)))
+                                 verify_prop33(cfg)))
     cert.rank = rank(F)
     cert.add(CheckResult("rank-monotone", "image-dimension-bound",
                          cert.rank <= rank(E)))

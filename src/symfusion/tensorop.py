@@ -11,14 +11,13 @@ and den directly) and subspaces hold integer echelon rows
 and witnesses of ``OrbitComparison``) and in ``BilinearForm``.
 
 ``perm_op`` and ``q_op`` build their tables from code arithmetic (slot
-weights N^(n-k)), never decoding a code, and cache nothing; the F engine
-builds its factors with them.  The exchanges P_ij and contractions Q_kl
-of the identity checks are named instead, ("P", i, j) and ("Q", k, l):
-``OrbitComparison`` resolves each name through one bounded cache,
-``_unit``, keyed by (name, N, n, form), whose entry holds the operator's
-move, den and exact commutation verdict.  So each distinct unit operator
-is built and checked once per process, and no caller ever holds, and so
-cannot mutate, the cached operator.
+weights N^(n-k)), never decoding a code.  The identity checks and the F
+engine name the exchanges P_ij and contractions Q_kl, ("P", i, j) and
+("Q", k, l), and resolve each name through one bounded cache,
+``unit_move``, keyed by (name, N, n, form), whose entry holds the
+operator's move, den and exact commutation verdict.  So each distinct
+unit operator is built and checked once per process, and no caller ever
+holds, and so cannot mutate, the cached operator.
 """
 
 from __future__ import annotations
@@ -101,6 +100,12 @@ class BilinearForm:
             return None
         return tuple(tuple(Fraction(row[N + j], row[i]) for j in range(N))
                      for i, row in enumerate(reduced))
+
+
+@lru_cache(maxsize=None)
+def standard_form(kind: str, N: int) -> BilinearForm:
+    """The form of ``kind`` on C^N with the default Gram, one object per (kind, N)."""
+    return BilinearForm(kind, N)
 
 
 def _default_gram(kind: str, N: int):
@@ -471,8 +476,8 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
 def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOperator:
     """The unit operator that ``name`` names on n slots of C^N: ("P", i, j)
     the exchange P_ij of slots i and j, ("Q", k, l) the contraction Q_kl of
-    ``form``.  Built anew on every call; ``OrbitComparison`` resolves names
-    through ``_unit``, which calls this once per name."""
+    ``form``.  Built anew on every call; ``unit_move`` calls this once per
+    name."""
     kind, k, l = name
     if not (1 <= k <= n and 1 <= l <= n) or k == l:
         raise IndexError(f"slots must be distinct and within 1..{n}: {name!r}")
@@ -484,7 +489,7 @@ def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOper
 
 
 @lru_cache(maxsize=256)
-def _unit(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
+def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     """(move, den, commutes) of a named unit operator: its
     ``left_multiplication``, its den, and whether it commutes exactly with
     every generator of ``column_orbits(form, n)``; so each is built and
@@ -514,7 +519,7 @@ class OrbitComparison:
     multiplies the side's den by C.den; a factor at den = p/q maps
     u ↦ p·d_X·u + sign·q·X.rows·u and multiplies the den by p·d_X, with
     d_X = X.den.  One move is built per SparseOperator, and one per name
-    and process (``_unit``).
+    and process (``unit_move``).
 
     The generators are the monomial isometries of ``form``, or of the
     identity Gram when ``form`` is None, and each operator is checked
@@ -528,7 +533,7 @@ class OrbitComparison:
 
     def __init__(self, N: int, n: int, form: BilinearForm | None = None):
         self.N, self.n, self.dim = N, n, N ** n
-        self.form = form if form is not None else BilinearForm("symmetric", N)
+        self.form = form if form is not None else standard_form("symmetric", N)
         if self.form.N != N:
             raise AmbientMismatch(f"a form on C^{self.form.N} in a product on C^{N}")
         self.columns = column_orbits(self.form, n).representatives
@@ -541,7 +546,7 @@ class OrbitComparison:
         entry = self._moves.get(key)
         if entry is None:
             if _is_name(op):
-                move, den, commutes = _unit(op, self.N, self.n, self.form)
+                move, den, commutes = unit_move(op, self.N, self.n, self.form)
             else:
                 if op.N != self.N or op.n > self.n:
                     raise AmbientMismatch(f"operator on {(op.N, op.n)} in a product on "

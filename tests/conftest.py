@@ -8,6 +8,6 @@ def fresh_units():
     """An empty cache of named unit operators, emptied again afterwards, so
     a perturbed or counted build reaches this test's comparisons and no
     other test's."""
-    tensorop._unit.cache_clear()
+    tensorop.unit_move.cache_clear()
     yield
-    tensorop._unit.cache_clear()
+    tensorop.unit_move.cache_clear()

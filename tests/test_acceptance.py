@@ -91,7 +91,8 @@ def test_criterion_02_scaled_idempotency():
 
 
 def test_criterion_03_traceless_image_equality():
-    """image(F) = image(E) ∩ traceless and every contraction kills F."""
+    """image(F) = image(E) ∩ traceless, which implies that every
+    contraction kills F: the traceless part is the contractions' joint kernel."""
     checked = 0
     for kind, N, lam, T in _nonskew_sweep(4):
         if N ** lam.size > 256:

@@ -192,14 +192,20 @@ def test_verify_O3_certificate_digest(tmp_path, monkeypatch, capsys):
 
 def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, capsys,
                                                        fresh_units):
-    """Over the Sp_4 sweep every exchange and contraction the checks name is
-    built once and checked once against each generator of its form; every
-    later use reads the unit cache."""
+    """Over the Sp_4 sweep every exchange and contraction that the checks
+    name, or that a build of F takes as a factor, is built once and checked
+    once against each generator of its form; every later use reads the
+    unit cache."""
     from collections import Counter
 
-    from symfusion import tensorop
+    from symfusion import fusion, tensorop
 
-    builds, checks, built = Counter(), Counter(), {}
+    fusion._f_operator_cached.cache_clear()  # so the sweep's F builds run here
+    builds, checks, built, f_spaces = Counter(), Counter(), {}, set()
+
+    def recording_factors(cfg, real=fusion._f_factors):
+        f_spaces.add((cfg.N, cfg.n, cfg.form))
+        return real(cfg)
 
     def counting_build(name, N, n, form, real=tensorop.unit_operator):
         op = real(name, N, n, form)
@@ -214,9 +220,13 @@ def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(tensorop, "unit_operator", counting_build)
     monkeypatch.setattr(tensorop, "commutes_with", counting_check)
+    monkeypatch.setattr(fusion, "_f_factors", recording_factors)
     assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
                  "--output", str(tmp_path / "cert.json")]) == 0
     assert {name[0][0] for name in builds} == {"P", "Q"}
+    f_names = {((kind, k, l), N, n, form) for N, n, form in f_spaces for kind in "PQ"
+               for k in range(1, n) for l in range(k + 1, n + 1)}
+    assert f_names and f_names <= builds.keys()
     assert set(builds.values()) == {1}
     assert set(checks.values()) == {1}
     for key in builds:

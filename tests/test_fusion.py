@@ -49,6 +49,14 @@ def test_config_validation():
     assert cfg.constraint_mode == "row" and cfg.base_point == Fraction(1, 2)
 
 
+def test_configs_share_one_form_per_kind_and_N():
+    # every cache keyed by a form then finds the same object
+    form = FusionConfig(T((2, 1)), 3, 0, "symmetric").form
+    assert FusionConfig(T((2,)), 3, 1, "symmetric").form is form
+    assert OrbitComparison(3, 2).form is form
+    assert FusionConfig(T((2,)), 4, 0, "symmetric").form is not form
+
+
 def test_e_operator_examples():
     assert e_operator(T((2,)), 2) == I2() + P12_2
     assert rank(e_operator(T((2,)), 2)) == 3
@@ -620,6 +628,29 @@ def test_orbit_build_rejects_a_flipped_rebuilt_column(monkeypatch):
     assert flipped
     monkeypatch.setattr(fusion, "_image_column", image)
     assert fusion._f_operator_cached.__wrapped__(cfg) == _unreduced_f(cfg)
+
+
+def test_orbit_build_rejects_a_non_equivariant_factor(monkeypatch, fresh_units):
+    """A factor that breaks the form's symmetry stops the F build.  With
+    Q_12 shifted at any of the 22 codes off the orbit representatives, the
+    orbit-built F passes its own commutation check yet differs from the
+    build on all columns; only the factor's verdict catches it."""
+    from symfusion import tensorop
+
+    cfg = FusionConfig(T((2, 1)), 3, 0, "symmetric")
+    reps = column_orbits(cfg.form, cfg.n).representatives
+    off = [c for c in range(27) if c not in reps]
+    assert len(off) == 22
+    real = tensorop.q_op
+    for c in off:
+        def shifted(k, l, form, n, c=c):
+            Q = real(k, l, form, n)
+            return Q + SparseOperator(3, n, {c: {c: 1}}) if (k, l) == (1, 2) else Q
+
+        monkeypatch.setattr(tensorop, "q_op", shifted)
+        tensorop.unit_move.cache_clear()
+        with pytest.raises(ArithmeticError):
+            fusion._f_operator_cached.__wrapped__(cfg)  # uncached build
 
 
 def test_cap_row_tableau_F_pinned(monkeypatch):

@@ -375,7 +375,7 @@ def test_every_family_rejects_a_perturbed_input(family, monkeypatch, fresh_units
     assert run().passed
     owner = tensorop if target in ("perm_op", "q_op") else rmatrix
     monkeypatch.setattr(owner, target, _perturb_first_call(getattr(owner, target)))
-    tensorop._unit.cache_clear()
+    tensorop.unit_move.cache_clear()
     chk = run()
     assert not chk.passed
     assert chk.witness is not None and chk.witness["sample"] == [

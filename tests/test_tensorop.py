@@ -120,7 +120,7 @@ def test_a_cached_failing_verdict_turns_on_every_column(monkeypatch, fresh_units
         assert compare.columns == range(16)
         assert diff[:2] == (0, c)
     assert builds == [("Q", 1, 2)]
-    assert tensorop._unit.cache_info().hits == 1
+    assert tensorop.unit_move.cache_info().hits == 1
 
 
 def test_perm_op_is_a_homomorphism():
