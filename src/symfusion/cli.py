@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from .exactnum import PoleAtLimit
-from .fusion import (CheckResult, ConfigError, FusionConfig, NotApplicable,
+from .fusion import (FORM_GROUP, CheckResult, ConfigError, FusionConfig, NotApplicable,
                      SizeLimitExceeded, certify, f_operator_general, max_dim,
                      scaled_idempotency_constant, verify_corollary32, verify_prop33,
                      verify_scaled_idempotent, verify_theta_factorization)
@@ -38,7 +38,7 @@ from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
 DEFAULT_SEED = 1729
 CERT_VERSION = 1
 
-FORM_KIND = {"O": "symmetric", "Sp": "alternating"}
+FORM_KIND = {group: kind for kind, group in FORM_GROUP.items()}
 
 
 class UsageError(ValueError):
@@ -153,15 +153,14 @@ def _suite_idempotency(args):
         cfg = FusionConfig(T, args.N, 0, kind)
         F = f_operator_general(cfg)
         ok = ok and verify_scaled_idempotent(F, scalar, cfg.form)
-        yield f"idempotency/{T}", "scaled-square", ok, None
+        yield CheckResult(f"idempotency/{T}", "scaled-square", ok)
 
 
 def _suite_prop33(args):
     kind = FORM_KIND[args.form]
     for T in _sweep_tableaux(args):
-        cfg = FusionConfig(T, args.N, 0, kind)
-        ok = verify_prop33(cfg)
-        yield f"traceless-image/{T}", "traceless-image-equality", ok, None
+        yield CheckResult(f"traceless-image/{T}", "traceless-image-equality",
+                          verify_prop33(FusionConfig(T, args.N, 0, kind)))
 
 
 def _suite_corollary32(args):
@@ -172,19 +171,16 @@ def _suite_corollary32(args):
         for k in range(1, T.n):
             if rows[k - 1] == rows[k] or cols[k - 1] == cols[k]:
                 continue
-            cfg = FusionConfig(T, args.N, 0, kind)
-            ok = verify_corollary32(T, k, cfg)
-            yield f"exchange/{T}/k{k}", "fusion-exchange-relation", ok, None
+            yield CheckResult(f"exchange/{T}/k{k}", "fusion-exchange-relation",
+                              verify_corollary32(FusionConfig(T, args.N, 0, kind), k))
 
 
 def _suite_yang_baxter(args):
     form = standard_form(FORM_KIND[args.form], args.N)
     for which in ("YB35", "tilde37", "bar38", "mixed385"):
-        chk = check_yang_baxter_family(which, args.N, form, args.seed)
-        yield chk.name, chk.statement, chk.passed, chk.witness
+        yield check_yang_baxter_family(which, args.N, form, args.seed)
     for which in ("RR", "tildebar"):
-        chk = check_unitarity(which, args.N, form, args.seed)
-        yield chk.name, chk.statement, chk.passed, chk.witness
+        yield check_unitarity(which, args.N, form, args.seed)
 
 
 def _suite_intertwiners(args):
@@ -193,30 +189,22 @@ def _suite_intertwiners(args):
     max_boxes = min(args.max_boxes, 3)
     for lam in _valid_partitions(args.form, args.N + args.M, max_boxes):
         for T in standard_tableaux(skew(lam)):
-            chk = check_intertwiner_E(T, args.N, Fraction(0), args.seed)
-            yield chk.name, chk.statement, chk.passed, chk.witness
+            yield check_intertwiner_E(T, args.N, Fraction(0), args.seed)
             cfg = FusionConfig(T, args.N, args.M, kind)
-            chk = check_intertwiner_F(cfg, args.seed)
-            yield chk.name, chk.statement, chk.passed, chk.witness
-            chk = check_eval_consistency_E(T, args.N, args.seed)
-            yield chk.name, chk.statement, chk.passed, chk.witness
+            yield check_intertwiner_F(cfg, args.seed)
+            yield check_eval_consistency_E(T, args.N, args.seed)
             if args.M == 0:
-                chk = check_eval_consistency_F(cfg, args.seed)
-                yield chk.name, chk.statement, chk.passed, chk.witness
+                yield check_eval_consistency_F(cfg, args.seed)
     for n, zs in ((1, (Fraction(0),)), (2, (Fraction(0), Fraction(1)))):
-        chk = check_rtt(zs, args.N, args.seed)
-        yield chk.name, chk.statement, chk.passed, chk.witness
-        chk = check_reflection_image(zs, args.N, form, args.seed)
-        yield chk.name, chk.statement, chk.passed, chk.witness
-    chk = check_image_coincidence(Fraction(0), args.N, form, args.seed)
-    yield chk.name, chk.statement, chk.passed, chk.witness
+        yield check_rtt(zs, args.N, args.seed)
+        yield check_reflection_image(zs, args.N, form, args.seed)
+    yield check_image_coincidence(Fraction(0), args.N, form, args.seed)
 
 
 def _suite_lemma44(args):
     for size in range(0, min(args.max_boxes, 4) + 1):
         for mu in partitions_of(size):
-            chk = check_lemma44(mu, args.seed)
-            yield chk.name, chk.statement, chk.passed, chk.witness
+            yield check_lemma44(mu, args.seed)
 
 
 def _suite_theta(args):
@@ -226,9 +214,9 @@ def _suite_theta(args):
     ]
     for lam, m, N, M, kind in configs:
         for T in standard_tableaux(skew(lam)):
-            ok = verify_theta_factorization(T, m, N, M, kind)
-            yield (f"split-factorization/{T}/m{m}/N{N}/M{M}",
-                   "compression-factorization", ok, None)
+            yield CheckResult(f"split-factorization/{T}/m{m}/N{N}/M{M}",
+                              "compression-factorization",
+                              verify_theta_factorization(T, m, N, M, kind))
 
 
 SUITES = {
@@ -257,11 +245,12 @@ def cmd_verify(args) -> int:
     results: list[CheckResult] = []
     for name in suites:
         t0 = time.monotonic()
-        for ename, statement, ok, witness in SUITES[name](args):
+        for chk in SUITES[name](args):
             now = time.monotonic()
             ms = int(1000 * (now - t0)) if args.timings else None
-            results.append(CheckResult(name=f"{name}/{ename}", statement=statement,
-                                       passed=bool(ok), witness=witness, runtime_ms=ms))
+            results.append(CheckResult(name=f"{name}/{chk.name}", statement=chk.statement,
+                                       passed=bool(chk.passed), witness=chk.witness,
+                                       runtime_ms=ms))
             t0 = now
 
     certificate = {

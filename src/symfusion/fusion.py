@@ -40,8 +40,8 @@ from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import e_tableau, fusion_e_skew, inner_tableau_of, skew_tableau_of
 from .tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
-                       column_orbits, commutes_with, decode, encode, image_basis,
-                       intersect, q_op, rank, span_of_vectors, standard_form,
+                       column_orbits, commutes_with, image_basis, intersect, q_op,
+                       rank, slot_codes, span_of_vectors, standard_form,
                        subspace_equal, traceless_basis, unit_move)
 
 
@@ -360,13 +360,13 @@ def verify_prop33(cfg: FusionConfig) -> bool:
     return subspace_equal(lhs, rhs)
 
 
-def verify_corollary32(L: StandardTableau, k: int, cfg: FusionConfig) -> bool:
-    """Exchange relation moving the operator between adjacent tableaux:
+def verify_corollary32(cfg: FusionConfig, k: int) -> bool:
+    """Exchange relation moving the operator of ``cfg.tableau`` to the
+    tableau with k and k + 1 swapped:
     P·(1 - P/(c_(k+1) - c_k))·F = F_k·(1 - P/(c_k - c_(k+1)))·P with P the
     exchange of k and k + 1, compared on the orbit columns of the form's
     monomial isometries (``OrbitComparison``)."""
-    if cfg.tableau != L:
-        cfg = FusionConfig(L, cfg.N, cfg.M, cfg.form_kind, cfg.strict)
+    L = cfg.tableau
     c = L.contents
     rows = L.rows()
     cols = L.columns()
@@ -389,17 +389,13 @@ class NonStandardNeighbor(ValueError):
 # block factorization through the split of the ambient space
 
 
-def _block_codes(L: int, M: int, m: int, n: int) -> dict[tuple[int, int], int]:
-    """Code in the split space of each (mcode, ncode) pair of the component
-    with the first m letters in the first-M part and the last n letters in
-    the last-N part."""
-    codes = {}
-    for mcode in range(max(M, 1) ** m if m else 1):
-        midx = decode(mcode, M, m) if m else ()
-        for ncode in range((L - M) ** n):
-            nidx = decode(ncode, L - M, n)
-            codes[mcode, ncode] = encode(tuple(midx) + tuple(M + i for i in nidx), L)
-    return codes
+def _block_codes(L: int, M: int, m: int, n: int) -> tuple[list[int], list[int]]:
+    """(first, last): the code in the split space of the pair (mcode, ncode)
+    of the component with the first m letters in the first-M part and the
+    last n letters in the last-N part is first[mcode] + last[ncode]."""
+    first = slot_codes([[d * L ** (m + n - k) for d in range(M)] for k in range(1, m + 1)])
+    last = slot_codes([[(M + d) * L ** (n - k) for d in range(L - M)] for k in range(1, n + 1)])
+    return first, last
 
 
 def invariant_traceless_projector(M: int, m: int, form: BilinearForm) -> SparseOperator:
@@ -445,9 +441,9 @@ def _kron_on_block(A: SparseOperator, B: SparseOperator) -> SparseOperator:
     space, zero elsewhere: entry (A-row r, B-row s) × (A-col c, B-col t)
     is A[r][c]·B[s][t], at the codes ``_block_codes`` gives each pair."""
     L = A.N + B.N
-    embed = _block_codes(L, A.N, A.n, B.n)
-    rows = {embed[r, s]: {embed[c, t]: av * bv for c, av in arow.items()
-                          for t, bv in brow.items()}
+    first, last = _block_codes(L, A.N, A.n, B.n)
+    rows = {first[r] + last[s]: {first[c] + last[t]: av * bv for c, av in arow.items()
+                                 for t, bv in brow.items()}
             for r, arow in A.rows.items() for s, brow in B.rows.items()}
     return SparseOperator(L, A.n + B.n, rows, A.den * B.den)
 
@@ -489,12 +485,12 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
         E_ups = H = SparseOperator.identity(M, 0)
         traceless = (((0, 1),),)  # the unit vector of the one-dimensional first factor
 
-    embed = _block_codes(Lrank, M, m, n)
+    first, last = _block_codes(Lrank, M, m, n)
     t_rows: dict[int, dict[int, int]] = {}
     for j, u in enumerate(traceless):
         for mc, v in u:
-            for nc in range(N ** n):
-                t_rows.setdefault(embed[mc, nc], {})[j * N ** n + nc] = v
+            for nc, code in enumerate(last):
+                t_rows.setdefault(first[mc] + code, {})[j * N ** n + nc] = v
     T_hat = SparseOperator(Lrank, l, t_rows)
     H_hat = _kron_on_block(H, SparseOperator.identity(N, n))
     U_hat = _kron_on_block(E_ups, small)

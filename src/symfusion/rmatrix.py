@@ -12,8 +12,8 @@ products.  Multiplied by that lcm, the difference of the sides is a
 polynomial of at most that degree.
 
 A check evaluates both sides exactly at degree_bound + 1 rational sample
-points off the pole locus, drawn from a seeded generator whose seed is
-recorded in the check result.  For the one-variable families
+points off the pole locus, drawn from a generator seeded by the caller
+(the certificate's config records the seed).  For the one-variable families
 (intertwiners, evaluation collapses, image coincidence, the normalizing
 function) this many points decide the identity, since a nonzero
 polynomial of degree d has at most d roots.  The two- and three-variable
@@ -63,7 +63,6 @@ class IdentityCheck:
     name: str
     statement: str
     degree_bound: int
-    seed: int
     samples: list[tuple[Fraction, ...]] = field(default_factory=list)
     passed: bool = True
     witness: dict | None = None
@@ -194,7 +193,7 @@ def run_identity_check(name: str, statement: str, lhs: list, rhs: list, seed: in
     per check, and each name's once per process.
     """
     check = IdentityCheck(name=name, statement=statement,
-                          degree_bound=_lcm_degree(lhs, rhs), seed=seed)
+                          degree_bound=_lcm_degree(lhs, rhs))
     factors = {id(item): item for item in lhs + rhs if _is_factor(item)}
     arity = max((len(den.coeffs) for _, _, den in factors.values()), default=0)
     ops = [item[0] if _is_factor(item) else item for item in lhs + rhs]

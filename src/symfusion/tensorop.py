@@ -10,14 +10,17 @@ and den directly) and subspaces hold integer echelon rows
 (``entry``, ``scaled``, ``to_triplets``, ``span_of_vectors``, the scalars
 and witnesses of ``OrbitComparison``) and in ``BilinearForm``.
 
-``perm_op`` and ``q_op`` build their tables from code arithmetic (slot
-weights N^(n-k)), never decoding a code.  The identity checks and the F
-engine name the exchanges P_ij and contractions Q_kl, ("P", i, j) and
-("Q", k, l), and resolve each name through one bounded cache,
-``unit_move``, keyed by (name, N, n, form), whose entry holds the
-operator's move, den and exact commutation verdict.  So each distinct
-unit operator is built and checked once per process, and no caller ever
-holds, and so cannot mutate, the cached operator.
+Every code table (``perm_op``, ``act``, ``q_op``, ``code_table`` and the
+block embedding of ``fusion``) is one slot sum, ``slot_codes``: slot k
+adds where its letter lands, a multiple of the slot weight N^(n-k).  So
+no library code decodes or encodes a code; ``encode`` and ``decode``
+stay as the tests' reference.  The identity checks and the F engine name
+the exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l),
+and resolve each name through one bounded cache, ``unit_move``, keyed by
+(name, N, n, form), whose entry holds the operator's move, den and exact
+commutation verdict.  So each distinct unit operator is built and checked
+once per process, and no caller ever holds, and so cannot mutate, the
+cached operator.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
 from typing import NamedTuple
 
 from . import kernels
@@ -229,26 +231,41 @@ def _rescaled(cols: dict[int, int], f: int) -> dict[int, int]:
     return dict(cols) if f == 1 else {c: v * f for c, v in cols.items()}
 
 
+def slot_codes(places) -> list[int]:
+    """The codes Σ_k places[k][d_k] over every letter tuple (d_1..d_n), in
+    code order (d_1 most significant, slot k running over its own
+    len(places[k]) letters), built slot by slot.
+
+    Every code table of the tensor power is one such sum: places[k][d] is
+    where letter d of slot k lands, so no code is ever decoded."""
+    codes = [0]
+    for place in places:
+        codes = [c + p for c in codes for p in place]
+    return codes
+
+
+def _perm_targets(s: Permutation, N: int) -> list[int]:
+    """Target of every code under perm_op(s): letter d of slot k lands at
+    d·N^(n - s(k))."""
+    n = len(s)
+    return slot_codes([[d * N ** (n - image) for d in range(N)] for image in s])
+
+
 def perm_op(s: Permutation, N: int) -> SparseOperator:
     """Operator permuting tensor factors: factor k moves to slot s(k).
 
-    Column code c, with 0-based letter d_k in slot k, has its one entry in
-    row Σ_k d_k·N^(n - s(k)); the targets are built slot by slot, as
-    ``code_table`` builds those of g^{⊗n}, so no code is decoded."""
-    n = len(s)
-    targets = [0]
-    for image in s:
-        weight = N ** (n - image)
-        targets = [t + d * weight for t in targets for d in range(N)]
-    return SparseOperator(N, n, {t: {code: 1} for code, t in enumerate(targets)})
+    Column c has its one entry in row ``_perm_targets(s, N)[c]``."""
+    return SparseOperator(N, len(s), {t: {code: 1}
+                                      for code, t in enumerate(_perm_targets(s, N))})
 
 
 def q_op(k: int, l: int, form: BilinearForm, n: int) -> SparseOperator:
     """Contraction-insertion in slots (k, l): u⊗v -> <u,v>·w, identity elsewhere.
 
-    Column code c holding letters a, b in slots k, l maps to the rows
-    c - a·N^(n-k) - b·N^(n-l) + (i·N^(n-k) + j·N^(n-l)) over the pairs (i, j)
-    of w, with weight <e_a, e_b>·w_ij (0-based letters in the codes)."""
+    From each code with letter 0 in slots k and l (``slot_codes`` with [0]
+    there), column base + a·N^(n-k) + b·N^(n-l) maps to the rows
+    base + i·N^(n-k) + j·N^(n-l) over the pairs (i, j) of w, with weight
+    <e_a, e_b>·w_ij (0-based letters in the codes)."""
     if not (1 <= k <= n and 1 <= l <= n) or k == l:
         raise IndexError(f"slots must be distinct and within 1..{n}: {(k, l)}")
     if k > l:
@@ -260,15 +277,14 @@ def q_op(k: int, l: int, form: BilinearForm, n: int) -> SparseOperator:
     # one {row offset: int weight} per column pair (a, b), over one den
     weights, den = normal_form([{(i - 1) * wk + (j - 1) * wl: form.gram[a][b] * wv
                                  for (i, j), wv in w.items()} for a, b in pairs])
-    by_pair = {ab: list(ws.items()) for ab, ws in zip(pairs, weights)}
+    bases = slot_codes([[0] if slot in (k, l) else [d * N ** (n - slot) for d in range(N)]
+                        for slot in range(1, n + 1)])
     rows: dict[int, dict[int, int]] = {}
-    for c in range(N ** n):
-        a, b = c // wk % N, c // wl % N
-        terms = by_pair.get((a, b))
-        if terms:
-            base = c - a * wk - b * wl
-            for off, v in terms:
-                rows.setdefault(base + off, {})[c] = v
+    for (a, b), ws in zip(pairs, weights):
+        shift = a * wk + b * wl
+        for base in bases:
+            for off, v in ws.items():
+                rows.setdefault(base + off, {})[base + shift] = v
     return SparseOperator(N, n, rows, den)
 
 
@@ -276,24 +292,14 @@ def act(a: GroupAlgebraElement, N: int) -> SparseOperator:
     """Operator realization of a group-algebra element by permuting factors.
 
     Σ_s c_s·perm_op(s), accumulated into one set of int rows over the
-    element's den: perm_op(s) sends basis vector idx to the one holding
-    idx_j in slot s(j), whose code is Σ_j (idx_j - 1)·N^(n - s(j)).
+    element's den from each term's ``_perm_targets``.
     """
-    n = a.n
-    dim = N ** n
-    digits = list(zip(*(decode(code, N, n) for code in range(dim))))
-    # placed[j][slot - 1][code]: contribution of factor j+1 of code in that slot
-    placed = [[[(d - 1) * N ** (n - slot) for d in col] for slot in range(1, n + 1)]
-              for col in digits]
-    rows: list[dict[int, int]] = [{} for _ in range(dim)]
+    rows: list[dict[int, int]] = [{} for _ in range(N ** a.n)]
     for s, c in a.terms.items():
-        targets = [0] * dim
-        for j, v in enumerate(s):
-            targets = list(map(add, targets, placed[j][v - 1]))
-        for code, tgt in enumerate(targets):
+        for code, tgt in enumerate(_perm_targets(s, N)):
             row = rows[tgt]
             row[code] = row.get(code, 0) + c
-    return SparseOperator(N, n, dict(enumerate(rows)), a.den)
+    return SparseOperator(N, a.n, dict(enumerate(rows)), a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +380,12 @@ def monomial_isometries(form: BilinearForm) -> tuple[tuple[tuple[int, ...], tupl
 
 
 def code_table(g, N: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(π_g, s_g) on codes: g^{⊗n}·e_code = s_g(code)·e_{π_g(code)}."""
+    """(π_g, s_g) on codes: g^{⊗n}·e_code = s_g(code)·e_{π_g(code)}; letter
+    d of slot k lands at perm[d]·N^(n-k) (``slot_codes``)."""
     perm, signs = g
-    targets, sgn = [0], [1]
+    targets = slot_codes([[perm[d] * N ** (n - k) for d in range(N)] for k in range(1, n + 1)])
+    sgn = [1]
     for _ in range(n):
-        targets = [t * N + perm[i] for t in targets for i in range(N)]
         sgn = [s * signs[i] for s in sgn for i in range(N)]
     return tuple(targets), tuple(sgn)
 

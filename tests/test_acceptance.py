@@ -221,7 +221,7 @@ def test_criterion_08_exchange_relation():
         for k in range(1, T.n):
             if rows[k - 1] == rows[k] or cols[k - 1] == cols[k]:
                 continue
-            assert verify_corollary32(T, k, cfg), (kind, N, T, k)
+            assert verify_corollary32(cfg, k), (kind, N, T, k)
             checked += 1
     assert checked >= 10
     print(f"\nACCEPTANCE 8 exchange-relation: PASS ({checked} admissible pairs)")

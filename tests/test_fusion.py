@@ -20,7 +20,7 @@ from symfusion.shapes import (Partition, column_tableau, count_semistandard,
                               row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation
 from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator,
-                                column_orbits, decode, perm_op, q_op, rank)
+                                column_orbits, decode, encode, perm_op, q_op, rank)
 
 
 def P(*parts):
@@ -286,14 +286,12 @@ def test_prop33_rejects_a_perturbed_operator(monkeypatch, perturb):
 
 def test_corollary32_examples():
     t21 = T((2, 1))
-    assert verify_corollary32(t21, 2, FusionConfig(t21, 3, 0, "symmetric"))
-    assert verify_corollary32(t21, 2, FusionConfig(t21, 2, 0, "alternating",
-                                                   strict=False))
+    assert verify_corollary32(FusionConfig(t21, 3, 0, "symmetric"), 2)
+    assert verify_corollary32(FusionConfig(t21, 2, 0, "alternating", strict=False), 2)
     t22 = T((2, 2))
-    assert verify_corollary32(t22, 2, FusionConfig(t22, 2, 0, "symmetric",
-                                                   strict=False))
+    assert verify_corollary32(FusionConfig(t22, 2, 0, "symmetric", strict=False), 2)
     with pytest.raises(NonStandardNeighbor):
-        verify_corollary32(t21, 1, FusionConfig(t21, 3, 0, "symmetric"))
+        verify_corollary32(FusionConfig(t21, 3, 0, "symmetric"), 1)
 
 
 def _on_the_orbit_of_zero(F, form):
@@ -332,7 +330,7 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
     assert verify_divisibility(bad, E, 3, cfg.form) == divides
     assert divides == (perturb is _doubled)
     # k = 2 exchanges the contents 1 and -1 of the row tableau
-    assert verify_corollary32(L, 2, cfg)
+    assert verify_corollary32(cfg, 2)
     P = perm_op(Permutation.transposition(3, 2, 3), N)
     I = SparseOperator.identity(N, 3)
     Fk = f_operator_general(FusionConfig(L.swap_adjacent(2), N, 0, kind))
@@ -340,7 +338,7 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
     built = fusion.f_operator_general
     monkeypatch.setattr(fusion, "f_operator_general",
                         lambda c: perturb(built(c), c.form) if c == cfg else built(c))
-    assert not verify_corollary32(L, 2, cfg)
+    assert not verify_corollary32(cfg, 2)
 
 
 def _plus_P13_E(F, form):
@@ -419,6 +417,20 @@ def test_theta_factorization_rejects_perturbed_factors(monkeypatch):
         patch.setattr(fusion, "invariant_traceless_projector", shifted)
         assert not verify_theta_factorization(*case)
     assert verify_theta_factorization(*case)
+
+
+def test_block_codes_match_the_decoded_reference():
+    # the code of (mcode, ncode) in the split space is the encoding of the
+    # first m letters in 1..M followed by the last n letters in M+1..L
+    for L, M, m, n in ((3, 1, 0, 2), (3, 2, 0, 1), (3, 1, 1, 2), (4, 2, 1, 2),
+                       (5, 3, 2, 1), (4, 2, 2, 2)):
+        first, last = fusion._block_codes(L, M, m, n)
+        assert (len(first), len(last)) == (M ** m, (L - M) ** n)
+        for mcode, f in enumerate(first):
+            midx = decode(mcode, M, m)
+            for ncode, t in enumerate(last):
+                nidx = tuple(M + i for i in decode(ncode, L - M, n))
+                assert f + t == encode(midx + nidx, L), (L, M, m, n, mcode, ncode)
 
 
 def test_invariant_traceless_projector_with_two_or_more_factors():

@@ -13,8 +13,8 @@ from symfusion.tensorop import (AmbientMismatch, BilinearForm, OrbitComparison,
                                 SingularForm, SparseOperator, act, code_table,
                                 column_orbits, commutes_with, decode, dual_basis,
                                 encode, image_basis, intersect, kernel_basis,
-                                monomial_isometries, perm_op, preserves_gram,
-                                q_op, rank, span_of_vectors, subspace_equal,
+                                monomial_isometries, pair_vector, perm_op,
+                                preserves_gram, q_op, rank, span_of_vectors, subspace_equal,
                                 traceless_basis, unit_operator)
 
 
@@ -73,13 +73,49 @@ def decoded_perm_op(s: Permutation, N: int) -> SparseOperator:
 
 def test_perm_op_matches_the_decoded_reference():
     # every permutation of up to four slots, at N = 2 and N = 3; the rows
-    # come in the same order too, so nothing downstream sees the change
+    # come in the same order too, so nothing downstream sees the change.
+    # act of a seeded random element is Σ_s c_s·perm_op(s) by the same route
+    rng = random.Random(1729)
     for N in (2, 3):
         for n in range(1, 5):
-            for images in permutations(range(1, n + 1)):
-                s = Permutation(images)
+            perms = [Permutation(images) for images in permutations(range(1, n + 1))]
+            for s in perms:
                 got, want = perm_op(s, N), decoded_perm_op(s, N)
                 assert got == want and list(got.rows) == list(want.rows), (N, s)
+            for _ in range(3):
+                terms = {s: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         for s in rng.sample(perms, rng.randint(1, len(perms)))}
+                want = SparseOperator.zero(N, n)
+                for s, c in terms.items():
+                    want = want + decoded_perm_op(s, N).scaled(c)
+                assert act(GroupAlgebraElement(n, terms), N) == want, (N, terms)
+
+
+def decoded_q_op(k: int, l: int, form: BilinearForm, n: int) -> SparseOperator:
+    """Reference route: decode every code, contract the letters of slots k
+    and l with the Gram, insert each pair (i, j) of w there, encode."""
+    N = form.N
+    rows: dict = {}
+    for code in range(N ** n):
+        idx = decode(code, N, n)
+        g = form.gram[idx[k - 1] - 1][idx[l - 1] - 1]
+        for (i, j), wv in pair_vector(form).items():
+            out = list(idx)
+            out[k - 1], out[l - 1] = i, j
+            row = rows.setdefault(encode(tuple(out), N), {})
+            row[code] = row.get(code, 0) + g * wv
+    return SparseOperator(N, n, rows)
+
+
+def test_q_op_matches_the_decoded_reference():
+    # every ordered slot pair of up to four slots, for the symmetric form at
+    # N = 2, 3, the alternating form at N = 2, 4 and a non-standard Gram
+    for form in (BilinearForm("symmetric", 2), BilinearForm("symmetric", 3),
+                 BilinearForm("alternating", 2), BilinearForm("alternating", 4),
+                 BilinearForm("symmetric", 4, HYPERBOLIC_4)):
+        for n in range(2, 5):
+            for k, l in permutations(range(1, n + 1), 2):
+                assert q_op(k, l, form, n) == decoded_q_op(k, l, form, n), (form, n, k, l)
 
 
 def test_unit_operator_names():
