@@ -7,9 +7,9 @@ from .shapes import (ContainmentError, ParityError, Partition, SkewShape,
                      StandardTableau, column_tableau, conjugate,
                      count_semistandard, dim_sym_irrep, row_tableau, skew,
                      standard_tableaux, validate_label)
-from .symalg import (GroupAlgebraElement, Permutation, compose, e_col,
-                     e_row, e_skew_extract, e_tableau, fusion_e_skew, iota,
-                     theta, young_p, young_q)
+from .symalg import (GroupAlgebraElement, Permutation, chain_from_row,
+                     compose, e_col, e_row, e_skew_extract, e_tableau,
+                     fusion_e_skew, iota, theta, young_p, young_q)
 from .tensorop import (BilinearForm, SparseOperator, SubspaceBasis, act,
                        dual_basis, image_basis, kernel_basis, perm_op, q_op,
                        rank, traceless_basis)

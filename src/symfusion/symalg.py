@@ -15,7 +15,7 @@ from math import factorial, lcm
 
 from . import kernels
 from .exactnum import format_rational, limit_at_zero, normal_form
-from .shapes import Partition, SkewShape, StandardTableau, row_tableau
+from .shapes import Partition, SkewShape, StandardTableau
 
 
 class DegreeMismatch(ValueError):
@@ -271,66 +271,104 @@ def e_col(T: StandardTableau) -> GroupAlgebraElement:
     return e
 
 
+def _check_greedy(greedy: str) -> None:
+    if greedy not in ("smallest", "largest"):
+        raise ValueError(f"greedy must be 'smallest' or 'largest', got {greedy!r}")
+
+
+def _walk_step(T: StandardTableau, greedy: str) -> int:
+    """The descent k (the box of k lies strictly below the box of k+1)
+    that the backward walk from T exchanges first: the smallest or the
+    largest, per ``greedy``."""
+    rows = T.rows()
+    descents = [k for k in range(1, T.n) if rows[k - 1] > rows[k]]
+    return min(descents) if greedy == "smallest" else max(descents)
+
+
 def chain_from_row(T: StandardTableau, greedy: str = "smallest") -> list[int]:
     """Adjacent transpositions turning the row tableau into T.
 
     Every intermediate tableau along the chain is standard.  Walks from T
-    back to the row tableau by repeatedly exchanging a descent k (the box
-    of k lies strictly below the box of k+1), then reverses the walk.
-    ``greedy`` picks the smallest or the largest such k; any valid chain
-    yields the same matrix element, which the tests exercise.
+    back to the row tableau by repeatedly exchanging the descent
+    ``_walk_step`` picks, then reverses the walk.  ``greedy`` is
+    "smallest" or "largest"; any valid chain yields the same matrix
+    element, which the tests exercise.
     """
+    _check_greedy(greedy)
     ks = []
     cur = T
     while not cur.is_row_tableau():
-        rows = cur.rows()
-        candidates = [k for k in range(1, cur.n) if rows[k - 1] > rows[k]]
-        k = min(candidates) if greedy == "smallest" else max(candidates)
+        k = _walk_step(cur, greedy)
         ks.append(k)
         cur = cur.swap_adjacent(k)
     return ks[::-1]
 
 
-@lru_cache(maxsize=None)
 def e_tableau(T: StandardTableau, greedy: str = "smallest") -> GroupAlgebraElement:
     """Diagonal matrix element e for an arbitrary standard tableau.
 
-    Built from the row tableau along a chain of admissible adjacent
-    transpositions: with h = 1/d, d = c_{k+1} - c_k taken on the current
-    tableau, the exchanged element is (s_k - h)·e·(s_k - h)/(1 - h²).
-    Numerators stay integers over one tracked denominator, which gains a
-    factor d² - 1 per exchange; the pair enters the element's normal form
-    at the end.
+    Built from the row tableau along ``chain_from_row(T, greedy)``: with
+    h = 1/d, d = c_{k+1} - c_k taken on the current tableau, each
+    exchange maps e to (s_k - h)·e·(s_k - h)/(1 - h²).  The walk is
+    deterministic, so chain(T) = chain(T') + [k] for its first step k and
+    T' = T.swap_adjacent(k): each element is one exchange from its chain
+    parent's, which a bounded cache keeps, and the row tableau's element
+    is p·q·p.  So the f^λ tableaux of a shape cost f^λ - 1 exchanges and
+    one row numerator; an evicted parent is rebuilt.  The cache is
+    read-only: each call returns a new element, which the caller may
+    change.  ``greedy`` is "smallest" or "largest"; both give the same e.
     """
     _require_non_skew(T)
-    chain = chain_from_row(T, greedy)
-    cur = row_tableau(T.shape)
-    terms, denom = _row_numerator(cur)
-    for k in chain:
-        c = cur.contents
-        d = c[k] - c[k - 1]
-        cur = cur.swap_adjacent(k)  # raises unless the exchange is admissible
-        terms = _exchange(terms, k, d)
-        denom *= d * d - 1
-    if cur != T:
-        raise ArithmeticError(f"exchange chain ended at {cur}, not at {T}")
-    return _from_numerators(T.n, terms, denom)
+    _check_greedy(greedy)
+    e = _diagonal_element(T, greedy)
+    return GroupAlgebraElement(e.n, e.terms, e.den)
+
+
+@lru_cache(maxsize=256)
+def _diagonal_element(T: StandardTableau, greedy: str) -> GroupAlgebraElement:
+    """e_tableau's cached element; callers must not change it."""
+    if T.is_row_tableau():
+        return _from_numerators(T.n, *_row_numerator(T))
+    k = _walk_step(T, greedy)
+    parent = T.swap_adjacent(k)  # raises unless the exchange is admissible
+    if parent.swap_adjacent(k) != T:
+        raise ArithmeticError(f"exchange from {parent} ended elsewhere, not at {T}")
+    e = _diagonal_element(parent, greedy)
+    c = parent.contents
+    d = c[k] - c[k - 1]
+    return _from_numerators(T.n, _exchange(e.terms, k, d), e.den * (d * d - 1))
+
+
+# the cache's statistics and reset, as an lru_cache function carries them
+e_tableau.cache_info = _diagonal_element.cache_info
+e_tableau.cache_clear = _diagonal_element.cache_clear
 
 
 def _exchange(terms: dict[tuple, int], k: int, d: int) -> dict[tuple, int]:
     """Numerators of d²·(s - 1/d)·e·(s - 1/d) for s = s_k:
     new[τ] = d²·e[sτs] - d·e[sτ] - d·e[τs] + e[τ].  s∘τ swaps the values
-    k and k+1 of τ, τ∘s swaps its positions k and k+1."""
+    k and k+1 of τ, τ∘s swaps its positions k and k+1.  Each of τ, sτ, τs
+    and sτs (two of them when sτ = τs) takes its new numerator from the
+    four old ones, so each such orbit is read once and written at once.
+    The output is seeded with the keys of ``terms``, so it reuses their
+    tuples wherever a key recurs: the elements built from one another
+    share their permutation tuples."""
     d2 = d * d
-    out: dict[tuple, int] = {}
-    for t, x in terms.items():
+    out = dict.fromkeys(terms)
+    for t, a in terms.items():
+        if out[t] is not None:  # its orbit is written
+            continue
         st = list(t)
         st[t.index(k)], st[t.index(k + 1)] = k + 1, k
         ts, sts = list(t), st[:]
         ts[k - 1], ts[k] = t[k], t[k - 1]
         sts[k - 1], sts[k] = st[k], st[k - 1]
-        for key, c in ((tuple(sts), d2 * x), (tuple(st), -d * x), (tuple(ts), -d * x), (t, x)):
-            out[key] = out.get(key, 0) + c
+        st, ts, sts = tuple(st), tuple(ts), tuple(sts)
+        b, c, e = terms.get(st, 0), terms.get(ts, 0), terms.get(sts, 0)
+        out[t] = d2 * e - d * (b + c) + a
+        out[st] = d2 * c - d * (a + e) + b
+        out[ts] = d2 * b - d * (a + e) + c
+        out[sts] = d2 * a - d * (b + c) + e
     return {key: c for key, c in out.items() if c}
 
 
@@ -391,16 +429,18 @@ def e_skew_extract(L: StandardTableau, m: int) -> GroupAlgebraElement:
 
     θ_m(e) factors as (element for the first m entries)·(embedded skew
     element); reading the terms whose action on {1..m} is the identity is
-    valid because the first factor has identity coefficient 1.
+    valid because the first factor has identity coefficient 1.  Those
+    terms are read straight from e = e_tableau(L): θ_m keeps them all, and
+    the normal form is unique, so no θ_m(e) is built.
     """
     _require_non_skew(L)
     if not 0 <= m < L.n:
         raise ValueError(f"need 0 <= m < {L.n}, got {m}")
-    th = theta(e_tableau(L), m)
+    e = _diagonal_element(L, "smallest")
     ident = tuple(range(1, m + 1))
     return GroupAlgebraElement(L.n - m, {tuple(v - m for v in s[m:]): c
-                                         for s, c in th.terms.items() if s[:m] == ident},
-                               th.den)
+                                         for s, c in e.terms.items() if s[:m] == ident},
+                               e.den)
 
 
 def _inner_shape(L: StandardTableau, m: int) -> Partition:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symfusion import symalg
 from symfusion.exactnum import PoleAtLimit
 from symfusion.shapes import (Partition, column_tableau, dim_sym_irrep,
                               partitions_of, row_tableau, skew,
@@ -204,6 +205,101 @@ def test_chain_stays_standard():
         for k in chain_from_row(T):
             cur = cur.swap_adjacent(k)  # raises if non-standard
         assert cur == T
+
+
+def _exchange_reference(terms, k, d):
+    """d²·(s - 1/d)·e·(s - 1/d) for s = s_k, one term at a time."""
+    out = {}
+    for t, x in terms.items():
+        st = list(t)
+        st[t.index(k)], st[t.index(k + 1)] = k + 1, k
+        ts, sts = list(t), st[:]
+        ts[k - 1], ts[k] = t[k], t[k - 1]
+        sts[k - 1], sts[k] = st[k], st[k - 1]
+        for key, c in ((tuple(sts), d * d * x), (tuple(st), -d * x), (tuple(ts), -d * x), (t, x)):
+            out[key] = out.get(key, 0) + c
+    return GroupAlgebraElement(len(next(iter(terms))), out)
+
+
+def _e_tableau_reference(T, greedy):
+    """e_T from the row tableau's p·q·p along every exchange of the chain."""
+    cur = row_tableau(T.shape)
+    e = e_row(cur)
+    for k in chain_from_row(T, greedy):
+        d = cur.contents[k] - cur.contents[k - 1]
+        cur = cur.swap_adjacent(k)
+        e = _exchange_reference(e.terms, k, d).scaled(Fraction(1, e.den * (d * d - 1)))
+    assert cur == T and e.identity_coeff() == 1
+    return e
+
+
+def _tableaux_up_to(size):
+    return [T for n in range(1, size + 1) for lam in partitions_of(n)
+            for T in standard_tableaux(skew(lam))]
+
+
+def test_e_tableau_tree_build_matches_the_chain_reference():
+    # each element is one exchange from its cached chain parent's; cold
+    # builds (deepest chain first) and builds from cached parents (row
+    # tableau first) must both equal the all-chain reference
+    tabs = _tableaux_up_to(6)
+    for greedy in ("smallest", "largest"):
+        depth = {T: len(chain_from_row(T, greedy)) for T in tabs}
+        ref = {T: _e_tableau_reference(T, greedy) for T in tabs}
+        for reverse in (True, False):
+            e_tableau.cache_clear()
+            for T in sorted(tabs, key=depth.get, reverse=reverse):
+                assert e_tableau(T, greedy) == ref[T], (T, greedy)
+            # no tableau was built twice
+            assert e_tableau.cache_info().misses == len(tabs)
+    for T in tabs:
+        if not T.is_row_tableau():
+            k = chain_from_row(T)[-1]
+            parent = symalg._diagonal_element(T.swap_adjacent(k), "smallest").terms
+            shared = {key: key for key in parent}
+            assert all(shared[key] is key for key in
+                       symalg._diagonal_element(T, "smallest").terms if key in shared)
+
+
+def test_e_skew_extract_matches_the_theta_route():
+    for L in _tableaux_up_to(6):
+        e = e_tableau(L)
+        for m in range(L.n):
+            th = theta(e, m)
+            ident_m = ident(m)
+            via_theta = GroupAlgebraElement(L.n - m, {
+                tuple(v - m for v in s[m:]): c for s, c in th.terms.items()
+                if s[:m] == ident_m}, th.den)
+            assert e_skew_extract(L, m) == via_theta, (L, m)
+
+
+def test_e_tableau_rejects_an_unknown_walk():
+    T = column_tableau(skew(P(2, 1)))
+    e_tableau.cache_clear()
+    for bad in ("bogus", "Smallest", None):
+        with pytest.raises(ValueError):
+            e_tableau(T, bad)
+        with pytest.raises(ValueError):
+            chain_from_row(T, bad)
+    assert e_tableau.cache_info().currsize == 0
+
+
+def test_e_tableau_cache_is_bounded_and_read_only():
+    assert e_tableau.cache_info().maxsize is not None
+    lam = P(3, 2, 1)
+    child = column_tableau(skew(lam))
+    parent = child.swap_adjacent(chain_from_row(child)[-1])
+    e_tableau.cache_clear()
+    got = e_tableau(parent)
+    got.terms[ident(6)] += 5
+    got.terms[(6, 5, 4, 3, 2, 1)] = 1
+    got.den = 7
+    e_tableau(parent).terms.clear()
+    # the child is built from the cached parent after those writes
+    assert e_tableau(child) == _e_tableau_reference(child, "smallest")
+    assert e_tableau(parent) == _e_tableau_reference(parent, "smallest")
+    for m in range(lam.size):
+        assert e_skew_extract(parent, m).identity_coeff() == 1
 
 
 def test_scaled_idempotency():
