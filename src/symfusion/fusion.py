@@ -20,8 +20,14 @@ permutation g of the basis that preserves the Gram, so F does too, and
 its columns come in orbits of such g; each factor's exact verdict comes
 with its move from ``tensorop.unit_move``.  The engine is linear in its
 start vector, so it runs on one column per orbit
-(``tensorop.column_orbits``); the other columns are rebuilt as ± images,
-and the result is checked exactly to commute with every generator.
+(``tensorop.column_orbits``), and the result is checked exactly to
+commute with every generator.  E, a sum of slot permutations, commutes
+with g^{⊗n} for every g in GL_N, so it is built on the orbits of the
+identity Gram's signed letter permutations: each representative column
+term by term, with its equivariance taken from the exact verdicts of the
+adjacent exchanges.  Both operators are assembled by ``_assemble``: the
+other columns are rebuilt as ± images orbit by orbit and written straight
+into the rows, so no full copy of either operator is held beside it.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_ze
 from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import e_tableau, fusion_e_skew, inner_tableau_of, skew_tableau_of
-from .tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
-                       column_orbits, commutes_with, image_basis, intersect, q_op,
-                       rank, slot_codes, span_of_vectors, standard_form,
+from .tensorop import (BilinearForm, ColumnOrbits, OrbitComparison, SparseOperator,
+                       act, column_orbits, commutes_with, image_basis, intersect,
+                       q_op, rank, slot_codes, span_of_vectors, standard_form,
                        subspace_equal, traceless_basis, unit_move)
 
 
@@ -146,14 +152,51 @@ class FusionConfig:
 
 
 def e_operator(O: StandardTableau, N: int) -> SparseOperator:
-    """Image on tensor space of the group-algebra fusion element."""
+    """Image on tensor space of the group-algebra fusion element, built on
+    the column orbits of the symmetric identity form (see
+    ``_e_operator_cached``); it equals ``act(fusion_e_skew(O, "row"), N)``."""
     _check_dim(N, O.n)
     return _e_operator_cached(O, N)
 
 
 @lru_cache(maxsize=None)
 def _e_operator_cached(O: StandardTableau, N: int) -> SparseOperator:
-    return act(fusion_e_skew(O, "row"), N)
+    """E on one column per orbit of ``column_orbits(standard_form("symmetric",
+    N), n)``, the signed letter permutations.
+
+    Every term of E is a word in the adjacent exchanges ("P", k, k+1), so E
+    commutes with g^{⊗n} for each generator g when they do; their exact,
+    cached ``unit_move`` verdicts say so, and a failed one raises
+    ArithmeticError.  Column c of E is Σ_s c_s·e_{π_s(c)}, where letter d
+    of slot k lands at d·N^(n − s(k)); the letters of each representative
+    are read from one ``slot_codes`` table per slot.  The representative
+    columns are normalized once and ``_assemble`` rebuilds the rest orbit
+    by orbit.  No commutation pass runs over E itself: its rebuild goes
+    through the ``_image_column`` seam that F's final check covers on every
+    F build.
+    """
+    n = O.n
+    form = standard_form("symmetric", N)
+    for k in range(1, n):
+        if not unit_move(("P", k, k + 1), N, n, form)[2]:
+            raise ArithmeticError(f"the exchange of slots {k} and {k + 1} does not "
+                                  "commute with a signed letter permutation")
+    orbits = column_orbits(form, n)
+    a = fusion_e_skew(O, "row")
+    weights = [N ** (n - j) for j in range(1, n + 1)]
+    letters = [slot_codes([range(N) if j == k else [0] * N for j in range(n)])
+               for k in range(n)]
+    terms = [([i - 1 for i in s], c) for s, c in a.terms.items()]
+    columns = []
+    for rep in orbits.representatives:
+        places = [[table[rep] * w for w in weights] for table in letters]
+        column: dict[int, int] = {}
+        for images, c in terms:
+            t = sum([place[i] for place, i in zip(places, images)])
+            column[t] = column.get(t, 0) + c
+        columns.append(column)
+    columns, den = normal_form(columns, a.den)
+    return _assemble(N, n, orbits, dict(zip(orbits.representatives, columns)), den)
 
 
 def _lex_pairs(n: int):
@@ -206,6 +249,49 @@ def _image_column(column: dict[int, int], table, s: int) -> dict[int, int]:
     return {targets[r]: s * signs[r] * v for r, v in column.items()}
 
 
+def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int, int]],
+              den: int) -> SparseOperator:
+    """The operator over ``den`` whose representative columns are
+    ``columns`` (rep -> {row: value}, in normal form together, consumed)
+    and that commutes with every generator of ``orbits``: column π_g(c) is
+    s_g(c)·g^{⊗n}·(column c).
+
+    The steps run orbit by orbit, so each rebuilt column comes from its
+    breadth-first parent through ``_image_column``, is written into the
+    rows at once, and is dropped with the rest of its orbit when the next
+    orbit starts; a step whose parent lies outside the current orbit
+    raises ValueError.  The rebuilt entries are ± the representatives', so
+    the rows are in normal form as assembled and are not normalized again.
+    """
+    rows: dict[int, dict[int, int]] = {}
+
+    def write(code: int, column: dict[int, int]):
+        for r, v in column.items():
+            row = rows.get(r)
+            if row is None:
+                rows[r] = {code: v}
+            else:
+                row[code] = v
+
+    for rep, column in columns.items():
+        write(rep, column)
+    index = {rep: i for i, rep in enumerate(orbits.representatives)}
+    current, orbit = -1, {}
+    for code, parent, t in orbits.steps:
+        column = orbit.get(parent)
+        if column is None:  # the first step of the next orbit leaves its representative
+            if index.get(parent, -1) <= current:
+                raise ValueError(f"column {code} has its parent {parent} outside "
+                                 "the current orbit")
+            current = index[parent]
+            column = columns.pop(parent)
+            orbit = {parent: column}
+        table = orbits.tables[t]
+        orbit[code] = image = _image_column(column, table, table[1][parent])
+        write(code, image)
+    return SparseOperator._in_normal_form(N, n, rows, den)
+
+
 @lru_cache(maxsize=None)
 def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
     """F, with the limit engine run on one column per orbit only.
@@ -214,32 +300,27 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
     preserves the Gram (``_f_factors`` checks it), and so does F: column
     π_g(c) of F is s_g(c)·g^{⊗n}·(column c).  The engine is linear in its
     start vector, so it starts from the representatives of
-    ``tensorop.column_orbits`` alone, and every other column is rebuilt
-    from its breadth-first parent.  The truncated series of a rebuilt column is ± the image of
-    its parent's, so a pole shows in the representatives too.  The
-    rebuilt F is then checked exactly to commute with every generator,
-    which covers each orbit's stabilizer; a mismatch raises
-    ArithmeticError.  With no generator this is the build on all columns.
+    ``tensorop.column_orbits`` alone; their columns are normalized once,
+    and ``_assemble`` rebuilds every other column from its breadth-first
+    parent, orbit by orbit, straight into the rows.  The truncated series
+    of a rebuilt column is ± the image of its parent's, so a pole shows in
+    the representatives too.  The rebuilt F is then checked exactly to
+    commute with every generator, which covers each orbit's stabilizer; a
+    mismatch raises ArithmeticError.  With no generator this is the build
+    on all columns.
     """
     N, n = cfg.N, cfg.n
     dim = N ** n
     orbits = column_orbits(cfg.form, n)
     values, den = limit_at_zero({c * dim + c: 1 for c in orbits.representatives},
                                 _f_factors(cfg), "operator product")
-    # the rebuilt entries are ± these, so reducing here leaves F reduced
     (values,), den = normal_form([values], den)
     columns: dict[int, dict[int, int]] = {c: {} for c in orbits.representatives}
     for key, v in values.items():
         r, col = divmod(key, dim)
         columns[col][r] = v
-    for code, parent, t in orbits.steps:
-        table = orbits.tables[t]
-        columns[code] = _image_column(columns[parent], table, table[1][parent])
-    rows: dict[int, dict[int, int]] = {}
-    for col in list(columns):
-        for r, v in columns.pop(col).items():
-            rows.setdefault(r, {})[col] = v
-    F = SparseOperator(N, n, rows, den)
+    del values
+    F = _assemble(N, n, orbits, columns, den)
     for table in orbits.tables:
         if not commutes_with(F, table):
             raise ArithmeticError("the orbit-built F does not commute with a "
@@ -541,13 +622,17 @@ class FusionCertificate:
 
 def operator_hash(A: SparseOperator) -> str:
     """First 16 hex digits of the sha256 of the compact JSON of
-    ``A.to_triplets()``, streamed one sorted row at a time instead of built."""
+    ``A.to_triplets()``, streamed one sorted row at a time instead of built.
+    Each distinct value is formatted once per call: an operator has few."""
     digest = hashlib.sha256(b"[")
     sep = ""
+    text: dict[int, str] = {}
     for r, cols in sorted(A.rows.items()):
-        entries = ",".join(
-            f'{{"row":{r},"col":{c},"value":"{format_rational(Fraction(cols[c], A.den))}"}}'
-            for c in sorted(cols))
+        for v in cols.values():
+            if v not in text:
+                text[v] = format_rational(Fraction(v, A.den))
+        entries = ",".join(f'{{"row":{r},"col":{c},"value":"{text[cols[c]]}"}}'
+                           for c in sorted(cols))
         digest.update(f"{sep}{entries}".encode())
         sep = ","
     digest.update(b"]")

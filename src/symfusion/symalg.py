@@ -107,16 +107,21 @@ class GroupAlgebraElement:
     rational coefficients (repeated keys add up) and brings them to
     ``exactnum.normal_form``: nonzero int numerators over one positive
     ``den`` with no common factor, den 1 for zero.  So equality compares
-    the stored fields.  Term keys are raw image tuples for kernel speed.
+    the stored fields.  Term keys are raw image tuples for kernel speed: a
+    dict whose keys are all plain tuples cannot repeat one and goes to
+    ``normal_form`` as it is; any other input is summed key by key.
     """
 
     __slots__ = ("n", "terms", "den")
 
     def __init__(self, n: int, terms=None, den: int = 1):
-        acc = {}
-        for s, c in (terms.items() if isinstance(terms, dict) else terms or ()):
-            key = tuple(s)
-            acc[key] = acc.get(key, 0) + c
+        if isinstance(terms, dict) and set(map(type, terms)) <= {tuple}:
+            acc = terms  # normal_form copies it
+        else:
+            acc = {}
+            for s, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+                key = tuple(s)
+                acc[key] = acc.get(key, 0) + c
         self.n = n
         (self.terms,), self.den = normal_form([acc], den)
 

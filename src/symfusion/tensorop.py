@@ -10,17 +10,17 @@ and den directly) and subspaces hold integer echelon rows
 (``entry``, ``scaled``, ``to_triplets``, ``span_of_vectors``, the scalars
 and witnesses of ``OrbitComparison``) and in ``BilinearForm``.
 
-Every code table (``perm_op``, ``act``, ``q_op``, ``code_table`` and the
-block embedding of ``fusion``) is one slot sum, ``slot_codes``: slot k
-adds where its letter lands, a multiple of the slot weight N^(n-k).  So
-no library code decodes or encodes a code; ``encode`` and ``decode``
-stay as the tests' reference.  The identity checks and the F engine name
-the exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l),
-and resolve each name through one bounded cache, ``unit_move``, keyed by
-(name, N, n, form), whose entry holds the operator's move, den and exact
-commutation verdict.  So each distinct unit operator is built and checked
-once per process, and no caller ever holds, and so cannot mutate, the
-cached operator.
+Every code table (``perm_op``, ``act``, ``q_op``, ``code_table``, and the
+block embedding and E's letter tables in ``fusion``) is one slot sum,
+``slot_codes``: slot k adds where its letter lands, a multiple of the
+slot weight N^(n-k).  So no library code decodes or encodes a code;
+``encode`` and ``decode`` stay as the tests' reference.  The identity
+checks and the F and E builds name the exchanges P_ij and contractions
+Q_kl, ("P", i, j) and ("Q", k, l), and resolve each name through one
+bounded cache, ``unit_move``, keyed by (name, N, n, form), whose entry
+holds the operator's move, den and exact commutation verdict.  So each
+distinct unit operator is built and checked once per process, and no
+caller ever holds, and so cannot mutate, the cached operator.
 """
 
 from __future__ import annotations
@@ -150,6 +150,17 @@ class SparseOperator:
         self.N = N
         self.n = n
         self.rows = {r: cols for r, cols in zip(rows, parts) if cols}
+
+    @classmethod
+    def _in_normal_form(cls, N: int, n: int, rows: dict[int, dict[int, int]],
+                        den: int) -> "SparseOperator":
+        """The operator that holds ``rows`` and ``den`` themselves, with no
+        copy and no ``normal_form`` pass: the caller vouches that they are
+        already in normal form with no empty row, as the orbit assembly of
+        ``fusion`` builds them."""
+        self = cls.__new__(cls)
+        self.N, self.n, self.rows, self.den = N, n, rows, den
+        return self
 
     @property
     def dim(self) -> int:
@@ -395,10 +406,12 @@ class ColumnOrbits(NamedTuple):
     generators of ``monomial_isometries``.
 
     ``tables`` holds each generator's ``code_table``; ``representatives``
-    holds the least code of each orbit; ``steps`` lists every other code
-    in breadth-first order as (code, parent, t) with
-    code = tables[t][0][parent], so each parent comes before its
-    children.
+    holds the least code of each orbit, in increasing order; ``steps``
+    lists every other code as (code, parent, t) with
+    code = tables[t][0][parent], orbit by orbit in the order of the
+    representatives and breadth-first inside each orbit.  So the steps of
+    one orbit are contiguous, the first of them has the representative as
+    its parent, and each parent comes before its children.
     """
 
     tables: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -461,12 +474,19 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
     ``dim`` defaults to op.dim.  A multiple N^m·op.dim stands for
     1^{⊗m} ⊗ op, which moves row a·op.dim + k to a·op.dim + r for every
     a, so the lifted operator is never built.
+
+    Each code's (shift, weight) pairs are one tuple, and codes with equal
+    pairs share one tuple object.  A unit operator has few such patterns
+    (2N − 1 for an exchange, at most N² for a contraction), so its move
+    holds a few tuples and one dict entry per code.
     """
     dim = dim or op.dim
-    shifts: dict[int, list[tuple[int, int]]] = {}
+    lists: dict[int, list[tuple[int, int]]] = {}
     for r, row in op.rows.items():
         for k, v in row.items():
-            shifts.setdefault(k, []).append(((r - k) * dim, v))
+            lists.setdefault(k, []).append(((r - k) * dim, v))
+    patterns: dict[tuple, tuple] = {}
+    shifts = {k: patterns.setdefault(t, t) for k, t in zip(lists, map(tuple, lists.values()))}
     if dim != op.dim:
         shifts = {a + k: s for a in range(0, dim, op.dim) for k, s in shifts.items()}
 
@@ -501,7 +521,9 @@ def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     ``left_multiplication``, its den, and whether it commutes exactly with
     every generator of ``column_orbits(form, n)``; so each is built and
     checked once per process.  The operator itself stays inside: no caller
-    can reach, and so mutate, it."""
+    can reach, and so mutate, it.  The move keeps one shared tuple per
+    pattern of (shift, weight) pairs, not one list per code, so an entry
+    costs about one dict of N^n keys."""
     op = unit_operator(name, N, n, form)
     return (left_multiplication(op), op.den,
             all(commutes_with(op, t) for t in column_orbits(form, n).tables))

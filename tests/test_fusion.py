@@ -17,10 +17,11 @@ from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               verify_prop33, verify_scaled_idempotent,
                               verify_theta_factorization)
 from symfusion.shapes import (Partition, column_tableau, count_semistandard,
-                              row_tableau, skew, standard_tableaux)
-from symfusion.symalg import Permutation
-from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator,
-                                column_orbits, decode, encode, perm_op, q_op, rank)
+                              partitions_of, row_tableau, skew, standard_tableaux)
+from symfusion.symalg import Permutation, fusion_e_skew
+from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
+                                column_orbits, decode, encode, perm_op, q_op, rank,
+                                standard_form)
 
 
 def P(*parts):
@@ -640,6 +641,78 @@ def test_orbit_build_rejects_a_flipped_rebuilt_column(monkeypatch):
     assert flipped
     monkeypatch.setattr(fusion, "_image_column", image)
     assert fusion._f_operator_cached.__wrapped__(cfg) == _unreduced_f(cfg)
+
+
+def _small_tableaux():
+    """Every standard tableau of at most 4 boxes, skew included, with
+    |λ| ≤ 6."""
+    out = set()
+    for size in range(1, 7):
+        for lam in partitions_of(size):
+            for mu in (m for k in range(max(0, size - 4), size) for m in partitions_of(k)):
+                try:
+                    out.update(standard_tableaux(skew(lam, mu)))
+                except ValueError:  # mu does not fit in lam
+                    continue
+    return sorted(out, key=lambda t: (t.shape.lam.parts, t.shape.mu.parts, t.entries))
+
+
+def test_orbit_built_e_matches_act():
+    """E built on the column orbits of the signed letter permutations
+    equals the all-column slot sums of ``act``, and is stored in normal
+    form although it skipped the constructor's ``normal_form`` pass."""
+    cases = [(O, N) for O in _small_tableaux() for N in (1, 2, 3)]
+    assert len(cases) == 951
+    cases += [(O, 4) for O in standard_tableaux(skew(P(3, 2)))]
+    cases.append((T((2, 2, 1), (1,)), 4))
+    for O, N in cases:
+        E = fusion._e_operator_cached.__wrapped__(O, N)  # uncached build
+        assert E == act(fusion_e_skew(O, "row"), N), (O, N)
+        assert E == SparseOperator(N, O.n, E.rows, E.den), (O, N)
+
+
+def test_e_build_rejects_a_non_equivariant_exchange(monkeypatch):
+    """E takes its equivariance from the adjacent exchanges' verdicts; one
+    failed verdict stops the build."""
+    real = fusion.unit_move
+
+    def failing(name, N, n, form):
+        move, den, commutes = real(name, N, n, form)
+        return move, den, commutes and name != ("P", 2, 3)
+
+    O = T((2, 1))
+    assert fusion._e_operator_cached.__wrapped__(O, 2) == act(fusion_e_skew(O, "row"), 2)
+    monkeypatch.setattr(fusion, "unit_move", failing)
+    with pytest.raises(ArithmeticError):
+        fusion._e_operator_cached.__wrapped__(O, 2)  # uncached build
+
+
+def test_column_orbit_steps_run_orbit_by_orbit():
+    """The steps of each orbit are contiguous, the orbits come in the order
+    of their representatives, and each orbit starts from its
+    representative; the assembly rejects steps out of that order."""
+    for kind, N, n in (("symmetric", 3, 4), ("symmetric", 4, 3), ("alternating", 4, 3),
+                       ("alternating", 2, 5), ("symmetric", 1, 3)):
+        orbits = column_orbits(standard_form(kind, N), n)
+        reps = orbits.representatives
+        assert list(reps) == sorted(reps)
+        orbit_of = {rep: i for i, rep in enumerate(reps)}
+        current = -1
+        for code, parent, t in orbits.steps:
+            assert orbits.tables[t][0][parent] == code
+            if orbit_of[parent] != current:
+                assert parent in reps and orbit_of[parent] > current
+                current = orbit_of[parent]
+            orbit_of[code] = current
+        assert len(orbit_of) == N ** n
+    orbits = column_orbits(standard_form("symmetric", 2), 3)
+    first = [s for s in orbits.steps if s[1] == orbits.representatives[0]][0]
+    swapped = orbits._replace(steps=[s for s in orbits.steps if s != first] + [first])
+    columns = {rep: {rep: 1} for rep in orbits.representatives}
+    with pytest.raises(ValueError):
+        fusion._assemble(2, 3, swapped, columns, 1)
+    columns = {rep: {rep: 1} for rep in orbits.representatives}
+    assert fusion._assemble(2, 3, orbits, columns, 1) == SparseOperator.identity(2, 3)
 
 
 def test_orbit_build_rejects_a_non_equivariant_factor(monkeypatch, fresh_units):

@@ -145,6 +145,25 @@ def test_group_algebra_normal_form():
         _assert_ga_normal(e)
 
 
+def test_group_algebra_dict_and_iterable_inputs_agree():
+    """A tuple-keyed dict is taken as it is; an iterable of pairs adds up
+    repeated keys; Permutation keys become plain tuples.  All give one
+    element, and the constructor never keeps the caller's dict."""
+    s, t, e = transp(3, 1, 2), transp(3, 2, 3), ident(3)
+    pairs = [(s, 2), (Permutation(t), Fraction(1, 3)), (s, -1), (e, 4), (Permutation(s), 3)]
+    want = GroupAlgebraElement(3, pairs, 2)
+    assert (want.terms, want.den) == ({s: 12, t: 1, e: 12}, 6)
+    assert GroupAlgebraElement(3, iter(pairs), 2) == want
+    terms = {s: 4, t: Fraction(1, 3), e: 4}
+    taken = GroupAlgebraElement(3, terms, 2)
+    assert taken == want and taken.terms is not terms
+    assert terms == {s: 4, t: Fraction(1, 3), e: 4}
+    assert GroupAlgebraElement(3, {Permutation(k): v for k, v in terms.items()}, 2) == want
+    assert GroupAlgebraElement(3, {s: 4, Permutation(t): Fraction(1, 3), e: 4}, 2) == want
+    for element in (want, taken, GroupAlgebraElement(3, {Permutation(s): 1})):
+        assert {type(k) for k in element.terms} == {tuple}
+
+
 # --- Young symmetrizer building blocks --------------------------------------
 
 
