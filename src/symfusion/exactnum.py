@@ -15,8 +15,9 @@ pole test, so the truncation is exact: the value is p_v divided by
 Π_t (a_t if a_t else b_t), and a nonzero p_i with i < v is a genuine
 pole.  The value is returned unreduced, as (±p_v, |Π|).  No factor is
 ever evaluated early and nothing is reduced along the way.  Callers
-supply only how X_t moves the keys of a vector, which is what the
-group-algebra route and the operator route differ in.
+supply only how X_t moves the keys of a vector.  Both routes move int
+keys through precomputed tables: the group-algebra route relabels
+permutation ranks, the operator route combines basis codes.
 """
 
 from __future__ import annotations

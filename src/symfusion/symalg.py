@@ -4,14 +4,25 @@ Composition convention, used everywhere and load-bearing for the
 recursion and ordering conventions below: (s∘t)(i) = s(t(i)), i.e. the
 right factor acts first.  Products of algebra elements append factors on
 the right, so an ordered product f1·f2·…·fT is built left to right.
+
+The hot loops run on permutation ranks, not tuples.  S_n is listed once
+per n in lexicographic order of its image tuples (``_perms``), so rank 0
+is the identity, and each rank move is a table built the first time a
+step needs it: right multiplication by (i j) swaps positions i and j
+(``_position_swap``), and left multiplication swaps values, which is a
+position swap conjugated by the inverse-rank table.  Tuples appear only
+at the ``GroupAlgebraElement`` boundary, and they are the shared tuples
+of the one table.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from itertools import chain, compress, cycle, permutations, product, repeat
+from math import factorial, gcd, lcm, prod
+from operator import add, floordiv, getitem, itemgetter
+from typing import NamedTuple
 
 from . import kernels
 from .exactnum import format_rational, limit_at_zero, normal_form
@@ -173,81 +184,200 @@ class GroupAlgebraElement:
         return f"GA{self.n}[" + " + ".join(parts) + "]"
 
 
+# ---------------------------------------------------------------------------
+# S_n indexed by rank
+
+
+@lru_cache(maxsize=None)
+def _perms(n: int) -> tuple[tuple[int, ...], ...]:
+    """S_n in lexicographic order of the image tuples; rank 0 is the identity.
+
+    The permutations that fix 1..m come first, and their tails, shifted
+    down by m, are S_{n-m} in its own order: the rank of such a
+    permutation is the rank of its tail."""
+    return tuple(permutations(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _rank(n: int) -> dict[tuple[int, ...], int]:
+    """{image tuple: rank} for S_n; callers must not change it."""
+    perms = _perms(n)
+    return dict(zip(perms, range(len(perms))))
+
+
+@lru_cache(maxsize=256)
+def _position_swap(n: int, i: int, j: int) -> tuple[int, ...]:
+    """table[r] = rank of τ∘(i j) for τ of rank r: swaps positions i and j.
+
+    The permutations that agree before position i fill a block of
+    (n - i + 1)! consecutive ranks, ordered as their tails are in
+    S_{n-i+1}, so for i > 1 each block moves as S_{n-i+1} under
+    (1 j-i+1)."""
+    if i > 1:
+        inner = _position_swap(n - i + 1, 1, j - i + 1)
+        starts = range(0, factorial(n), len(inner))
+        return tuple(map(add, chain.from_iterable(map(repeat, starts, repeat(len(inner)))),
+                         cycle(inner)))
+    order = list(range(n))
+    order[i - 1], order[j - 1] = j - 1, i - 1
+    return tuple(map(_rank(n).__getitem__, map(itemgetter(*order), _perms(n))))
+
+
+@lru_cache(maxsize=None)
+def _inverse_ranks(n: int) -> tuple[int, ...]:
+    """table[r] = rank of τ⁻¹ for τ of rank r.  bytes.maketrans(τ, 1..n)
+    maps each value to its position, so its bytes 1..n spell τ⁻¹."""
+    values = bytes(range(1, n + 1))
+    tables = map(bytes.maketrans, map(bytes, _perms(n)), repeat(values))
+    inverses = map(tuple, map(getitem, tables, repeat(slice(1, n + 1))))
+    return tuple(map(_rank(n).__getitem__, inverses))
+
+
+@lru_cache(maxsize=256)
+def _exchange_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The ranks of s∘τ, τ∘s and s∘τ∘s for s = (k k+1) and every τ.
+
+    s∘τ swaps the values k and k+1, so it is the position swap on τ⁻¹:
+    s∘τ = (τ⁻¹∘s)⁻¹."""
+    inv = _inverse_ranks(n)
+    right = _position_swap(n, k, k + 1)
+    left = tuple(map(inv.__getitem__, map(right.__getitem__, inv)))
+    return left, right, tuple(map(left.__getitem__, right))
+
+
+def _terms(n: int, nums) -> dict[tuple[int, ...], int]:
+    """{image tuple: numerator} for the nonzero numerators by rank; ``nums``
+    may be longer than n!, and only its first n! entries are read."""
+    return dict(compress(zip(_perms(n), nums), nums))
+
+
+# ---------------------------------------------------------------------------
+# Young symmetrizers and diagonal matrix elements
+
+
 def _require_non_skew(T: StandardTableau) -> None:
     if T.shape.is_skew:
         raise SkewShapeError(f"non-skew tableau required, got shape {T.shape}")
 
 
-def _stabilizer_sum(T: StandardTableau, by_rows: bool, signed: bool) -> GroupAlgebraElement:
-    n = T.n
+def _stabilizer_terms(T: StandardTableau, by_rows: bool, signed: bool) -> dict[tuple, int]:
+    """{image tuple: ±1} of the sum over the row (or column) stabilizer of T.
+
+    A term picks one arrangement of each block (row or column), so its
+    sign is the product of the arrangements' signs, each computed once."""
     groups: dict[int, list[int]] = {}
     for (i, j), k in zip(T.shape.cells, T.entries):
         groups.setdefault(i if by_rows else j, []).append(k)
     blocks = [sorted(v) for _, v in sorted(groups.items())]
-    terms = {}
-    for assignment in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        images = list(range(1, n + 1))
-        for block, perm in zip(blocks, assignment):
-            for src, dst in zip(block, perm):
-                images[src - 1] = dst
-        s = Permutation(images)
-        terms[tuple(s)] = s.sign() if signed else 1
-    return GroupAlgebraElement(n, terms)
+    # an image of v sits at slot[v - 1] of the blocks' images laid end to end
+    slot = sorted(range(T.n), key=list(chain.from_iterable(blocks)).__getitem__)
+    flats = map(tuple, map(chain.from_iterable, product(*map(permutations, blocks))))
+    keys = (tuple(map(flat.__getitem__, slot)) for flat in flats)
+    if not signed:
+        return dict.fromkeys(keys, 1)
+    # permutations(b) runs in the order of _perms(len(b)), with the same signs
+    signs = [list(map(Permutation.sign, _perms(len(b)))) for b in blocks]
+    return dict(zip(keys, map(prod, product(*signs))))
 
 
 def young_p(T: StandardTableau) -> GroupAlgebraElement:
     """Sum over the row stabilizer of T."""
     _require_non_skew(T)
-    return _stabilizer_sum(T, by_rows=True, signed=False)
+    return GroupAlgebraElement(T.n, _stabilizer_terms(T, by_rows=True, signed=False))
 
 
 def young_q(T: StandardTableau) -> GroupAlgebraElement:
     """Signed sum over the column stabilizer of T."""
     _require_non_skew(T)
-    return _stabilizer_sum(T, by_rows=False, signed=True)
+    return GroupAlgebraElement(T.n, _stabilizer_terms(T, by_rows=False, signed=True))
 
 
-def _row_numerator(T: StandardTableau) -> tuple[dict[tuple, int], int]:
-    """Integer terms of p·q·p for the row tableau T, and λ1!·λ2!·…, which
-    is its identity coefficient.
+def _row_numerator(T: StandardTableau) -> tuple[list[int], int]:
+    """Integer numerators of p·q·p by rank, for the row tableau T, and
+    λ1!·λ2!·…, which is its identity coefficient.
 
-    x = p·q is a plain product; x·p is read off from coset sums, because
-    (x·p)[σ] = Σ_{τ ∈ σR} x[τ] for the row group R.  A coset σR is fixed
-    by which row block each value comes from, so this costs O(n!) rather
-    than |x|·|p| products.
+    p·q·p = Σ sign(c)·r∘c∘r' over r, r' in the row group R and c in the
+    column group C.  The pairs (r, r') with r∘c∘r' = σ ∈ RcR number
+    |R ∩ cRc⁻¹|, which is |R| over the number of cosets σR in RcR, so
+    the coefficient of σ is that number times Σ sign(c) over the c in
+    RσR.  The rows of T hold consecutive entries, and the double coset
+    of σ is fixed by the pairs (row of i, row of σ(i)).  So no product
+    is formed: each double coset with a nonzero sum is split into its
+    cosets (r∘c)R, each named by its member sorted within rows, and the
+    value is written to the ranks of their members.
     """
-    p = young_p(T)
-    q = young_q(T)
-    x = kernels.ga_mul(p.terms, q.terms)  # both over den 1
-    block_of = [0] * T.n
-    for (i, _), k in zip(T.shape.cells, T.entries):
-        block_of[k - 1] = i
-    sums: dict[tuple, int] = {}
+    n = T.n
+    denom = prod(map(factorial, T.shape.lam.parts))
+    C = _stabilizer_terms(T, by_rows=False, signed=True)
+    rank = _rank(n)
+    nums = [0] * factorial(n)
+    if denom == 1:  # one box per row: R = 1, so p·q·p = q
+        for c, sign in C.items():
+            nums[rank[c]] = sign
+        return nums, denom
+    row_of = [None]  # row_of[v]: the row of position or value v
+    long_rows = []
+    for k, part in enumerate(T.shape.lam.parts):
+        if part > 1:
+            long_rows.append(slice(len(row_of) - 1, len(row_of) - 1 + part))
+        row_of += [k] * part
+    # the pair (row of i, row of σ(i)) as one int, listed in order
+    pair_base = [len(T.shape.lam.parts) * k for k in row_of[1:]]
+    totals: dict[tuple, int] = {}
     reps: dict[tuple, tuple] = {}
-    for t, c in x.items():
-        label = [0] * T.n
-        for pos, v in enumerate(t):
-            label[v - 1] = block_of[pos]
-        key = tuple(label)
-        sums[key] = sums.get(key, 0) + c
-        reps.setdefault(key, t)
-    terms = {}
-    for key, c in sums.items():
-        if c:
-            rep = reps[key]
-            for r in p.terms:
-                terms[tuple(rep[i - 1] for i in r)] = c
-    denom = 1
-    for part in T.shape.lam.parts:
-        denom *= factorial(part)
-    return terms, denom
+    for c, sign in C.items():
+        key = tuple(sorted(map(add, pair_base, map(row_of.__getitem__, c))))
+        totals[key] = totals.get(key, 0) + sign
+        reps.setdefault(key, c)
+
+    def coset_of(t):  # the member of tR sorted within rows
+        t = list(t)
+        for row in long_rows:
+            t[row] = sorted(t[row])
+        return tuple(t)
+
+    R = list(_stabilizer_terms(T, by_rows=True, signed=False))
+    members = [itemgetter(*[i - 1 for i in r]) for r in R]  # σ ↦ σ∘r
+    for key, total in totals.items():
+        if not total:
+            continue
+        r_of_c = map(itemgetter(*[v - 1 for v in reps[key]]), R)  # r∘c for r in R
+        cosets = set(map(coset_of, r_of_c))
+        total *= len(R) // len(cosets)  # |R ∩ cRc⁻¹|
+        for rep in cosets:
+            for r in map(rank.__getitem__, map(itemgetter.__call__, members, repeat(rep))):
+                nums[r] = total
+    return nums, denom
 
 
-def _from_numerators(n: int, terms: dict[tuple, int], denom: int) -> GroupAlgebraElement:
-    """The element Σ terms[s]/denom · s; its identity coefficient must be 1."""
-    if terms.get(tuple(range(1, n + 1))) != denom:
+class _Diagonal(NamedTuple):
+    """A cached diagonal element: nums[r]/den is the coefficient of the
+    permutation of rank r, nums holds all n! of them, gcd(den, nums) = 1."""
+
+    n: int
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """{image tuple: numerator}, keyed by the shared tuples of ``_perms``."""
+        return _terms(self.n, self.nums)
+
+    def element(self) -> GroupAlgebraElement:
+        """A new element, which the caller may change.  The entry is in
+        normal form, so its terms are not brought there a second time."""
+        e = object.__new__(GroupAlgebraElement)
+        e.n, e.terms, e.den = self.n, self.terms, self.den
+        return e
+
+
+def _from_numerators(n: int, nums, den: int) -> _Diagonal:
+    """The element Σ nums[r]/den · (rank r); its identity coefficient must be 1."""
+    if den < 1 or nums[0] != den:
         raise ArithmeticError("diagonal matrix element lost its unit identity coefficient")
-    return GroupAlgebraElement(n, terms, denom)
+    g = gcd(den, *nums)
+    nums = tuple(map(floordiv, nums, repeat(g)) if g > 1 else nums)
+    return _Diagonal(n, nums, den // g)
 
 
 def e_row(T: StandardTableau) -> GroupAlgebraElement:
@@ -255,7 +385,7 @@ def e_row(T: StandardTableau) -> GroupAlgebraElement:
     _require_non_skew(T)
     if not T.is_row_tableau():
         raise WrongTableau(f"{T} is not the row tableau of its shape")
-    return _from_numerators(T.n, *_row_numerator(T))
+    return _from_numerators(T.n, *_row_numerator(T)).element()
 
 
 def e_col(T: StandardTableau) -> GroupAlgebraElement:
@@ -317,21 +447,22 @@ def e_tableau(T: StandardTableau, greedy: str = "smallest") -> GroupAlgebraEleme
     exchange maps e to (s_k - h)·e·(s_k - h)/(1 - h²).  The walk is
     deterministic, so chain(T) = chain(T') + [k] for its first step k and
     T' = T.swap_adjacent(k): each element is one exchange from its chain
-    parent's, which a bounded cache keeps, and the row tableau's element
-    is p·q·p.  So the f^λ tableaux of a shape cost f^λ - 1 exchanges and
-    one row numerator; an evicted parent is rebuilt.  The cache is
-    read-only: each call returns a new element, which the caller may
-    change.  ``greedy`` is "smallest" or "largest"; both give the same e.
+    parent's, which a bounded cache keeps as numerators by rank, and the
+    row tableau's element is p·q·p.  So the f^λ tableaux of a shape cost
+    f^λ - 1 exchanges and one row numerator; an evicted parent is
+    rebuilt.  Each call returns a new element keyed by the shared tuples
+    of S_n's table, which the caller may change.  ``greedy`` is
+    "smallest" or "largest"; both give the same e.
     """
     _require_non_skew(T)
     _check_greedy(greedy)
-    e = _diagonal_element(T, greedy)
-    return GroupAlgebraElement(e.n, e.terms, e.den)
+    return _diagonal_element(T, greedy).element()
 
 
 @lru_cache(maxsize=256)
-def _diagonal_element(T: StandardTableau, greedy: str) -> GroupAlgebraElement:
-    """e_tableau's cached element; callers must not change it."""
+def _diagonal_element(T: StandardTableau, greedy: str) -> _Diagonal:
+    """e_tableau's cached element: n, the numerators of all n! ranks as a
+    tuple, and the den."""
     if T.is_row_tableau():
         return _from_numerators(T.n, *_row_numerator(T))
     k = _walk_step(T, greedy)
@@ -341,7 +472,7 @@ def _diagonal_element(T: StandardTableau, greedy: str) -> GroupAlgebraElement:
     e = _diagonal_element(parent, greedy)
     c = parent.contents
     d = c[k] - c[k - 1]
-    return _from_numerators(T.n, _exchange(e.terms, k, d), e.den * (d * d - 1))
+    return _from_numerators(T.n, _exchange(e.n, e.nums, k, d), e.den * (d * d - 1))
 
 
 # the cache's statistics and reset, as an lru_cache function carries them
@@ -349,55 +480,34 @@ e_tableau.cache_info = _diagonal_element.cache_info
 e_tableau.cache_clear = _diagonal_element.cache_clear
 
 
-def _exchange(terms: dict[tuple, int], k: int, d: int) -> dict[tuple, int]:
-    """Numerators of d²·(s - 1/d)·e·(s - 1/d) for s = s_k:
-    new[τ] = d²·e[sτs] - d·e[sτ] - d·e[τs] + e[τ].  s∘τ swaps the values
-    k and k+1 of τ, τ∘s swaps its positions k and k+1.  Each of τ, sτ, τs
-    and sτs (two of them when sτ = τs) takes its new numerator from the
-    four old ones, so each such orbit is read once and written at once.
-    The output is seeded with the keys of ``terms``, so it reuses their
-    tuples wherever a key recurs: the elements built from one another
-    share their permutation tuples."""
+def _exchange(n: int, nums: tuple[int, ...], k: int, d: int) -> list[int]:
+    """Numerators by rank of d²·(s - 1/d)·e·(s - 1/d) for s = s_k:
+    new[τ] = d²·e[sτs] - d·e[sτ] - d·e[τs] + e[τ], each read through the
+    rank tables of ``_exchange_tables``."""
     d2 = d * d
-    out = dict.fromkeys(terms)
-    for t, a in terms.items():
-        if out[t] is not None:  # its orbit is written
-            continue
-        st = list(t)
-        st[t.index(k)], st[t.index(k + 1)] = k + 1, k
-        ts, sts = list(t), st[:]
-        ts[k - 1], ts[k] = t[k], t[k - 1]
-        sts[k - 1], sts[k] = st[k], st[k - 1]
-        st, ts, sts = tuple(st), tuple(ts), tuple(sts)
-        b, c, e = terms.get(st, 0), terms.get(ts, 0), terms.get(sts, 0)
-        out[t] = d2 * e - d * (b + c) + a
-        out[st] = d2 * c - d * (a + e) + b
-        out[ts] = d2 * b - d * (a + e) + c
-        out[sts] = d2 * a - d * (b + c) + e
-    return {key: c for key, c in out.items() if c}
+    left, right, both = _exchange_tables(n, k)
+    return [d2 * nums[c] - d * (nums[a] + nums[b]) + x
+            for x, a, b, c in zip(nums, left, right, both)]
 
 
-def _times_transposition(i: int, j: int):
-    """Right multiplication by (i j): swaps positions i and j of every key."""
-    def move(vec):
-        out = {}
-        for s, x in vec.items():
-            t = list(s)
-            t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
-            out[tuple(t)] = x
-        return out
-    return move
+def _times_transposition(n: int, i: int, j: int):
+    """Right multiplication by (i j) on a vector keyed by rank."""
+    table = _position_swap(n, i, j)
+    return lambda vec: {table[r]: x for r, x in vec.items()}
 
 
 def _fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
     """Value at ε = 0 of the ordered product of
     1 - (i j)/(c_i - c_j + (g_i - g_j)·ε) over lexicographic pairs, where
-    g are the slopes of the substitution line."""
-    factors = [(_times_transposition(i, j), contents[i - 1] - contents[j - 1],
+    g are the slopes of the substitution line.  The engine runs on ranks
+    from the identity, rank 0; the value's keys become tuples once, at
+    the end."""
+    factors = [(_times_transposition(n, i, j), contents[i - 1] - contents[j - 1],
                 slopes[i - 1] - slopes[j - 1])
                for i in range(1, n) for j in range(i + 1, n + 1)]
-    return GroupAlgebraElement(n, *limit_at_zero({tuple(range(1, n + 1)): 1}, factors,
-                                                 "fusion product"))
+    vec, den = limit_at_zero({0: 1}, factors, "fusion product")
+    perms = _perms(n)
+    return GroupAlgebraElement(n, {perms[r]: x for r, x in vec.items()}, den)
 
 
 def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
@@ -435,17 +545,17 @@ def e_skew_extract(L: StandardTableau, m: int) -> GroupAlgebraElement:
     θ_m(e) factors as (element for the first m entries)·(embedded skew
     element); reading the terms whose action on {1..m} is the identity is
     valid because the first factor has identity coefficient 1.  Those
-    terms are read straight from e = e_tableau(L): θ_m keeps them all, and
-    the normal form is unique, so no θ_m(e) is built.
+    terms are read straight from the cached numerators of
+    e = e_tableau(L): θ_m keeps them all, and the normal form is unique,
+    so no θ_m(e) is built.  In rank order they are the first (n - m)!
+    ranks, and their tails shifted down by m are S_{n-m} in its own
+    order, so the prefix is the skew element's numerators by rank.
     """
     _require_non_skew(L)
     if not 0 <= m < L.n:
         raise ValueError(f"need 0 <= m < {L.n}, got {m}")
     e = _diagonal_element(L, "smallest")
-    ident = tuple(range(1, m + 1))
-    return GroupAlgebraElement(L.n - m, {tuple(v - m for v in s[m:]): c
-                                         for s, c in e.terms.items() if s[:m] == ident},
-                               e.den)
+    return GroupAlgebraElement(L.n - m, _terms(L.n - m, e.nums), e.den)
 
 
 def _inner_shape(L: StandardTableau, m: int) -> Partition:

@@ -244,3 +244,12 @@ def test_fusion_f_at_positive_M_checks_the_scaled_square_only_at_M0():
     for name in ("two-sided-divisibility", "closed-form/col_O", "closed-form/any_SO",
                  "closed-form/regular_case"):
         assert f"PASS {name}\n" in res.stdout, name
+
+
+@pytest.mark.parametrize("argv", [["--lambda", "0"], ["--lambda", "2", "--mu", "2"]])
+def test_symmetrizer_of_no_box_prints_the_unit(argv, capsys):
+    # S_0 holds one permutation, so the empty tableau's element is the unit
+    assert main(["symmetrizer", *argv]) == 0
+    out = capsys.readouterr().out
+    assert ": 1 terms" in out
+    assert json.loads(out.split("terms\n", 1)[1]) == [{"cycles": "()", "coeff": "1"}]

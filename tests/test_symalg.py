@@ -511,3 +511,59 @@ def test_skew_element_divides_full_element():
             rows_sub = _left_mult_matrix(e_sub)
             dim = len(rows_full)
             assert qq_rank(rows_sub + rows_full, dim) == qq_rank(rows_sub, dim)  # row-space containment
+
+
+# --- S_n by rank ---------------------------------------------------------------
+
+
+def test_rank_tables_match_the_tuple_operations():
+    # the rank order is itertools' lexicographic order; a position swap is
+    # τ∘(i j) and a value swap is (k k+1)∘τ, both read back as tuples
+    for n in range(7):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert list(symalg._perms(n)) == perms and perms[0] == ident(n)
+        assert symalg._rank(n) == {s: r for r, s in enumerate(perms)}
+        inv = symalg._inverse_ranks(n)
+        assert all(compose(perms[inv[r]], s) == ident(n) for r, s in enumerate(perms))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                swap = transp(n, i, j)
+                assert [perms[r] for r in symalg._position_swap(n, i, j)] == \
+                    [compose(s, swap) for s in perms]
+        for k in range(1, n):
+            swap = transp(n, k, k + 1)
+            left, right, both = symalg._exchange_tables(n, k)
+            assert [perms[r] for r in left] == [compose(swap, s) for s in perms]
+            assert [perms[r] for r in right] == [compose(s, swap) for s in perms]
+            assert [perms[r] for r in both] == [compose(compose(swap, s), swap) for s in perms]
+
+
+def test_permutations_fixing_a_prefix_come_first():
+    # e_skew_extract reads the first (n - m)! ranks: they fix 1..m, and
+    # their tails shifted down by m are S_{n-m} in its own order
+    for n in range(1, 7):
+        perms = symalg._perms(n)
+        for m in range(n):
+            fixing = [s for s in perms if s[:m] == ident(m)]
+            assert list(perms[:math.factorial(n - m)]) == fixing
+            assert [tuple(v - m for v in s[m:]) for s in fixing] == list(symalg._perms(n - m))
+
+
+def test_stabilizer_sums_and_row_element_match_their_definitions():
+    # young_p/young_q against a filter of S_n, signed by Permutation.sign,
+    # and e_row against the product p·q·p over λ1!·λ2!·…
+    for n in range(7):
+        for lam in partitions_of(n):
+            tabs = standard_tableaux(skew(lam))
+            for T in {tabs[0], tabs[-1], row_tableau(skew(lam)), column_tableau(skew(lam))}:
+                rows, cols = T.rows(), T.columns()
+                for build, blocks, signed in ((young_p, rows, False), (young_q, cols, True)):
+                    want = {s: Permutation(s).sign() if signed else 1
+                            for s in itertools.permutations(range(1, n + 1))
+                            if all(blocks[v - 1] == blocks[i] for i, v in enumerate(s))}
+                    assert build(T) == GroupAlgebraElement(n, want), (T, build)
+            if lam.parts[:1] != (6,):  # p·p would take 720² products
+                T = row_tableau(skew(lam))
+                p, q = young_p(T), young_q(T)
+                scale = Fraction(1, math.prod(map(math.factorial, lam.parts)))
+                assert e_row(T) == (p * q * p).scaled(scale), lam
