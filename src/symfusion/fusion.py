@@ -44,11 +44,11 @@ from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_ze
                        normal_form)
 from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
-from .symalg import e_tableau, fusion_e_skew, inner_tableau_of, skew_tableau_of
+from .symalg import fusion_e_skew, inner_tableau_of, skew_tableau_of
 from .tensorop import (BilinearForm, ColumnOrbits, OrbitComparison, SparseOperator,
-                       act, column_orbits, commutes_with, image_basis, intersect,
-                       q_op, rank, slot_codes, span_of_vectors, standard_form,
-                       subspace_equal, traceless_basis, unit_move)
+                       column_orbits, commutes_with, image_basis, intersect, kills,
+                       left_multiplication, q_op, rank, slot_codes, span_of_vectors,
+                       standard_form, subspace_equal, traceless_basis, unit_move)
 
 
 class NotApplicable(ValueError):
@@ -420,21 +420,17 @@ def verify_prop33(cfg: FusionConfig) -> bool:
     """F agrees with E on traceless vectors, and the image of F equals the
     image of E intersected with the traceless subspace T.  T is the joint
     kernel of the contractions Q_kl, so the image equality also says that
-    F kills every contraction, Q_kl·F = 0.  Only meaningful at M = 0 with
-    a non-skew tableau."""
+    F kills every contraction, Q_kl·F = 0.  The first clause is
+    ``tensorop.kills(F − E, T)``: T's vectors move the rows of F − E.
+    Only meaningful at M = 0 with a non-skew tableau."""
     if cfg.M != 0:
         raise ConfigError("the traceless-image equality is an M = 0 statement")
     if cfg.tableau.shape.is_skew:
         raise ConfigError("non-skew tableau required")
-    n = cfg.n
     F = f_operator_general(cfg)
     E = e_operator(cfg.tableau, cfg.N)
-    T = traceless_basis(cfg.N, n, cfg.form)
-    columns: dict[int, dict[int, int]] = {}  # T's vectors as the columns of one operator
-    for j, vec in enumerate(T.vectors):
-        for code, v in vec:
-            columns.setdefault(code, {})[j] = v
-    if not ((F - E) * SparseOperator(cfg.N, n, columns)).is_zero():
+    T = traceless_basis(cfg.N, cfg.n, cfg.form)
+    if not kills(F - E, T):
         return False
     lhs = image_basis(F)
     rhs = intersect(image_basis(E), T)
@@ -536,9 +532,11 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
 
     On traceless u_j ⊗ e_nc this reads (H ⊗ 1)·big·(u_j ⊗ e_nc) =
     (E_ups·u_j) ⊗ (small·e_nc), with H the traceless projector of the
-    first factor.  All those columns are checked at once: T̂ holds
-    u_j ⊗ e_nc as its column j·N^n + nc, and the check is the operator
-    equation Ĥ·(big·T̂) = Û·T̂ with Ĥ = H ⊗ 1 and Û = E_ups ⊗ small.
+    first factor.  All those vectors are checked at once, as the columns
+    j·N^n + nc of one start vector keyed row·dim + col: the left side is
+    the ``left_multiplication`` move of big and then that of Ĥ = H ⊗ 1,
+    over Ĥ.den·big.den, the right side the move of Û = E_ups ⊗ small, over
+    Û.den, and the two are compared cross-multiplied by the other's den.
     """
     l = L_tab.n
     Lrank = N + M
@@ -559,23 +557,24 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
     small = f_operator_general(FusionConfig(omega, N, M, form_kind))
     if m:
         form_M = standard_form(form_kind, M)
-        E_ups = act(e_tableau(upsilon), M)
+        E_ups = e_operator(upsilon, M)
         H = invariant_traceless_projector(M, m, form_M)
         traceless = traceless_basis(M, m, form_M).vectors
     else:
         E_ups = H = SparseOperator.identity(M, 0)
         traceless = (((0, 1),),)  # the unit vector of the one-dimensional first factor
 
+    dim = Lrank ** l
     first, last = _block_codes(Lrank, M, m, n)
-    t_rows: dict[int, dict[int, int]] = {}
-    for j, u in enumerate(traceless):
-        for mc, v in u:
-            for nc, code in enumerate(last):
-                t_rows.setdefault(first[mc] + code, {})[j * N ** n + nc] = v
-    T_hat = SparseOperator(Lrank, l, t_rows)
+    start = {(first[mc] + code) * dim + j * N ** n + nc: v
+             for j, u in enumerate(traceless) for mc, v in u
+             for nc, code in enumerate(last)}
     H_hat = _kron_on_block(H, SparseOperator.identity(N, n))
     U_hat = _kron_on_block(E_ups, small)
-    return H_hat * (big * T_hat) == U_hat * T_hat
+    lhs = left_multiplication(H_hat)(left_multiplication(big)(start))
+    rhs = left_multiplication(U_hat)(start)
+    dl, dr = H_hat.den * big.den, U_hat.den
+    return all(lhs.get(k, 0) * dr == rhs.get(k, 0) * dl for k in lhs.keys() | rhs.keys())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The hot inner loops, on plain Python objects.
 
 Permutations are 1-based image tuples; ``ga_mul`` sees the int
-numerators of two group-algebra elements, ``sparse_mm`` those of two
-operators (both need only ring arithmetic on the coefficients); matrices
-are sparse {row: {col: coeff}} dicts, except in ``echelon``, the one
-elimination, which takes dense int rows.
+numerators of two group-algebra elements and needs only ring arithmetic
+on them; ``echelon``, the one elimination, takes dense int rows.
+No operator product lives here: every one runs as a
+``tensorop.left_multiplication`` move on vectors.
 """
 
 from __future__ import annotations
@@ -33,31 +33,6 @@ def ga_mul(a, b):
                     out[key] = c
                 else:
                     del out[key]
-    return out
-
-
-def sparse_mm(arows, brows):
-    """Product of two sparse matrices stored as {row: {col: coeff}}."""
-    out = {}
-    for r, arow in arows.items():
-        acc = {}
-        for k, av in arow.items():
-            brow = brows.get(k)
-            if brow is None:
-                continue
-            for c, bv in brow.items():
-                v = av * bv
-                prev = acc.get(c)
-                if prev is None:
-                    acc[c] = v
-                else:
-                    v = prev + v
-                    if v:
-                        acc[c] = v
-                    else:
-                        del acc[c]
-        if acc:
-            out[r] = acc
     return out
 
 

@@ -54,10 +54,6 @@ from .symalg import Permutation
 from .tensorop import BilinearForm, OrbitComparison, SparseOperator, perm_op, q_op
 
 
-class SampleAtPole(ValueError):
-    """A sample point hits the pole locus of a rational identity."""
-
-
 @dataclass
 class IdentityCheck:
     name: str
@@ -220,23 +216,11 @@ def run_identity_check(name: str, statement: str, lhs: list, rhs: list, seed: in
 
 
 # ---------------------------------------------------------------------------
-# factors (on the n-fold power of C^N)
-#
-# The exchange factor R_ij(x, y) is (("P", i, j), -1, x - y), the
-# contraction factor R~_ij(x, y) is (("Q", i, j), +1, x + y), and
-# R̄_ij(x, y) is (("Q", i, j), -1, x + y + N + M).
-
-
-def factor(X: SparseOperator, sign: int, den: Fraction) -> SparseOperator:
-    """1 + sign·X/den for an already-built operator X, as a full operator:
-    the reference for the factor step of ``OrbitComparison``."""
-    if den == 0:
-        raise SampleAtPole(f"pole: 1 + ({sign})·X/den with den = 0, X = {X!r}")
-    return SparseOperator.identity(X.N, X.n) + X.scaled(sign / Fraction(den))
-
-
-# ---------------------------------------------------------------------------
 # the identity families
+#
+# On the n-fold power of C^N, the exchange factor R_ij(x, y) is
+# (("P", i, j), -1, x - y), the contraction factor R~_ij(x, y) is
+# (("Q", i, j), +1, x + y), and R̄_ij(x, y) is (("Q", i, j), -1, x + y + N + M).
 
 
 def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,

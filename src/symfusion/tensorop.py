@@ -7,8 +7,13 @@ denominator (``SparseOperator``, in the ``exactnum.normal_form`` that a
 group-algebra element shares, so ``act`` reads an element's numerators
 and den directly) and subspaces hold integer echelon rows
 (``SubspaceBasis``); Fractions appear only where rationals enter or leave
-(``entry``, ``scaled``, ``to_triplets``, ``span_of_vectors``, the scalars
-and witnesses of ``OrbitComparison``) and in ``BilinearForm``.
+(``entry``, ``to_triplets``, ``span_of_vectors``, the scalars and
+witnesses of ``OrbitComparison``) and in ``BilinearForm``.  Operators add
+and subtract, but are never multiplied whole: every product is a
+``left_multiplication`` move on integer vectors keyed row·dim + col, which
+hold some columns of a matrix (the limit engine, ``OrbitComparison``, the
+theta check in ``fusion``) or, keyed col·dim + row, some of its rows
+(``kills``).
 
 Every code table (``perm_op``, ``act``, ``q_op``, ``code_table``, and the
 block embedding and E's letter tables in ``fusion``) is one slot sum,
@@ -167,8 +172,8 @@ class SparseOperator:
         return self.N ** self.n
 
     @classmethod
-    def identity(cls, N: int, n: int, coeff=1) -> "SparseOperator":
-        return cls(N, n, {r: {r: coeff} for r in range(N ** n)})
+    def identity(cls, N: int, n: int) -> "SparseOperator":
+        return cls(N, n, {r: {r: 1} for r in range(N ** n)})
 
     @classmethod
     def zero(cls, N: int, n: int) -> "SparseOperator":
@@ -184,9 +189,6 @@ class SparseOperator:
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
-
-    def is_zero(self) -> bool:
-        return not self.rows
 
     def __bool__(self):
         return bool(self.rows)
@@ -217,18 +219,6 @@ class SparseOperator:
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self._combine(other, -1)
-
-    def scaled(self, c) -> "SparseOperator":
-        c = Fraction(c)
-        return SparseOperator(self.N, self.n,
-                              {r: {k: v * c.numerator for k, v in cols.items()}
-                               for r, cols in self.rows.items()},
-                              self.den * c.denominator)
-
-    def __mul__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check(other)
-        return SparseOperator(self.N, self.n, kernels.sparse_mm(self.rows, other.rows),
-                              self.den * other.den)
 
     def to_triplets(self) -> list[dict]:
         return [{"row": r, "col": c, "value": format_rational(Fraction(cols[c], self.den))}
@@ -498,6 +488,27 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
                 out[nk] = out.get(nk, 0) + w * x
         return out
     return move
+
+
+def kills(A: SparseOperator, basis: "SubspaceBasis") -> bool:
+    """Whether A·t = 0 for every vector t of ``basis``, exactly.
+
+    R, the operator whose row j is the j-th basis vector (basis.dim ≤ dim,
+    so it fits), moves the rows of A keyed col·dim + row: entry (k, r) of
+    Aᵗ goes to (j, r) with weight t_j[k], so entry (j, r) of the result is
+    (A·t_j)[r].  The rows of A go through R's move 64 at a time, so no
+    copy of the whole of A is held, and any nonzero entry rejects."""
+    dim = A.dim
+    if basis.ambient != dim:
+        raise AmbientMismatch(f"a subspace of C^{basis.ambient} under an operator on C^{dim}")
+    move = left_multiplication(SparseOperator(A.N, A.n, {j: dict(t) for j, t in
+                                                         enumerate(basis.vectors)}))
+    rows = list(A.rows.items())
+    for start in range(0, len(rows), 64):
+        block = {c * dim + r: v for r, row in rows[start:start + 64] for c, v in row.items()}
+        if any(move(block).values()):
+            return False
+    return True
 
 
 def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOperator:

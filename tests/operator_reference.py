@@ -1,0 +1,46 @@
+"""Whole-operator arithmetic for the tests, as plain dict products.
+
+The library never multiplies two operators: every product runs as a
+``tensorop.left_multiplication`` move on vectors.  These build products,
+multiples and factors entry by entry from the stored rows, independent
+of that move, so the tests can state an operator identity in full and
+check the moves against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from symfusion.tensorop import AmbientMismatch, SparseOperator
+
+
+class SampleAtPole(ValueError):
+    """A factor is evaluated at a zero of its den."""
+
+
+def mul(A: SparseOperator, B: SparseOperator) -> SparseOperator:
+    """A·B: row r is the sum of B's rows weighted by A's row r."""
+    if (A.N, A.n) != (B.N, B.n):
+        raise AmbientMismatch(f"operators on different spaces: {(A.N, A.n)} vs {(B.N, B.n)}")
+    rows = {}
+    for r, arow in A.rows.items():
+        acc = rows[r] = {}
+        for k, av in arow.items():
+            for c, bv in B.rows.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + av * bv
+    return SparseOperator(A.N, A.n, rows, A.den * B.den)
+
+
+def scaled(X: SparseOperator, c) -> SparseOperator:
+    """c·X for a rational c."""
+    c = Fraction(c)
+    return SparseOperator(X.N, X.n, {r: {k: v * c.numerator for k, v in cols.items()}
+                                     for r, cols in X.rows.items()}, X.den * c.denominator)
+
+
+def factor(X: SparseOperator, sign: int, den) -> SparseOperator:
+    """1 + sign·X/den as a whole operator: the reference for the factor
+    step of ``OrbitComparison``."""
+    if den == 0:
+        raise SampleAtPole(f"pole: 1 + ({sign})·X/den with den = 0, X = {X!r}")
+    return SparseOperator.identity(X.N, X.n) + scaled(X, sign / Fraction(den))

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from operator_reference import mul, scaled
 from qq_oracle import qq_rank
 
 from symfusion.exactnum import PoleAtLimit, limit_at_zero, value_at_zero
@@ -65,7 +66,7 @@ def test_e_operator_examples():
     assert rank(e_operator(T((1, 1)), 2)) == 1
     sk = [t for t in standard_tableaux(skew(P(2, 1), P(1))) if t.contents == (1, -1)][0]
     E = e_operator(sk, 2)
-    assert E == I2() - P12_2.scaled(Fraction(1, 2))
+    assert E == I2() - scaled(P12_2, Fraction(1, 2))
     assert rank(E) == 4 == count_semistandard(skew(P(2, 1), P(1)), 2)
 
 
@@ -102,8 +103,8 @@ def test_f_general_O3_single_row():
     I = SparseOperator.identity(3, 2)
     Q = q_op(1, 2, BilinearForm("symmetric", 3), 2)
     Pm = perm_op(Permutation((2, 1)), 3)
-    assert F == I + Pm - Q.scaled(Fraction(2, 3))
-    assert (Q * F).is_zero()
+    assert F == I + Pm - scaled(Q, Fraction(2, 3))
+    assert not mul(Q, F)
     assert rank(F) == 5
 
 
@@ -120,7 +121,7 @@ def test_f_general_O2_single_column():
     F = f_operator_general(cfg)
     assert F == I2() - P12_2
     assert rank(F) == 1
-    assert (q_op(1, 2, BilinearForm("symmetric", 2), 2) * F).is_zero()
+    assert not mul(q_op(1, 2, BilinearForm("symmetric", 2), 2), F)
 
 
 def closed_form_difference(cfg, formula, chain=None):
@@ -195,7 +196,7 @@ def test_scaled_square_is_no_statement_at_positive_M():
     # of their entries take three values, so certify checks it at M = 0 only
     cfg = FusionConfig(T((2,)), 2, 1, "symmetric")
     F = f_operator_general(cfg)
-    FF = F * F
+    FF = mul(F, F)
     assert {(r, c) for r, row in FF.rows.items() for c in row} <= {
         (r, c) for r, row in F.rows.items() for c in row}
     ratios = {FF.entry(r, c) / F.entry(r, c) for r, row in F.rows.items() for c in row}
@@ -256,9 +257,9 @@ def test_measured_eigenvalue():
     # the one scalar that fits its entry (0, 0) does not fit E² = σ·E
     sk = [t for t in standard_tableaux(skew(P(2, 1), P(1))) if t.contents == (1, -1)][0]
     E = e_operator(sk, 2)
-    sq = E * E
+    sq = mul(E, E)
     sigma = sq.entry(0, 0) / E.entry(0, 0)
-    assert sq != E.scaled(sigma)
+    assert sq != scaled(E, sigma)
 
 
 def test_prop33_examples():
@@ -273,7 +274,7 @@ def test_prop33_examples():
     lambda F: F + SparseOperator(F.N, F.n, {0: {1: Fraction(1, 7)}}),
     # 2F still kills every contraction and has the image of F: only the
     # clause "F = E on traceless vectors" rejects it
-    lambda F: F.scaled(2),
+    lambda F: scaled(F, 2),
 ], ids=["entry_shift", "doubled"])
 def test_prop33_rejects_a_perturbed_operator(monkeypatch, perturb):
     from symfusion import fusion
@@ -306,7 +307,7 @@ def _on_the_orbit_of_zero(F, form):
 
 
 def _doubled(F, form):
-    return F.scaled(2)
+    return scaled(F, 2)
 
 
 @pytest.mark.parametrize("perturb", [
@@ -325,9 +326,9 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
     assert verify_scaled_idempotent(F, 3, cfg.form) and verify_divisibility(F, E, 3, cfg.form)
     # each verifier gives the verdict of the full products; divisibility is
     # homogeneous in F, so 2F still passes it
-    assert bad * bad != bad.scaled(3)
+    assert mul(bad, bad) != scaled(bad, 3)
     assert not verify_scaled_idempotent(bad, 3, cfg.form)
-    divides = bad * E == bad.scaled(3) == E * bad
+    divides = mul(bad, E) == scaled(bad, 3) == mul(E, bad)
     assert verify_divisibility(bad, E, 3, cfg.form) == divides
     assert divides == (perturb is _doubled)
     # k = 2 exchanges the contents 1 and -1 of the row tableau
@@ -335,7 +336,8 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
     P = perm_op(Permutation.transposition(3, 2, 3), N)
     I = SparseOperator.identity(N, 3)
     Fk = f_operator_general(FusionConfig(L.swap_adjacent(2), N, 0, kind))
-    assert (P * (I + P.scaled(Fraction(1, 2))) * bad) != Fk * (I - P.scaled(Fraction(1, 2))) * P
+    assert (mul(mul(P, I + scaled(P, Fraction(1, 2))), bad)
+            != mul(mul(Fk, I - scaled(P, Fraction(1, 2))), P))
     built = fusion.f_operator_general
     monkeypatch.setattr(fusion, "f_operator_general",
                         lambda c: perturb(built(c), c.form) if c == cfg else built(c))
@@ -344,7 +346,7 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
 
 def _plus_P13_E(F, form):
     """F + P_13·E: still F·E = 3F, but not E·F = 3F."""
-    return F + perm_op(Permutation.transposition(3, 1, 3), F.N) * e_operator(T((2, 1)), F.N)
+    return F + mul(perm_op(Permutation.transposition(3, 1, 3), F.N), e_operator(T((2, 1)), F.N))
 
 
 @pytest.mark.parametrize("perturb", [
@@ -361,7 +363,7 @@ def test_certify_gives_the_verifiers_verdicts(monkeypatch, perturb, kind, N):
     cfg = FusionConfig(T((2, 1)), N, 0, kind)
     E = e_operator(cfg.tableau, N)
     bad = perturb(f_operator_general(cfg), cfg.form)
-    assert (bad * E == bad.scaled(3)) is (perturb in (_doubled, _plus_P13_E))
+    assert (mul(bad, E) == scaled(bad, 3)) is (perturb in (_doubled, _plus_P13_E))
     built = fusion.f_operator_general
     monkeypatch.setattr(fusion, "f_operator_general", lambda c: bad if c == cfg else built(c))
     verdicts = {c.name: c.passed for c in certify(cfg).checks}
@@ -404,7 +406,7 @@ def test_theta_factorization_rejects_perturbed_factors(monkeypatch):
 
     def doubled_small(cfg):
         F = general(cfg)
-        return F.scaled(2) if cfg.M else F  # the big operator has M = 0
+        return scaled(F, 2) if cfg.M else F  # the big operator has M = 0
 
     def shifted(M, m, form):
         H = projector(M, m, form)
@@ -446,16 +448,16 @@ def test_invariant_traceless_projector_with_two_or_more_factors():
                        (2, 2, BilinearForm("symmetric", 2, [[2, 1], [1, Fraction(1, 3)]]))):
         H = invariant_traceless_projector(M, m, form)
         T = traceless_basis(M, m, form)
-        assert H * H == H and rank(H) == T.dim
+        assert mul(H, H) == H and rank(H) == T.dim
         traceless = {}  # T's vectors as the columns of one operator
         for j, vec in enumerate(T.vectors):
             for code, v in vec:
                 traceless.setdefault(code, {})[j] = v
         traceless = SparseOperator(M, m, traceless)
-        assert H * traceless == traceless
+        assert mul(H, traceless) == traceless
         for k in range(1, m):
             for l in range(k + 1, m + 1):
-                assert (H * q_op(k, l, form, m)).is_zero()
+                assert not mul(H, q_op(k, l, form, m))
 
 
 def test_divisibility_for_skew_shape_with_measured_scalar():
@@ -617,7 +619,7 @@ def test_f_commutes_with_every_derived_generator():
         for targets, signs in column_orbits(cfg.form, cfg.n).tables:
             G = SparseOperator(cfg.N, cfg.n, {targets[c]: {c: signs[c]}
                                               for c in range(cfg.N ** cfg.n)})
-            assert F * G == G * F, cfg.describe()
+            assert mul(F, G) == mul(G, F), cfg.describe()
 
 
 def test_orbit_build_rejects_a_flipped_rebuilt_column(monkeypatch):

@@ -35,7 +35,6 @@ def test_library_imports_no_unused_name():
 
 # Definitions that nothing in the library calls but that stay, each for a reason
 KEPT_UNCALLED = {
-    "factor": "rmatrix: the tests' full-operator reference for OrbitComparison's factor step",
     "extend_tableau": "symalg: perfbench's ga_fusion workload imports it",
     "encode": "tensorop: the tests' decoded reference for slot_codes",
     "decode": "tensorop: the tests' decoded reference for slot_codes",
