@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 
 from .exactnum import PoleAtLimit
-from .fusion import (FORM_GROUP, CheckResult, ConfigError, FusionConfig, NotApplicable,
-                     SizeLimitExceeded, certify, f_operator_general, max_dim,
+from .fusion import (FORM_GROUP, MAX_BOXES, CheckResult, ConfigError, FusionConfig,
+                     NotApplicable, SizeLimitExceeded, certify, f_operator_general, max_dim,
                      scaled_idempotency_constant, verify_corollary32, verify_prop33,
                      verify_scaled_idempotent, verify_theta_factorization)
 from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
@@ -138,9 +138,9 @@ def _valid_partitions(group: str, dim: int, max_boxes: int):
 
 def _sweep_tableaux(args):
     """Standard tableaux of every valid label of at most --max-boxes boxes
-    whose N^n is within the size cap."""
+    whose n and N^n are within the size caps."""
     for lam in _valid_partitions(args.form, args.N, args.max_boxes):
-        if args.N ** lam.size <= max_dim():
+        if lam.size <= MAX_BOXES and args.N ** lam.size <= max_dim():
             yield from standard_tableaux(skew(lam))
 
 
@@ -152,7 +152,7 @@ def _suite_idempotency(args):
         ok = (e * e) == e.scaled(scalar)
         cfg = FusionConfig(T, args.N, 0, kind)
         F = f_operator_general(cfg)
-        ok = ok and verify_scaled_idempotent(F, scalar, cfg.form)
+        ok = ok and verify_scaled_idempotent(F, scalar)
         yield CheckResult(f"idempotency/{T}", "scaled-square", ok)
 
 

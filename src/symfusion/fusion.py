@@ -46,9 +46,10 @@ from .shapes import (Partition, StandardTableau, conjugate,
                      dim_sym_irrep, validate_label)
 from .symalg import fusion_e_skew, inner_tableau_of, skew_tableau_of
 from .tensorop import (BilinearForm, ColumnOrbits, OrbitComparison, SparseOperator,
-                       column_orbits, commutes_with, image_basis, intersect, kills,
-                       left_multiplication, q_op, rank, slot_codes, span_of_vectors,
-                       standard_form, subspace_equal, traceless_basis, unit_move)
+                       SubspaceBasis, acts_as_scalar, column_orbits, commutes_with,
+                       image_basis, kernel_within, left_multiplication, q_op, row_basis,
+                       slot_codes, span_of_vectors, standard_form, subspace_equal,
+                       traceless_basis, unit_move)
 
 
 class NotApplicable(ValueError):
@@ -76,7 +77,16 @@ def max_dim() -> int:
     return value
 
 
+# E's build enumerates the n! permutations of its group-algebra element, so
+# n is bounded too: the 9-box sweep is the largest measured to finish
+# (O_2, 160.9 s at 737 MB), and 10 boxes run out of memory.
+MAX_BOXES = 9
+
+
 def _check_dim(N: int, n: int):
+    if n > MAX_BOXES:
+        raise SizeLimitExceeded(f"n = {n} boxes exceeds {MAX_BOXES}: E's build enumerates "
+                                f"n! permutations")
     if N ** n > max_dim():
         raise SizeLimitExceeded(
             f"N^n = {N ** n} exceeds FUSION_MAX_DIM = {max_dim()}")
@@ -401,40 +411,71 @@ def scaled_idempotency_constant(lam: Partition) -> Fraction:
     return Fraction(math.factorial(lam.size), dim_sym_irrep(lam))
 
 
-def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction,
-                             form: BilinearForm | None = None) -> bool:
-    """A·A = scalar·A, compared on the orbit columns of ``form``'s monomial
-    isometries (the identity Gram's when None; see ``OrbitComparison``)."""
-    return OrbitComparison(A.N, A.n, form).difference([A, A], [scalar, A]) is None
+def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction) -> bool:
+    """A·A = scalar·A: every column of A lies in its image, so this holds
+    exactly when A acts as the scalar on a basis of image(A)."""
+    return acts_as_scalar(A, image_basis(A), scalar)
 
 
-def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction,
-                        form: BilinearForm | None = None) -> bool:
-    """F·E = scalar·F and E·F = scalar·F, compared as in
-    ``verify_scaled_idempotent``."""
-    compare = OrbitComparison(F.N, F.n, form)
-    return all(compare.difference(lhs, [scalar, F]) is None for lhs in ([F, E], [E, F]))
+def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction) -> bool:
+    """F·E = scalar·F and E·F = scalar·F, on image(F)'s basis."""
+    return _divides(F, E, image_basis(F), scalar)
+
+
+def _divides(F: SparseOperator, E: SparseOperator, image_F: SubspaceBasis,
+             scalar: Fraction) -> bool:
+    """E·F = σF exactly when E acts as σ on image(F), and F·E = σF exactly
+    when r·E = σ·r for every r in the row space of F."""
+    return (acts_as_scalar(E, image_F, scalar)
+            and acts_as_scalar(E, row_basis(F), scalar, on_rows=True))
+
+
+def _traceless_part(image_E: SubspaceBasis, cfg: FusionConfig) -> SubspaceBasis:
+    """{x in image(E) : Q_kl·x = 0 for all k < l}: image(E)'s basis goes
+    through the cached move of each contraction (``kernel_within``)."""
+    return kernel_within(image_E, [unit_move(("Q", k, l), cfg.N, cfg.n, cfg.form)[0]
+                                   for k, l in _lex_pairs(cfg.n)])
+
+
+def _image_is_traceless_part(E: SparseOperator, image_F: SubspaceBasis,
+                             image_E: SubspaceBasis, scalar: Fraction,
+                             cfg: FusionConfig) -> bool:
+    """E·E = σE, on image(E)'s basis, and image(F) = {x in image(E) :
+    Q_kl·x = 0 for all k < l}."""
+    return (acts_as_scalar(E, image_E, scalar)
+            and subspace_equal(image_F, _traceless_part(image_E, cfg)))
 
 
 def verify_prop33(cfg: FusionConfig) -> bool:
     """F agrees with E on traceless vectors, and the image of F equals the
-    image of E intersected with the traceless subspace T.  T is the joint
-    kernel of the contractions Q_kl, so the image equality also says that
-    F kills every contraction, Q_kl·F = 0.  The first clause is
-    ``tensorop.kills(F − E, T)``: T's vectors move the rows of F − E.
-    Only meaningful at M = 0 with a non-skew tableau."""
+    image of E intersected with the traceless subspace T, the joint kernel
+    of the contractions Q_kl.  With σ the scaled-idempotency constant,
+    four checks on image bases decide it:
+
+    1. F·F = σF (F acts as σ on image(F));
+    2. F·E = σF (E acts as σ on the row space of F), and E·F = σF, which
+       3 and 4 imply;
+    3. E·E = σE (E acts as σ on image(E));
+    4. image(F) = {x in image(E) : Q_kl·x = 0 for all k < l}.
+
+    They imply the first clause, (F − E)·u = 0 for u in T.  E is a sum of
+    slot permutations, and conjugating a contraction by one gives another,
+    so E maps T into T and w = E·u/σ lies in T ∩ image(E) = image(F).
+    Then F·u = F·E·u/σ = F·w by 2, and E·u = E·E·u/σ = E·w by 3; F·w = σw
+    by 1, and E·w = σw by 3, as w is in image(F) ⊆ image(E).  So
+    (F − E)·u = σw − σw = 0.  The image equality also says that F kills
+    every contraction, Q_kl·F = 0.  Only meaningful at M = 0 with a
+    non-skew tableau."""
     if cfg.M != 0:
         raise ConfigError("the traceless-image equality is an M = 0 statement")
     if cfg.tableau.shape.is_skew:
         raise ConfigError("non-skew tableau required")
     F = f_operator_general(cfg)
     E = e_operator(cfg.tableau, cfg.N)
-    T = traceless_basis(cfg.N, cfg.n, cfg.form)
-    if not kills(F - E, T):
-        return False
-    lhs = image_basis(F)
-    rhs = intersect(image_basis(E), T)
-    return subspace_equal(lhs, rhs)
+    scalar = scaled_idempotency_constant(cfg.tableau.shape.lam)
+    image_F = image_basis(F)
+    return (acts_as_scalar(F, image_F, scalar) and _divides(F, E, image_F, scalar)
+            and _image_is_traceless_part(E, image_F, image_basis(E), scalar, cfg))
 
 
 def verify_corollary32(cfg: FusionConfig, k: int) -> bool:
@@ -641,14 +682,18 @@ def operator_hash(A: SparseOperator) -> str:
 def certify(cfg: FusionConfig) -> FusionCertificate:
     """Build the operator for one configuration and run the checks that
     make sense for it; every check names the statement it instantiates.
-    The operator equations share one ``OrbitComparison``, so each of F and
-    E gets one move and one commutation check: σ·F against F·E and E·F
-    for divisibility, and at M = 0 against F·F for the scaled square; and
-    F against each closed formula's chain of contraction factors times E,
-    which is the only route that evaluates a closed formula.  The chain
-    names its Q_kl, so they take the moves that F's build cached.
-    Formulas with the same chain, such as ``regular_case`` and ``any_Sp``,
-    share one comparison and keep one entry each.
+    F and E each get one ``image_basis``: rank(F) and rank(E) are their
+    dims, and the operator equations run on them as in the verifiers.
+    Divisibility is ``verify_divisibility``'s pair of checks (E on image(F)
+    and on F's row space); at M = 0 the scaled square is F on image(F), and
+    the traceless image is ``verify_prop33``'s verdict, from the same
+    square and divisibility verdicts, E on image(E) and the traceless part
+    of image(E).  F is compared with each closed formula's chain of
+    contraction factors times E on one ``OrbitComparison``, which is the
+    only route that evaluates a closed formula.  The chain names its Q_kl,
+    so they take the moves that F's build cached.  Formulas with the same
+    chain, such as ``regular_case`` and ``any_Sp``, share one comparison
+    and keep one entry each.
 
     At M > 0, F·F is not a multiple of F in general (for (2) on O_2 with
     M = 1 the ratios of their entries differ), so the scaled square, like
@@ -663,20 +708,21 @@ def certify(cfg: FusionConfig) -> FusionCertificate:
     cert.operator_hash = operator_hash(F)
     cert.add(CheckResult("regular-limit", "fusion-product-regularity", True))
     E = e_operator(cfg.tableau, cfg.N)
-    compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
+    image_F, image_E = image_basis(F), image_basis(E)
     if not cfg.tableau.shape.is_skew:
-        scaled_F = [scaled_idempotency_constant(cfg.tableau.shape.lam), F]
-        cert.add(CheckResult("two-sided-divisibility", "symmetrizer-divides",
-                             all(compare.difference(lhs, scaled_F) is None
-                                 for lhs in ([F, E], [E, F]))))
+        scalar = scaled_idempotency_constant(cfg.tableau.shape.lam)
+        divides = _divides(F, E, image_F, scalar)
+        cert.add(CheckResult("two-sided-divisibility", "symmetrizer-divides", divides))
         if cfg.M == 0:
-            cert.add(CheckResult("scaled-idempotency", "scaled-square",
-                                 compare.difference([F, F], scaled_F) is None))
+            square = acts_as_scalar(F, image_F, scalar)
+            cert.add(CheckResult("scaled-idempotency", "scaled-square", square))
             cert.add(CheckResult("traceless-image", "traceless-image-equality",
-                                 verify_prop33(cfg)))
-    cert.rank = rank(F)
+                                 square and divides and _image_is_traceless_part(
+                                     E, image_F, image_E, scalar, cfg)))
+    cert.rank = image_F.dim
     cert.add(CheckResult("rank-monotone", "image-dimension-bound",
-                         cert.rank <= rank(E)))
+                         cert.rank <= image_E.dim))
+    compare = OrbitComparison(cfg.N, cfg.n, cfg.form)
     agrees: dict[tuple, bool] = {}  # chain -> verdict
     for formula in CLOSED_FORMULAS:
         try:

@@ -8,24 +8,28 @@ group-algebra element shares, so ``act`` reads an element's numerators
 and den directly) and subspaces hold integer echelon rows
 (``SubspaceBasis``); Fractions appear only where rationals enter or leave
 (``entry``, ``to_triplets``, ``span_of_vectors``, the scalars and
-witnesses of ``OrbitComparison``) and in ``BilinearForm``.  Operators add
-and subtract, but are never multiplied whole: every product is a
-``left_multiplication`` move on integer vectors keyed row·dim + col, which
-hold some columns of a matrix (the limit engine, ``OrbitComparison``, the
-theta check in ``fusion``) or, keyed col·dim + row, some of its rows
-(``kills``).
+witnesses of ``OrbitComparison``, the scalar of ``acts_as_scalar``) and in
+``BilinearForm``.  Operators add and subtract, but are never multiplied
+whole.  Operators apply as ``left_multiplication`` moves on integer
+vectors keyed row·dim + col, which hold some columns of a matrix (the
+limit engine, ``OrbitComparison``, ``kernel_within``, the theta check in
+``fusion``).  An equation A·X = σ·X is decided on a basis instead: it
+holds exactly when A acts as σ on the image of X, and X·A = σ·X exactly
+when A acts as σ on X's row space (``acts_as_scalar`` on ``image_basis``
+or ``row_basis``).
 
 Every code table (``perm_op``, ``act``, ``q_op``, ``code_table``, and the
 block embedding and E's letter tables in ``fusion``) is one slot sum,
 ``slot_codes``: slot k adds where its letter lands, a multiple of the
 slot weight N^(n-k).  So no library code decodes or encodes a code;
 ``encode`` and ``decode`` stay as the tests' reference.  The identity
-checks and the F and E builds name the exchanges P_ij and contractions
-Q_kl, ("P", i, j) and ("Q", k, l), and resolve each name through one
-bounded cache, ``unit_move``, keyed by (name, N, n, form), whose entry
-holds the operator's move, den and exact commutation verdict.  So each
-distinct unit operator is built and checked once per process, and no
-caller ever holds, and so cannot mutate, the cached operator.
+checks, the F and E builds and the traceless part of image(E) name the
+exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l), and
+resolve each name through one bounded cache, ``unit_move``, keyed by
+(name, N, n, form), whose entry holds the operator's move, den and exact
+commutation verdict.  So each distinct unit operator is built and checked
+once per process, and no caller ever holds, and so cannot mutate, the
+cached operator.
 """
 
 from __future__ import annotations
@@ -490,27 +494,6 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
     return move
 
 
-def kills(A: SparseOperator, basis: "SubspaceBasis") -> bool:
-    """Whether A·t = 0 for every vector t of ``basis``, exactly.
-
-    R, the operator whose row j is the j-th basis vector (basis.dim ≤ dim,
-    so it fits), moves the rows of A keyed col·dim + row: entry (k, r) of
-    Aᵗ goes to (j, r) with weight t_j[k], so entry (j, r) of the result is
-    (A·t_j)[r].  The rows of A go through R's move 64 at a time, so no
-    copy of the whole of A is held, and any nonzero entry rejects."""
-    dim = A.dim
-    if basis.ambient != dim:
-        raise AmbientMismatch(f"a subspace of C^{basis.ambient} under an operator on C^{dim}")
-    move = left_multiplication(SparseOperator(A.N, A.n, {j: dict(t) for j, t in
-                                                         enumerate(basis.vectors)}))
-    rows = list(A.rows.items())
-    for start in range(0, len(rows), 64):
-        block = {c * dim + r: v for r, row in rows[start:start + 64] for c, v in row.items()}
-        if any(move(block).values()):
-            return False
-    return True
-
-
 def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOperator:
     """The unit operator that ``name`` names on n slots of C^N: ("P", i, j)
     the exchange P_ij of slots i and j, ("Q", k, l) the contraction Q_kl of
@@ -743,6 +726,11 @@ def image_basis(A: SparseOperator) -> SubspaceBasis:
     return _span(A.dim, columns.values())
 
 
+def row_basis(A: SparseOperator) -> SubspaceBasis:
+    """Row space of the numerators."""
+    return _span(A.dim, A.rows.values())
+
+
 def kernel_basis(A: SparseOperator) -> SubspaceBasis:
     return _span(A.dim, _null_space(A.rows.values(), A.dim))
 
@@ -757,6 +745,44 @@ def rank(A: SparseOperator) -> int:
     """
     return sum(len(kernels.echelon(dense, len(cols))[0])
                for cols, dense in _blocks(A.rows.values()))
+
+
+def acts_as_scalar(A: SparseOperator, basis: SubspaceBasis, sigma,
+                   on_rows: bool = False) -> bool:
+    """Whether A·b = σ·b for every vector b of ``basis``, or b·A = σ·b with
+    ``on_rows``, exactly.
+
+    One pass over A's entries moves every vector at once: entry (r, c)
+    adds A[r][c]·b[c] to (A·b)[r], or with ``on_rows`` b[r]·A[r][c] to
+    (b·A)[c].  The results, over A.den, are compared with σ·b
+    cross-multiplied.  Neither A nor the basis needs any symmetry."""
+    if basis.ambient != A.dim:
+        raise AmbientMismatch(f"a subspace of C^{basis.ambient} under an operator on C^{A.dim}")
+    sigma = Fraction(sigma)
+    at: dict[int, list[tuple[int, int]]] = {}  # code -> (vector, its entry there)
+    for j, vec in enumerate(basis.vectors):
+        for code, x in vec:
+            at.setdefault(code, []).append((j, x))
+    moved: list[dict[int, int]] = [{} for _ in basis.vectors]
+    for r, row in A.rows.items():
+        if on_rows:
+            for j, x in at.get(r, ()):
+                out = moved[j]
+                for c, v in row.items():
+                    out[c] = out.get(c, 0) + x * v
+        else:
+            sums: dict[int, int] = {}
+            for c, v in row.items():
+                for j, x in at.get(c, ()):
+                    sums[j] = sums.get(j, 0) + v * x
+            for j, total in sums.items():
+                moved[j][r] = total
+    p, q = sigma.numerator * A.den, sigma.denominator
+    for out, vec in zip(moved, basis.vectors):
+        want = {code: p * x for code, x in vec}
+        if any(out.get(k, 0) * q != want.get(k, 0) for k in out.keys() | want.keys()):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -793,15 +819,43 @@ def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
     for j, vec in enumerate(B.vectors, A.dim):
         for c, v in vec:
             system.setdefault(c, {})[j] = -v
-    meet = []
-    for coeffs in _null_space(system.values(), A.dim + B.dim):
+    return _combinations(A, _null_space(system.values(), A.dim + B.dim))
+
+
+def _combinations(basis: SubspaceBasis, coefficients) -> SubspaceBasis:
+    """Span of Σ y_j·b_j over the vectors b_j of ``basis``, one sum per
+    coefficient vector y = {j: y_j}; indices j past basis.dim are skipped."""
+    sums = []
+    for y in coefficients:
         vec: dict[int, int] = {}
-        for i, x in coeffs.items():
-            if i < A.dim:
-                for c, v in A.vectors[i]:
+        for j, x in y.items():
+            if j < basis.dim:
+                for c, v in basis.vectors[j]:
                     vec[c] = vec.get(c, 0) + x * v
-        meet.append({c: v for c, v in vec.items() if v})
-    return _span(A.ambient, meet)
+        sums.append({c: v for c, v in vec.items() if v})
+    return _span(basis.ambient, sums)
+
+
+def kernel_within(basis: SubspaceBasis, moves) -> SubspaceBasis:
+    """{x in the span of ``basis`` : move(x) = 0 for every move}, with each
+    move a ``left_multiplication`` of an operator on C^basis.ambient.
+
+    The basis vectors are the columns of one start vector keyed
+    row·dim + j; entry (r, j) of each moved vector is coordinate r of the
+    image of vector j.  So x = Σ y_j·b_j is in the kernel exactly when y
+    solves every such row, and the null space is taken over basis.dim
+    unknowns, not over the ambient space."""
+    dim = basis.ambient
+    start = {code * dim + j: v for j, vec in enumerate(basis.vectors) for code, v in vec}
+    equations = []
+    for move in moves:
+        rows: dict[int, dict[int, int]] = {}
+        for key, v in move(start).items():
+            if v:
+                r, j = divmod(key, dim)
+                rows.setdefault(r, {})[j] = v
+        equations.extend(rows.values())
+    return _combinations(basis, _null_space(equations, basis.dim))
 
 
 def span_of_vectors(ambient: int, vectors) -> SubspaceBasis:

@@ -54,24 +54,47 @@ def test_fusion_f_ranks(tmp_path):
 
 
 def test_fusion_f_ranks_each_operator_once(monkeypatch, tmp_path, capsys):
-    # certify ranks F and E for rank-monotone; the printed line and the
-    # --output payload reuse its rank(F) instead of ranking F again
+    # certify takes one image basis of each of F and E and reads rank(F) and
+    # rank(E) off their dims, so rank is never called; the printed line and
+    # the --output payload reuse its rank(F) instead of ranking F again
     from symfusion import cli, fusion, tensorop
-    calls = []
+    from symfusion.shapes import Partition, row_tableau, skew
+    calls = {"rank": [], "image_basis": []}
 
-    def counting_rank(A, real=tensorop.rank):
-        calls.append(A)
-        return real(A)
+    def counting(name):
+        real = getattr(tensorop, name)
+        return lambda A: calls[name].append(A) or real(A)
 
-    for module in (cli, fusion, tensorop):
-        if hasattr(module, "rank"):
-            monkeypatch.setattr(module, "rank", counting_rank)
+    for name in calls:
+        wrapped = counting(name)
+        for module in (cli, fusion, tensorop):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
     out = tmp_path / "f.json"
     assert main(["fusion-f", "--form", "Sp", "--N", "4", "--lambda", "2,1",
                  "--output", str(out)]) == 0
-    assert len(calls) == 2
+    L = row_tableau(skew(Partition((2, 1))))
+    F = fusion.f_operator_general(fusion.FusionConfig(L, 4, 0, "alternating"))
+    assert not calls["rank"]
+    assert [id(A) for A in calls["image_basis"]] == [id(F), id(fusion.e_operator(L, 4))]
     rank_F = json.loads(out.read_text())["rank"]
     assert f"rank {rank_F} " in capsys.readouterr().out
+
+
+def test_fusion_f_bounds_the_number_of_boxes(monkeypatch):
+    # E's build enumerates n! permutations: 10 boxes on O_2 pass the
+    # dimension cap (2^10 = 1024) but exit 2 at once instead of running out
+    # of memory
+    start = time.monotonic()
+    res = run_cli("fusion-f", "--form", "O", "--N", "2", "--lambda", "10")
+    assert res.returncode == 2 and "boxes" in res.stderr
+    assert time.monotonic() - start < 20
+    # the verify sweep skips those sizes, as it skips sizes over the dimension cap
+    from argparse import Namespace
+    from symfusion.cli import _sweep_tableaux
+    monkeypatch.setenv("FUSION_MAX_DIM", "4096")
+    sizes = {T.n for T in _sweep_tableaux(Namespace(form="O", N=2, max_boxes=12))}
+    assert sizes == set(range(1, 10))
 
 
 def test_fusion_f_skew_with_indexed_tableau():

@@ -21,8 +21,8 @@ from symfusion.shapes import (Partition, column_tableau, count_semistandard,
                               partitions_of, row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation, fusion_e_skew
 from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
-                                column_orbits, decode, encode, perm_op, q_op, rank,
-                                standard_form)
+                                column_orbits, decode, encode, image_basis, perm_op, q_op,
+                                rank, standard_form)
 
 
 def P(*parts):
@@ -270,12 +270,23 @@ def test_prop33_examples():
         verify_prop33(FusionConfig(T((2,)), 3, 1, "symmetric"))
 
 
+def _wrong_right_division(F, form):
+    """F + F·P_13·(3 − E) for the (2,1) tableau, whose σ is 3: its square is
+    3 times it, E·F′ = 3F′ and its image is that of F, as (3 − E)·F = 0; but
+    F′·E = 3F, not 3F′."""
+    shift = scaled(SparseOperator.identity(F.N, 3), 3) - e_operator(T((2, 1)), F.N)
+    return F + mul(mul(F, perm_op(Permutation.transposition(3, 1, 3), F.N)), shift)
+
+
 @pytest.mark.parametrize("perturb", [
     lambda F: F + SparseOperator(F.N, F.n, {0: {1: Fraction(1, 7)}}),
     # 2F still kills every contraction and has the image of F: only the
-    # clause "F = E on traceless vectors" rejects it
+    # clause "F = E on traceless vectors" rejects it, through its square
     lambda F: scaled(F, 2),
-], ids=["entry_shift", "doubled"])
+    lambda F: _wrong_right_division(F, None),
+    # 0 passes every operator equation: only the image equality rejects it
+    lambda F: SparseOperator.zero(F.N, F.n),
+], ids=["entry_shift", "doubled", "wrong_right_division", "zero"])
 def test_prop33_rejects_a_perturbed_operator(monkeypatch, perturb):
     from symfusion import fusion
 
@@ -283,6 +294,29 @@ def test_prop33_rejects_a_perturbed_operator(monkeypatch, perturb):
     assert verify_prop33(cfg)
     built = fusion.f_operator_general
     monkeypatch.setattr(fusion, "f_operator_general", lambda c: perturb(built(c)))
+    assert not verify_prop33(cfg)
+
+
+@pytest.mark.parametrize("kind, N", [("symmetric", 3), ("alternating", 4)])
+def test_prop33_rejects_an_E_off_its_square(monkeypatch, kind, N):
+    """E′ = E + Z with Z = (1 − E/3)·e_4·e_0ᵀ·(1 − E/3), which F kills on
+    both sides: F·E′ = E′·F = 3F, and the traceless part of image(E′) is
+    still image(F), but E′·E′ ≠ 3E′ and F ≠ E′ on traceless vectors.  Of
+    verify_prop33's checks only E′ on image(E′) sees it."""
+    from symfusion.tensorop import traceless_basis
+
+    cfg = FusionConfig(T((2, 1)), N, 0, kind)
+    F, E = f_operator_general(cfg), e_operator(cfg.tableau, N)
+    off = SparseOperator.identity(N, 3) - scaled(E, Fraction(1, 3))
+    bad = E + mul(mul(off, SparseOperator(N, 3, {4: {0: 1}})), off)
+    assert mul(F, bad) == scaled(F, 3) == mul(bad, F) and mul(bad, bad) != scaled(bad, 3)
+    assert fusion._traceless_part(image_basis(bad), cfg) == image_basis(F)
+    traceless = {}  # the traceless basis as the columns of one operator
+    for j, vec in enumerate(traceless_basis(N, 3, cfg.form).vectors):
+        for code, v in vec:
+            traceless.setdefault(code, {})[j] = v
+    assert mul(F - bad, SparseOperator(N, 3, traceless))
+    monkeypatch.setattr(fusion, "e_operator", lambda O, N: bad)
     assert not verify_prop33(cfg)
 
 
@@ -323,13 +357,13 @@ def test_verifiers_reject_a_perturbed_operator(monkeypatch, perturb, kind, N):
     cfg = FusionConfig(L, N, 0, kind)
     F, E = f_operator_general(cfg), e_operator(L, N)
     bad = perturb(F, cfg.form)
-    assert verify_scaled_idempotent(F, 3, cfg.form) and verify_divisibility(F, E, 3, cfg.form)
+    assert verify_scaled_idempotent(F, 3) and verify_divisibility(F, E, 3)
     # each verifier gives the verdict of the full products; divisibility is
     # homogeneous in F, so 2F still passes it
     assert mul(bad, bad) != scaled(bad, 3)
-    assert not verify_scaled_idempotent(bad, 3, cfg.form)
+    assert not verify_scaled_idempotent(bad, 3)
     divides = mul(bad, E) == scaled(bad, 3) == mul(E, bad)
-    assert verify_divisibility(bad, E, 3, cfg.form) == divides
+    assert verify_divisibility(bad, E, 3) == divides
     assert divides == (perturb is _doubled)
     # k = 2 exchanges the contents 1 and -1 of the row tableau
     assert verify_corollary32(cfg, 2)
@@ -354,12 +388,13 @@ def _plus_P13_E(F, form):
     _doubled,
     _on_the_orbit_of_zero,
     _plus_P13_E,
-], ids=["entry_shift", "doubled", "orbit_shift", "plus_P13_E"])
+    _wrong_right_division,
+], ids=["entry_shift", "doubled", "orbit_shift", "plus_P13_E", "wrong_right_division"])
 @pytest.mark.parametrize("kind, N", [("symmetric", 3), ("alternating", 4)])
 def test_certify_gives_the_verifiers_verdicts(monkeypatch, perturb, kind, N):
-    """certify runs its operator equations on one shared OrbitComparison;
-    on a perturbed F its verdicts are those of the standalone verifiers,
-    and every closed formula rejects it."""
+    """certify runs its operator equations on the image bases it shares
+    with the rank check; on a perturbed F its verdicts are those of the
+    standalone verifiers, and every closed formula rejects it."""
     cfg = FusionConfig(T((2, 1)), N, 0, kind)
     E = e_operator(cfg.tableau, N)
     bad = perturb(f_operator_general(cfg), cfg.form)
@@ -367,10 +402,32 @@ def test_certify_gives_the_verifiers_verdicts(monkeypatch, perturb, kind, N):
     built = fusion.f_operator_general
     monkeypatch.setattr(fusion, "f_operator_general", lambda c: bad if c == cfg else built(c))
     verdicts = {c.name: c.passed for c in certify(cfg).checks}
-    assert verdicts["scaled-idempotency"] is verify_scaled_idempotent(bad, 3, cfg.form) is False
-    assert (verdicts["two-sided-divisibility"] is verify_divisibility(bad, E, 3, cfg.form)
+    assert (verdicts["scaled-idempotency"] is verify_scaled_idempotent(bad, 3)
+            is (perturb is _wrong_right_division))
+    assert (verdicts["two-sided-divisibility"] is verify_divisibility(bad, E, 3)
             is (perturb is _doubled))
     assert not any(ok for name, ok in verdicts.items() if name.startswith("closed-form/"))
+
+
+@pytest.mark.parametrize("kind, N", [("symmetric", 3), ("alternating", 4)])
+def test_a_wrong_right_division_alone_is_rejected(monkeypatch, kind, N):
+    """F′ = F + F·P_13·(3 − E) breaks F′·E = 3F′ and nothing else that the
+    image bases see: its square, E·F′ and its image are right.  The check
+    of E on the row space of F′ rejects it in ``verify_divisibility``, in
+    certify's divisibility and traceless-image entries and in
+    ``verify_prop33``."""
+    cfg = FusionConfig(T((2, 1)), N, 0, kind)
+    F, E = f_operator_general(cfg), e_operator(cfg.tableau, N)
+    bad = _wrong_right_division(F, cfg.form)
+    assert mul(bad, bad) == scaled(bad, 3) == mul(E, bad) != mul(bad, E)
+    assert image_basis(bad) == image_basis(F)
+    assert verify_scaled_idempotent(bad, 3) and not verify_divisibility(bad, E, 3)
+    built = fusion.f_operator_general
+    monkeypatch.setattr(fusion, "f_operator_general", lambda c: bad if c == cfg else built(c))
+    assert not verify_prop33(cfg)
+    verdicts = {c.name: c.passed for c in certify(cfg).checks}
+    assert verdicts["scaled-idempotency"] and verdicts["rank-monotone"]
+    assert not verdicts["two-sided-divisibility"] and not verdicts["traceless-image"]
 
 
 def test_theta_factorization_configs(monkeypatch):
@@ -525,8 +582,10 @@ def test_operator_hashes_pinned():
 
 def test_rank_of_F_matches_traceless_intersection_dimension():
     # the two sides count different things: the pivots of F's own blocks
-    # against the intersection of two computed subspaces
-    from symfusion.tensorop import image_basis, intersect, traceless_basis
+    # against the intersection of two computed subspaces; that intersection
+    # is verify_prop33's traceless part of image(E), taken by the
+    # contractions' moves, and intersect's meet with the traceless basis
+    from symfusion.tensorop import intersect, traceless_basis
 
     cases = [
         (T((2,)), 3, "symmetric"),
@@ -542,6 +601,7 @@ def test_rank_of_F_matches_traceless_intersection_dimension():
         E = e_operator(tab, N)
         meet = intersect(image_basis(E), traceless_basis(N, tab.n, form))
         assert rank(F) == meet.dim
+        assert fusion._traceless_part(image_basis(E), cfg) == meet
 
 
 def test_certify_collects_passing_checks():

@@ -11,11 +11,12 @@ from symfusion import tensorop
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
 from symfusion.tensorop import (AmbientMismatch, BilinearForm, OrbitComparison,
-                                SingularForm, SparseOperator, act, code_table,
-                                column_orbits, commutes_with, decode, dual_basis,
-                                encode, image_basis, intersect, kernel_basis, kills,
-                                monomial_isometries, pair_vector, perm_op,
-                                preserves_gram, q_op, rank, span_of_vectors, subspace_equal,
+                                SingularForm, SparseOperator, act, acts_as_scalar,
+                                code_table, column_orbits, commutes_with, decode,
+                                dual_basis, encode, image_basis, intersect, kernel_basis,
+                                kernel_within, left_multiplication, monomial_isometries,
+                                pair_vector, perm_op, preserves_gram, q_op, rank,
+                                row_basis, span_of_vectors, subspace_equal,
                                 traceless_basis, unit_operator)
 
 
@@ -428,35 +429,70 @@ def _transpose(A):
     return SparseOperator(A.N, A.n, rows, A.den)
 
 
-def test_kills_matches_the_whole_product():
-    """kills(A, basis) is the verdict of the whole product A·[basis] = 0:
-    Y·Q_12 kills the traceless basis and its transpose does not, so a
-    transposed layout fails; at dim 729 the operators have more rows than
-    one block of the move, and one entry in the last row is found."""
+def test_acts_as_scalar_matches_the_whole_product():
+    """acts_as_scalar(A, basis, σ) is the verdict of the whole product
+    A·B = σ·B, with B the operator whose columns are the basis vectors, and
+    with ``on_rows`` that of Bᵗ·A = σ·Bᵗ.  With Y random, so with no
+    symmetry, σ + Y·Q_12 acts as σ on the traceless basis and σ + Q_12·Y
+    on the row kernel of Q_12, each on its own side only; σ + 1 fails."""
     rng = random.Random(47)
     for form, n in ((BilinearForm("symmetric", 2), 3), (BilinearForm("alternating", 4), 2),
-                    (BilinearForm("symmetric", 3), 3), (BilinearForm("symmetric", 3), 6)):
+                    (BilinearForm("symmetric", 3), 3)):
         N, dim = form.N, form.N ** n
-        T = traceless_basis(N, n, form)
-        random_basis = span_of_vectors(dim, [[rng.randint(-2, 2) for _ in range(dim)]
-                                             for _ in range(3)])
+        Q = q_op(1, 2, form, n)
         # three random entries in each of two thirds of the rows
         Y = SparseOperator(N, n, {r: {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                                       for c in rng.sample(range(dim), 3)}
                                   for r in rng.sample(range(dim), dim * 2 // 3)})
-        YQ = mul(Y, q_op(1, 2, form, n))
-        code, _ = T.vectors[0][0]
-        last = list(YQ.rows)[-1]
-        shifted = YQ + SparseOperator(N, n, {last: {code: 1}})
-        for A in (YQ, _transpose(YQ), Y, shifted, SparseOperator.zero(N, n)):
-            for basis in (T, random_basis):
-                assert kills(A, basis) is not mul(A, as_columns(N, n, basis.vectors)), (N, n)
-        assert kills(YQ, T) and not kills(_transpose(YQ), T) and not kills(shifted, T)
-        assert not kills(Y, T)
-        if dim > 256:
-            assert len(YQ.rows) > 256 and list(shifted.rows).index(last) >= 256
+        sigma = Fraction(rng.randint(1, 5), rng.randint(2, 3))
+        shift = scaled(SparseOperator.identity(N, n), sigma)
+        on_columns, on_rows = shift + mul(Y, Q), shift + mul(Q, Y)
+        columns, rows = traceless_basis(N, n, form), kernel_basis(_transpose(Q))
+        random_basis = span_of_vectors(dim, [[rng.randint(-2, 2) for _ in range(dim)]
+                                             for _ in range(3)])
+        assert acts_as_scalar(on_columns, columns, sigma)
+        assert acts_as_scalar(on_rows, rows, sigma, on_rows=True)
+        assert not acts_as_scalar(on_columns, rows, sigma, on_rows=True)
+        assert not acts_as_scalar(on_rows, columns, sigma)
+        for A in (on_columns, on_rows, Y, SparseOperator.zero(N, n)):
+            for basis in (columns, rows, random_basis, image_basis(Y), row_basis(Y)):
+                B = as_columns(N, n, basis.vectors)
+                for s in (sigma, sigma + 1, 0):
+                    assert acts_as_scalar(A, basis, s) is (mul(A, B) == scaled(B, s)), (N, n)
+                    assert (acts_as_scalar(A, basis, s, on_rows=True)
+                            is (mul(_transpose(B), A) == scaled(_transpose(B), s))), (N, n)
     with pytest.raises(AmbientMismatch):
-        kills(SparseOperator.identity(2, 2), span_of_vectors(8, [{0: 1}]))
+        acts_as_scalar(SparseOperator.identity(2, 2), span_of_vectors(8, [{0: 1}]), 1)
+
+
+def test_image_and_row_bases_span_the_columns_and_rows():
+    """The row basis is the image basis of the transpose, and acting as σ
+    on either basis is A·X = σX or X·A = σX for the whole of X."""
+    rng = random.Random(5)
+    for N, n in ((2, 3), (3, 2)):
+        dim = N ** n
+        X = SparseOperator(N, n, {r: {c: rng.randint(-2, 2) for c in rng.sample(range(dim), 2)}
+                                  for r in rng.sample(range(dim), dim // 2)})
+        assert subspace_equal(row_basis(X), image_basis(_transpose(X)))
+        assert row_basis(X).dim == image_basis(X).dim == rank(X)
+
+
+def test_kernel_within_is_the_meet_with_the_joint_kernel():
+    """kernel_within(B, moves) is B ∩ (joint kernel of the moved operators):
+    with the contractions' moves on an image basis it is the meet of that
+    image with the traceless basis, as ``intersect`` computes it."""
+    for form, n in ((BilinearForm("symmetric", 2), 3), (BilinearForm("alternating", 4), 2),
+                    (BilinearForm("symmetric", 3), 3)):
+        N = form.N
+        pairs = [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
+        moves = [left_multiplication(q_op(k, l, form, n)) for k, l in pairs]
+        T = traceless_basis(N, n, form)
+        for lam in ((n,), (n - 1, 1)):
+            img = image_basis(act(e_tableau(row_tableau(skew(P(*lam)))), N))
+            assert subspace_equal(kernel_within(img, moves), intersect(img, T)), (N, n, lam)
+        whole = span_of_vectors(N ** n, [{c: 1} for c in range(N ** n)])
+        assert subspace_equal(kernel_within(whole, moves), T)
+        assert subspace_equal(kernel_within(T, []), T)
 
 
 def test_subspace_operations():
