@@ -88,6 +88,8 @@ def cmd_symmetrizer(args) -> int:
     lam = _parse_partition(args.lam)
     mu = _parse_partition(args.mu)
     shape = skew(lam, mu)
+    if shape.n > MAX_BOXES:  # before any tableau or term is enumerated
+        raise SizeLimitExceeded(f"n = {shape.n} boxes exceeds {MAX_BOXES}: up to n! terms")
     T = _pick_tableau(shape, args.tableau)
     if shape.is_skew:
         elem = fusion_e_skew(T, "row")

@@ -1,11 +1,12 @@
 """Fusion symmetrizers on tensor space and their verified properties.
 
-Two constructions live here.  The plain symmetrizer operator is the
-image of the group-algebra fusion element.  Its two-parameter analogue
-for a chosen symmetric or alternating form is the diagonal-limit value
-of the ordered product of contraction factors times exchange factors,
-evaluated at the base point -1/2 (symmetric) or +1/2 (alternating) along
-the constraint line.
+Two constructions live here.  The plain symmetrizer operator E is the
+image of the group-algebra fusion element.  Its two-parameter analogue F
+for a chosen symmetric or alternating form is the value at ε = 0 of the
+product of the R-matrix factors of ``tensorop``, R̄(t_k, t_l) over all
+pairs k < l times R(t_k, t_l) over all pairs, on the line t_k = c_k +
+base + g_k·ε (``_fusion_line``, base -1/2 or +1/2).  Each closed formula
+is E times R̄(t_k(0), t_l(0)) over some of the pairs.
 
 The limit is taken by the integer engine in ``exactnum``: every entry
 of the operator product is an integer series in ε over the product of
@@ -42,14 +43,14 @@ from functools import lru_cache
 from . import kernels
 from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_zero,
                        normal_form)
-from .shapes import (Partition, StandardTableau, conjugate,
-                     dim_sym_irrep, validate_label)
+from .shapes import (Partition, StandardTableau, column_tableau, conjugate,
+                     dim_sym_irrep, row_tableau, validate_label)
 from .symalg import fusion_e_skew, inner_tableau_of, skew_tableau_of
-from .tensorop import (BilinearForm, ColumnOrbits, OrbitComparison, SparseOperator,
-                       SubspaceBasis, acts_as_scalar, column_orbits, commutes_with,
-                       image_basis, kernel_within, left_multiplication, q_op, row_basis,
-                       slot_codes, span_of_vectors, standard_form, subspace_equal,
-                       traceless_basis, unit_move)
+from .tensorop import (Affine, BilinearForm, ColumnOrbits, OrbitComparison, R, R_bar,
+                       SparseOperator, SubspaceBasis, acts_as_scalar, column_orbits,
+                       commutes_with, image_basis, kernel_within, left_multiplication, q_op,
+                       row_basis, slot_codes, span_of_vectors, standard_form,
+                       subspace_equal, traceless_basis, unit_move)
 
 
 class NotApplicable(ValueError):
@@ -216,40 +217,46 @@ def _lex_pairs(n: int):
 def f_operator_general(cfg: FusionConfig) -> SparseOperator:
     """Diagonal-limit value of the full ordered contraction-exchange product.
 
-    The constrained variables are substituted along the line
-    t_k = base + g_k·ε (g_k the column or row index of the box of k per
-    the constraint mode); all 2·C(n,2) factors are carried symbolically
-    and the limit is taken only on the complete product.
+    The variables run along the line of ``_fusion_line``; all 2·C(n,2)
+    factors are carried symbolically and the limit is taken only on the
+    complete product.
     """
     _check_dim(cfg.N, cfg.n)
     return _f_operator_cached(cfg)
 
 
-def _f_factors(cfg: FusionConfig) -> list:
-    """The engine factors (move, a, b) of the contraction-exchange product,
-    in the order they apply to a start vector (the product is built from
-    the right, so this is the product's order reversed), each the
-    ``unit_move`` of ("Q", k, l) or ("P", k, l).  The orbit build needs
-    integer, equivariant factors; any other raises ArithmeticError."""
+def _fusion_line(cfg: FusionConfig) -> list[Affine]:
+    """The forms t_k = c_k + base + g_k·ε in ε: c_k is the content of the box
+    of k and g_k its column or row index per the constraint mode."""
     O = cfg.tableau
-    n = O.n
-    c = O.contents
     g = O.columns() if cfg.constraint_mode == "column" else O.rows()
-    base_shift = cfg.N + cfg.M + (2 * cfg.base_point)  # integer: N+M∓1
-    if base_shift.denominator != 1:
-        raise ConfigError(f"base point {cfg.base_point} is not a half-integer")
-    pairs = _lex_pairs(n)
-    contractions = [(("Q", k, l), c[k - 1] + c[l - 1] + int(base_shift), g[k - 1] + g[l - 1])
-                    for k, l in pairs]
-    exchanges = [(("P", k, l), c[k - 1] - c[l - 1], g[k - 1] - g[l - 1]) for k, l in pairs]
-    if any(a == b == 0 for _, a, b in exchanges):
-        raise ConfigError("vanishing exchange denominator; tableau not standard?")
+    return [Affine(c + cfg.base_point, [gk]) for c, gk in zip(O.contents, g)]
+
+
+def _contractions(cfg: FusionConfig, t: list, pairs) -> list:
+    """R̄_kl(t_k, t_l) for the pairs (k, l), on the form of rank N + M."""
+    return [R_bar(k, l, t[k - 1], t[l - 1], cfg.N + cfg.M) for k, l in pairs]
+
+
+def _f_factors(cfg: FusionConfig) -> list:
+    """The engine factors (move, a, b) of F's product, R̄(t_k, t_l) over all
+    pairs k < l then R(t_k, t_l) on ``_fusion_line``, in the order they
+    apply to a start vector (the product's order reversed): 1 − X/(a + b·ε)
+    becomes X's ``unit_move`` with a and b.  A non-integer a or b raises
+    ConfigError; a factor that is not integer or not equivariant, which
+    the orbit build cannot take, raises ArithmeticError."""
+    t = _fusion_line(cfg)
+    pairs = _lex_pairs(cfg.n)
+    product = _contractions(cfg, t, pairs) + [R(k, l, t[k - 1], t[l - 1]) for k, l in pairs]
     factors = []
-    for name, a, b in reversed(contractions + exchanges):
-        move, den, commutes = unit_move(name, cfg.N, n, cfg.form)
-        if den != 1 or not commutes:
-            raise ArithmeticError(f"factor {name} is not integer or not equivariant")
-        factors.append((move, a, b))
+    for name, sign, den in reversed(product):
+        a, b = den.const, *den.coeffs
+        if a.denominator != 1 or b.denominator != 1:
+            raise ConfigError(f"factor {name} has the non-integer den {a} + {b}·ε")
+        move, d, commutes = unit_move(name, cfg.N, cfg.n, cfg.form)
+        if sign != -1 or d != 1 or not commutes:
+            raise ArithmeticError(f"factor {name} is not 1 − X/den, X integer, equivariant")
+        factors.append((move, int(a), int(b)))
     return factors
 
 
@@ -338,68 +345,46 @@ def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
     return F
 
 
-CLOSED_FORMULAS = ("col_O", "row_Sp", "any_Sp", "any_SO", "regular_case")
+# formula -> (the form kind it needs, None for either; the tableau it needs;
+# the index, "columns" or "rows", in which the boxes of a kept pair k < l
+# differ, None to keep all pairs; whether the first column must be at most
+# half the rank)
+_CLOSED = {
+    "col_O": ("symmetric", "column", "columns", False),
+    "row_Sp": ("alternating", "row", "rows", False),
+    "any_Sp": ("alternating", "non-skew", None, False),
+    "any_SO": ("symmetric", "non-skew", None, True),
+    "regular_case": (None, None, None, True),
+}
+CLOSED_FORMULAS = tuple(_CLOSED)
 
 
 def _closed_factors(cfg: FusionConfig, formula: str) -> list:
-    """The contraction factors (("Q", k, l), -1, d) of a closed formula, one
-    for 1 - Q_kl/d with Q_kl named as ``OrbitComparison`` reads it, in
-    product order: the formula is their product times E.
-
-    Each formula has an applicability condition; NotApplicable is raised
-    when it fails.  ``certify`` compares the product with F."""
-    from .shapes import column_tableau, row_tableau
-
-    O = cfg.tableau
-    n = O.n
-    c = O.contents
-    lam_conj = conjugate(O.shape.lam)
-    if formula == "col_O":
-        if cfg.form_kind != "symmetric":
-            raise NotApplicable("col_O needs a symmetric form")
-        if O != column_tableau(O.shape):
-            raise NotApplicable("col_O needs the column tableau")
-        shift = cfg.N + cfg.M - 1
-        cols = O.columns()
-        pairs = [(k, l) for k, l in _lex_pairs(n) if cols[k - 1] != cols[l - 1]]
-    elif formula == "row_Sp":
-        if cfg.form_kind != "alternating":
-            raise NotApplicable("row_Sp needs an alternating form")
-        if O != row_tableau(O.shape):
-            raise NotApplicable("row_Sp needs the row tableau")
-        shift = cfg.N + cfg.M + 1
-        rows_ = O.rows()
-        pairs = [(k, l) for k, l in _lex_pairs(n) if rows_[k - 1] != rows_[l - 1]]
-    elif formula == "any_Sp":
-        if cfg.form_kind != "alternating":
-            raise NotApplicable("any_Sp needs an alternating form")
-        if O.shape.is_skew:
-            raise NotApplicable("any_Sp needs a non-skew tableau")
-        shift = cfg.N + cfg.M + 1
-        pairs = _lex_pairs(n)
-    elif formula == "any_SO":
-        if cfg.form_kind != "symmetric":
-            raise NotApplicable("any_SO needs a symmetric form")
-        if O.shape.is_skew:
-            raise NotApplicable("any_SO needs a non-skew tableau")
-        if 2 * lam_conj[0] > cfg.N + cfg.M:
-            raise NotApplicable("any_SO needs the first column at most half the rank")
-        shift = cfg.N + cfg.M - 1
-        pairs = _lex_pairs(n)
-    elif formula == "regular_case":
-        if 2 * lam_conj[0] > cfg.N + cfg.M:
-            raise NotApplicable("regular_case needs the first column at most half the rank")
-        shift = cfg.N + cfg.M + (1 if cfg.form_kind == "alternating" else -1)
-        pairs = _lex_pairs(n)
-    else:
+    """The factors R̄(t_k(0), t_l(0)) = (("Q", k, l), -1, d) of a closed
+    formula, d rational, in product order: the formula is their product
+    times E.  NotApplicable is raised when the config fails the formula's
+    row of ``_CLOSED``.  ``certify`` compares the product with F."""
+    if formula not in _CLOSED:
         raise ValueError(f"unknown formula {formula!r}")
-
-    factors = []
-    for k, l in pairs:
-        d = c[k - 1] + c[l - 1] + shift
+    kind, tableau, apart, half_rank = _CLOSED[formula]
+    O = cfg.tableau
+    if kind not in (None, cfg.form_kind):
+        raise NotApplicable(f"{formula} needs a {kind} form")
+    named = {"column": column_tableau, "row": row_tableau}.get(tableau)
+    if named is not None and O != named(O.shape):
+        raise NotApplicable(f"{formula} needs the {tableau} tableau")
+    if tableau == "non-skew" and O.shape.is_skew:
+        raise NotApplicable(f"{formula} needs a non-skew tableau")
+    if half_rank and 2 * conjugate(O.shape.lam)[0] > cfg.N + cfg.M:
+        raise NotApplicable(f"{formula} needs the first column at most half the rank")
+    pairs = _lex_pairs(O.n)
+    if apart is not None:
+        index = getattr(O, apart)()
+        pairs = [(k, l) for k, l in pairs if index[k - 1] != index[l - 1]]
+    factors = _contractions(cfg, [t.const for t in _fusion_line(cfg)], pairs)
+    for (k, l), (_, _, d) in zip(pairs, factors):
         if d == 0:
             raise DivisionByZero(f"closed formula {formula}: factor ({k},{l}) has denominator 0")
-        factors.append((("Q", k, l), -1, d))
     return factors
 
 
@@ -481,8 +466,8 @@ def verify_prop33(cfg: FusionConfig) -> bool:
 def verify_corollary32(cfg: FusionConfig, k: int) -> bool:
     """Exchange relation moving the operator of ``cfg.tableau`` to the
     tableau with k and k + 1 swapped:
-    P·(1 - P/(c_(k+1) - c_k))·F = F_k·(1 - P/(c_k - c_(k+1)))·P with P the
-    exchange of k and k + 1, compared on the orbit columns of the form's
+    P·R(c_(k+1), c_k)·F = F_k·R(c_k, c_(k+1))·P with P and R the exchange
+    and exchange factor of k and k + 1, compared on the orbit columns of the form's
     monomial isometries (``OrbitComparison``)."""
     L = cfg.tableau
     c = L.contents
@@ -494,9 +479,8 @@ def verify_corollary32(cfg: FusionConfig, k: int) -> bool:
     F = f_operator_general(cfg)
     Fk = f_operator_general(FusionConfig(Lk, cfg.N, cfg.M, cfg.form_kind, cfg.strict))
     P = ("P", k, k + 1)
-    R_back, R_fwd = (P, -1, c[k] - c[k - 1]), (P, -1, c[k - 1] - c[k])
-    return OrbitComparison(cfg.N, L.n, cfg.form).difference([P, R_back, F],
-                                                            [Fk, R_fwd, P]) is None
+    return OrbitComparison(cfg.N, L.n, cfg.form).difference(
+        [P, R(k, k + 1, c[k], c[k - 1]), F], [Fk, R(k, k + 1, c[k - 1], c[k]), P]) is None
 
 
 class NonStandardNeighbor(ValueError):

@@ -21,9 +21,10 @@ families (Yang–Baxter, inversion, RTT, reflection) are random-point
 tests, not proofs, until their samples come from a product grid sized by
 per-variable degree bounds.
 
-Unit operators are named, not built: ("P", i, j) is the exchange P_ij
-and ("Q", k, l) the contraction Q_kl of the check's form, so the
-exchange factor R_ij(x, y) is (("P", i, j), -1, x - y).
+The families are written in the factors of ``tensorop``: the exchange
+factor ``R``, the contraction factors ``R_tilde`` and ``R_bar``, whose
+unit operators are named, not built: ("P", i, j) is the exchange P_ij
+and ("Q", k, l) the contraction Q_kl of the check's form.
 
 No operator product is formed.  One ``tensorop.OrbitComparison`` per
 check applies both sides right to left to the unit columns of the orbit
@@ -46,12 +47,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 
 from .fusion import FusionConfig, e_operator, f_operator_general
 from .shapes import Partition, StandardTableau, skew, standard_tableaux
 from .symalg import Permutation
-from .tensorop import BilinearForm, OrbitComparison, SparseOperator, perm_op, q_op
+from .tensorop import (Affine, BilinearForm, OrbitComparison, R, R_bar, R_tilde,
+                       SparseOperator, perm_op, q_op, variables)
 
 
 @dataclass
@@ -62,52 +63,6 @@ class IdentityCheck:
     samples: list[tuple[Fraction, ...]] = field(default_factory=list)
     passed: bool = True
     witness: dict | None = None
-
-
-class Affine:
-    """The affine form const + Σ_i coeffs[i]·x_(i+1) in the spectral
-    parameters, with rational coefficients.  Forms add and subtract with
-    each other and with ints and Fractions; ``at`` evaluates one."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0, coeffs=()):
-        self.const = Fraction(const)
-        self.coeffs = tuple(map(Fraction, coeffs))
-
-    def _combine(self, other, sign: int) -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.const + sign * other, self.coeffs)
-        if isinstance(other, Affine):
-            return Affine(self.const + sign * other.const,
-                          [a + sign * b for a, b in
-                           zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
-        return NotImplemented
-
-    def __add__(self, other) -> "Affine":
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Affine":
-        return self._combine(other, -1)
-
-    def __rsub__(self, other) -> "Affine":
-        return (-self)._combine(other, 1)
-
-    def __neg__(self) -> "Affine":
-        return Affine(-self.const, [-a for a in self.coeffs])
-
-    def at(self, pt: tuple[Fraction, ...]) -> Fraction:
-        """The value at the point x = pt."""
-        if len(self.coeffs) > len(pt):
-            raise ValueError(f"form in {len(self.coeffs)} variables at a point of {len(pt)}")
-        return self.const + sum(a * v for a, v in zip(self.coeffs, pt))
-
-
-def variables(k: int) -> tuple[Affine, ...]:
-    """The coordinate forms x_1..x_k."""
-    return tuple(Affine(0, [0] * i + [1]) for i in range(k))
 
 
 # the distinct values p/q, |p| <= 48 and 1 <= q <= 5, that a coordinate is
@@ -198,12 +153,16 @@ def run_identity_check(name: str, statement: str, lhs: list, rhs: list, seed: in
     n = max(max(op[1:]) if isinstance(op, tuple) else op.n for op in ops)
     compare = OrbitComparison(N, n, form)
 
+    evaluated = {}  # drawn point -> its factors there, each den evaluated once
+
     def on_pole(pt):
-        return any(den.at(pt) == 0 for _, _, den in factors.values())
+        at = evaluated[pt] = {key: (X, sign, den.at(pt))
+                              for key, (X, sign, den) in factors.items()}
+        return any(value == 0 for _, _, value in at.values())
 
     for pt in sample_points(seed, arity, check.degree_bound + 1, on_pole):
         check.samples.append(pt)
-        at = {key: (X, sign, den.at(pt)) for key, (X, sign, den) in factors.items()}
+        at = evaluated[pt]
         diff = compare.difference(*([at.get(id(item), item) for item in side]
                                     for side in (lhs, rhs)))
         if diff is not None:
@@ -216,11 +175,7 @@ def run_identity_check(name: str, statement: str, lhs: list, rhs: list, seed: in
 
 
 # ---------------------------------------------------------------------------
-# the identity families
-#
-# On the n-fold power of C^N, the exchange factor R_ij(x, y) is
-# (("P", i, j), -1, x - y), the contraction factor R~_ij(x, y) is
-# (("Q", i, j), +1, x + y), and R̄_ij(x, y) is (("Q", i, j), -1, x + y + N + M).
+# the identity families, in the factors R, R~ and R̄ of ``tensorop``
 
 
 def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
@@ -232,14 +187,13 @@ def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
     """
     x, y, z = variables(3)
     if which == "YB35":
-        abc = [(("P", 1, 2), -1, x - y), (("P", 1, 3), -1, x - z), (("P", 2, 3), -1, y - z)]
+        abc = [R(1, 2, x, y), R(1, 3, x, z), R(2, 3, y, z)]
     elif which == "tilde37":
-        abc = [(("Q", 1, 3), 1, x + z), (("Q", 1, 2), 1, x + y), (("P", 2, 3), -1, y - z)]
+        abc = [R_tilde(1, 3, x, z), R_tilde(1, 2, x, y), R(2, 3, y, z)]
     elif which == "bar38":
-        abc = [(("Q", 1, 2), -1, x + y + N), (("Q", 1, 3), -1, x + z + N),
-               (("P", 2, 3), -1, y - z)]
+        abc = [R_bar(1, 2, x, y, N), R_bar(1, 3, x, z, N), R(2, 3, y, z)]
     elif which == "mixed385":
-        abc = [(("Q", 1, 2), 1, x + y), (("P", 1, 3), -1, x - z), (("Q", 2, 3), -1, y + z + N)]
+        abc = [R_tilde(1, 2, x, y), R(1, 3, x, z), R_bar(2, 3, y, z, N)]
     else:
         raise ValueError(f"unknown family member {which!r}")
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
@@ -253,11 +207,11 @@ def check_unitarity(which: str, N: int, form: BilinearForm | None,
     x, y = variables(2)
     I = SparseOperator.identity(N, 2)
     if which == "RR":
-        lhs = [(("P", 1, 2), -1, x - y), (("P", 1, 2), -1, y - x)]
+        lhs = [R(1, 2, x, y), R(1, 2, y, x)]
         rhs = [(I, -1, x - y), (I, 1, x - y)]
         statement, form = "exchange-pair-inversion", None
     elif which == "tildebar":
-        lhs, rhs = [(("Q", 1, 2), 1, x + y), (("Q", 1, 2), -1, x + y + N)], [I]
+        lhs, rhs = [R_tilde(1, 2, x, y), R_bar(1, 2, x, y, N)], [I]
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
@@ -269,9 +223,9 @@ def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityChec
     R12·T1·T2 = T2·T1·R12 with T_a = Π_k R_{a,2+k}(·, z_k)."""
     x, y = variables(2)
     zs = [Fraction(z) for z in z_params]
-    R12 = (("P", 1, 2), -1, x - y)
-    T1 = [(("P", 1, 3 + k), -1, x - z) for k, z in enumerate(zs)]
-    T2 = [(("P", 2, 3 + k), -1, y - z) for k, z in enumerate(zs)]
+    R12 = R(1, 2, x, y)
+    T1 = [R(1, 3 + k, x, z) for k, z in enumerate(zs)]
+    T2 = [R(2, 3 + k, y, z) for k, z in enumerate(zs)]
     return run_identity_check(f"rtt/n{len(zs)}", "generating-matrix-exchange",
                               [R12] + T1 + T2, T2 + T1 + [R12], seed, N=N)
 
@@ -285,19 +239,17 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     zs = [c + z_shift for c in O.contents]
     # E·(order reversal) on the last n slots, each standing for 1 ⊗ it
     E = [e_operator(O, N), perm_op(Permutation.reversal(n), N)]
-    P1 = [("P", 1, 2 + k) for k in range(n)]
-    forward = [(P, -1, x - z) for P, z in zip(P1, zs)]
-    backward = [(P, -1, x - z) for P, z in zip(P1, zs[::-1])]
+    forward = [R(1, 2 + k, x, z) for k, z in enumerate(zs)]
+    backward = [R(1, 2 + k, x, z) for k, z in enumerate(zs[::-1])]
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
                               forward + E, E + backward, seed, N=N)
 
 
-def _image_strings(x: Affine, ds, Ps, Qs):
-    """The plain factors R_{a,k}(x, d_k) and the twisted ones R~_{a,k}(x, d_k)
-    in slot order, from the names of the unit operators P_{a,k} in Ps and
-    Q_{a,k} in Qs."""
-    plain = [(P, -1, x - d) for P, d in zip(Ps, ds)]
-    tilde = [(Q, 1, x + d) for Q, d in zip(Qs, ds)]
+def _image_strings(a: int, x: Affine, ds, first: int):
+    """The plain factors R_{a,b}(x, d_k) and the twisted ones R~_{a,b}(x, d_k)
+    in slot order, for the slots b = first + k of the ds."""
+    plain = [R(a, first + k, x, d) for k, d in enumerate(ds)]
+    tilde = [R_tilde(a, first + k, x, d) for k, d in enumerate(ds)]
     return plain, tilde
 
 
@@ -305,14 +257,10 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     """The two-parameter operator intertwines the twisted and plain
     evaluation strings built at the shifted contents d_k."""
     O = cfg.tableau
-    n = O.n
     (x,) = variables(1)
-    half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
-    ds = [c + Fraction(cfg.M, 2) - half for c in O.contents]
+    ds = [c + Fraction(cfg.M, 2) + cfg.base_point for c in O.contents]
     F = f_operator_general(cfg)
-    P1 = [("P", 1, 2 + k) for k in range(n)]
-    Q1 = [("Q", 1, 2 + k) for k in range(n)]
-    plain, tilde = _image_strings(x, ds, P1, Q1)
+    plain, tilde = _image_strings(1, x, ds, 2)
     # slot k keeps its argument d_k; only the multiplication order flips
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
                               "twisted-intertwiner", tilde[::-1] + plain + [F],
@@ -327,11 +275,9 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
     n = len(z_params)
     x, y = variables(2)
     zs = [Fraction(z) for z in z_params]
-    P1, P2 = ([("P", a, 3 + k) for k in range(n)] for a in (1, 2))
-    Q1, Q2 = ([("Q", a, 3 + k) for k in range(n)] for a in (1, 2))
-    R12, Rt12 = (("P", 1, 2), -1, x - y), (("Q", 1, 2), 1, x + y)
-    plain1, tilde1 = _image_strings(x, zs, P1, Q1)
-    plain2, tilde2 = _image_strings(y, zs, P2, Q2)
+    R12, Rt12 = R(1, 2, x, y), R_tilde(1, 2, x, y)
+    plain1, tilde1 = _image_strings(1, x, zs, 3)
+    plain2, tilde2 = _image_strings(2, y, zs, 3)
     S1, S2 = tilde1[::-1] + plain1, tilde2[::-1] + plain2
     return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
                               [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed, form, N)
@@ -342,7 +288,7 @@ def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
     """For one quantum slot, the plain and twisted realizations of the
     coideal image coincide: R~12·R12 = R12·R~12."""
     (x,) = variables(1)
-    R12, Rt12 = (("P", 1, 2), -1, x - z), (("Q", 1, 2), 1, x + z)
+    R12, Rt12 = R(1, 2, x, z), R_tilde(1, 2, x, z)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
                               [Rt12, R12], [R12, Rt12], seed, form, N)
 
@@ -357,7 +303,7 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
     P_sum = sum((perm_op(Permutation.transposition(total, 1, k + 2), N) for k in range(l)),
                 SparseOperator.zero(N, total))
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
-                              [(("P", 1, k + 2), -1, x - c) for k, c in enumerate(L.contents)]
+                              [R(1, k + 2, x, c) for k, c in enumerate(L.contents)]
                               + [E], [(P_sum, -1, x), E], seed, N=N)
 
 
@@ -371,17 +317,15 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     N = cfg.N
     total = l + 1
     (x,) = variables(1)
-    half = Fraction(1, 2) if cfg.form_kind == "symmetric" else Fraction(-1, 2)
-    ds = [c - half for c in L.contents]
+    ds = [c + cfg.base_point for c in L.contents]
     F = f_operator_general(cfg)
     PQ_sum = sum((perm_op(Permutation.transposition(total, 1, 2 + k), N)
                   - q_op(1, 2 + k, cfg.form, total) for k in range(l)),
                  SparseOperator.zero(N, total))
-    plain, tilde = _image_strings(x, ds, [("P", 1, 2 + k) for k in range(l)],
-                                  [("Q", 1, 2 + k) for k in range(l)])
+    plain, tilde = _image_strings(1, x, ds, 2)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
                               "twisted-evaluation-collapse", tilde[::-1] + plain + [F],
-                              [(PQ_sum, -1, x + half), F], seed, cfg.form, N)
+                              [(PQ_sum, -1, x - cfg.base_point), F], seed, cfg.form, N)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ block embedding and E's letter tables in ``fusion``) is one slot sum,
 slot weight N^(n-k).  So no library code decodes or encodes a code;
 ``encode`` and ``decode`` stay as the tests' reference.  The identity
 checks, the F and E builds and the traceless part of image(E) name the
-exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l), and
-resolve each name through one bounded cache, ``unit_move``, keyed by
-(name, N, n, form), whose entry holds the operator's move, den and exact
-commutation verdict.  So each distinct unit operator is built and checked
-once per process, and no caller ever holds, and so cannot mutate, the
-cached operator.
+exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l), as
+do the R-matrix factors ``R``, ``R_tilde`` and ``R_bar``, written once
+here.  Each name resolves through one bounded cache, ``unit_move``, keyed
+by (name, N, n, form), whose entry holds the operator's move, den and
+exact commutation verdict.  So each distinct unit operator is built and
+checked once per process, and no caller ever holds, and so cannot mutate,
+the cached operator.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 from . import kernels
@@ -507,6 +508,73 @@ def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOper
     if kind == "Q":
         return q_op(k, l, form, n)
     raise ValueError(f"unknown unit operator {name!r}: the kinds are P and Q")
+
+
+class Affine:
+    """The affine form const + Σ_i coeffs[i]·x_(i+1) in the spectral
+    parameters, with rational coefficients.  Forms add and subtract with
+    each other and with ints and Fractions; ``at`` evaluates one."""
+
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const=0, coeffs=()):
+        self.const = Fraction(const)
+        self.coeffs = tuple(map(Fraction, coeffs))
+
+    def _combine(self, other, sign: int) -> "Affine":
+        if isinstance(other, (int, Fraction)):
+            return Affine(self.const + sign * other, self.coeffs)
+        if isinstance(other, Affine):
+            return Affine(self.const + sign * other.const,
+                          [a + sign * b for a, b in
+                           zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        return NotImplemented
+
+    def __add__(self, other) -> "Affine":
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Affine":
+        return self._combine(other, -1)
+
+    def __rsub__(self, other) -> "Affine":
+        return (-self)._combine(other, 1)
+
+    def __neg__(self) -> "Affine":
+        return Affine(-self.const, [-a for a in self.coeffs])
+
+    def at(self, pt: tuple[Fraction, ...]) -> Fraction:
+        """The value at the point x = pt."""
+        if len(self.coeffs) > len(pt):
+            raise ValueError(f"form in {len(self.coeffs)} variables at a point of {len(pt)}")
+        return self.const + sum(a * v for a, v in zip(self.coeffs, pt))
+
+
+def variables(k: int) -> tuple[Affine, ...]:
+    """The coordinate forms x_1..x_k."""
+    return tuple(Affine(0, [0] * i + [1]) for i in range(k))
+
+
+# The R-matrix factors on slots i and j, as the items (name, sign, den) for
+# 1 + sign·X/den that ``OrbitComparison`` reads; x, y and den are ``Affine``
+# forms or rationals.
+
+
+def R(i: int, j: int, x, y) -> tuple:
+    """The exchange factor R_ij(x, y) = 1 − P_ij/(x − y)."""
+    return ("P", i, j), -1, x - y
+
+
+def R_tilde(i: int, j: int, x, y) -> tuple:
+    """The contraction factor R~_ij(x, y) = 1 + Q_ij/(x + y)."""
+    return ("Q", i, j), 1, x + y
+
+
+def R_bar(i: int, j: int, x, y, shift) -> tuple:
+    """The contraction factor R̄_ij(x, y) = 1 − Q_ij/(x + y + shift), with
+    shift N + M in F's product."""
+    return ("Q", i, j), -1, x + y + shift
 
 
 @lru_cache(maxsize=256)

@@ -97,6 +97,26 @@ def test_fusion_f_bounds_the_number_of_boxes(monkeypatch):
     assert sizes == set(range(1, 10))
 
 
+def test_symmetrizer_bounds_the_number_of_boxes(monkeypatch, capsys):
+    # the element of a 10-box tableau has up to 10! terms: exit 2 at once
+    # instead of running out of memory
+    start = time.monotonic()
+    res = run_cli("symmetrizer", "--lambda", "10")
+    assert res.returncode == 2 and "boxes" in res.stderr
+    assert time.monotonic() - start < 20
+    # nothing is enumerated first, neither the tableaux of an index nor a
+    # skew element
+    from symfusion import cli
+
+    def enumerated(*args):
+        raise AssertionError("enumerated over the box bound")
+
+    for name in ("standard_tableaux", "e_tableau", "fusion_e_skew"):
+        monkeypatch.setattr(cli, name, enumerated)
+    assert main(["symmetrizer", "--lambda", "6,5", "--mu", "1", "--tableau", "3"]) == 2
+    assert "boxes" in capsys.readouterr().err
+
+
 def test_fusion_f_skew_with_indexed_tableau():
     res = run_cli("fusion-f", "--form", "O", "--N", "2", "--M", "1",
                   "--lambda", "2,1", "--mu", "1", "--tableau", "0")

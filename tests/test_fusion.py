@@ -17,7 +17,7 @@ from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
                               verify_corollary32, verify_divisibility,
                               verify_prop33, verify_scaled_idempotent,
                               verify_theta_factorization)
-from symfusion.shapes import (Partition, column_tableau, count_semistandard,
+from symfusion.shapes import (Partition, column_tableau, conjugate, count_semistandard,
                               partitions_of, row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation, fusion_e_skew
 from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
@@ -225,6 +225,126 @@ def test_closed_formula_applicability():
     assert other == cfg_rowtab.tableau
     with pytest.raises(NotApplicable):
         _closed_factors(cfg_rowtab, "col_O")
+
+
+def _factor_sweep():
+    """Configs of every standard tableau of at most 3 boxes, skew included,
+    with |λ| ≤ 5, on O_2, O_3 at M = 0, 1, 2 and Sp_2, Sp_4 at M = 0, 2,
+    without label validation."""
+    for O in _small_tableaux():
+        if O.n > 3 or O.shape.lam.size > 5:
+            continue
+        for kind, Ns, Ms in (("symmetric", (2, 3), (0, 1, 2)), ("alternating", (2, 4), (0, 2))):
+            for N in Ns:
+                for M in Ms:
+                    yield FusionConfig(O, N, M, kind, strict=False)
+
+
+def _closed_reference(cfg, formula):
+    """The closed formula as stated: the factors 1 − Q_kl/(c_k + c_l + s),
+    with s = N + M − 1 for a symmetric form and N + M + 1 for an
+    alternating one, over the pairs k < l in different columns (col_O), in
+    different rows (row_Sp) or all pairs; None where it does not apply."""
+    O = cfg.tableau
+    sym = cfg.form_kind == "symmetric"
+    half_rank = 2 * conjugate(O.shape.lam)[0] <= cfg.N + cfg.M
+    applies = {"col_O": sym and O == column_tableau(O.shape),
+               "row_Sp": not sym and O == row_tableau(O.shape),
+               "any_Sp": not sym and not O.shape.is_skew,
+               "any_SO": sym and not O.shape.is_skew and half_rank,
+               "regular_case": half_rank}[formula]
+    if not applies:
+        return None
+    apart = {"col_O": O.columns(), "row_Sp": O.rows()}.get(formula)
+    s = cfg.N + cfg.M + (-1 if sym else 1)
+    c = O.contents
+    return [(("Q", k, l), -1, c[k - 1] + c[l - 1] + s)
+            for k in range(1, O.n) for l in range(k + 1, O.n + 1)
+            if apart is None or apart[k - 1] != apart[l - 1]]
+
+
+def test_closed_formula_chains_pinned():
+    """Every closed formula's chain, and whether it applies, equals the
+    formula as stated; a chain with a zero den raises DivisionByZero.  The
+    dens are rationals, not forms in ε."""
+    from symfusion.exactnum import DivisionByZero
+
+    seen = {"applied": 0, "skew": 0, "M": 0, "zero": 0}
+    for cfg in _factor_sweep():
+        for formula in fusion.CLOSED_FORMULAS:
+            want = _closed_reference(cfg, formula)
+            if want is None:
+                with pytest.raises(NotApplicable):
+                    _closed_factors(cfg, formula)
+            elif any(d == 0 for _, _, d in want):
+                seen["zero"] += 1
+                with pytest.raises(DivisionByZero):
+                    _closed_factors(cfg, formula)
+            else:
+                chain = _closed_factors(cfg, formula)
+                assert chain == want, (cfg.describe(), formula)
+                assert all(type(d) in (int, Fraction) for _, _, d in chain)
+                seen["applied"] += 1
+                seen["skew"] += cfg.tableau.shape.is_skew
+                seen["M"] += cfg.M > 0
+    assert seen["applied"] > 500 and seen["skew"] and seen["M"] and seen["zero"], seen
+
+
+def test_f_factors_pinned():
+    """``_f_factors`` applies the reverse of the product R̄ over all pairs
+    k < l, then R over all pairs: R̄_kl as the move of Q_kl with a = c_k +
+    c_l + N + M + 2·base and b = g_k + g_l, R_kl as the move of P_kl with
+    a = c_k − c_l and b = g_k − g_l, for g the columns (symmetric) or rows
+    (alternating) of the boxes; a and b are ints."""
+    from symfusion.tensorop import unit_move
+
+    count = 0
+    for cfg in _factor_sweep():
+        O = cfg.tableau
+        c = O.contents
+        g = O.columns() if cfg.form_kind == "symmetric" else O.rows()
+        pairs = [(k, l) for k in range(1, O.n) for l in range(k + 1, O.n + 1)]
+        shift = cfg.N + cfg.M + 2 * cfg.base_point
+        product = ([(("Q", k, l), c[k - 1] + c[l - 1] + shift, g[k - 1] + g[l - 1])
+                    for k, l in pairs]
+                   + [(("P", k, l), c[k - 1] - c[l - 1], g[k - 1] - g[l - 1])
+                      for k, l in pairs])
+        factors = fusion._f_factors(cfg)
+        assert [(a, b) for _, a, b in factors] == [(a, b) for _, a, b in reversed(product)]
+        assert all(type(a) is int and type(b) is int for _, a, b in factors)
+        assert all(move is unit_move(name, cfg.N, O.n, cfg.form)[0]
+                   for (move, _, _), (name, _, _) in zip(factors, reversed(product)))
+        count += 1
+    assert count > 500
+
+
+def test_f_factors_reject_a_non_integer_den(monkeypatch):
+    # the engine takes integer a and b only: off the half-integer base
+    # points, a = c_k + c_l + N + M + 2·base is no integer
+    cfg = FusionConfig(T((2,)), 3, 0, "symmetric")
+    monkeypatch.setattr(FusionConfig, "base_point", property(lambda self: Fraction(1, 3)))
+    with pytest.raises(ConfigError):
+        fusion._f_factors(cfg)
+
+
+def test_a_shifted_R_bar_changes_F(monkeypatch):
+    """R̄'s shift N + M is written once for F's product: shifted by 1 there,
+    the pinned hashes of F and the intertwiner-F check fail."""
+    from symfusion.rmatrix import check_intertwiner_F
+
+    cases = [FusionConfig(T((2, 1)), 3, 0, "symmetric"),
+             FusionConfig(T((2, 1)), 4, 0, "alternating"),
+             *(FusionConfig(O, 2, 1, "symmetric") for O in standard_tableaux(skew(P(2, 1), P(1))))]
+    assert all(check_intertwiner_F(cfg, 1729).passed for cfg in cases)
+    real = fusion.R_bar
+    monkeypatch.setattr(fusion, "R_bar", lambda i, j, x, y, shift: real(i, j, x, y, shift + 1))
+    fusion._f_operator_cached.cache_clear()
+    try:
+        for (kind, lam), (hash_f, _) in PINNED_HASHES.items():
+            assert operator_hash(f_operator_general(FusionConfig(T(lam), 4, 0, kind))) != hash_f
+        assert not any(check_intertwiner_F(cfg, 1729).passed for cfg in cases)
+    finally:
+        fusion._f_operator_cached.cache_clear()
 
 
 def test_scaled_idempotency_examples():
