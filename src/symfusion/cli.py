@@ -69,6 +69,14 @@ def _pick_tableau(shape, which: str):
     return tabs[index]
 
 
+def _check_writable(path: str):
+    """An output that cannot be opened is a usage error before any work."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_tableaux(args) -> int:
     lam = _parse_partition(args.lam)
     mu = _parse_partition(args.mu)
@@ -107,6 +115,8 @@ def cmd_fusion_f(args) -> int:
     shape = skew(lam, mu)
     T = _pick_tableau(shape, args.tableau)
     cfg = FusionConfig(T, args.N, args.M, FORM_KIND[args.form])
+    if args.output:
+        _check_writable(args.output)
     try:
         F = f_operator_general(cfg)
     except PoleAtLimit as exc:
@@ -244,6 +254,7 @@ def cmd_verify(args) -> int:
         raise ParityError(f"symplectic verification needs even N and M, "
                           f"got N = {args.N}, M = {args.M}")
     max_dim()  # a malformed FUSION_MAX_DIM fails here, before any suite runs
+    _check_writable(args.output)
     results: list[CheckResult] = []
     for name in suites:
         t0 = time.monotonic()

@@ -1,12 +1,12 @@
 """Fusion symmetrizers on tensor space and their verified properties.
 
-Two constructions live here.  The plain symmetrizer operator E is the
-image of the group-algebra fusion element.  Its two-parameter analogue F
-for a chosen symmetric or alternating form is the value at ε = 0 of the
-product of the R-matrix factors of ``tensorop``, R̄(t_k, t_l) over all
-pairs k < l times R(t_k, t_l) over all pairs, on the line t_k = c_k +
-base + g_k·ε (``_fusion_line``, base -1/2 or +1/2).  Each closed formula
-is E times R̄(t_k(0), t_l(0)) over some of the pairs.
+Two constructions live here, values at ε = 0 of products of the R-matrix
+factors of ``tensorop``.  The plain symmetrizer operator E is R(t_k, t_l)
+over all pairs k < l on the row line t_k = c_k + r_k·ε.  Its
+two-parameter analogue F for a chosen form is R̄(t_k, t_l) over all pairs
+times R(t_k, t_l) over all pairs, on the line t_k = c_k + base + g_k·ε
+(``_fusion_line``, base -1/2 or +1/2).  Each closed formula is E times
+R̄(t_k(0), t_l(0)) over some of the pairs.
 
 The limit is taken by the integer engine in ``exactnum``: every entry
 of the operator product is an integer series in ε over the product of
@@ -16,19 +16,14 @@ product's zero at ε = 0.  This is exact; the value and the pole test at
 is ever evaluated early.  The same engine takes the group-algebra limit
 in ``symalg``.
 
-Every contraction and exchange factor commutes with g^{⊗n} for a signed
-permutation g of the basis that preserves the Gram, so F does too, and
-its columns come in orbits of such g; each factor's exact verdict comes
-with its move from ``tensorop.unit_move``.  The engine is linear in its
-start vector, so it runs on one column per orbit
-(``tensorop.column_orbits``), and the result is checked exactly to
-commute with every generator.  E, a sum of slot permutations, commutes
-with g^{⊗n} for every g in GL_N, so it is built on the orbits of the
-identity Gram's signed letter permutations: each representative column
-term by term, with its equivariance taken from the exact verdicts of the
-adjacent exchanges.  Both operators are assembled by ``_assemble``: the
-other columns are rebuilt as ± images orbit by orbit and written straight
-into the rows, so no full copy of either operator is held beside it.
+Every factor commutes with g^{⊗n} for a signed permutation g of the
+basis that preserves the Gram, so the product does too, and its columns
+come in orbits of such g; each factor's exact verdict comes with its
+move from ``tensorop.unit_move``.  So both operators come from one build,
+``_orbit_build``: the engine on one column per orbit, then ``_assemble``
+rebuilding the other columns as ± images straight into the rows.  F uses
+its form's orbits, E those of the identity Gram, and no build
+enumerates S_n.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_ze
                        normal_form)
 from .shapes import (Partition, StandardTableau, column_tableau, conjugate,
                      dim_sym_irrep, row_tableau, validate_label)
-from .symalg import fusion_e_skew, inner_tableau_of, skew_tableau_of
+from .symalg import inner_tableau_of, skew_tableau_of
 from .tensorop import (Affine, BilinearForm, ColumnOrbits, OrbitComparison, R, R_bar,
                        SparseOperator, SubspaceBasis, acts_as_scalar, column_orbits,
                        commutes_with, image_basis, kernel_within, left_multiplication, q_op,
@@ -78,16 +73,16 @@ def max_dim() -> int:
     return value
 
 
-# E's build enumerates the n! permutations of its group-algebra element, so
-# n is bounded too: the 9-box sweep is the largest measured to finish
-# (O_2, 160.9 s at 737 MB), and 10 boxes run out of memory.
+# No operator build enumerates the n! permutations of S_n, but the
+# idempotency suite squares e_T in the group algebra and ``symmetrizer``
+# prints up to n! terms, so n stays bounded beside N^n.
 MAX_BOXES = 9
 
 
 def _check_dim(N: int, n: int):
     if n > MAX_BOXES:
-        raise SizeLimitExceeded(f"n = {n} boxes exceeds {MAX_BOXES}: E's build enumerates "
-                                f"n! permutations")
+        raise SizeLimitExceeded(f"n = {n} boxes exceeds {MAX_BOXES}, the bound on the "
+                                "number of boxes")
     if N ** n > max_dim():
         raise SizeLimitExceeded(
             f"N^n = {N ** n} exceeds FUSION_MAX_DIM = {max_dim()}")
@@ -163,51 +158,26 @@ class FusionConfig:
 
 
 def e_operator(O: StandardTableau, N: int) -> SparseOperator:
-    """Image on tensor space of the group-algebra fusion element, built on
-    the column orbits of the symmetric identity form (see
-    ``_e_operator_cached``); it equals ``act(fusion_e_skew(O, "row"), N)``."""
+    """R(t_k, t_l) over the pairs k < l at ε = 0, on the row line t_k = c_k +
+    r_k·ε: the image ``act(fusion_e_skew(O, "row"), N)`` of the group-algebra
+    fusion element, built by ``_e_operator_cached``."""
     _check_dim(N, O.n)
     return _e_operator_cached(O, N)
 
 
 @lru_cache(maxsize=None)
 def _e_operator_cached(O: StandardTableau, N: int) -> SparseOperator:
-    """E on one column per orbit of ``column_orbits(standard_form("symmetric",
-    N), n)``, the signed letter permutations.
-
-    Every term of E is a word in the adjacent exchanges ("P", k, k+1), so E
-    commutes with g^{⊗n} for each generator g when they do; their exact,
-    cached ``unit_move`` verdicts say so, and a failed one raises
-    ArithmeticError.  Column c of E is Σ_s c_s·e_{π_s(c)}, where letter d
-    of slot k lands at d·N^(n − s(k)); the letters of each representative
-    are read from one ``slot_codes`` table per slot.  The representative
-    columns are normalized once and ``_assemble`` rebuilds the rest orbit
-    by orbit.  No commutation pass runs over E itself: its rebuild goes
-    through the ``_image_column`` seam that F's final check covers on every
-    F build.
+    """E by ``_orbit_build`` on the identity Gram's orbits, the signed letter
+    permutations, which every exchange's ``unit_move`` verdict covers.  No
+    commutation pass runs over E itself: its rebuild goes through the
+    ``_image_column`` seam that F's final check covers on every F build.
     """
     n = O.n
     form = standard_form("symmetric", N)
-    for k in range(1, n):
-        if not unit_move(("P", k, k + 1), N, n, form)[2]:
-            raise ArithmeticError(f"the exchange of slots {k} and {k + 1} does not "
-                                  "commute with a signed letter permutation")
-    orbits = column_orbits(form, n)
-    a = fusion_e_skew(O, "row")
-    weights = [N ** (n - j) for j in range(1, n + 1)]
-    letters = [slot_codes([range(N) if j == k else [0] * N for j in range(n)])
-               for k in range(n)]
-    terms = [([i - 1 for i in s], c) for s, c in a.terms.items()]
-    columns = []
-    for rep in orbits.representatives:
-        places = [[table[rep] * w for w in weights] for table in letters]
-        column: dict[int, int] = {}
-        for images, c in terms:
-            t = sum([place[i] for place, i in zip(places, images)])
-            column[t] = column.get(t, 0) + c
-        columns.append(column)
-    columns, den = normal_form(columns, a.den)
-    return _assemble(N, n, orbits, dict(zip(orbits.representatives, columns)), den)
+    t = [Affine(c, [r]) for c, r in zip(O.contents, O.rows())]
+    factors = _engine_factors([R(k, l, t[k - 1], t[l - 1]) for k, l in _lex_pairs(n)],
+                              N, n, form)
+    return _orbit_build(N, n, column_orbits(form, n), factors, "fusion product")
 
 
 def _lex_pairs(n: int):
@@ -239,25 +209,48 @@ def _contractions(cfg: FusionConfig, t: list, pairs) -> list:
 
 
 def _f_factors(cfg: FusionConfig) -> list:
-    """The engine factors (move, a, b) of F's product, R̄(t_k, t_l) over all
-    pairs k < l then R(t_k, t_l) on ``_fusion_line``, in the order they
-    apply to a start vector (the product's order reversed): 1 − X/(a + b·ε)
-    becomes X's ``unit_move`` with a and b.  A non-integer a or b raises
-    ConfigError; a factor that is not integer or not equivariant, which
-    the orbit build cannot take, raises ArithmeticError."""
+    """The engine factors of F's product, R̄(t_k, t_l) over all pairs k < l
+    then R(t_k, t_l) on ``_fusion_line``."""
     t = _fusion_line(cfg)
     pairs = _lex_pairs(cfg.n)
     product = _contractions(cfg, t, pairs) + [R(k, l, t[k - 1], t[l - 1]) for k, l in pairs]
+    return _engine_factors(product, cfg.N, cfg.n, cfg.form)
+
+
+def _engine_factors(product: list, N: int, n: int, form: BilinearForm) -> list:
+    """The engine factors (move, a, b) of a product of items (X, sign, den),
+    in the order they apply to a start vector (the product's reversed):
+    1 − X/(a + b·ε) becomes X's ``unit_move`` with a and b.  A non-integer a
+    or b raises ConfigError; a factor that is not integer or not
+    equivariant, which the orbit build cannot take, raises ArithmeticError."""
     factors = []
     for name, sign, den in reversed(product):
         a, b = den.const, *den.coeffs
         if a.denominator != 1 or b.denominator != 1:
             raise ConfigError(f"factor {name} has the non-integer den {a} + {b}·ε")
-        move, d, commutes = unit_move(name, cfg.N, cfg.n, cfg.form)
+        move, d, commutes = unit_move(name, N, n, form)
         if sign != -1 or d != 1 or not commutes:
             raise ArithmeticError(f"factor {name} is not 1 − X/den, X integer, equivariant")
         factors.append((move, int(a), int(b)))
     return factors
+
+
+def _orbit_build(N: int, n: int, orbits: ColumnOrbits, factors: list,
+                 what: str) -> SparseOperator:
+    """The value at ε = 0 of the engine ``factors``, each equivariant under
+    ``orbits``, from the representatives' columns, normalized once, while
+    ``_assemble`` rebuilds the rest.  A rebuilt column's series is ± the
+    image of its parent's, so a pole shows in the representatives too."""
+    dim = N ** n
+    values, den = limit_at_zero({c * dim + c: 1 for c in orbits.representatives},
+                                factors, what)
+    (values,), den = normal_form([values], den)
+    columns: dict[int, dict[int, int]] = {c: {} for c in orbits.representatives}
+    for key, v in values.items():
+        r, col = divmod(key, dim)
+        columns[col][r] = v
+    del values
+    return _assemble(N, n, orbits, columns, den)
 
 
 def _image_column(column: dict[int, int], table, s: int) -> dict[int, int]:
@@ -311,33 +304,12 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
 
 @lru_cache(maxsize=None)
 def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
-    """F, with the limit engine run on one column per orbit only.
-
-    Every factor commutes with g^{⊗n} for each signed permutation g that
-    preserves the Gram (``_f_factors`` checks it), and so does F: column
-    π_g(c) of F is s_g(c)·g^{⊗n}·(column c).  The engine is linear in its
-    start vector, so it starts from the representatives of
-    ``tensorop.column_orbits`` alone; their columns are normalized once,
-    and ``_assemble`` rebuilds every other column from its breadth-first
-    parent, orbit by orbit, straight into the rows.  The truncated series
-    of a rebuilt column is ± the image of its parent's, so a pole shows in
-    the representatives too.  The rebuilt F is then checked exactly to
-    commute with every generator, which covers each orbit's stabilizer; a
-    mismatch raises ArithmeticError.  With no generator this is the build
-    on all columns.
-    """
-    N, n = cfg.N, cfg.n
-    dim = N ** n
-    orbits = column_orbits(cfg.form, n)
-    values, den = limit_at_zero({c * dim + c: 1 for c in orbits.representatives},
-                                _f_factors(cfg), "operator product")
-    (values,), den = normal_form([values], den)
-    columns: dict[int, dict[int, int]] = {c: {} for c in orbits.representatives}
-    for key, v in values.items():
-        r, col = divmod(key, dim)
-        columns[col][r] = v
-    del values
-    F = _assemble(N, n, orbits, columns, den)
+    """F by ``_orbit_build`` on the orbits of the form's monomial isometries,
+    then checked exactly to commute with every generator, which covers each
+    orbit's stabilizer; a mismatch raises ArithmeticError.  With no
+    generator this is the build on all columns."""
+    orbits = column_orbits(cfg.form, cfg.n)
+    F = _orbit_build(cfg.N, cfg.n, orbits, _f_factors(cfg), "operator product")
     for table in orbits.tables:
         if not commutes_with(F, table):
             raise ArithmeticError("the orbit-built F does not commute with a "

@@ -19,7 +19,7 @@ when A acts as σ on X's row space (``acts_as_scalar`` on ``image_basis``
 or ``row_basis``).
 
 Every code table (``perm_op``, ``act``, ``q_op``, ``code_table``, and the
-block embedding and E's letter tables in ``fusion``) is one slot sum,
+block embedding of the theta check in ``fusion``) is one slot sum,
 ``slot_codes``: slot k adds where its letter lands, a multiple of the
 slot weight N^(n-k).  So no library code decodes or encodes a code;
 ``encode`` and ``decode`` stay as the tests' reference.  The identity
@@ -27,10 +27,10 @@ checks, the F and E builds and the traceless part of image(E) name the
 exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l), as
 do the R-matrix factors ``R``, ``R_tilde`` and ``R_bar``, written once
 here.  Each name resolves through one bounded cache, ``unit_move``, keyed
-by (name, N, n, form), whose entry holds the operator's move, den and
-exact commutation verdict.  So each distinct unit operator is built and
-checked once per process, and no caller ever holds, and so cannot mutate,
-the cached operator.
+by (name, N, n, form), with the identity Gram as every exchange's form;
+its entry holds the operator's move, den and exact commutation verdict.
+So each distinct unit operator is built and checked once per process,
+and no caller ever holds, and so cannot mutate, the cached operator.
 """
 
 from __future__ import annotations
@@ -577,7 +577,6 @@ def R_bar(i: int, j: int, x, y, shift) -> tuple:
     return ("Q", i, j), -1, x + y + shift
 
 
-@lru_cache(maxsize=256)
 def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     """(move, den, commutes) of a named unit operator: its
     ``left_multiplication``, its den, and whether it commutes exactly with
@@ -585,10 +584,25 @@ def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     checked once per process.  The operator itself stays inside: no caller
     can reach, and so mutate, it.  The move keeps one shared tuple per
     pattern of (shift, weight) pairs, not one list per code, so an entry
-    costs about one dict of N^n keys."""
+    costs about one dict of N^n keys.  An exchange is keyed and checked on
+    the identity Gram for every form: its generators generate all signed
+    letter permutations, so one P entry per (name, N, n) serves all forms."""
+    if name[0] == "P":
+        form = standard_form("symmetric", N)
+    return _unit_entry(name, N, n, form)
+
+
+@lru_cache(maxsize=256)
+def _unit_entry(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
+    """unit_move's cached entry."""
     op = unit_operator(name, N, n, form)
     return (left_multiplication(op), op.den,
             all(commutes_with(op, t) for t in column_orbits(form, n).tables))
+
+
+# the cache's statistics and reset, as an lru_cache function carries them
+unit_move.cache_info = _unit_entry.cache_info
+unit_move.cache_clear = _unit_entry.cache_clear
 
 
 def _is_name(item) -> bool:

@@ -82,9 +82,9 @@ def test_fusion_f_ranks_each_operator_once(monkeypatch, tmp_path, capsys):
 
 
 def test_fusion_f_bounds_the_number_of_boxes(monkeypatch):
-    # E's build enumerates n! permutations: 10 boxes on O_2 pass the
-    # dimension cap (2^10 = 1024) but exit 2 at once instead of running out
-    # of memory
+    # no operator build enumerates n! permutations, but the idempotency
+    # suite and the symmetrizer do, so n stays bounded: 10 boxes on O_2
+    # pass the dimension cap (2^10 = 1024) but exit 2 at once
     start = time.monotonic()
     res = run_cli("fusion-f", "--form", "O", "--N", "2", "--lambda", "10")
     assert res.returncode == 2 and "boxes" in res.stderr
@@ -130,6 +130,29 @@ def test_fusion_f_dimension_cap():
                   env={"FUSION_MAX_DIM": "64"})
     assert res.returncode == 2
     assert "FUSION_MAX_DIM" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "prop33"],
+                                  ["fusion-f", "--form", "O", "--N", "2", "--lambda", "2"]])
+def test_an_unwritable_output_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    # an --output in a missing directory is a usage error, reported before
+    # any suite or certify runs instead of as a traceback after them
+    from symfusion import cli
+
+    def ran(*args):
+        raise AssertionError("work ran before the output was checked")
+
+    monkeypatch.setattr(cli, "SUITES", {name: ran for name in cli.SUITES})
+    monkeypatch.setattr(cli, "f_operator_general", ran)
+    monkeypatch.setattr(cli, "certify", ran)
+    out = tmp_path / "missing" / "out.json"
+    assert main([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+    res = run_cli(*argv, "--output", str(out))
+    assert res.returncode == 2 and res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_exit_codes_and_reproducibility(tmp_path):
@@ -237,8 +260,8 @@ def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, ca
                                                        fresh_units):
     """Over the Sp_4 sweep every exchange and contraction that the checks
     name, or that a build of F takes as a factor, is built once and checked
-    once against each generator of its form; every later use reads the
-    unit cache."""
+    once against each generator of its form, an exchange's form being the
+    identity Gram; every later use reads the unit cache."""
     from collections import Counter
 
     from symfusion import fusion, tensorop
@@ -267,7 +290,9 @@ def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, ca
     assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
                  "--output", str(tmp_path / "cert.json")]) == 0
     assert {name[0][0] for name in builds} == {"P", "Q"}
-    f_names = {((kind, k, l), N, n, form) for N, n, form in f_spaces for kind in "PQ"
+    f_names = {((kind, k, l), N, n, form if kind == "Q" else tensorop.standard_form(
+                    "symmetric", N))
+               for N, n, form in f_spaces for kind in "PQ"
                for k in range(1, n) for l in range(k + 1, n + 1)}
     assert f_names and f_names <= builds.keys()
     assert set(builds.values()) == {1}

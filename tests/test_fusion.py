@@ -869,6 +869,40 @@ def test_e_build_rejects_a_non_equivariant_exchange(monkeypatch):
         fusion._e_operator_cached.__wrapped__(O, 2)  # uncached build
 
 
+def test_e_build_enumerates_no_permutation(monkeypatch):
+    """E is the exchange factors' limit on orbit columns: a skew and a
+    non-skew E build with the group-algebra element and S_n's table out
+    of reach."""
+    from symfusion import symalg
+
+    cases = [(T((3, 2)), 3), (T((3, 2, 1), (1,)), 2)]
+    want = [act(fusion_e_skew(O, "row"), N) for O, N in cases]
+
+    def enumerated(*args):
+        raise AssertionError("E's build enumerated S_n")
+
+    monkeypatch.setattr(symalg, "fusion_e_skew", enumerated)
+    monkeypatch.setattr(symalg, "_perms", enumerated)
+    fusion._e_operator_cached.cache_clear()
+    try:
+        assert [e_operator(O, N) for O, N in cases] == want
+    finally:
+        fusion._e_operator_cached.cache_clear()
+
+
+def test_e_of_eight_boxes_pinned():
+    """E of the (4,4) row tableau on N = 2 (dim 256, 28 exchange factors) is
+    built in well under a second; a build that sums the 8! = 40320
+    permutations of the group-algebra element into every orbit column took
+    seconds.  The hash is the one that build gave."""
+    import time
+
+    start = time.monotonic()
+    E = fusion._e_operator_cached.__wrapped__(T((4, 4)), 2)  # uncached build
+    assert time.monotonic() - start < 5
+    assert operator_hash(E) == "753603c2c5f1b0bf"
+
+
 def test_column_orbit_steps_run_orbit_by_orbit():
     """The steps of each orbit are contiguous, the orbits come in the order
     of their representatives, and each orbit starts from its

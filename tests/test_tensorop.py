@@ -16,8 +16,8 @@ from symfusion.tensorop import (AmbientMismatch, BilinearForm, OrbitComparison,
                                 dual_basis, encode, image_basis, intersect, kernel_basis,
                                 kernel_within, left_multiplication, monomial_isometries,
                                 pair_vector, perm_op, preserves_gram, q_op, rank,
-                                row_basis, span_of_vectors, subspace_equal,
-                                traceless_basis, unit_operator)
+                                row_basis, span_of_vectors, standard_form,
+                                subspace_equal, traceless_basis, unit_operator)
 
 
 def P(*parts):
@@ -671,6 +671,42 @@ def test_monomial_isometries_generate_the_column_orbits():
             assert placed == set(range(dim))
     # a Gram with no monomial symmetry but the identity gives no generator
     assert monomial_isometries(BilinearForm("symmetric", 2, [[2, 1], [1, Fraction(1, 3)]])) == ()
+
+
+def _generated(gens, N):
+    """The group of signed permutations that ``gens`` generate, closed
+    breadth-first under composition with a generator."""
+    ident = (tuple(range(N)), (1,) * N)
+    group, queue = {ident}, [ident]
+    for perm, signs in queue:
+        for p, s in gens:  # (p, s) after (perm, signs)
+            g = (tuple(p[perm[i]] for i in range(N)),
+                 tuple(signs[i] * s[perm[i]] for i in range(N)))
+            if g not in group:
+                group.add(g)
+                queue.append(g)
+    return group
+
+
+def test_exchange_entries_are_checked_on_the_identity_gram(fresh_units):
+    """An exchange's unit entry is keyed and checked on the identity Gram
+    whatever the form: that Gram's generators generate every signed letter
+    permutation, so they contain each form's monomial isometries, and one
+    entry serves every form.  A contraction keeps one entry per form."""
+    forms = [standard_form(kind, N) for N in (1, 2, 3, 4)
+             for kind in ("symmetric", "alternating") if kind == "symmetric" or N % 2 == 0]
+    forms.append(BilinearForm("symmetric", 4, HYPERBOLIC_4))
+    for N in (1, 2, 3, 4):
+        group = _generated(monomial_isometries(standard_form("symmetric", N)), N)
+        assert len(group) == 2 ** N * math.factorial(N)  # B_4 has 384 elements
+        for form in (f for f in forms if f.N == N):
+            assert set(monomial_isometries(form)) <= group, form
+    sp4, o4 = standard_form("alternating", 4), standard_form("symmetric", 4)
+    entry = tensorop.unit_move(("P", 1, 3), 4, 3, sp4)
+    assert tensorop.unit_move(("P", 1, 3), 4, 3, o4) is entry and entry[2]
+    assert tensorop.unit_move(("Q", 1, 3), 4, 3, sp4) is not tensorop.unit_move(
+        ("Q", 1, 3), 4, 3, o4)
+    assert tensorop.unit_move.cache_info().misses == 3
 
 
 def test_column_orbit_counts():
