@@ -1,25 +1,22 @@
-"""Parameterized R-matrices and sampled checks of rational identities.
+"""Parameterized R-matrices and exact checks of rational identities.
 
 Each identity is stated once, as two ordered lists ``lhs`` and ``rhs``
 whose products must agree.  An item is a constant operator (F, E, the
 identity) or a factor (X, sign, den) standing for 1 + sign·X/den, where
 X is a unit operator (an exchange P_ij, a contraction Q_ij, or the
 identity for a scalar) and den an affine form in the spectral parameters
-(``Affine``).  The dens determine the rest of a check: the pole locus is
-the union of their zero sets, the variables are those they mention, and
-the degree bound is the degree of the lcm of the two sides' denominator
-products.  Multiplied by that lcm, the difference of the sides is a
-polynomial of at most that degree.
+(``Affine``).
 
-A check evaluates both sides exactly at degree_bound + 1 rational sample
-points off the pole locus, drawn from a generator seeded by the caller
-(the certificate's config records the seed).  For the one-variable families
-(intertwiners, evaluation collapses, image coincidence, the normalizing
-function) this many points decide the identity, since a nonzero
-polynomial of degree d has at most d roots.  The two- and three-variable
-families (Yang–Baxter, inversion, RTT, reflection) are random-point
-tests, not proofs, until their samples come from a product grid sized by
-per-variable degree bounds.
+A check decides the identity as a polynomial identity, with no point
+evaluated.  Each side is a polynomial of integer vectors in the
+parameters over a den that is an int times a product of linear forms;
+the forms both dens share cancel, and each numerator is multiplied by
+the other side's remaining forms and int.  The two cleared numerators
+are equal in the polynomial ring exactly when the two products are equal
+as rational functions, since the ring has no zero divisors: so equal
+coefficients are a proof, for one variable and for several alike, and a
+differing coefficient is a witness.  The check needs no sample point, no
+degree bound and no seed.
 
 The families are written in the factors of ``tensorop``: the exchange
 factor ``R``, the contraction factors ``R_tilde`` and ``R_bar``, whose
@@ -30,80 +27,26 @@ No operator product is formed.  One ``tensorop.OrbitComparison`` per
 check applies both sides right to left to the unit columns of the orbit
 representatives under the monomial isometries of the family's form (of
 the identity Gram when no contraction appears), every step an integer
-move: a factor at den = p/q maps u to p·d_X·u + sign·q·X_num·u with
-X = X_num/d_X.  Every operator commutes with those isometries, checked
-exactly: each named unit operator is built, moved and checked once per
-process, and each constant operator (E, F, a sum such as P_sum) once per
-check.  So agreement on the representatives is agreement everywhere; if
-one operator does not commute, all columns are compared.  An operator on
-fewer slots, such as E or F next to the extra strand, stands for 1 ⊗ it
-and is never built on the larger space.
+move on each coefficient: a factor with D = q·den integral maps p to
+d_X·D·p + sign·q·X_num·p with X = X_num/d_X.  Every operator commutes
+with those isometries, checked exactly: each named unit operator is
+built, moved and checked once per process, and each constant operator
+(E, F, a sum such as P_sum) once per check.  So agreement on the
+representatives is agreement everywhere; if one operator does not
+commute, all columns are compared.  An operator on fewer slots, such as
+E or F next to the extra strand, stands for 1 ⊗ it and is never built on
+the larger space.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import FusionConfig, e_operator, f_operator_general
+from .fusion import CheckResult, FusionConfig, e_operator, f_operator_general
 from .shapes import Partition, StandardTableau, skew, standard_tableaux
 from .symalg import Permutation
 from .tensorop import (Affine, BilinearForm, OrbitComparison, R, R_bar, R_tilde,
                        SparseOperator, perm_op, q_op, variables)
-
-
-@dataclass
-class IdentityCheck:
-    name: str
-    statement: str
-    degree_bound: int
-    samples: list[tuple[Fraction, ...]] = field(default_factory=list)
-    passed: bool = True
-    witness: dict | None = None
-
-
-# the distinct values p/q, |p| <= 48 and 1 <= q <= 5, that a coordinate is
-# drawn from: one per pair in lowest terms
-_VALUE_COUNT = sum(math.gcd(p, q) == 1 for p in range(-48, 49) for q in range(1, 6))
-
-
-def sample_points(seed: int, arity: int, count: int, pole_pred) -> list[tuple[Fraction, ...]]:
-    """Deterministic rational sample tuples, rejection-sampled off the poles.
-
-    Every drawn tuple is remembered, rejected ones too; once all
-    ``_VALUE_COUNT ** arity`` candidates have been drawn and fewer than
-    ``count`` are off the poles, ValueError is raised instead of drawing
-    forever."""
-    rng = random.Random(seed)
-    out: list[tuple[Fraction, ...]] = []
-    drawn = set()
-    while len(out) < count:
-        if len(drawn) == _VALUE_COUNT ** arity:
-            raise ValueError(f"only {len(out)} of the {_VALUE_COUNT ** arity} candidate points "
-                             f"avoid the poles; {count} are needed")
-        pt = tuple(Fraction(rng.randint(-48, 48), rng.randint(1, 5)) for _ in range(arity))
-        if pt in drawn:
-            continue
-        drawn.add(pt)
-        if not pole_pred(pt):
-            out.append(pt)
-    return out
-
-
-def _line(den: Affine) -> tuple | None:
-    """den up to a nonzero scalar: (const, coeffs...) divided by the first
-    nonzero coefficient, trailing zero coefficients dropped; None for a
-    nonzero constant.  A den that is identically zero raises ValueError."""
-    nonzero = [i for i, a in enumerate(den.coeffs) if a]
-    if not nonzero:
-        if not den.const:
-            raise ValueError("a factor's den is identically zero")
-        return None
-    lead = den.coeffs[nonzero[0]]
-    return (den.const / lead, *(a / lead for a in den.coeffs[:nonzero[-1] + 1]))
 
 
 def _is_factor(item) -> bool:
@@ -112,74 +55,41 @@ def _is_factor(item) -> bool:
     return isinstance(item, tuple) and not isinstance(item[0], str)
 
 
-def _lcm_degree(lhs: list, rhs: list) -> int:
-    """The degree of the lcm of the two sides' denominator products.  Forms
-    repeated within a side add their multiplicities, a form on both sides
-    counts once at the larger one, and constant dens add nothing."""
-    lcm = Counter()
-    for side in (lhs, rhs):
-        lcm |= Counter(_line(item[2]) for item in side if _is_factor(item))
-    lcm.pop(None, None)
-    return sum(lcm.values())
-
-
-def run_identity_check(name: str, statement: str, lhs: list, rhs: list, seed: int,
-                       form: BilinearForm | None = None, N: int | None = None) -> IdentityCheck:
-    """Compare the ordered products of ``lhs`` and ``rhs`` at
-    degree_bound + 1 seeded points where no factor's den vanishes; the
-    first mismatch is recorded as the witness.
+def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
+                       form: BilinearForm | None = None, N: int | None = None) -> CheckResult:
+    """Decide that the ordered products of ``lhs`` and ``rhs`` are equal as
+    rational functions, by one ``tensorop.OrbitComparison``; a differing
+    coefficient of the cleared numerators is recorded as the witness: its
+    row, column, monomial (exponents per variable) and both coefficients.
 
     An item is a constant operator, or a factor tuple (X, sign, den) for
     1 + sign·X/den with X an operator and den an ``Affine``.  An operator
     is a SparseOperator, where one on fewer slots stands for 1 ⊗ it, or a
     unit operator's name, ("P", i, j) or ("Q", k, l).  The product acts on
     C^N with N given, or that of the first SparseOperator, and on as many
-    slots as the largest SparseOperator has or a name mentions.  A point
-    has one coordinate per variable of the longest den, and degree_bound
-    is ``_lcm_degree(lhs, rhs)``, so a check with no variable takes one
-    point.  The sides are compared by one ``tensorop.OrbitComparison`` on
-    the orbit columns of ``form``'s monomial isometries, or of the identity
-    Gram's when ``form`` is None (for checks without a contraction), so
-    each SparseOperator's move is built and its commutation checked once
-    per check, and each name's once per process.
+    slots as the largest SparseOperator has or a name mentions.  The sides
+    are compared on the orbit columns of ``form``'s monomial isometries,
+    or of the identity Gram's when ``form`` is None (for checks without a
+    contraction), so each SparseOperator's move is built and its
+    commutation checked once per check, and each name's once per process.
     """
-    check = IdentityCheck(name=name, statement=statement,
-                          degree_bound=_lcm_degree(lhs, rhs))
-    factors = {id(item): item for item in lhs + rhs if _is_factor(item)}
-    arity = max((len(den.coeffs) for _, _, den in factors.values()), default=0)
     ops = [item[0] if _is_factor(item) else item for item in lhs + rhs]
     if N is None:
         N = next(op.N for op in ops if isinstance(op, SparseOperator))
     n = max(max(op[1:]) if isinstance(op, tuple) else op.n for op in ops)
-    compare = OrbitComparison(N, n, form)
-
-    evaluated = {}  # drawn point -> its factors there, each den evaluated once
-
-    def on_pole(pt):
-        at = evaluated[pt] = {key: (X, sign, den.at(pt))
-                              for key, (X, sign, den) in factors.items()}
-        return any(value == 0 for _, _, value in at.values())
-
-    for pt in sample_points(seed, arity, check.degree_bound + 1, on_pole):
-        check.samples.append(pt)
-        at = evaluated[pt]
-        diff = compare.difference(*([at.get(id(item), item) for item in side]
-                                    for side in (lhs, rhs)))
-        if diff is not None:
-            r, c, a, b = diff
-            check.passed = False
-            check.witness = {"sample": [str(x) for x in pt], "row": r, "col": c,
-                             "lhs": str(a), "rhs": str(b)}
-            break
-    return check
+    diff = OrbitComparison(N, n, form).difference(lhs, rhs)
+    if diff is None:
+        return CheckResult(name, statement, True)
+    r, c, monomial, a, b = diff
+    return CheckResult(name, statement, False, {"row": r, "col": c, "monomial": list(monomial),
+                                                "lhs": str(a), "rhs": str(b)})
 
 
 # ---------------------------------------------------------------------------
 # the identity families, in the factors R, R~ and R̄ of ``tensorop``
 
 
-def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
-                             seed: int) -> IdentityCheck:
+def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None) -> CheckResult:
     """Three-slot braid identities A·B·C = C·B·A for the
     exchange/contraction factors.
 
@@ -197,11 +107,10 @@ def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None,
     else:
         raise ValueError(f"unknown family member {which!r}")
     return run_identity_check(f"yang-baxter/{which}", "three-slot-braid-exchange",
-                              abc, abc[::-1], seed, None if which == "YB35" else form, N)
+                              abc, abc[::-1], None if which == "YB35" else form, N)
 
 
-def check_unitarity(which: str, N: int, form: BilinearForm | None,
-                    seed: int) -> IdentityCheck:
+def check_unitarity(which: str, N: int, form: BilinearForm | None) -> CheckResult:
     """Two-slot inversion identities: the exchange pair composes to the
     scalar 1 - 1/(x-y)^2, the contraction pair composes to 1."""
     x, y = variables(2)
@@ -215,10 +124,10 @@ def check_unitarity(which: str, N: int, form: BilinearForm | None,
         statement = "contraction-pair-inversion"
     else:
         raise ValueError(f"unknown member {which!r}")
-    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, seed, form, N)
+    return run_identity_check(f"unitarity/{which}", statement, lhs, rhs, form, N)
 
 
-def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityCheck:
+def check_rtt(z_params: tuple[Fraction, ...], N: int) -> CheckResult:
     """Exchange relation for the evaluation image of the generating matrix:
     R12·T1·T2 = T2·T1·R12 with T_a = Π_k R_{a,2+k}(·, z_k)."""
     x, y = variables(2)
@@ -227,11 +136,10 @@ def check_rtt(z_params: tuple[Fraction, ...], N: int, seed: int) -> IdentityChec
     T1 = [R(1, 3 + k, x, z) for k, z in enumerate(zs)]
     T2 = [R(2, 3 + k, y, z) for k, z in enumerate(zs)]
     return run_identity_check(f"rtt/n{len(zs)}", "generating-matrix-exchange",
-                              [R12] + T1 + T2, T2 + T1 + [R12], seed, N=N)
+                              [R12] + T1 + T2, T2 + T1 + [R12], N=N)
 
 
-def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
-                        seed: int) -> IdentityCheck:
+def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction) -> CheckResult:
     """The symmetrizer times the order reversal intertwines the two
     evaluation strings with opposite parameter order."""
     n = O.n
@@ -242,7 +150,7 @@ def check_intertwiner_E(O: StandardTableau, N: int, z_shift: Fraction,
     forward = [R(1, 2 + k, x, z) for k, z in enumerate(zs)]
     backward = [R(1, 2 + k, x, z) for k, z in enumerate(zs[::-1])]
     return run_identity_check(f"intertwiner-E/{O}", "symmetrizer-evaluation-intertwiner",
-                              forward + E, E + backward, seed, N=N)
+                              forward + E, E + backward, N=N)
 
 
 def _image_strings(a: int, x: Affine, ds, first: int):
@@ -253,7 +161,7 @@ def _image_strings(a: int, x: Affine, ds, first: int):
     return plain, tilde
 
 
-def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
+def check_intertwiner_F(cfg: FusionConfig) -> CheckResult:
     """The two-parameter operator intertwines the twisted and plain
     evaluation strings built at the shifted contents d_k."""
     O = cfg.tableau
@@ -264,11 +172,11 @@ def check_intertwiner_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     # slot k keeps its argument d_k; only the multiplication order flips
     return run_identity_check(f"intertwiner-F/{O}/{cfg.form_kind}/M{cfg.M}",
                               "twisted-intertwiner", tilde[::-1] + plain + [F],
-                              [F] + plain[::-1] + tilde, seed, cfg.form, cfg.N)
+                              [F] + plain[::-1] + tilde, cfg.form, cfg.N)
 
 
 def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
-                           form: BilinearForm, seed: int) -> IdentityCheck:
+                           form: BilinearForm) -> CheckResult:
     """Reflection relation R12·S1·R~12·S2 = S2·R~12·S1·R12 for the image
     S_a = (Π_k R~_{a,2+k})^reversed · Π_k R_{a,2+k} of the coideal
     generating matrix."""
@@ -280,20 +188,19 @@ def check_reflection_image(z_params: tuple[Fraction, ...], N: int,
     plain2, tilde2 = _image_strings(2, y, zs, 3)
     S1, S2 = tilde1[::-1] + plain1, tilde2[::-1] + plain2
     return run_identity_check(f"reflection/n{n}/{form.kind}", "coideal-image-reflection",
-                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], seed, form, N)
+                              [R12, *S1, Rt12, *S2], [*S2, Rt12, *S1, R12], form, N)
 
 
-def check_image_coincidence(z: Fraction, N: int, form: BilinearForm,
-                            seed: int) -> IdentityCheck:
+def check_image_coincidence(z: Fraction, N: int, form: BilinearForm) -> CheckResult:
     """For one quantum slot, the plain and twisted realizations of the
     coideal image coincide: R~12·R12 = R12·R~12."""
     (x,) = variables(1)
     R12, Rt12 = R(1, 2, x, z), R_tilde(1, 2, x, z)
     return run_identity_check(f"image-coincidence/z{z}", "single-slot-image-coincidence",
-                              [Rt12, R12], [R12, Rt12], seed, form, N)
+                              [Rt12, R12], [R12, Rt12], form, N)
 
 
-def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityCheck:
+def check_eval_consistency_E(L: StandardTableau, N: int) -> CheckResult:
     """The evaluation string collapses on the symmetrizer to the one-term
     sum of exchanges with the extra strand."""
     l = L.n
@@ -304,10 +211,10 @@ def check_eval_consistency_E(L: StandardTableau, N: int, seed: int) -> IdentityC
                 SparseOperator.zero(N, total))
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
                               [R(1, k + 2, x, c) for k, c in enumerate(L.contents)]
-                              + [E], [(P_sum, -1, x), E], seed, N=N)
+                              + [E], [(P_sum, -1, x), E], N=N)
 
 
-def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
+def check_eval_consistency_F(cfg: FusionConfig) -> CheckResult:
     """The twisted evaluation string collapses on the two-parameter
     operator to a single sum of exchange and contraction terms."""
     if cfg.M != 0 or cfg.tableau.shape.is_skew:
@@ -325,7 +232,7 @@ def check_eval_consistency_F(cfg: FusionConfig, seed: int) -> IdentityCheck:
     plain, tilde = _image_strings(1, x, ds, 2)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
                               "twisted-evaluation-collapse", tilde[::-1] + plain + [F],
-                              [(PQ_sum, -1, x - cfg.base_point), F], seed, cfg.form, N)
+                              [(PQ_sum, -1, x - cfg.base_point), F], cfg.form, N)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +252,7 @@ def _h_factors(T: StandardTableau, x: Affine, I: SparseOperator) -> list:
     return [f for c in T.contents for f in ((I, -1, x - c), (I, 1, x - c))]
 
 
-def check_lemma44(mu: Partition, seed: int) -> IdentityCheck:
+def check_lemma44(mu: Partition) -> CheckResult:
     """g_μ·h_T = 1 for the first and for the last standard tableau T of μ
     (once when μ has one); the entry fails when either statement does."""
     (x,) = variables(1)
@@ -354,7 +261,7 @@ def check_lemma44(mu: Partition, seed: int) -> IdentityCheck:
     tabs = standard_tableaux(skew(mu))
     for T in (tabs[0], tabs[-1])[:len(tabs)]:
         check = run_identity_check(f"normalize/{mu}", "normalizing-product-inverse",
-                                   [I] + g + _h_factors(T, x, I), [I], seed)
+                                   [I] + g + _h_factors(T, x, I), [I])
         if not check.passed:
             break
     return check

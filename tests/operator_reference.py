@@ -4,18 +4,27 @@ The library never multiplies two operators: every product runs as a
 ``tensorop.left_multiplication`` move on vectors.  These build products,
 multiples and factors entry by entry from the stored rows, independent
 of that move, so the tests can state an operator identity in full and
-check the moves against it.
+check the moves against it.  The library never evaluates a den either:
+``at`` gives a factor's den at a point, so that ``factor`` can build it
+there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from symfusion.tensorop import AmbientMismatch, SparseOperator
+from symfusion.tensorop import Affine, AmbientMismatch, SparseOperator
 
 
 class SampleAtPole(ValueError):
     """A factor is evaluated at a zero of its den."""
+
+
+def at(den: Affine, pt) -> Fraction:
+    """The value of the affine form ``den`` at the point x = pt."""
+    if len(den.coeffs) > len(pt):
+        raise ValueError(f"form in {len(den.coeffs)} variables at a point of {len(pt)}")
+    return den.const + sum(a * v for a, v in zip(den.coeffs, pt))
 
 
 def mul(A: SparseOperator, B: SparseOperator) -> SparseOperator:

@@ -24,7 +24,6 @@ from symfusion.symalg import (e_skew_extract, e_tableau, extend_tableau,
                               fusion_e_skew)
 from symfusion.tensorop import BilinearForm, OrbitComparison, rank
 
-SEED = 1729
 
 GROUP_OF = {"symmetric": "O", "alternating": "Sp"}
 SWEEP_NS = {"symmetric": (2, 3), "alternating": (2, 4)}
@@ -155,23 +154,23 @@ def test_criterion_05_rank_oracle():
 
 
 def test_criterion_06_identity_certificates():
-    """All sampled rational identities pass at degree_bound + 1 samples."""
+    """All rational identities pass, each decided as a polynomial identity."""
     results = []
     sym2, alt2 = BilinearForm("symmetric", 2), BilinearForm("alternating", 2)
     for form in (sym2, alt2):
         for which in ("YB35", "tilde37", "bar38", "mixed385"):
-            results.append(check_yang_baxter_family(which, 2, form, SEED))
+            results.append(check_yang_baxter_family(which, 2, form))
         for which in ("RR", "tildebar"):
-            results.append(check_unitarity(which, 2, form, SEED))
+            results.append(check_unitarity(which, 2, form))
         for zs in ((Fraction(0),), (Fraction(0), Fraction(1))):
-            results.append(check_reflection_image(zs, 2, form, SEED))
-        results.append(check_image_coincidence(Fraction(0), 2, form, SEED))
+            results.append(check_reflection_image(zs, 2, form))
+        results.append(check_image_coincidence(Fraction(0), 2, form))
     for zs in ((Fraction(0),), (Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1))):
-        results.append(check_rtt(zs, 2, SEED))
+        results.append(check_rtt(zs, 2))
     # symmetrizer intertwiner: every tableau with at most 3 cells
     for lam, mu in _skew_shapes(max_outer=4, min_cells=1, max_cells=3):
         for O in standard_tableaux(skew(lam, mu)):
-            results.append(check_intertwiner_E(O, 2, Fraction(0), SEED))
+            results.append(check_intertwiner_E(O, 2, Fraction(0)))
     # twisted intertwiner: both forms, minimal valid M per inner shape
     for kind in ("symmetric", "alternating"):
         group = GROUP_OF[kind]
@@ -180,10 +179,9 @@ def test_criterion_06_identity_certificates():
             if M is None:
                 continue
             for O in standard_tableaux(skew(lam, mu)):
-                results.append(check_intertwiner_F(FusionConfig(O, 2, M, kind), SEED))
+                results.append(check_intertwiner_F(FusionConfig(O, 2, M, kind)))
     for chk in results:
         assert chk.passed, chk.name
-        assert len(chk.samples) == chk.degree_bound + 1, chk.name
     print(f"\nACCEPTANCE 6 identity-certificates: PASS ({len(results)} checks)")
 
 
@@ -199,15 +197,13 @@ def _minimal_M(kind, lam, mu):
 
 
 def test_criterion_07_normalizing_function():
-    """g·h = 1 for two tableaux of each shape, at degree + 1 samples: the
-    degree of the cleared identity in its one variable, so the samples
-    decide it."""
+    """g·h = 1 for two tableaux of each shape, decided as a polynomial
+    identity in its one variable."""
     checked = 0
     for size in range(0, 5):
         for mu in partitions_of(size):
-            chk = check_lemma44(mu, SEED)
+            chk = check_lemma44(mu)
             assert chk.passed, mu
-            assert len(chk.samples) == chk.degree_bound + 1
             checked += 1
     print(f"\nACCEPTANCE 7 normalizing-function: PASS ({checked} shapes)")
 

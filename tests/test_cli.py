@@ -217,12 +217,27 @@ def test_main_callable_directly(capsys):
 
 
 def test_verify_yang_baxter_seed13_regression(tmp_path, capsys):
-    # a seed-13 sample has x - y = ±1, where the unitarity scalar is 0
+    # when the checks sampled points, a seed-13 sample had x - y = ±1, where
+    # the unitarity scalar is 0
     out = tmp_path / "cert.json"
     code = main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
                  "--suite", "yang-baxter", "--seed", "13", "--output", str(out)])
     assert code == 0
     assert all(e["pass"] for e in json.loads(out.read_text())["entries"])
+
+
+def test_verify_entries_do_not_depend_on_the_seed(tmp_path, capsys):
+    """Every check is exact and draws no random number, so two seeds write
+    the same entries; the seed is recorded in the config only."""
+    certs = {}
+    for seed in ("13", "1729"):
+        out = tmp_path / f"cert-{seed}.json"
+        assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "3",
+                     "--suite", "yang-baxter", "--suite", "intertwiners",
+                     "--seed", seed, "--output", str(out)]) == 0
+        certs[seed] = json.loads(out.read_text())
+    assert certs["13"]["entries"] == certs["1729"]["entries"]
+    assert [c["config"]["seed"] for c in certs.values()] == [13, 1729]
 
 
 @pytest.mark.parametrize("argv, env", [
