@@ -22,9 +22,10 @@ from fractions import Fraction
 
 from .exactnum import PoleAtLimit
 from .fusion import (FORM_GROUP, MAX_BOXES, CheckResult, ConfigError, FusionConfig,
-                     NotApplicable, SizeLimitExceeded, certify, f_operator_general, max_dim,
-                     scaled_idempotency_constant, verify_corollary32, verify_prop33,
-                     verify_scaled_idempotent, verify_theta_factorization)
+                     NotApplicable, SizeLimitExceeded, certify, f_image_basis,
+                     f_operator_general, max_dim, scaled_idempotency_constant,
+                     verify_corollary32, verify_prop33, verify_scaled_idempotent,
+                     verify_theta_factorization)
 from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
@@ -165,7 +166,7 @@ def _suite_idempotency(args):
         ok = (e * e) == e.scaled(scalar)
         cfg = FusionConfig(T, args.N, 0, kind)
         F = f_operator_general(cfg)
-        ok = ok and verify_scaled_idempotent(F, scalar)
+        ok = ok and verify_scaled_idempotent(F, scalar, f_image_basis(cfg, F))
         yield CheckResult(f"idempotency/{T}", "scaled-square", ok)
 
 

@@ -14,7 +14,10 @@ at ε = 0.  Only the coefficients up to ε^v decide the value and the
 pole test, so the truncation is exact: the value is p_v divided by
 Π_t (a_t if a_t else b_t), and a nonzero p_i with i < v is a genuine
 pole.  The value is returned unreduced, as (±p_v, |Π|).  No factor is
-ever evaluated early and nothing is reduced along the way.  Callers
+ever evaluated early and nothing is reduced along the way.  One step
+takes X_t·u − (a_t + b_t·ε)·u, a single pass into the move's output, so
+the series kept is (−1)^T times the numerator after T factors; that sign
+enters once, at the end, as the den Π_t −(a_t + b_t·ε).  Callers
 supply only how X_t moves the keys of a vector.  Both routes move int
 keys through precomputed tables: the group-algebra route relabels
 permutation ranks, the operator route combines basis codes.
@@ -85,8 +88,9 @@ def limit_at_zero(start: IntVector, factors: Sequence[tuple[Move, int, int]],
 
     Each factor is (move, a, b) and maps a vector u to
     ((a + b·ε)·u − move(u))/(a + b·ε); ``move`` applies X to one integer
-    vector and returns a new dict.  Factors apply in sequence order.
-    Raises PoleAtLimit when the product has a pole at ε = 0.
+    vector and returns a new dict, which the engine then owns.  Factors
+    apply in sequence order.  Raises PoleAtLimit when the product has a
+    pole at ε = 0.
     """
     den = [(a, b) for _, a, b in factors]
     for a, b in den:
@@ -96,20 +100,25 @@ def limit_at_zero(start: IntVector, factors: Sequence[tuple[Move, int, int]],
     series = [{k: x for k, x in start.items() if x}] + [{} for _ in range(v)]
     for move, a, b in factors:
         series = _apply_factor(series, move, a, b)
-    return value_at_zero(series, den, what)
+    # each step took X·u − (a + b·ε)·u, the numerator over −(a + b·ε)
+    return value_at_zero(series, [(-a, -b) for a, b in den], what)
 
 
 def _apply_factor(series: list[IntVector], move: Move, a: int, b: int) -> list[IntVector]:
-    """(a + b·ε)·u − X·u, coefficient by coefficient, truncated to len(series)."""
+    """X·u − (a + b·ε)·u, coefficient by coefficient, truncated to
+    len(series): a·u and b·(the previous coefficient) are subtracted in
+    place from the move's fresh output, and one pass drops the zeros."""
     out = []
     prev: IntVector = {}
     for cur in series:
-        acc = {k: a * x for k, x in cur.items()} if a else {}
+        acc = move(cur)
+        get = acc.get
+        if a:
+            for k, x in cur.items():
+                acc[k] = get(k, 0) - a * x
         if b:
             for k, x in prev.items():
-                acc[k] = acc.get(k, 0) + b * x
-        for k, x in move(cur).items():
-            acc[k] = acc.get(k, 0) - x
+                acc[k] = get(k, 0) - b * x
         out.append({k: x for k, x in acc.items() if x})
         prev = cur
     return out

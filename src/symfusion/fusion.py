@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -267,11 +268,13 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
     s_g(c)·g^{⊗n}·(column c).
 
     The steps run orbit by orbit, so each rebuilt column comes from its
-    breadth-first parent through ``_image_column``, is written into the
-    rows at once, and is dropped with the rest of its orbit when the next
-    orbit starts; a step whose parent lies outside the current orbit
-    raises ValueError.  The rebuilt entries are ± the representatives', so
-    the rows are in normal form as assembled and are not normalized again.
+    breadth-first parent, is written into the rows at once, and is dropped
+    with the rest of its orbit when the next orbit starts; a step whose
+    parent lies outside the current orbit raises ValueError.  A column that
+    is the parent of a later step is kept as ``_image_column``'s dict; any
+    other goes straight into the rows.  The rebuilt entries are ± the
+    representatives', so the rows are in normal form as assembled and are
+    not normalized again.
     """
     rows: dict[int, dict[int, int]] = {}
 
@@ -286,6 +289,7 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
     for rep, column in columns.items():
         write(rep, column)
     index = {rep: i for i, rep in enumerate(orbits.representatives)}
+    parents = {parent for _, parent, _ in orbits.steps}
     current, orbit = -1, {}
     for code, parent, t in orbits.steps:
         column = orbit.get(parent)
@@ -297,8 +301,19 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
             column = columns.pop(parent)
             orbit = {parent: column}
         table = orbits.tables[t]
-        orbit[code] = image = _image_column(column, table, table[1][parent])
-        write(code, image)
+        s = table[1][parent]
+        if code in parents:
+            orbit[code] = image = _image_column(column, table, s)
+            write(code, image)
+            continue
+        targets, signs = table
+        for r, v in column.items():
+            tr = targets[r]
+            row = rows.get(tr)
+            if row is None:
+                rows[tr] = {code: s * signs[r] * v}
+            else:
+                row[code] = s * signs[r] * v
     return SparseOperator._in_normal_form(N, n, rows, den)
 
 
@@ -368,10 +383,36 @@ def scaled_idempotency_constant(lam: Partition) -> Fraction:
     return Fraction(math.factorial(lam.size), dim_sym_irrep(lam))
 
 
-def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction) -> bool:
+def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction,
+                             image: SubspaceBasis | None = None) -> bool:
     """A·A = scalar·A: every column of A lies in its image, so this holds
-    exactly when A acts as the scalar on a basis of image(A)."""
-    return acts_as_scalar(A, image_basis(A), scalar)
+    exactly when A acts as the scalar on a basis of image(A).  ``image`` is
+    that basis when the caller holds it, as ``f_image_basis`` gives it."""
+    return acts_as_scalar(A, image_basis(A) if image is None else image, scalar)
+
+
+# image_basis(F) by config, for the scaled-square suite and verify_prop33,
+# which both take it: config -> (a weak reference to F, the basis).  At most
+# _F_IMAGES_MAX entries, the oldest dropped first; the Sp_4 5-box sweep has
+# 22 configs.
+_F_IMAGES: dict = {}
+_F_IMAGES_MAX = 32
+
+
+def f_image_basis(cfg: FusionConfig, F: SparseOperator) -> SubspaceBasis:
+    """``image_basis(F)`` for the operator F of ``cfg``, taken once per
+    config.  An entry serves only the F object it was taken from, so an F
+    built anew or substituted gets its own basis, and the cache holds no
+    operator: only the frozen basis and a weak reference."""
+    entry = _F_IMAGES.get(cfg)
+    if entry is not None and entry[0]() is F:
+        return entry[1]
+    basis = image_basis(F)
+    _F_IMAGES.pop(cfg, None)
+    if len(_F_IMAGES) >= _F_IMAGES_MAX:
+        del _F_IMAGES[next(iter(_F_IMAGES))]
+    _F_IMAGES[cfg] = weakref.ref(F), basis
+    return basis
 
 
 def verify_divisibility(F: SparseOperator, E: SparseOperator, scalar: Fraction) -> bool:
@@ -430,7 +471,7 @@ def verify_prop33(cfg: FusionConfig) -> bool:
     F = f_operator_general(cfg)
     E = e_operator(cfg.tableau, cfg.N)
     scalar = scaled_idempotency_constant(cfg.tableau.shape.lam)
-    image_F = image_basis(F)
+    image_F = f_image_basis(cfg, F)
     return (acts_as_scalar(F, image_F, scalar) and _divides(F, E, image_F, scalar)
             and _image_is_traceless_part(E, image_F, image_basis(E), scalar, cfg))
 

@@ -26,11 +26,14 @@ slot weight N^(n-k).  So no library code decodes or encodes a code;
 checks, the F and E builds and the traceless part of image(E) name the
 exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l), as
 do the R-matrix factors ``R``, ``R_tilde`` and ``R_bar``, written once
-here.  Each name resolves through one bounded cache, ``unit_move``, keyed
-by (name, N, n, form), with the identity Gram as every exchange's form;
-its entry holds the operator's move, den and exact commutation verdict.
-So each distinct unit operator is built and checked once per process,
-and no caller ever holds, and so cannot mutate, the cached operator.
+here.  Each name resolves through ``unit_move``, with the identity Gram as
+every exchange's form.  A unit operator acts on two slots only, so its
+kind is built and checked once per (kind, N, form), as P_12 or Q_12 on
+C^N ⊗ C^N, where the commutation verdict is exact for every n; each
+name's move on n slots is lifted from that operator's columns and cached
+by (name, N, n, form) with its den and verdict.  No unit operator on n
+slots is built, and no caller ever holds, and so cannot mutate, a cached
+operator.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class SparseOperator:
     equality compares the stored fields.
     """
 
-    __slots__ = ("N", "n", "rows", "den")
+    __slots__ = ("N", "n", "rows", "den", "__weakref__")
 
     def __init__(self, N: int, n: int, rows=None, den: int = 1):
         rows = rows or {}
@@ -472,9 +475,8 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
     a, so the lifted operator is never built.
 
     Each code's (shift, weight) pairs are one tuple, and codes with equal
-    pairs share one tuple object.  A unit operator has few such patterns
-    (2N − 1 for an exchange, at most N² for a contraction), so its move
-    holds a few tuples and one dict entry per code.
+    pairs share one tuple object, so the move holds a few tuples and one
+    list slot per code.
     """
     dim = dim or op.dim
     lists: dict[int, list[tuple[int, int]]] = {}
@@ -482,33 +484,44 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
         for k, v in row.items():
             lists.setdefault(k, []).append(((r - k) * dim, v))
     patterns: dict[tuple, tuple] = {}
-    shifts = {k: patterns.setdefault(t, t) for k, t in zip(lists, map(tuple, lists.values()))}
-    if dim != op.dim:
-        shifts = {a + k: s for a in range(0, dim, op.dim) for k, s in shifts.items()}
+    shifts = [patterns.setdefault(t, t) for t in (tuple(lists.get(k, ())) for k in range(op.dim))]
+    return _move(shifts * (dim // op.dim), dim)
 
+
+def _move(shifts: list[tuple], dim: int):
+    """The move that sends entry key = row·dim + col, for each pair
+    (shift, weight) of shifts[row], to key + shift with that weight; it
+    returns a new dict, which may hold zeros."""
     def move(vec: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
+        get = out.get
         for key, x in vec.items():
-            for shift, w in shifts.get(key // dim, ()):
+            for shift, w in shifts[key // dim]:
                 nk = key + shift
-                out[nk] = out.get(nk, 0) + w * x
+                out[nk] = get(nk, 0) + w * x
         return out
     return move
+
+
+def _check_name(name: tuple, n: int):
+    """Raise on a name that names no unit operator on n slots."""
+    kind, k, l = name
+    if not (1 <= k <= n and 1 <= l <= n) or k == l:
+        raise IndexError(f"slots must be distinct and within 1..{n}: {name!r}")
+    if kind not in ("P", "Q"):
+        raise ValueError(f"unknown unit operator {name!r}: the kinds are P and Q")
 
 
 def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOperator:
     """The unit operator that ``name`` names on n slots of C^N: ("P", i, j)
     the exchange P_ij of slots i and j, ("Q", k, l) the contraction Q_kl of
     ``form``.  Built anew on every call; ``unit_move`` calls this once per
-    name."""
+    kind, N and form, on two slots."""
+    _check_name(name, n)
     kind, k, l = name
-    if not (1 <= k <= n and 1 <= l <= n) or k == l:
-        raise IndexError(f"slots must be distinct and within 1..{n}: {name!r}")
     if kind == "P":
         return perm_op(Permutation.transposition(n, k, l), N)
-    if kind == "Q":
-        return q_op(k, l, form, n)
-    raise ValueError(f"unknown unit operator {name!r}: the kinds are P and Q")
+    return q_op(k, l, form, n)
 
 
 class Affine:
@@ -573,31 +586,69 @@ def R_bar(i: int, j: int, x, y, shift) -> tuple:
 
 
 def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
-    """(move, den, commutes) of a named unit operator: its
-    ``left_multiplication``, its den, and whether it commutes exactly with
-    every generator of ``column_orbits(form, n)``; so each is built and
-    checked once per process.  The operator itself stays inside: no caller
-    can reach, and so mutate, it.  The move keeps one shared tuple per
-    pattern of (shift, weight) pairs, not one list per code, so an entry
-    costs about one dict of N^n keys.  An exchange is keyed and checked on
-    the identity Gram for every form: its generators generate all signed
-    letter permutations, so one P entry per (name, N, n) serves all forms."""
+    """(move, den, commutes) of a named unit operator X on n slots: its
+    ``left_multiplication`` move, its den, and whether it commutes exactly
+    with every generator of ``column_orbits(form, n)``.  A name that names
+    no unit operator raises before anything is built.
+
+    X is X₂ on its two slots k < l and the identity elsewhere, with X₂ the
+    operator of its kind on C^N ⊗ C^N (P_12, or Q_12 of ``form``; P_lk = P_kl
+    and Q_lk = Q_kl).  So X₂ is built and checked once per kind, N and
+    form (``_pair_entry``), and each name's move is lifted from X₂'s
+    columns.  The verdict is exact: [X, g^{⊗n}] = [X₂, g^{⊗2}] ⊗ g^{⊗(n−2)}
+    on the slots, which is zero exactly when [X₂, g^{⊗2}] is.  No operator
+    on n slots is built, and none is reachable, so none can be mutated.
+    An exchange is keyed and checked on the identity Gram for every form:
+    its generators generate all signed letter permutations, so one P
+    entry per (name, N, n) serves all forms."""
+    _check_name(name, n)
     if name[0] == "P":
         form = standard_form("symmetric", N)
     return _unit_entry(name, N, n, form)
 
 
+@lru_cache(maxsize=16)
+def _pair_entry(kind: str, N: int, form: BilinearForm) -> tuple:
+    """(columns, den, commutes) of X₂ = ``unit_operator((kind, 1, 2), N, 2,
+    form)``: columns[a·N + b] holds X₂'s entries in that column as
+    (a' − a, b' − b, weight) for each row a'·N + b', and commutes is X₂'s
+    exact verdict against every generator of ``column_orbits(form, 2)``."""
+    X = unit_operator((kind, 1, 2), N, 2, form)
+    columns: list[list[tuple[int, int, int]]] = [[] for _ in range(N * N)]
+    for r, row in X.rows.items():
+        for c, v in row.items():
+            columns[c].append((r // N - c // N, r % N - c % N, v))
+    return (tuple(map(tuple, columns)), X.den,
+            all(commutes_with(X, t) for t in column_orbits(form, 2).tables))
+
+
 @lru_cache(maxsize=256)
 def _unit_entry(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
-    """unit_move's cached entry."""
-    op = unit_operator(name, N, n, form)
-    return (left_multiplication(op), op.den,
-            all(commutes_with(op, t) for t in column_orbits(form, n).tables))
+    """unit_move's cached entry: the move of ``_pair_entry`` lifted to
+    slots k < l.  A code's letters a, b in those slots pick X₂'s column
+    a·N + b (one ``slot_codes`` index), and a row offset (a' − a, b' − b)
+    there moves the code by (a' − a)·N^(n−k) + (b' − b)·N^(n−l)."""
+    kind, k, l = name
+    k, l = min(k, l), max(k, l)
+    columns, den, commutes = _pair_entry(kind, N, form)
+    dim = N ** n
+    wk, wl = N ** (n - k) * dim, N ** (n - l) * dim
+    lifted = [tuple((da * wk + db * wl, v) for da, db, v in col) for col in columns]
+    pair = slot_codes([[d * N for d in range(N)] if s == k else range(N) if s == l
+                       else [0] * N for s in range(1, n + 1)])
+    return _move([lifted[c] for c in pair], dim), den, commutes
 
 
-# the cache's statistics and reset, as an lru_cache function carries them
+def _clear_units(caches=(_unit_entry, _pair_entry)):
+    for cache in caches:
+        cache.cache_clear()
+
+
+# the cache's statistics and reset, as an lru_cache function carries them;
+# the reset empties the two-slot entries too, bound here so that it reaches
+# the caches themselves while a test wraps either function
 unit_move.cache_info = _unit_entry.cache_info
-unit_move.cache_clear = _unit_entry.cache_clear
+unit_move.cache_clear = _clear_units
 
 
 def _is_name(item) -> bool:

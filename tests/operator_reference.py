@@ -6,13 +6,15 @@ multiples and factors entry by entry from the stored rows, independent
 of that move, so the tests can state an operator identity in full and
 check the moves against it.  The library never evaluates a den either:
 ``at`` gives a factor's den at a point, so that ``factor`` can build it
-there.
+there.  ``three_pass_factor`` keeps the limit engine's step as it was
+first written, the reference for ``exactnum``'s one-pass step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from symfusion.exactnum import value_at_zero
 from symfusion.tensorop import Affine, AmbientMismatch, SparseOperator
 
 
@@ -53,3 +55,31 @@ def factor(X: SparseOperator, sign: int, den) -> SparseOperator:
     if den == 0:
         raise SampleAtPole(f"pole: 1 + ({sign})·X/den with den = 0, X = {X!r}")
     return SparseOperator.identity(X.N, X.n) + scaled(X, sign / Fraction(den))
+
+
+def three_pass_factor(series: list[dict], move, a: int, b: int) -> list[dict]:
+    """(a + b·ε)·u − X·u, coefficient by coefficient, truncated to
+    len(series): a·u in one pass, b·(the previous coefficient) added in a
+    second, X·u subtracted in a third, then the zeros dropped."""
+    out = []
+    prev: dict = {}
+    for cur in series:
+        acc = {k: a * x for k, x in cur.items()} if a else {}
+        if b:
+            for k, x in prev.items():
+                acc[k] = acc.get(k, 0) + b * x
+        for k, x in move(cur).items():
+            acc[k] = acc.get(k, 0) - x
+        out.append({k: x for k, x in acc.items() if x})
+        prev = cur
+    return out
+
+
+def three_pass_limit(start: dict, factors) -> tuple[dict, int]:
+    """The engine's value at ε = 0 through ``three_pass_factor``: the
+    numerator itself over Π(a + b·ε)."""
+    v = sum(1 for _, a, _ in factors if a == 0)
+    series = [{k: x for k, x in start.items() if x}] + [{} for _ in range(v)]
+    for move, a, b in factors:
+        series = three_pass_factor(series, move, a, b)
+    return value_at_zero(series, [(a, b) for _, a, b in factors])

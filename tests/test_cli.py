@@ -271,18 +271,54 @@ def test_verify_O3_certificate_digest(tmp_path, monkeypatch, capsys):
         "086e4175d858db7783942acf79081b9be43e548d5dde094632cec09d65c84e38")
 
 
+def test_verify_takes_each_image_basis_once(tmp_path, monkeypatch):
+    """The idempotency and prop33 suites share image(F) per config: over
+    the 12 configs of the Sp_4 4-box sweep, image_basis runs once per F
+    and once per E, 24 times where it ran 36.  The bounded cache holds
+    frozen bases and weak references, no operator, and an F substituted
+    for a config gets its own basis."""
+    import weakref
+
+    from symfusion import fusion
+    from symfusion.tensorop import SparseOperator, SubspaceBasis, image_basis
+
+    monkeypatch.setattr(fusion, "_F_IMAGES", {})
+    calls = []
+    monkeypatch.setattr(fusion, "image_basis", lambda A: calls.append(A) or image_basis(A))
+    assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4", "--suite",
+                 "idempotency", "--suite", "prop33", "--output", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == len({id(A) for A in calls}) == 24
+    assert len(fusion._F_IMAGES) == 12
+    for cfg, (ref, basis) in fusion._F_IMAGES.items():
+        assert type(ref) is weakref.ref and type(basis) is SubspaceBasis
+        assert ref() is fusion.f_operator_general(cfg)
+    cfg, (_, basis) = next(iter(fusion._F_IMAGES.items()))
+    F = fusion.f_operator_general(cfg)
+    bad = SparseOperator.zero(F.N, F.n)
+    assert fusion.f_image_basis(cfg, bad) == image_basis(bad) != basis
+    configs = list(fusion._F_IMAGES)
+    monkeypatch.setattr(fusion, "_F_IMAGES", {})
+    monkeypatch.setattr(fusion, "_F_IMAGES_MAX", 4)
+    for cfg in configs:
+        fusion.f_image_basis(cfg, fusion.f_operator_general(cfg))
+    assert list(fusion._F_IMAGES) == configs[-4:]
+
+
 def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, capsys,
                                                        fresh_units):
-    """Over the Sp_4 sweep every exchange and contraction that the checks
-    name, or that a build of F takes as a factor, is built once and checked
-    once against each generator of its form, an exchange's form being the
-    identity Gram; every later use reads the unit cache."""
-    from collections import Counter
+    """Over the Sp_4 sweep each kind of unit operator is built once per N
+    and form, on two slots, and checked once against each generator of its
+    form there, an exchange's form being the identity Gram; the move of
+    every exchange and contraction that the checks name, or that a build
+    of F takes as a factor, is built once, and every later use reads the
+    unit cache."""
+    from collections import Counter, defaultdict
 
     from symfusion import fusion, tensorop
 
     fusion._f_operator_cached.cache_clear()  # so the sweep's F builds run here
     builds, checks, built, f_spaces = Counter(), Counter(), {}, set()
+    moves = defaultdict(set)
 
     def recording_factors(cfg, real=fusion._f_factors):
         f_spaces.add((cfg.N, cfg.n, cfg.form))
@@ -299,23 +335,34 @@ def test_verify_builds_and_checks_each_named_unit_once(tmp_path, monkeypatch, ca
             checks[built[id(A)][1], id(table)] += 1
         return real(A, table)
 
+    def recording_entry(name, N, n, form, real=tensorop._unit_entry):
+        entry = real(name, N, n, form)
+        moves[name, N, n, form].add(id(entry[0]))  # the cache keeps the move alive
+        return entry
+
     monkeypatch.setattr(tensorop, "unit_operator", counting_build)
     monkeypatch.setattr(tensorop, "commutes_with", counting_check)
+    monkeypatch.setattr(tensorop, "_unit_entry", recording_entry)
     monkeypatch.setattr(fusion, "_f_factors", recording_factors)
     assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
                  "--output", str(tmp_path / "cert.json")]) == 0
-    assert {name[0][0] for name in builds} == {"P", "Q"}
+    sp4, o4 = tensorop.standard_form("alternating", 4), tensorop.standard_form("symmetric", 4)
+    assert set(builds) >= {(("P", 1, 2), 4, 2, o4), (("Q", 1, 2), 4, 2, sp4)}
+    assert all(name[1:] == (1, 2) and n == 2 and (
+        name[0] == "Q" or form == tensorop.standard_form("symmetric", N))
+        for name, N, n, form in builds)
+    assert set(builds.values()) == {1}
+    assert set(checks.values()) == {1}
+    for key in builds:
+        tables = tensorop.column_orbits(key[3], 2).tables
+        assert {t for k, t in checks if k == key} == {id(t) for t in tables}, key
     f_names = {((kind, k, l), N, n, form if kind == "Q" else tensorop.standard_form(
                     "symmetric", N))
                for N, n, form in f_spaces for kind in "PQ"
                for k in range(1, n) for l in range(k + 1, n + 1)}
-    assert f_names and f_names <= builds.keys()
-    assert set(builds.values()) == {1}
-    assert set(checks.values()) == {1}
-    for key in builds:
-        _, _, n, form = key
-        tables = tensorop.column_orbits(form, n).tables
-        assert {t for k, t in checks if k == key} == {id(t) for t in tables}, key
+    assert f_names and f_names <= moves.keys()
+    assert all(len(ids) == 1 for ids in moves.values())
+    assert tensorop.unit_move.cache_info().misses == len(moves)
 
 
 def test_fusion_f_at_positive_M_checks_the_scaled_square_only_at_M0():

@@ -932,24 +932,26 @@ def test_column_orbit_steps_run_orbit_by_orbit():
 
 
 def test_orbit_build_rejects_a_non_equivariant_factor(monkeypatch, fresh_units):
-    """A factor that breaks the form's symmetry stops the F build.  With
-    Q_12 shifted at any of the 22 codes off the orbit representatives, the
-    orbit-built F passes its own commutation check yet differs from the
-    build on all columns; only the factor's verdict catches it."""
+    """A factor that breaks the form's symmetry stops the F build.  Every
+    contraction is Q_12 on C^N ⊗ C^N lifted to its two slots, so Q_12 there
+    is shifted at each of the 7 codes off the orbit representatives of
+    C^3 ⊗ C^3: F's build takes that shift into every contraction factor,
+    and the factors' verdict, decided on the two slots, raises."""
     from symfusion import tensorop
 
     cfg = FusionConfig(T((2, 1)), 3, 0, "symmetric")
-    reps = column_orbits(cfg.form, cfg.n).representatives
-    off = [c for c in range(27) if c not in reps]
-    assert len(off) == 22
+    reps = column_orbits(cfg.form, 2).representatives
+    off = [c for c in range(9) if c not in reps]
+    assert len(off) == 7
     real = tensorop.q_op
     for c in off:
         def shifted(k, l, form, n, c=c):
             Q = real(k, l, form, n)
-            return Q + SparseOperator(3, n, {c: {c: 1}}) if (k, l) == (1, 2) else Q
+            return Q + SparseOperator(3, n, {c: {c: 1}}) if n == 2 else Q
 
         monkeypatch.setattr(tensorop, "q_op", shifted)
         tensorop.unit_move.cache_clear()
+        assert not tensorop.unit_move(("Q", 1, 3), 3, 3, cfg.form)[2]
         with pytest.raises(ArithmeticError):
             fusion._f_operator_cached.__wrapped__(cfg)  # uncached build
 

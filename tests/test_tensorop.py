@@ -161,6 +161,80 @@ def test_a_cached_failing_verdict_turns_on_every_column(monkeypatch, fresh_units
     assert tensorop.unit_move.cache_info().hits == 1
 
 
+def _lifted(X2: SparseOperator, k: int, l: int, n: int) -> SparseOperator:
+    """X₂ on C^N ⊗ C^N acting on slots min(k, l) < max(k, l) of n slots and
+    as the identity elsewhere, built by decoding every code."""
+    N = X2.N
+    k, l = min(k, l), max(k, l)
+    rows = {}
+    for c in range(N ** n):
+        idx = list(decode(c, N, n))
+        for r2, v in column(X2, (idx[k - 1], idx[l - 1])).items():
+            idx[k - 1], idx[l - 1] = decode(r2, N, 2)
+            rows.setdefault(encode(tuple(idx), N), {})[c] = v
+    return SparseOperator(N, n, rows)
+
+
+def _moved(move, vec):
+    return {k: x for k, x in move(vec).items() if x}
+
+
+def test_unit_moves_are_the_two_slot_operator_lifted(monkeypatch, fresh_units):
+    """Each named unit operator's move, den and verdict are those of the
+    operator on all n slots: its ``left_multiplication``, its den and
+    ``commutes_with`` against the generators on n slots, for every P and Q
+    name in either slot order on O_2, O_3, Sp_2 and Sp_4 with n ≤ 5, on
+    seeded random vectors keyed row·dim + col.  A two-slot Q that breaks the
+    Gram fails the verdict on two slots and on n slots, and a bad name
+    raises before anything is built."""
+    rng = random.Random(25)
+    forms = [standard_form("symmetric", 2), standard_form("symmetric", 3),
+             standard_form("alternating", 2), standard_form("alternating", 4)]
+    for form in forms:
+        N = form.N
+        for n in range(2, 6):
+            dim = N ** n
+            vecs = [{rng.randrange(dim * dim): rng.choice((-3, -1, 1, 2)) for _ in range(40)}
+                    for _ in range(3)]
+            for kind in "PQ":
+                gform = form if kind == "Q" else standard_form("symmetric", N)
+                tables = column_orbits(gform, n).tables
+                for k, l in permutations(range(1, n + 1), 2):
+                    X = unit_operator((kind, k, l), N, n, form)
+                    move, den, commutes = tensorop.unit_move((kind, k, l), N, n, form)
+                    assert den == X.den and commutes is True
+                    assert all(commutes_with(X, t) for t in tables)
+                    want = left_multiplication(X)
+                    assert all(_moved(move, v) == _moved(want, v) for v in vecs), (form, kind, k, l)
+    # Q_12 on two slots with 1/7 added at entry (0, 1), which no signed
+    # permutation of the Sp_4 Gram preserves
+    form = standard_form("alternating", 4)
+    real = unit_operator
+    bad2 = real(("Q", 1, 2), 4, 2, form) + SparseOperator(4, 2, {0: {1: Fraction(1, 7)}})
+    monkeypatch.setattr(tensorop, "unit_operator",
+                        lambda name, N, n, form: bad2 if name == ("Q", 1, 2) and n == 2
+                        else real(name, N, n, form))
+    tensorop.unit_move.cache_clear()
+    vecs = [{rng.randrange(4 ** 6): rng.choice((-2, 1, 3)) for _ in range(40)} for _ in range(3)]
+    for k, l in ((1, 3), (3, 2)):
+        bad = _lifted(bad2, k, l, 3)
+        assert _lifted(q_op(1, 2, form, 2), k, l, 3) == q_op(k, l, form, 3)
+        move, den, commutes = tensorop.unit_move(("Q", k, l), 4, 3, form)
+        assert den == bad.den and commutes is False
+        assert not all(commutes_with(bad, t) for t in column_orbits(form, 3).tables)
+        want = left_multiplication(bad)
+        assert all(_moved(move, v) == _moved(want, v) for v in vecs)
+    builds = []
+    monkeypatch.setattr(tensorop, "unit_operator", lambda *args: builds.append(args))
+    tensorop.unit_move.cache_clear()
+    for bad, error in ((("P", 1, 1), IndexError), (("Q", 1, 4), IndexError),
+                       (("R", 1, 2), ValueError)):
+        with pytest.raises(error):
+            tensorop.unit_move(bad, 4, 3, form)
+    assert builds == [] and tensorop.unit_move.cache_info().currsize == 0
+    assert tensorop._pair_entry.cache_info().currsize == 0
+
+
 def test_perm_op_is_a_homomorphism():
     rng = random.Random(3)
     for _ in range(5):
