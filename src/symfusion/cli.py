@@ -24,13 +24,12 @@ from .exactnum import PoleAtLimit
 from .fusion import (FORM_GROUP, MAX_BOXES, CheckResult, ConfigError, FusionConfig,
                      NotApplicable, SizeLimitExceeded, certify, f_image_basis,
                      f_operator_general, max_dim, scaled_idempotency_constant,
-                     verify_corollary32, verify_prop33, verify_scaled_idempotent,
-                     verify_theta_factorization)
+                     verify_corollary32, verify_prop33, verify_theta_factorization)
 from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
 from .symalg import e_tableau, fusion_e_skew
-from .tensorop import standard_form
+from .tensorop import acts_as_scalar, standard_form
 from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
                       check_intertwiner_E, check_intertwiner_F,
                       check_image_coincidence, check_lemma44,
@@ -166,7 +165,7 @@ def _suite_idempotency(args):
         ok = (e * e) == e.scaled(scalar)
         cfg = FusionConfig(T, args.N, 0, kind)
         F = f_operator_general(cfg)
-        ok = ok and verify_scaled_idempotent(F, scalar, f_image_basis(cfg, F))
+        ok = ok and acts_as_scalar(F, f_image_basis(cfg, F), scalar)
         yield CheckResult(f"idempotency/{T}", "scaled-square", ok)
 
 

@@ -170,8 +170,9 @@ def e_operator(O: StandardTableau, N: int) -> SparseOperator:
 def _e_operator_cached(O: StandardTableau, N: int) -> SparseOperator:
     """E by ``_orbit_build`` on the identity Gram's orbits, the signed letter
     permutations, which every exchange's ``unit_move`` verdict covers.  No
-    commutation pass runs over E itself: its rebuild goes through the
-    ``_image_column`` seam that F's final check covers on every F build.
+    commutation pass runs over E itself: every column it rebuilds, parent
+    or leaf, goes through ``_assemble``'s ``_write_image``, the seam that
+    F's final check covers on every F build.
     """
     n = O.n
     form = standard_form("symmetric", N)
@@ -254,10 +255,21 @@ def _orbit_build(N: int, n: int, orbits: ColumnOrbits, factors: list,
     return _assemble(N, n, orbits, columns, den)
 
 
-def _image_column(column: dict[int, int], table, s: int) -> dict[int, int]:
-    """s·g^{⊗n} applied to a column {row: value}, by the code table of g."""
+def _write_image(rows: dict[int, dict[int, int]], code: int, column: dict[int, int],
+                 table, s: int, image: dict[int, int] | None) -> None:
+    """Write s·g^{⊗n}·column, by the code table of g, into ``rows`` as
+    column ``code``, and into ``image`` {row: value} as well unless it is
+    None."""
     targets, signs = table
-    return {targets[r]: s * signs[r] * v for r, v in column.items()}
+    for r, v in column.items():
+        tr, x = targets[r], s * signs[r] * v
+        row = rows.get(tr)
+        if row is None:
+            rows[tr] = {code: x}
+        else:
+            row[code] = x
+        if image is not None:
+            image[tr] = x
 
 
 def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int, int]],
@@ -268,26 +280,21 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
     s_g(c)·g^{⊗n}·(column c).
 
     The steps run orbit by orbit, so each rebuilt column comes from its
-    breadth-first parent, is written into the rows at once, and is dropped
-    with the rest of its orbit when the next orbit starts; a step whose
-    parent lies outside the current orbit raises ValueError.  A column that
-    is the parent of a later step is kept as ``_image_column``'s dict; any
-    other goes straight into the rows.  The rebuilt entries are ± the
-    representatives', so the rows are in normal form as assembled and are
-    not normalized again.
+    breadth-first parent through ``_write_image``, which writes it into the
+    rows at once; a column that is the parent of a later step is also kept
+    as a dict until the next orbit starts, and a step whose parent lies
+    outside the current orbit raises ValueError.  The rebuilt entries are
+    ± the representatives', so the rows are in normal form as assembled and
+    are not normalized again.
     """
     rows: dict[int, dict[int, int]] = {}
-
-    def write(code: int, column: dict[int, int]):
+    for rep, column in columns.items():
         for r, v in column.items():
             row = rows.get(r)
             if row is None:
-                rows[r] = {code: v}
+                rows[r] = {rep: v}
             else:
-                row[code] = v
-
-    for rep, column in columns.items():
-        write(rep, column)
+                row[rep] = v
     index = {rep: i for i, rep in enumerate(orbits.representatives)}
     parents = {parent for _, parent, _ in orbits.steps}
     current, orbit = -1, {}
@@ -301,19 +308,10 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
             column = columns.pop(parent)
             orbit = {parent: column}
         table = orbits.tables[t]
-        s = table[1][parent]
+        image = None
         if code in parents:
-            orbit[code] = image = _image_column(column, table, s)
-            write(code, image)
-            continue
-        targets, signs = table
-        for r, v in column.items():
-            tr = targets[r]
-            row = rows.get(tr)
-            if row is None:
-                rows[tr] = {code: s * signs[r] * v}
-            else:
-                row[code] = s * signs[r] * v
+            image = orbit[code] = {}
+        _write_image(rows, code, column, table, table[1][parent], image)
     return SparseOperator._in_normal_form(N, n, rows, den)
 
 
@@ -383,12 +381,10 @@ def scaled_idempotency_constant(lam: Partition) -> Fraction:
     return Fraction(math.factorial(lam.size), dim_sym_irrep(lam))
 
 
-def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction,
-                             image: SubspaceBasis | None = None) -> bool:
+def verify_scaled_idempotent(A: SparseOperator, scalar: Fraction) -> bool:
     """A·A = scalar·A: every column of A lies in its image, so this holds
-    exactly when A acts as the scalar on a basis of image(A).  ``image`` is
-    that basis when the caller holds it, as ``f_image_basis`` gives it."""
-    return acts_as_scalar(A, image_basis(A) if image is None else image, scalar)
+    exactly when A acts as the scalar on a basis of image(A)."""
+    return acts_as_scalar(A, image_basis(A), scalar)
 
 
 # image_basis(F) by config, for the scaled-square suite and verify_prop33,

@@ -803,25 +803,27 @@ def test_f_commutes_with_every_derived_generator():
 
 
 def test_orbit_build_rejects_a_flipped_rebuilt_column(monkeypatch):
-    """A rebuilt column with the wrong sign fails the commutation check."""
+    """A rebuilt column with the wrong sign fails the commutation check,
+    whether it is a leaf of its orbit's tree or the parent of later
+    columns: both kinds are written by ``_write_image``."""
     from symfusion import fusion
 
     cfg = FusionConfig(T((3, 1)), 4, 0, "alternating")
-    image = fusion._image_column
-    flipped = []
+    write = fusion._write_image
+    for parent in (False, True):
+        flipped = []
 
-    def flip_first(column, table, s):
-        out = image(column, table, s)
-        if out and not flipped:
-            flipped.append(True)
-            return {r: -v for r, v in out.items()}
-        return out
+        def flip_first(rows, code, column, table, s, image, parent=parent, flipped=flipped):
+            if column and (image is not None) is parent and not flipped:
+                flipped.append(code)
+                s = -s
+            return write(rows, code, column, table, s, image)
 
-    monkeypatch.setattr(fusion, "_image_column", flip_first)
-    with pytest.raises(ArithmeticError):
-        fusion._f_operator_cached.__wrapped__(cfg)  # uncached build
-    assert flipped
-    monkeypatch.setattr(fusion, "_image_column", image)
+        monkeypatch.setattr(fusion, "_write_image", flip_first)
+        with pytest.raises(ArithmeticError):
+            fusion._f_operator_cached.__wrapped__(cfg)  # uncached build
+        assert flipped, parent
+    monkeypatch.setattr(fusion, "_write_image", write)
     assert fusion._f_operator_cached.__wrapped__(cfg) == _unreduced_f(cfg)
 
 
