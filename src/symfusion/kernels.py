@@ -39,14 +39,15 @@ def ga_mul(a, b):
 def echelon(rows, ncols):
     """Canonical integer reduced row echelon form (integer Gauss–Jordan).
 
-    ``rows`` holds dense int sequences of length ``ncols``; they are not
-    mutated.  Returns (pivot columns, rows), sorted by pivot: zero rows are
-    dropped, every row is primitive (its entries have gcd 1) with a
-    positive pivot, and each pivot column is zero in every other row.
-    That form depends only on the row space, so two spanning sets of one
-    space give equal output.  Each row is reduced against the pivots so
-    far, then clears its own pivot from them; gcd divisions keep the
-    entries primitive, and no Fraction is built.
+    ``rows`` holds dense int sequences of length ``ncols``, lists or
+    tuples; they are not mutated.  Returns (pivot columns, rows as new
+    lists), sorted by pivot: zero rows are dropped, every row is primitive
+    (its entries have gcd 1) with a positive pivot, and each pivot column
+    is zero in every other row.  That form depends only on the row space,
+    so two spanning sets of one space give equal output.  Each row is
+    reduced against the pivots so far, then clears its own pivot from
+    them; gcd divisions keep the entries primitive, and no Fraction is
+    built.
     """
     pivots: list[int] = []
     reduced: list[list[int]] = []
@@ -65,8 +66,7 @@ def echelon(rows, ncols):
         col = next(j for j, x in enumerate(row) if x)
         if row[col] < 0:
             g = -g
-        if g != 1:
-            row = [x // g for x in row]
+        row = [x // g for x in row] if g != 1 else list(row)
         d = row[col]
         for i, prow in enumerate(reduced):
             h = prow[col]

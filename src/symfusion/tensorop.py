@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, zip_longest
+from itertools import combinations, repeat, zip_longest
 from typing import NamedTuple
 
 from . import kernels
@@ -854,10 +854,18 @@ class SubspaceBasis:
 
 def _blocks(rows):
     """Connected blocks of sparse int rows {col: value}: two rows share a
-    block when they share a column; one union-find pass over the nonzeros
-    finds them.  Yields (sorted block columns, the block's rows densified
-    over those columns); empty rows are skipped."""
-    rows = [row for row in rows if row]
+    block when they share a column.  Rows are grouped by their column
+    support, as the tuple of their keys, and one union-find pass runs over
+    the distinct supports.  Two rows on one support that list it in
+    different orders fall in two groups, which the union-find joins; a
+    tuple key takes a fraction of a frozenset's memory.  Yields (sorted
+    block columns, the block's distinct rows densified over those columns,
+    as tuples); empty rows are skipped, and a row that repeats another is
+    yielded once, since it changes no span, kernel or rank."""
+    supports: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            supports.setdefault(tuple(row), []).append(row)
     parent: dict[int, int] = {}  # column -> parent column; roots map to themselves
 
     def find(c: int) -> int:
@@ -865,27 +873,22 @@ def _blocks(rows):
             parent[c] = c = parent[parent[c]]
         return c
 
-    for row in rows:
+    for support in supports:
         root = None
-        for c in row:
+        for c in support:
             c = find(parent.setdefault(c, c))
             if root is None:
                 root = c
             elif c != root:
                 parent[c] = root
-    blocks: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        blocks.setdefault(find(next(iter(row))), []).append(row)
+    blocks: dict[int, list[tuple[int, ...]]] = {}
+    for support in supports:
+        blocks.setdefault(find(support[0]), []).append(support)
     for block in blocks.values():
-        cols = sorted({c for row in block for c in row})
-        pos = {c: i for i, c in enumerate(cols)}
-        dense_rows = []
-        for row in block:
-            dense = [0] * len(cols)
-            for c, v in row.items():
-                dense[pos[c]] = v
-            dense_rows.append(dense)
-        yield cols, dense_rows
+        cols = sorted(frozenset().union(*block))
+        dense = dict.fromkeys(tuple(map(row.get, cols, repeat(0)))
+                              for support in block for row in supports[support])
+        yield cols, list(dense)
 
 
 def _span(ambient: int, rows) -> SubspaceBasis:
@@ -893,7 +896,9 @@ def _span(ambient: int, rows) -> SubspaceBasis:
 
     The rows of different blocks have disjoint supports, so the union of
     the blocks' canonical rows, sorted by pivot, is the canonical form of
-    the whole span."""
+    the whole span.  Each block's distinct rows are eliminated once; the
+    canonical form depends only on the span, so repeats would not change
+    it."""
     vectors = []
     for cols, dense in _blocks(rows):
         _, reduced = kernels.echelon(dense, len(cols))
@@ -904,8 +909,9 @@ def _span(ambient: int, rows) -> SubspaceBasis:
 
 def _null_space(rows, ncols: int) -> list[dict[int, int]]:
     """Integer basis of {x : row·x = 0 for every sparse int row}, one vector
-    per free column of each block's echelon form, plus one unit vector per
-    column that no row touches."""
+    per free column of the echelon form of each block's distinct rows,
+    plus one unit vector per column that no row touches.  Every column of
+    a block stays an unknown, repeated or not."""
     untouched = set(range(ncols))
     vectors = []
     for cols, dense in _blocks(rows):
@@ -947,12 +953,17 @@ def rank(A: SparseOperator) -> int:
     """Exact rank, summed over the connected blocks of A's nonzero pattern.
 
     Permuting rows and columns makes A block-diagonal over the blocks that
-    ``_blocks`` finds, so rank(A) is the sum of the block ranks: the pivot
-    counts of ``kernels.echelon`` on each block's integer numerators.  The
-    common denominator does not change the rank.
+    ``_blocks`` finds, so rank(A) is the sum of the block ranks.  A
+    repeated row or column leaves a rank unchanged, so each block's rank
+    is the pivot count of ``kernels.echelon`` on its distinct columns,
+    taken as the rows of the transpose of its distinct rows' integer
+    numerators.  The common denominator does not change the rank.
     """
-    return sum(len(kernels.echelon(dense, len(cols))[0])
-               for cols, dense in _blocks(A.rows.values()))
+    total = 0
+    for _, dense in _blocks(A.rows.values()):
+        columns = list(dict.fromkeys(zip(*dense)))
+        total += len(kernels.echelon(columns, len(dense))[0])
+    return total
 
 
 def acts_as_scalar(A: SparseOperator, basis: SubspaceBasis, sigma,

@@ -724,6 +724,34 @@ def test_rank_of_F_matches_traceless_intersection_dimension():
         assert fusion._traceless_part(image_basis(E), cfg) == meet
 
 
+def _trace(A):
+    return Fraction(sum(row.get(r, 0) for r, row in A.rows.items()), A.den)
+
+
+def test_rank_is_the_trace_over_sigma():
+    """At M = 0 on a non-skew tableau, F/σ and E/σ are idempotents, so each
+    rank is its trace over σ: a route that eliminates nothing.  Every
+    standard tableau of every valid label of at most 4 boxes, on Sp_4,
+    O_3, O_2 and Sp_2 (32 configs)."""
+    from symfusion.shapes import validate_label
+
+    configs = 0
+    for kind, N in (("alternating", 4), ("symmetric", 3), ("symmetric", 2), ("alternating", 2)):
+        group = fusion.FORM_GROUP[kind]
+        for size in range(1, 5):
+            for lam in partitions_of(size):
+                if not validate_label(lam, group, N):
+                    continue
+                sigma = scaled_idempotency_constant(lam)
+                for tab in standard_tableaux(skew(lam)):
+                    F = f_operator_general(FusionConfig(tab, N, 0, kind))
+                    E = e_operator(tab, N)
+                    assert rank(F) == _trace(F) / sigma, (kind, N, tab)
+                    assert rank(E) == _trace(E) / sigma, (kind, N, tab)
+                    configs += 1
+    assert configs == 32
+
+
 def test_certify_collects_passing_checks():
     cert = certify(FusionConfig(T((2,)), 3, 0, "symmetric"))
     assert cert.all_passed()

@@ -7,7 +7,7 @@ import pytest
 from operator_reference import mul, scaled
 from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 
-from symfusion import tensorop
+from symfusion import kernels, tensorop
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
 from symfusion.tensorop import (AmbientMismatch, BilinearForm, OrbitComparison,
@@ -452,6 +452,76 @@ def test_subspace_layer_matches_sympy():
         for U, V in ((img, ker), (img, image_basis(B)), (ker, kernel_basis(B))):
             annihilators = qq_nullspace(_dense(U), dim) + qq_nullspace(_dense(V), dim)
             assert _dense(intersect(U, V)) == qq_nullspace(annihilators, dim)
+
+
+def _redundant(N, n, rng):
+    """Operator whose rows repeat in the ways ``_blocks`` folds, on a seeded
+    shuffle of the basis, with its rows inserted in shuffled order:
+    - a block of two base rows, each used whole or scaled (by -1, 2/3 or
+      3) several times, over columns that come in equal pairs;
+    - rows on one shared support with different values, one of them the
+      sum of two others;
+    - a chain of rows on the supports {c_0, c_1}, {c_1, c_2}, ..., whose
+      closing row on {c_0, c_k} is their alternating sum, so the chain is
+      one block only through its links;
+    - the remaining rows empty."""
+    dim = N ** n
+    row_codes, col_codes = list(range(dim)), list(range(dim))
+    rng.shuffle(row_codes)
+    rng.shuffle(col_codes)
+
+    def entry():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+
+    rows = []
+    support = [col_codes.pop() for _ in range(3)]
+    twins = [col_codes.pop() for _ in support]  # column twins[i] repeats support[i]
+    base = []
+    for _ in range(2):
+        row = {c: entry() for c in support}
+        base.append({**row, **{t: row[c] for c, t in zip(support, twins)}})
+    for scale in (1, 1, -1, Fraction(2, 3), 3, 1):
+        rows.append({c: scale * v for c, v in rng.choice(base).items()})
+    support = [col_codes.pop() for _ in range(4)]
+    shared = [{c: entry() for c in support} for _ in range(3)]
+    shared.append({c: shared[0][c] + shared[1][c] for c in support})
+    rows.extend({c: v for c, v in row.items() if v} for row in shared)
+    chain = [col_codes.pop() for _ in range(5)]
+    links = [{a: 1, b: 1} for a, b in zip(chain, chain[1:])]
+    rows.extend(links)
+    rows.append({chain[0]: 1, chain[-1]: (-1) ** (len(links) - 1)})
+    rng.shuffle(rows)
+    return SparseOperator(N, n, dict(zip(row_codes, rows)))
+
+
+def test_elimination_of_repeated_rows_and_columns_matches_sympy():
+    """Rank, image, row space, kernel and intersection of operators with
+    repeated, scaled and same-support rows, repeated columns, chained
+    blocks and empty rows are sympy's, and so are spans with zero and
+    repeated vectors; ``echelon`` leaves tuple rows as they were."""
+    rng = random.Random(47)
+    for N, n in ((2, 5), (3, 3), (2, 5)):
+        A, B = _redundant(N, n, rng), _redundant(N, n, rng)
+        dim = A.dim
+        mat = [[A.entry(r, c) for c in range(dim)] for r in range(dim)]
+        columns = [list(col) for col in zip(*mat)]
+        assert rank(A) == rank(_transpose(A)) == qq_rank(mat, dim)
+        img, rows, ker = image_basis(A), row_basis(A), kernel_basis(A)
+        assert _dense(img) == qq_echelon(columns, dim)[1]
+        assert _dense(rows) == qq_echelon(mat, dim)[1]
+        assert _dense(ker) == qq_nullspace(mat, dim)
+        vecs = [dict(vec) for vec in rng.sample(img.vectors + image_basis(B).vectors, 4)]
+        spanned = span_of_vectors(dim, vecs + [{}, vecs[0], {c: -2 * v for c, v in vecs[1].items()}])
+        assert _dense(spanned) == qq_echelon([[v.get(c, 0) for c in range(dim)] for v in vecs], dim)[1]
+        for U, V in ((img, ker), (rows, ker), (img, image_basis(B)), (spanned, rows)):
+            annihilators = qq_nullspace(_dense(U), dim) + qq_nullspace(_dense(V), dim)
+            assert _dense(intersect(U, V)) == qq_nullspace(annihilators, dim)
+    tuples = [(2, 4, 6), (0, 0, 0), (2, 4, 6), (1, 3, 0)]
+    pivots, reduced = kernels.echelon(tuples, 3)
+    assert tuples == [(2, 4, 6), (0, 0, 0), (2, 4, 6), (1, 3, 0)]
+    assert (pivots, reduced) == kernels.echelon([list(t) for t in tuples], 3)
+    assert (pivots, reduced) == qq_echelon(tuples, 3)
+    assert all(type(row) is list for row in reduced)
 
 
 def test_subspace_equal_ignores_the_spanning_set():
