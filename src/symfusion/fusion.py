@@ -21,7 +21,8 @@ basis that preserves the Gram, so the product does too, and its columns
 come in orbits of such g; each factor's exact verdict comes with its
 move from ``tensorop.unit_move``.  So both operators come from one build,
 ``_orbit_build``: the engine on one column per orbit, then ``_assemble``
-rebuilding the other columns as ± images straight into the rows.  F uses
+rebuilding the other columns as ± images straight into the rows and
+storing each distinct row once.  F uses
 its form's orbits, E those of the identity Gram, and no build
 enumerates S_n.
 """
@@ -286,6 +287,14 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
     outside the current orbit raises ValueError.  The rebuilt entries are
     ± the representatives', so the rows are in normal form as assembled and
     are not normalized again.
+
+    Once every column is written, each row is replaced by the first row
+    object with the same keys and values, so that equal rows share one dict
+    (``SparseOperator``) and each distinct row is stored once.  Equal rows
+    list their keys in the same order, since every row receives its
+    entries in one global column order, the representatives first and then
+    the orbit steps; so the keys and values, as two tuples, identify a
+    row's contents.
     """
     rows: dict[int, dict[int, int]] = {}
     for rep, column in columns.items():
@@ -312,6 +321,9 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
         if code in parents:
             image = orbit[code] = {}
         _write_image(rows, code, column, table, table[1][parent], image)
+    shared: dict[tuple, dict[int, int]] = {}
+    for r, row in rows.items():
+        rows[r] = shared.setdefault((tuple(row), tuple(row.values())), row)
     return SparseOperator._in_normal_form(N, n, rows, den)
 
 
@@ -319,8 +331,10 @@ def _assemble(N: int, n: int, orbits: ColumnOrbits, columns: dict[int, dict[int,
 def _f_operator_cached(cfg: FusionConfig) -> SparseOperator:
     """F by ``_orbit_build`` on the orbits of the form's monomial isometries,
     then checked exactly to commute with every generator, which covers each
-    orbit's stabilizer; a mismatch raises ArithmeticError.  With no
-    generator this is the build on all columns."""
+    orbit's stabilizer; a mismatch raises ArithmeticError.  The check
+    covers every row, each triple of row object, image row object and sign
+    once, as F's rows share objects (``_assemble``).  With no generator
+    this is the build on all columns."""
     orbits = column_orbits(cfg.form, cfg.n)
     F = _orbit_build(cfg.N, cfg.n, orbits, _f_factors(cfg), "operator product")
     for table in orbits.tables:

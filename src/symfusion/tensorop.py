@@ -154,6 +154,12 @@ class SparseOperator:
     entries and brings them to ``exactnum.normal_form``; no empty row is
     kept, so the zero operator has ``rows == {}``, ``den == 1``, and
     equality compares the stored fields.
+
+    Several row indices may hold one dict object: the orbit assembly of
+    ``fusion`` stores each distinct row of F and E once.  So no code
+    mutates a stored row (the constructor and ``_combine`` copy what they
+    are given), and a row-wise pass may do its work once per row object
+    and reuse it at every index that holds that object.
     """
 
     __slots__ = ("N", "n", "rows", "den", "__weakref__")
@@ -444,17 +450,29 @@ def column_orbits(form: BilinearForm, n: int) -> ColumnOrbits:
 def commutes_with(A: SparseOperator, table) -> bool:
     """A·g^{⊗n} == g^{⊗n}·A exactly, i.e. A[π r][π c] = s(r)·s(c)·A[r][c]
     for every stored entry; π is a bijection, so this also covers the
-    positions where A is zero."""
+    positions where A is zero.
+
+    The check at row r reads only the row object there, the row object at
+    π r and s(r), so it is made once per triple (row object, image row
+    object, s(r)): rows that share objects (``SparseOperator``) repeat no
+    work, and the verdict is the same as with every row checked."""
     targets, signs = table
     rows = A.rows
+    checked: set[tuple[int, int, int]] = set()
     for r, row in rows.items():
         image = rows.get(targets[r])
-        if image is None or len(image) != len(row):
+        if image is None:
             return False
         sr = signs[r]
+        key = (id(row), id(image), sr)
+        if key in checked:
+            continue
+        if len(image) != len(row):
+            return False
         for c, v in row.items():
             if image.get(targets[c]) != sr * signs[c] * v:
                 return False
+        checked.add(key)
     return True
 
 
@@ -854,18 +872,18 @@ class SubspaceBasis:
 
 def _blocks(rows):
     """Connected blocks of sparse int rows {col: value}: two rows share a
-    block when they share a column.  Rows are grouped by their column
-    support, as the tuple of their keys, and one union-find pass runs over
-    the distinct supports.  Two rows on one support that list it in
-    different orders fall in two groups, which the union-find joins; a
-    tuple key takes a fraction of a frozenset's memory.  Yields (sorted
-    block columns, the block's distinct rows densified over those columns,
-    as tuples); empty rows are skipped, and a row that repeats another is
-    yielded once, since it changes no span, kernel or rank."""
+    block when they share a column.  Each row object is taken once, as
+    rows may share objects (``SparseOperator``); the rows are grouped by
+    their column support, as the tuple of their keys, and one union-find
+    pass runs over the distinct supports.  Two rows on one support that
+    list it in different orders fall in two groups, which the union-find
+    joins; a tuple key takes a fraction of a frozenset's memory.  Yields
+    (sorted block columns, the block's distinct rows densified over those
+    columns, as tuples); empty rows are skipped, and a row that repeats
+    another is yielded once, since it changes no span, kernel or rank."""
     supports: dict[tuple[int, ...], list[dict[int, int]]] = {}
-    for row in rows:
-        if row:
-            supports.setdefault(tuple(row), []).append(row)
+    for row in {id(row): row for row in rows if row}.values():
+        supports.setdefault(tuple(row), []).append(row)
     parent: dict[int, int] = {}  # column -> parent column; roots map to themselves
 
     def find(c: int) -> int:
@@ -932,12 +950,37 @@ def _null_space(rows, ncols: int) -> list[dict[int, int]]:
 
 
 def image_basis(A: SparseOperator) -> SubspaceBasis:
-    """Column space of the numerators (the den does not change it)."""
+    """Column space of the numerators (the den does not change it),
+    eliminated over classes of rows.
+
+    The row indices that hold one row object (``SparseOperator``) form a
+    class K, and every column c of A is constant on it, so column c is
+    Σ_K row_K[c]·1_K with 1_K the indicator vector of K.  The columns are
+    thus the images, under y ↦ Σ_K y_K·1_K, of the columns of the class
+    matrix, which has one row per class: only one row per object is
+    transposed.  That map is injective and copies coordinates, so it keeps
+    zeros and gcds; with the classes ordered by their least row index, the
+    first nonzero coordinate of an image is the least row of the first
+    nonzero class, so it keeps pivots too.  So the class matrix's canonical
+    basis, each vector expanded over its classes, is image(A)'s canonical
+    basis, byte for byte."""
+    classes: dict[int, list[int]] = {}  # id(row object) -> its row indices, ascending
+    objects: list[dict[int, int]] = []
+    for r in sorted(A.rows):
+        row = A.rows[r]
+        members = classes.get(id(row))
+        if members is None:
+            members = classes[id(row)] = []
+            objects.append(row)
+        members.append(r)
     columns: dict[int, dict[int, int]] = {}
-    for r, row in A.rows.items():
+    for k, row in enumerate(objects):
         for c, v in row.items():
-            columns.setdefault(c, {})[r] = v
-    return _span(A.dim, columns.values())
+            columns.setdefault(c, {})[k] = v
+    reduced = _span(len(objects), columns.values())
+    members = list(classes.values())
+    return SubspaceBasis(A.dim, tuple(tuple(sorted((r, v) for k, v in vec for r in members[k]))
+                                      for vec in reduced.vectors))
 
 
 def row_basis(A: SparseOperator) -> SubspaceBasis:
@@ -973,8 +1016,10 @@ def acts_as_scalar(A: SparseOperator, basis: SubspaceBasis, sigma,
 
     One pass over A's entries moves every vector at once: entry (r, c)
     adds A[r][c]·b[c] to (A·b)[r], or with ``on_rows`` b[r]·A[r][c] to
-    (b·A)[c].  The results, over A.den, are compared with σ·b
-    cross-multiplied.  Neither A nor the basis needs any symmetry."""
+    (b·A)[c].  The sums (A·b)[r] are taken once per row object and written
+    at every row index that holds it (``SparseOperator``).  The results,
+    over A.den, are compared with σ·b cross-multiplied.  Neither A nor the
+    basis needs any symmetry."""
     if basis.ambient != A.dim:
         raise AmbientMismatch(f"a subspace of C^{basis.ambient} under an operator on C^{A.dim}")
     sigma = Fraction(sigma)
@@ -983,6 +1028,7 @@ def acts_as_scalar(A: SparseOperator, basis: SubspaceBasis, sigma,
         for code, x in vec:
             at.setdefault(code, []).append((j, x))
     moved: list[dict[int, int]] = [{} for _ in basis.vectors]
+    sums_of: dict[int, dict[int, int]] = {}  # id(row object) -> {j: (A·b_j) there}
     for r, row in A.rows.items():
         if on_rows:
             for j, x in at.get(r, ()):
@@ -990,10 +1036,12 @@ def acts_as_scalar(A: SparseOperator, basis: SubspaceBasis, sigma,
                 for c, v in row.items():
                     out[c] = out.get(c, 0) + x * v
         else:
-            sums: dict[int, int] = {}
-            for c, v in row.items():
-                for j, x in at.get(c, ()):
-                    sums[j] = sums.get(j, 0) + v * x
+            sums = sums_of.get(id(row))
+            if sums is None:
+                sums = sums_of[id(row)] = {}
+                for c, v in row.items():
+                    for j, x in at.get(c, ()):
+                        sums[j] = sums.get(j, 0) + v * x
             for j, total in sums.items():
                 moved[j][r] = total
     p, q = sigma.numerator * A.den, sigma.denominator

@@ -830,6 +830,42 @@ def test_f_commutes_with_every_derived_generator():
             assert mul(F, G) == mul(G, F), cfg.describe()
 
 
+def test_orbit_build_stores_each_distinct_row_once():
+    """F and E of the (3,2) row tableau on Sp_4 hold their 960 rows in 156
+    and 160 row objects, one per distinct row, with the hashes of
+    perfbench's golden file."""
+    cfg = FusionConfig(T((3, 2)), 4, 0, "alternating")
+    for A, objects, digest in ((f_operator_general(cfg), 156, "9586b22c521803ee"),
+                               (e_operator(cfg.tableau, 4), 160, "db884de27e325330")):
+        assert len(A.rows) == 960
+        assert len({id(row) for row in A.rows.values()}) == objects
+        assert len({tuple(sorted(row.items())) for row in A.rows.values()}) == objects
+        assert operator_hash(A) == digest
+
+
+def test_certify_and_verify_mutate_no_shared_row(tmp_path):
+    """F and E share row objects, so a write to one row would reach every
+    index that holds it.  The cached F and E of a config keep their hash
+    and the row object at every index through ``certify`` and through a
+    ``verify`` sweep that reaches the config."""
+    from symfusion.cli import main
+
+    cfg = FusionConfig(T((2, 2)), 4, 0, "alternating")
+    ops = (f_operator_general(cfg), e_operator(cfg.tableau, 4))
+
+    def state():
+        return [(operator_hash(A), {r: id(row) for r, row in A.rows.items()}) for A in ops]
+
+    before = state()
+    assert all(len(set(objects.values())) < len(objects) for _, objects in before)
+    assert certify(cfg).all_passed()
+    assert state() == before
+    assert main(["verify", "--form", "Sp", "--N", "4", "--max-boxes", "4",
+                 "--output", str(tmp_path / "c.json")]) == 0
+    assert state() == before
+    assert f_operator_general(cfg) is ops[0] and e_operator(cfg.tableau, 4) is ops[1]
+
+
 def test_orbit_build_rejects_a_flipped_rebuilt_column(monkeypatch):
     """A rebuilt column with the wrong sign fails the commutation check,
     whether it is a leaf of its orbit's tree or the parent of later

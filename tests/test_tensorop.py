@@ -524,6 +524,110 @@ def test_elimination_of_repeated_rows_and_columns_matches_sympy():
     assert all(type(row) is list for row in reduced)
 
 
+def _sharing(N, n, rng):
+    """Operator whose rows share dict objects, as the orbit assembly of
+    ``fusion`` stores them.  Its objects are rows of small ints, one of
+    them scaled, one an equal copy that is another object and one the sum
+    of two others; two objects are held at one row index each and the rest
+    at one to four, inserted in shuffled order."""
+    dim = N ** n
+    cols = rng.sample(range(dim), 6)
+    base = [{c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in rng.sample(cols, 3)}
+            for _ in range(3)]
+    total = {c: base[1].get(c, 0) + base[2].get(c, 0) for c in cols}
+    objects = base + [{c: -2 * v for c, v in base[0].items()}, dict(base[1]),
+                      {c: v for c, v in total.items() if v}]
+    sizes = [1, 1] + [rng.randint(1, 4) for _ in objects[2:]]
+    codes = iter(rng.sample(range(dim), sum(sizes)))
+    held = [(next(codes), row) for row, size in zip(objects, sizes) for _ in range(size)]
+    rng.shuffle(held)
+    return SparseOperator._in_normal_form(N, n, dict(held), 1)
+
+
+def _classes(A):
+    """The row indices of each row object of A, in insertion order."""
+    classes = {}
+    for r, row in A.rows.items():
+        classes.setdefault(id(row), []).append(r)
+    return list(classes.values())
+
+
+def test_shared_row_objects_are_eliminated_as_copies():
+    """Rank, image, row space and kernel of operators whose rows share
+    objects are sympy's and those of the same rows copied, one dict per
+    row.  Their classes of rows include classes of one row and classes
+    whose least row is not the first inserted; the zero operator has no
+    class."""
+    rng = random.Random(53)
+    for N, n in ((2, 4), (3, 3), (2, 5)):
+        A = _sharing(N, n, rng)
+        copied = SparseOperator(N, n, A.rows, A.den)
+        assert len(_classes(copied)) == len(A.rows) > len(_classes(A))
+        assert any(len(rs) == 1 for rs in _classes(A))
+        assert any(min(rs) != rs[0] for rs in _classes(A))
+        dim = A.dim
+        mat = [[A.entry(r, c) for c in range(dim)] for r in range(dim)]
+        assert rank(A) == rank(copied) == qq_rank(mat, dim)
+        assert image_basis(A) == image_basis(copied)
+        assert _dense(image_basis(A)) == qq_echelon([list(col) for col in zip(*mat)], dim)[1]
+        assert row_basis(A) == row_basis(copied)
+        assert _dense(row_basis(A)) == qq_echelon(mat, dim)[1]
+        assert kernel_basis(A) == kernel_basis(copied)
+        assert _dense(kernel_basis(A)) == qq_nullspace(mat, dim)
+    zero = SparseOperator._in_normal_form(2, 3, {}, 1)
+    assert rank(zero) == image_basis(zero).dim == row_basis(zero).dim == 0
+    assert kernel_basis(zero) == span_of_vectors(8, [{c: 1} for c in range(8)])
+
+
+def test_commutes_with_checks_each_row_against_its_own_image():
+    """Rows 0 and 2 share one object X.  Under the signed permutation
+    (0 1)(2 3) with s(3) = −1 their images are Y at row 1 and −Y at row 3,
+    so only the check at row 2 fails; the check at row 3 passes by its
+    sign.  commutes_with rejects the operator as the whole products do, on
+    shared and on copied rows, although it checks row 0 first with the
+    same object and sign; with Y at row 3 and s(3) = 1 all of them accept."""
+    X, Y = {0: 1}, {1: 1}
+    for image, s3, commutes in (({1: -1}, -1, False), (Y, 1, True)):
+        table = ((1, 0, 3, 2), (1, 1, 1, s3))
+        A = SparseOperator._in_normal_form(2, 2, {0: X, 1: Y, 2: X, 3: image}, 1)
+        G = SparseOperator(2, 2, {table[0][c]: {c: table[1][c]} for c in range(4)})
+        assert (mul(A, G) == mul(G, A)) is commutes
+        assert commutes_with(A, table) is commutes
+        assert commutes_with(SparseOperator(2, 2, A.rows), table) is commutes
+
+
+def _rows_shared(A):
+    """A with each set of equal rows held as one dict object."""
+    objects = {}
+    return SparseOperator._in_normal_form(
+        A.N, A.n, {r: objects.setdefault(tuple(sorted(row.items())), row)
+                   for r, row in A.rows.items()}, A.den)
+
+
+def test_acts_as_scalar_on_shared_rows_gives_the_verdicts_of_copied_rows():
+    """acts_as_scalar gives one verdict on shared rows and on the same rows
+    copied, and it is that of the whole product: on the symmetrizer of the
+    (2,1) row tableau, which acts as 3 on its image, and on operators of
+    ``_sharing``, which act as 0 on their kernels."""
+    rng = random.Random(59)
+    symmetrizer = _rows_shared(act(e_tableau(row_tableau(skew(P(2, 1)))), 3))
+    cases = [(symmetrizer, 3), (_sharing(2, 4, rng), 0), (_sharing(3, 3, rng), 0)]
+    for A, sigma in cases:
+        copied = SparseOperator(A.N, A.n, A.rows, A.den)
+        assert len(_classes(A)) < len(A.rows) == len(_classes(copied))
+        for basis in (image_basis(A), row_basis(A), kernel_basis(A),
+                      kernel_basis(_transpose(A))):
+            B = as_columns(A.N, A.n, basis.vectors)
+            for s in (sigma, sigma + 1):
+                assert (acts_as_scalar(A, basis, s) is acts_as_scalar(copied, basis, s)
+                        is (mul(A, B) == scaled(B, s)))
+                assert (acts_as_scalar(A, basis, s, on_rows=True)
+                        is acts_as_scalar(copied, basis, s, on_rows=True)
+                        is (mul(_transpose(B), A) == scaled(_transpose(B), s)))
+        assert acts_as_scalar(A, kernel_basis(A), 0)
+    assert acts_as_scalar(symmetrizer, image_basis(symmetrizer), 3)
+
+
 def test_subspace_equal_ignores_the_spanning_set():
     rng = random.Random(5)
     vecs = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
