@@ -1,7 +1,7 @@
 """Fusion symmetrizers on tensor space and their verified properties.
 
 Two constructions live here, values at ε = 0 of products of the R-matrix
-factors of ``tensorop``.  The plain symmetrizer operator E is R(t_k, t_l)
+factors of ``products``.  The plain symmetrizer operator E is R(t_k, t_l)
 over all pairs k < l on the row line t_k = c_k + r_k·ε.  Its
 two-parameter analogue F for a chosen form is R̄(t_k, t_l) over all pairs
 times R(t_k, t_l) over all pairs, on the line t_k = c_k + base + g_k·ε
@@ -40,14 +40,15 @@ from functools import lru_cache
 from . import kernels
 from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_zero,
                        normal_form)
+from .products import Affine, OrbitComparison, R, R_bar
 from .shapes import (Partition, StandardTableau, column_tableau, conjugate,
                      dim_sym_irrep, row_tableau, validate_label)
 from .symalg import inner_tableau_of, skew_tableau_of
-from .tensorop import (Affine, BilinearForm, ColumnOrbits, OrbitComparison, R, R_bar,
-                       SparseOperator, SubspaceBasis, acts_as_scalar, column_orbits,
-                       commutes_with, image_basis, kernel_within, left_multiplication, q_op,
-                       row_basis, slot_codes, span_of_vectors, standard_form,
-                       subspace_equal, traceless_basis, unit_move)
+from .tensorop import (BilinearForm, ColumnOrbits, SparseOperator, SubspaceBasis,
+                       acts_as_scalar, column_orbits, commutes_with, image_basis,
+                       kernel_within, left_multiplication, q_op, row_basis, slot_codes,
+                       span_of_vectors, standard_form, subspace_equal, traceless_basis,
+                       unit_move)
 
 
 class NotApplicable(ValueError):
@@ -670,18 +671,31 @@ class FusionCertificate:
 def operator_hash(A: SparseOperator) -> str:
     """First 16 hex digits of the sha256 of the compact JSON of
     ``A.to_triplets()``, streamed one sorted row at a time instead of built.
-    Each distinct value is formatted once per call: an operator has few."""
+    Each distinct value is formatted once per call: an operator has few.
+    Each row object (``SparseOperator.row_objects``) is formatted once, as
+    the text of its entries in column order with a NUL byte where the row
+    index goes, and each row index writes its own index there.  An
+    object's text is kept only until its last row index."""
     digest = hashlib.sha256(b"[")
-    sep = ""
+    sep = b""
     text: dict[int, str] = {}
-    for r, cols in sorted(A.rows.items()):
-        for v in cols.values():
-            if v not in text:
-                text[v] = format_rational(Fraction(v, A.den))
-        entries = ",".join(f'{{"row":{r},"col":{c},"value":"{text[cols[c]]}"}}'
-                           for c in sorted(cols))
-        digest.update(f"{sep}{entries}".encode())
-        sep = ","
+    objects = A.row_objects()
+    owner = {r: i for i, (_, indices) in enumerate(objects) for r in indices}
+    kept: dict[int, bytes] = {}  # object i -> its text
+    for r in sorted(owner):
+        i = owner[r]
+        template = kept.get(i)
+        if template is None:
+            cols = objects[i][0]
+            for v in cols.values():
+                if v not in text:
+                    text[v] = format_rational(Fraction(v, A.den))
+            template = kept[i] = ",".join(f'{{"row":\0,"col":{c},"value":"{text[cols[c]]}"}}'
+                                          for c in sorted(cols)).encode()
+        if r == objects[i][1][-1]:
+            del kept[i]
+        digest.update(sep + template.replace(b"\0", b"%d" % r))
+        sep = b","
     digest.update(b"]")
     return digest.hexdigest()[:16]
 

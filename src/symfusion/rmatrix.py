@@ -4,8 +4,8 @@ Each identity is stated once, as two ordered lists ``lhs`` and ``rhs``
 whose products must agree.  An item is a constant operator (F, E, the
 identity) or a factor (X, sign, den) standing for 1 + sign·X/den, where
 X is a unit operator (an exchange P_ij, a contraction Q_ij, or the
-identity for a scalar) and den an affine form in the spectral parameters
-(``Affine``).
+identity for a scalar) or a sum of them, and den an affine form in the
+spectral parameters (``Affine``).
 
 A check decides the identity as a polynomial identity, with no point
 evaluated.  Each side is a polynomial of integer vectors in the
@@ -18,24 +18,31 @@ coefficients are a proof, for one variable and for several alike, and a
 differing coefficient is a witness.  The check needs no sample point, no
 degree bound and no seed.
 
-The families are written in the factors of ``tensorop``: the exchange
+The families are written in the factors of ``products``: the exchange
 factor ``R``, the contraction factors ``R_tilde`` and ``R_bar``, whose
 unit operators are named, not built: ("P", i, j) is the exchange P_ij
-and ("Q", k, l) the contraction Q_kl of the check's form.
+and ("Q", k, l) the contraction Q_kl of the check's form.  A sum of them,
+such as P_sum in eval-consistency-E or P − Q in eval-consistency-F, is a
+``products.UnitSum`` of names, so no check builds an operator it can
+name.
 
-No operator product is formed.  One ``tensorop.OrbitComparison`` per
+No operator product is formed.  One ``products.OrbitComparison`` per
 check applies both sides right to left to the unit columns of the orbit
 representatives under the monomial isometries of the family's form (of
 the identity Gram when no contraction appears), every step an integer
 move on each coefficient: a factor with D = q·den integral maps p to
 d_X·D·p + sign·q·X_num·p with X = X_num/d_X.  Every operator commutes
 with those isometries, checked exactly: each named unit operator is
-built, moved and checked once per process, and each constant operator
-(E, F, a sum such as P_sum) once per check.  So agreement on the
-representatives is agreement everywhere; if one operator does not
-commute, all columns are compared.  An operator on fewer slots, such as
-E or F next to the extra strand, stands for 1 ⊗ it and is never built on
-the larger space.
+built, moved and checked once per process on its two slots, a sum of
+names takes its terms' moves and verdicts, and each constant operator
+(E, F) is checked once per check.  So agreement on the representatives
+is agreement everywhere; if one operator does not commute, all columns
+are compared.  Each move does only its operator's work: an exchange
+relabels keys, a contraction sums each entry's pairing into its base
+and inserts w once per base, and a constant operator takes each of its
+row objects once.  An operator on fewer slots, such as E or F next to
+the extra strand, stands for 1 ⊗ it and is never built on the larger
+space.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fusion import CheckResult, FusionConfig, e_operator, f_operator_general
+from .products import Affine, OrbitComparison, R, R_bar, R_tilde, UnitSum, variables
 from .shapes import Partition, StandardTableau, skew, standard_tableaux
 from .symalg import Permutation
-from .tensorop import (Affine, BilinearForm, OrbitComparison, R, R_bar, R_tilde,
-                       SparseOperator, perm_op, q_op, variables)
+from .tensorop import BilinearForm, SparseOperator, perm_op
 
 
 def _is_factor(item) -> bool:
@@ -58,20 +65,21 @@ def _is_factor(item) -> bool:
 def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
                        form: BilinearForm | None = None, N: int | None = None) -> CheckResult:
     """Decide that the ordered products of ``lhs`` and ``rhs`` are equal as
-    rational functions, by one ``tensorop.OrbitComparison``; a differing
+    rational functions, by one ``products.OrbitComparison``; a differing
     coefficient of the cleared numerators is recorded as the witness: its
     row, column, monomial (exponents per variable) and both coefficients.
 
     An item is a constant operator, or a factor tuple (X, sign, den) for
     1 + sign·X/den with X an operator and den an ``Affine``.  An operator
-    is a SparseOperator, where one on fewer slots stands for 1 ⊗ it, or a
-    unit operator's name, ("P", i, j) or ("Q", k, l).  The product acts on
-    C^N with N given, or that of the first SparseOperator, and on as many
-    slots as the largest SparseOperator has or a name mentions.  The sides
-    are compared on the orbit columns of ``form``'s monomial isometries,
-    or of the identity Gram's when ``form`` is None (for checks without a
-    contraction), so each SparseOperator's move is built and its
-    commutation checked once per check, and each name's once per process.
+    is a SparseOperator, where one on fewer slots stands for 1 ⊗ it, a
+    unit operator's name, ("P", i, j) or ("Q", k, l), or a ``UnitSum`` of
+    names.  The product acts on C^N with N given, or that of the first
+    SparseOperator, and on as many slots as the largest SparseOperator
+    has or a name or sum mentions.  The sides are compared on the orbit
+    columns of ``form``'s monomial isometries, or of the identity Gram's
+    when ``form`` is None (for checks without a contraction), so each
+    SparseOperator's move is built and its commutation checked once per
+    check, and each name's once per process.
     """
     ops = [item[0] if _is_factor(item) else item for item in lhs + rhs]
     if N is None:
@@ -86,7 +94,7 @@ def run_identity_check(name: str, statement: str, lhs: list, rhs: list,
 
 
 # ---------------------------------------------------------------------------
-# the identity families, in the factors R, R~ and R̄ of ``tensorop``
+# the identity families, in the factors R, R~ and R̄ of ``products``
 
 
 def check_yang_baxter_family(which: str, N: int, form: BilinearForm | None) -> CheckResult:
@@ -204,11 +212,9 @@ def check_eval_consistency_E(L: StandardTableau, N: int) -> CheckResult:
     """The evaluation string collapses on the symmetrizer to the one-term
     sum of exchanges with the extra strand."""
     l = L.n
-    total = l + 1
     (x,) = variables(1)
     E = e_operator(L, N)
-    P_sum = sum((perm_op(Permutation.transposition(total, 1, k + 2), N) for k in range(l)),
-                SparseOperator.zero(N, total))
+    P_sum = UnitSum(tuple((1, ("P", 1, k + 2)) for k in range(l)))
     return run_identity_check(f"eval-consistency-E/{L}", "symmetrizer-evaluation-collapse",
                               [R(1, k + 2, x, c) for k, c in enumerate(L.contents)]
                               + [E], [(P_sum, -1, x), E], N=N)
@@ -222,13 +228,11 @@ def check_eval_consistency_F(cfg: FusionConfig) -> CheckResult:
     L = cfg.tableau
     l = L.n
     N = cfg.N
-    total = l + 1
     (x,) = variables(1)
     ds = [c + cfg.base_point for c in L.contents]
     F = f_operator_general(cfg)
-    PQ_sum = sum((perm_op(Permutation.transposition(total, 1, 2 + k), N)
-                  - q_op(1, 2 + k, cfg.form, total) for k in range(l)),
-                 SparseOperator.zero(N, total))
+    PQ_sum = UnitSum(tuple(term for k in range(l)
+                           for term in ((1, ("P", 1, 2 + k)), (-1, ("Q", 1, 2 + k)))))
     plain, tilde = _image_strings(1, x, ds, 2)
     return run_identity_check(f"eval-consistency-F/{L}/{cfg.form_kind}",
                               "twisted-evaluation-collapse", tilde[::-1] + plain + [F],

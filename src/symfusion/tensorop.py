@@ -7,12 +7,12 @@ denominator (``SparseOperator``, in the ``exactnum.normal_form`` that a
 group-algebra element shares, so ``act`` reads an element's numerators
 and den directly) and subspaces hold integer echelon rows
 (``SubspaceBasis``); Fractions appear only where rationals enter or leave
-(``entry``, ``to_triplets``, ``span_of_vectors``, the scalars and
-witnesses of ``OrbitComparison``, the scalar of ``acts_as_scalar``) and in
-``BilinearForm``.  Operators add and subtract, but are never multiplied
-whole.  Operators apply as ``left_multiplication`` moves on integer
-vectors keyed row·dim + col, which hold some columns of a matrix (the
-limit engine, ``OrbitComparison``, ``kernel_within``, the theta check in
+(``entry``, ``to_triplets``, ``span_of_vectors``, the scalar of
+``acts_as_scalar``) and in ``BilinearForm``.  Operators add and
+subtract, but are never multiplied whole.  Operators apply as
+``left_multiplication`` moves on integer vectors keyed row·dim + col,
+which hold some columns of a matrix (the limit engine,
+``products.OrbitComparison``, ``kernel_within``, the theta check in
 ``fusion``).  An equation A·X = σ·X is decided on a basis instead: it
 holds exactly when A acts as σ on the image of X, and X·A = σ·X exactly
 when A acts as σ on X's row space (``acts_as_scalar`` on ``image_basis``
@@ -21,29 +21,41 @@ or ``row_basis``).
 Every code table (``perm_op``, ``act``, ``q_op``, ``code_table``, and the
 block embedding of the theta check in ``fusion``) is one slot sum,
 ``slot_codes``: slot k adds where its letter lands, a multiple of the
-slot weight N^(n-k).  So no library code decodes or encodes a code;
-``encode`` and ``decode`` stay as the tests' reference.  The identity
+slot weight N^(n-k).  So no library code decodes or encodes a code,
+but for the reference that checks each lifted unit move (``_check_lift``,
+with ``encode``); ``encode`` and ``decode`` are the tests' reference.  The identity
 checks, the F and E builds and the traceless part of image(E) name the
 exchanges P_ij and contractions Q_kl, ("P", i, j) and ("Q", k, l), as
-do the R-matrix factors ``R``, ``R_tilde`` and ``R_bar``, written once
-here.  Each name resolves through ``unit_move``, with the identity Gram as
-every exchange's form.  A unit operator acts on two slots only, so its
-kind is built and checked once per (kind, N, form), as P_12 or Q_12 on
-C^N ⊗ C^N, where the commutation verdict is exact for every n; each
-name's move on n slots is lifted from that operator's columns and cached
-by (name, N, n, form) with its den and verdict.  No unit operator on n
-slots is built, and no caller ever holds, and so cannot mutate, a cached
-operator.
+do the R-matrix factors ``R``, ``R_tilde`` and ``R_bar`` of
+``products``.  Each name resolves through ``unit_move``, with the
+identity Gram as every exchange's form.  A unit operator acts on two
+slots only, so its kind is built and checked once per (kind, N, form),
+as P_12 or Q_12 on C^N ⊗ C^N, where the commutation verdict is exact for
+every n; each name's move on n slots is lifted from that operator's
+columns, checked against them on unit columns that read every lifted
+entry, and cached by (name, N, n, form) with its den and verdict.  No
+unit operator on n slots is built, and no caller ever holds, and so
+cannot mutate, a cached operator.
+
+Each move does only its operator's work.  An exchange, or any
+permutation matrix such as ``perm_op``, relabels keys in one
+comprehension.  A contraction is rank one on its two slots, its entry
+<e_a, e_b>·w_ij, so its move sums each entry's pairing into the base code
+with those slots cleared and then inserts w once per nonzero base.  Any
+other operator takes each of its row objects once.  A move takes
+(vec, scale=1, into=None), so a caller such as ``products.OrbitComparison``
+writes b·X·p straight into an output it holds, and a sum of names
+(``products.UnitSum``) accumulates its terms' cached moves into one
+output.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, repeat, zip_longest
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from . import kernels
@@ -152,14 +164,16 @@ class SparseOperator:
 
     Entry (r, c) is ``rows[r][c] / den``.  The constructor takes rational
     entries and brings them to ``exactnum.normal_form``; no empty row is
-    kept, so the zero operator has ``rows == {}``, ``den == 1``, and
-    equality compares the stored fields.
+    kept, so the zero operator, ``SparseOperator(N, n)``, has
+    ``rows == {}`` and ``den == 1``, and equality compares the stored
+    fields.
 
     Several row indices may hold one dict object: the orbit assembly of
     ``fusion`` stores each distinct row of F and E once.  So no code
     mutates a stored row (the constructor and ``_combine`` copy what they
     are given), and a row-wise pass may do its work once per row object
-    and reuse it at every index that holds that object.
+    and reuse it at every index that holds that object, reading the
+    objects and their indices from ``row_objects``.
     """
 
     __slots__ = ("N", "n", "rows", "den", "__weakref__")
@@ -190,9 +204,18 @@ class SparseOperator:
     def identity(cls, N: int, n: int) -> "SparseOperator":
         return cls(N, n, {r: {r: 1} for r in range(N ** n)})
 
-    @classmethod
-    def zero(cls, N: int, n: int) -> "SparseOperator":
-        return cls(N, n)
+    def row_objects(self) -> list[tuple[dict[int, int], list[int]]]:
+        """(row object, the row indices that hold it, ascending) for each
+        distinct row object, ordered by its least row index: the one place
+        that groups rows by object."""
+        held: dict[int, tuple[dict[int, int], list[int]]] = {}
+        for r in sorted(self.rows):
+            row = self.rows[r]
+            group = held.get(id(row))
+            if group is None:
+                group = held[id(row)] = (row, [])
+            group[1].append(r)
+        return list(held.values())
 
     def _check(self, other: "SparseOperator"):
         if (self.N, self.n) != (other.N, other.n):
@@ -481,6 +504,16 @@ def commutes_with(A: SparseOperator, table) -> bool:
 #
 # A set of columns of a matrix on the tensor power is one integer vector
 # with keys row·dim + col, the layout the limit engine's start vector uses.
+#
+# A move applies the integer numerators X of an operator to such a vector:
+# move(vec, scale=1, into=None) adds scale·X·vec into the dict ``into``
+# and returns it, or returns a new dict of scale·X·vec when ``into`` is
+# None.  A new dict may hold zeros.  Each move does only its operator's
+# work: a permutation relabels keys (``_relabel``), a rank-one unit
+# operator pairs then inserts (``_pair_insert``), any other operator
+# takes each row object once (``_object_move``), and the lift of any
+# other two-slot operator moves every entry along each of its
+# (shift, weight) pairs (``_move``).
 
 
 def left_multiplication(op: SparseOperator, dim: int | None = None):
@@ -492,32 +525,136 @@ def left_multiplication(op: SparseOperator, dim: int | None = None):
     1^{⊗m} ⊗ op, which moves row a·op.dim + k to a·op.dim + r for every
     a, so the lifted operator is never built.
 
-    Each code's (shift, weight) pairs are one tuple, and codes with equal
-    pairs share one tuple object, so the move holds a few tuples and one
-    list slot per code.
+    A permutation matrix (``_permutation``), such as ``perm_op`` or the
+    identity, relabels keys by one shift per code.  Any other operator
+    sums each entry into its row objects and writes each sum once at every
+    row index that holds the object (``_object_move``), so rows that share
+    an object (``SparseOperator``) share the work.  Codes with equal
+    shifts or (shift, weight) pairs share one object, so the move holds a
+    few objects and one list slot per code.
     """
     dim = dim or op.dim
-    lists: dict[int, list[tuple[int, int]]] = {}
+    targets = _permutation(op)
+    if targets is None:
+        return _object_move(op, dim)
+    patterns: dict[int, int] = {}
+    shifts = [patterns.setdefault(s, s) for s in ((t - k) * dim for k, t in enumerate(targets))]
+    return _relabel(shifts * (dim // op.dim), dim)
+
+
+def _permutation(op: SparseOperator) -> list[int] | None:
+    """The row of each column's entry when op is a permutation matrix, every
+    column holding one entry 1 in a row of its own; else None."""
+    if op.den != 1 or len(op.rows) != op.dim:
+        return None
+    targets: list[int | None] = [None] * op.dim
     for r, row in op.rows.items():
-        for k, v in row.items():
-            lists.setdefault(k, []).append(((r - k) * dim, v))
-    patterns: dict[tuple, tuple] = {}
-    shifts = [patterns.setdefault(t, t) for t in (tuple(lists.get(k, ())) for k in range(op.dim))]
-    return _move(shifts * (dim // op.dim), dim)
+        if len(row) != 1:
+            return None
+        ((c, v),) = row.items()
+        if v != 1 or targets[c] is not None:
+            return None
+        targets[c] = r
+    return targets
 
 
 def _move(shifts: list[tuple], dim: int):
     """The move that sends entry key = row·dim + col, for each pair
-    (shift, weight) of shifts[row], to key + shift with that weight; it
-    returns a new dict, which may hold zeros."""
-    def move(vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
+    (shift, weight) of shifts[row], to key + shift with that weight."""
+    def move(vec: dict[int, int], scale: int = 1, into: dict | None = None) -> dict[int, int]:
+        out: dict[int, int] = {} if into is None else into
         get = out.get
         for key, x in vec.items():
+            x *= scale
             for shift, w in shifts[key // dim]:
                 nk = key + shift
                 out[nk] = get(nk, 0) + w * x
         return out
+    return move
+
+
+def _object_move(op: SparseOperator, dim: int):
+    """The move of op's rows, each row object taken once: entry key =
+    k·dim + c adds op[r][k]·x to one sum per row object and base, the key
+    of row 0 of k's block a·op.dim at column c, and each nonzero sum is
+    written at base + r·dim for every row index r that holds the object.
+    A sum is keyed i·dim² + base for the object's index i."""
+    sub, span = op.dim, dim * dim
+    offsets: list[list[int]] = []  # per object, r·dim for each row index r holding it
+    lists: dict[int, list[tuple[int, int]]] = {}
+    for i, (row, indices) in enumerate(op.row_objects()):
+        offsets.append([r * dim for r in indices])
+        for k, v in row.items():
+            lists.setdefault(k, []).append((i * span, v))
+    patterns: dict[tuple, tuple] = {}
+    table = [patterns.setdefault(t, t) for t in (tuple(lists.get(k, ())) for k in range(sub))]
+    table *= dim // sub
+
+    def move(vec: dict[int, int], scale: int = 1, into: dict | None = None) -> dict[int, int]:
+        sums: dict[int, int] = {}
+        get = sums.get
+        for key, x in vec.items():
+            k = key // dim
+            base = key - k % sub * dim
+            for shift, v in table[k]:
+                s = shift + base
+                sums[s] = get(s, 0) + v * x
+        out: dict[int, int] = {} if into is None else into
+        get = out.get
+        for s, total in sums.items():
+            if total:
+                i, base = divmod(s, span)
+                total *= scale
+                for off in offsets[i]:
+                    nk = base + off
+                    out[nk] = get(nk, 0) + total
+        return out
+    return move
+
+
+def _relabel(shifts: list[int], dim: int):
+    """The move of a permutation matrix: entry key = row·dim + col goes to
+    key + shifts[row] with weight 1.  The new keys are distinct, so a new
+    dict is one comprehension."""
+    def move(vec: dict[int, int], scale: int = 1, into: dict | None = None) -> dict[int, int]:
+        if into is None:
+            if scale == 1:
+                return {key + shifts[key // dim]: x for key, x in vec.items()}
+            return {key + shifts[key // dim]: scale * x for key, x in vec.items()}
+        get = into.get
+        for key, x in vec.items():
+            nk = key + shifts[key // dim]
+            into[nk] = get(nk, 0) + scale * x
+        return into
+    return move
+
+
+def _pair_insert(pairing: list, inserts: list[tuple[int, int]], dim: int):
+    """The move of a rank-one operator u·vᵀ that keeps the slots outside
+    its own: pairing[row] is (shift, v_row) or None where v is 0, and
+    key + shift is the key's base, its two slots cleared; inserts holds
+    (offset, u_i) for the nonzero u_i.  Each entry's pairing is summed into
+    its base, and u is inserted once at every nonzero base."""
+    def move(vec: dict[int, int], scale: int = 1, into: dict | None = None) -> dict[int, int]:
+        sums: dict[int, int] = {}
+        get = sums.get
+        for key, x in vec.items():
+            p = pairing[key // dim]
+            if p is not None:
+                shift, w = p
+                base = key + shift
+                sums[base] = get(base, 0) + w * x
+        if scale != 1:
+            sums = {base: s * scale for base, s in sums.items()}
+        if into is None:
+            return {base + off: u * s for base, s in sums.items() if s for off, u in inserts}
+        get = into.get
+        for base, s in sums.items():
+            if s:
+                for off, u in inserts:
+                    nk = base + off
+                    into[nk] = get(nk, 0) + u * s
+        return into
     return move
 
 
@@ -542,67 +679,6 @@ def unit_operator(name: tuple, N: int, n: int, form: BilinearForm) -> SparseOper
     return q_op(k, l, form, n)
 
 
-class Affine:
-    """The affine form const + Σ_i coeffs[i]·x_(i+1) in the spectral
-    parameters, with rational coefficients.  Forms add and subtract with
-    each other and with ints and Fractions."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0, coeffs=()):
-        self.const = Fraction(const)
-        self.coeffs = tuple(map(Fraction, coeffs))
-
-    def _combine(self, other, sign: int) -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.const + sign * other, self.coeffs)
-        if isinstance(other, Affine):
-            return Affine(self.const + sign * other.const,
-                          [a + sign * b for a, b in
-                           zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
-        return NotImplemented
-
-    def __add__(self, other) -> "Affine":
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Affine":
-        return self._combine(other, -1)
-
-    def __rsub__(self, other) -> "Affine":
-        return (-self)._combine(other, 1)
-
-    def __neg__(self) -> "Affine":
-        return Affine(-self.const, [-a for a in self.coeffs])
-
-
-def variables(k: int) -> tuple[Affine, ...]:
-    """The coordinate forms x_1..x_k."""
-    return tuple(Affine(0, [0] * i + [1]) for i in range(k))
-
-
-# The R-matrix factors on slots i and j, as the items (name, sign, den) for
-# 1 + sign·X/den that ``OrbitComparison`` reads; x, y and den are ``Affine``
-# forms or rationals.
-
-
-def R(i: int, j: int, x, y) -> tuple:
-    """The exchange factor R_ij(x, y) = 1 − P_ij/(x − y)."""
-    return ("P", i, j), -1, x - y
-
-
-def R_tilde(i: int, j: int, x, y) -> tuple:
-    """The contraction factor R~_ij(x, y) = 1 + Q_ij/(x + y)."""
-    return ("Q", i, j), 1, x + y
-
-
-def R_bar(i: int, j: int, x, y, shift) -> tuple:
-    """The contraction factor R̄_ij(x, y) = 1 − Q_ij/(x + y + shift), with
-    shift N + M in F's product."""
-    return ("Q", i, j), -1, x + y + shift
-
-
 def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     """(move, den, commutes) of a named unit operator X on n slots: its
     ``left_multiplication`` move, its den, and whether it commutes exactly
@@ -613,7 +689,10 @@ def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     operator of its kind on C^N ⊗ C^N (P_12, or Q_12 of ``form``; P_lk = P_kl
     and Q_lk = Q_kl).  So X₂ is built and checked once per kind, N and
     form (``_pair_entry``), and each name's move is lifted from X₂'s
-    columns.  The verdict is exact: [X, g^{⊗n}] = [X₂, g^{⊗2}] ⊗ g^{⊗(n−2)}
+    columns and checked against them (``_check_lift``).  An exchange
+    relabels keys, and a contraction, rank one on its slots, pairs each
+    entry into its base and then inserts w once per base.  The verdict is
+    exact: [X, g^{⊗n}] = [X₂, g^{⊗2}] ⊗ g^{⊗(n−2)}
     on the slots, which is zero exactly when [X₂, g^{⊗2}] is.  No operator
     on n slots is built, and none is reachable, so none can be mutated.
     An exchange is keyed and checked on the identity Gram for every form:
@@ -625,36 +704,127 @@ def unit_move(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     return _unit_entry(name, N, n, form)
 
 
+def _rank_one(X: SparseOperator) -> tuple[dict[int, int], dict[int, int]] | None:
+    """(pairing, inserts), integer vectors v over the columns and u over
+    the rows with X.rows[r][c] = u_r·v_c for every entry, when X's
+    numerators have rank one; else None.  v is the first row divided by
+    its content, so every row is an integer multiple of it."""
+    if not X.rows:
+        return None
+    first = next(iter(X.rows.values()))
+    g = math.gcd(*first.values())
+    pairing = {c: v // g for c, v in first.items()}
+    c0, v0 = next(iter(pairing.items()))
+    inserts = {}
+    for r, row in X.rows.items():
+        u, rest = divmod(row.get(c0, 0), v0)
+        if rest or len(row) != len(pairing) or any(row.get(c) != u * v
+                                                   for c, v in pairing.items()):
+            return None
+        inserts[r] = u
+    return pairing, inserts
+
+
 @lru_cache(maxsize=16)
 def _pair_entry(kind: str, N: int, form: BilinearForm) -> tuple:
-    """(columns, den, commutes) of X₂ = ``unit_operator((kind, 1, 2), N, 2,
-    form)``: columns[a·N + b] holds X₂'s entries in that column as
-    (a' − a, b' − b, weight) for each row a'·N + b', and commutes is X₂'s
-    exact verdict against every generator of ``column_orbits(form, 2)``."""
+    """(table, columns, den, commutes) of X₂ = ``unit_operator((kind, 1, 2),
+    N, 2, form)``, with commutes X₂'s exact verdict against every generator
+    of ``column_orbits(form, 2)``, columns[a·N + b] the entries of X₂'s
+    column a·N + b as (a' − a, b' − b, weight) for row a'·N + b', and table
+    the one move table that X₂'s shape needs:
+
+    - ("relabel", offsets) for a permutation matrix, such as P_12:
+      offsets[a·N + b] = (a' − a, b' − b) for its entry in row a'·N + b';
+    - ("pair", pairing, inserts) for rank one, such as Q_12, whose entry
+      is <e_a, e_b>·w_ij: pairing[a·N + b] is the column's weight and
+      inserts lists (i, j, weight) for each nonzero row i·N + j
+      (``_rank_one``);
+    - ("general",) otherwise, moved along ``columns``."""
     X = unit_operator((kind, 1, 2), N, 2, form)
+    commutes = all(commutes_with(X, t) for t in column_orbits(form, 2).tables)
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(N * N)]
     for r, row in X.rows.items():
         for c, v in row.items():
             columns[c].append((r // N - c // N, r % N - c % N, v))
-    return (tuple(map(tuple, columns)), X.den,
-            all(commutes_with(X, t) for t in column_orbits(form, 2).tables))
+    targets = _permutation(X)
+    if targets is not None:
+        table = ("relabel", tuple((t // N - c // N, t % N - c % N) for c, t in enumerate(targets)))
+    elif (factors := _rank_one(X)) is not None:
+        pairing, inserts = factors
+        table = ("pair", tuple(pairing.get(c, 0) for c in range(N * N)),
+                 tuple((r // N, r % N, u) for r, u in inserts.items()))
+    else:
+        table = ("general",)
+    return table, tuple(map(tuple, columns)), X.den, commutes
 
 
 @lru_cache(maxsize=256)
 def _unit_entry(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
-    """unit_move's cached entry: the move of ``_pair_entry`` lifted to
-    slots k < l.  A code's letters a, b in those slots pick X₂'s column
-    a·N + b (one ``slot_codes`` index), and a row offset (a' − a, b' − b)
-    there moves the code by (a' − a)·N^(n−k) + (b' − b)·N^(n−l)."""
+    """unit_move's cached entry: the move of ``_pair_entry``'s table lifted
+    from X₂'s columns to slots k < l.  A code's letters a, b in those
+    slots pick X₂'s column a·N + b (one ``slot_codes`` index), and a row
+    offset (a' − a, b' − b) there moves the code by
+    (a' − a)·N^(n−k) + (b' − b)·N^(n−l).  So an exchange keeps one shift
+    per code, a contraction one pairing (shift to the code's base, weight)
+    per code and one insert list of N^2 offsets at most, and any other
+    operator one tuple of (shift, weight) per code; codes share the
+    lifted objects of their column.  The lifted move is checked against
+    X₂'s columns before it is kept (``_check_lift``)."""
     kind, k, l = name
     k, l = min(k, l), max(k, l)
-    columns, den, commutes = _pair_entry(kind, N, form)
+    (how, *table), columns, den, commutes = _pair_entry(kind, N, form)
     dim = N ** n
     wk, wl = N ** (n - k) * dim, N ** (n - l) * dim
-    lifted = [tuple((da * wk + db * wl, v) for da, db, v in col) for col in columns]
-    pair = slot_codes([[d * N for d in range(N)] if s == k else range(N) if s == l
+    pair = _column_index(N, n, k, l)
+    if how == "relabel":
+        lifted = [da * wk + db * wl for da, db in table[0]]
+        move = _relabel([lifted[c] for c in pair], dim)
+    elif how == "pair":
+        pairing, inserts = table
+        lifted = [(-(c // N * wk + c % N * wl), v) if v else None for c, v in enumerate(pairing)]
+        move = _pair_insert([lifted[c] for c in pair],
+                            [(i * wk + j * wl, u) for i, j, u in inserts], dim)
+    else:
+        lifted = [tuple((da * wk + db * wl, v) for da, db, v in col) for col in columns]
+        move = _move([lifted[c] for c in pair], dim)
+    _check_lift(move, columns, k, l, N, n)
+    return move, den, commutes
+
+
+def _column_index(N: int, n: int, k: int, l: int) -> list[int]:
+    """a·N + b for each code on n slots, with a and b its letters on slots
+    k and l: the column of X₂ that the code's lifted entry comes from."""
+    return slot_codes([[d * N for d in range(N)] if s == k else range(N) if s == l
                        else [0] * N for s in range(1, n + 1)])
-    return _move([lifted[c] for c in pair], dim), den, commutes
+
+
+def _check_lift(move, columns, k: int, l: int, N: int, n: int):
+    """Raise ArithmeticError unless ``move`` is X₂ on slots k < l and the
+    identity elsewhere at the unit columns of the codes that hold a letter
+    pair on those slots and one letter on every other slot (N^3 codes,
+    N^2 at n = 2).  The
+    move at a code is its column's lifted entry, picked by the code's
+    ``_column_index``, so these codes read every lifted entry, each on N
+    backgrounds, which an index that mixes in another slot's letter
+    misplaces.  The reference writes each code's letters, places X₂'s
+    column there (``columns``, read off X₂'s rows) and encodes the
+    result, so it shares no table, shift or index with the move.  Each
+    code is moved and compared alone, so the check holds a few small
+    dicts at a time."""
+    dim = N ** n
+    backgrounds = range(1, N + 1) if n > 2 else (1,)
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            for e in backgrounds:
+                letters = [a if s == k else b if s == l else e for s in range(1, n + 1)]
+                c = encode(letters, N)
+                want = {}
+                for da, db, v in columns[(a - 1) * N + b - 1]:
+                    letters[k - 1], letters[l - 1] = a + da, b + db
+                    want[encode(letters, N) * dim + c] = v
+                if {key: x for key, x in move({c * dim + c: 1}).items() if x} != want:
+                    raise ArithmeticError(f"the move lifted to slots {k}, {l} of C^{N}^⊗{n} "
+                                          f"is not its two-slot operator at column {c}")
 
 
 def _clear_units(caches=(_unit_entry, _pair_entry)):
@@ -667,189 +837,6 @@ def _clear_units(caches=(_unit_entry, _pair_entry)):
 # the caches themselves while a test wraps either function
 unit_move.cache_info = _unit_entry.cache_info
 unit_move.cache_clear = _clear_units
-
-
-def _is_name(item) -> bool:
-    """Whether a product item names a unit operator, as ("P", 1, 2) does."""
-    return isinstance(item, tuple) and isinstance(item[0], str)
-
-
-def _cleared(den) -> tuple:
-    """(q, D, u, P) for a factor's den, an ``Affine`` form or a rational: q > 0
-    the least integer that clears its denominators, D = q·den as the integers
-    (const, c_1, ..., c_k) with no trailing zero coefficient, and D = u·P with
-    P primitive, its first nonzero variable coefficient positive, so that
-    x − y, y − x and 2x − 2y share one P (None for a constant D, u = D).  A
-    den that is identically zero, the constant 0 included, raises ValueError."""
-    values = (den.const, *den.coeffs) if isinstance(den, Affine) else (Fraction(den),)
-    q = math.lcm(*(v.denominator for v in values))
-    D = [v.numerator * (q // v.denominator) for v in values]
-    while len(D) > 1 and not D[-1]:
-        D.pop()
-    if not any(D):
-        raise ValueError("a factor's den is identically zero")
-    if len(D) == 1:
-        return q, tuple(D), D[0], None
-    u = math.gcd(*D) * (1 if next(c for c in D[1:] if c) > 0 else -1)
-    return q, tuple(D), u, tuple(c // u for c in D)
-
-
-def _times(poly: dict, form, move=None, b: int = 0) -> dict:
-    """form·p + b·move(p) for the polynomial p = ``poly`` of integer
-    vectors, {monomial: vector} with a monomial its exponents per variable,
-    and the integer affine form (c_0, c_1, ..., c_k): each coefficient p_m
-    adds c_0·p_m at m and c_i·p_m at m·x_i, and is moved once."""
-    out: dict[tuple, dict] = {}
-
-    def add(m, vec, c):
-        acc = out.get(m)
-        if acc is None:
-            out[m] = {key: c * x for key, x in vec.items()}
-        else:
-            for key, x in vec.items():
-                acc[key] = acc.get(key, 0) + c * x
-
-    for m, vec in poly.items():
-        if form[0]:
-            add(m, vec, form[0])
-        for i, c in enumerate(form[1:]):
-            if c:
-                add(m[:i] + (m[i] + 1,) + m[i + 1:], vec, c)
-        if b:
-            add(m, move(vec), b)
-    return {m: vec for m, acc in out.items() if (vec := {key: x for key, x in acc.items() if x})}
-
-
-# Orbit columns are compared in blocks of this many representatives.  On the
-# Sp_4 4-box verify sweep (2 vCPUs, Python 3.11.7), one block of all columns
-# holds every coefficient vector of reflection/n2 (two variables, degree 10)
-# at once and peaks at 26.6 MB RSS; blocks of 8 peak at 25.0 MB, and blocks
-# of one column made the sweep's intertwiner suite up to 2x slower.
-_BLOCK = 8
-
-
-class OrbitComparison:
-    """Exact comparison of ordered operator products on the tensor power
-    of C^N with n slots, on one unit column per orbit, as polynomial
-    identities in the spectral parameters.
-
-    A side is a list of items, applied right to left: a constant operator,
-    a rational scalar, or a factor (X, sign, den) for 1 + sign·X/den with X
-    an operator and den an ``Affine`` form or a nonzero rational.  An
-    operator is a SparseOperator (one on fewer slots stands for 1 ⊗ it,
-    acting on the last slots) or the name of a unit operator on all n
-    slots, ("P", i, j) or ("Q", k, l) as ``unit_operator`` reads it, with
-    Q_kl of ``form``.  One move is built per SparseOperator, and one per
-    name and process (``unit_move``).
-
-    A side's columns are one polynomial of integer vectors, {monomial:
-    vector}, over a den that is an int times a multiset of primitive
-    integer forms (``_cleared``).  A constant C maps each coefficient
-    p ↦ C.rows·p and multiplies the int by C.den.  A factor, with
-    D = q·den integral and d_X = X.den, maps
-    p ↦ d_X·D·p + sign·q·X.rows·p (``_times``) and multiplies the den by
-    d_X·D.  Forms that both sides' dens share cancel; each side's
-    numerator is then multiplied by the other side's remaining forms, and
-    the coefficients are compared cross-multiplied by the two ints.  Equal
-    cleared numerators in the polynomial ring mean equal rational
-    functions, so a verdict is a proof, with no point evaluated.  A check
-    with constant dens only is the same step at degree 0.
-
-    The generators are the monomial isometries of ``form``, or of the
-    identity Gram when ``form`` is None, and each operator is checked
-    exactly to commute with their tensor powers: a SparseOperator once per
-    comparison, a name once per process, its verdict kept with its move.
-    Then both sides commute with them at every value of the parameters,
-    column π_g(c) of each side is s_g(c)·g^{⊗n}·(column c), and the sides
-    agree exactly when they agree on the orbit representatives.  Once an
-    operator fails that check, every column is compared instead.  The
-    columns go through in blocks of ``_BLOCK``.
-    """
-
-    def __init__(self, N: int, n: int, form: BilinearForm | None = None):
-        self.N, self.n, self.dim = N, n, N ** n
-        self.form = form if form is not None else standard_form("symmetric", N)
-        if self.form.N != N:
-            raise AmbientMismatch(f"a form on C^{self.form.N} in a product on C^{N}")
-        self.columns = column_orbits(self.form, n).representatives
-        # name or id(op) -> (move, den, op), the op kept so that its id stays its own
-        self._moves: dict = {}
-
-    def _move(self, op) -> tuple:
-        """(move, den) of an operator or a name."""
-        key = op if _is_name(op) else id(op)
-        entry = self._moves.get(key)
-        if entry is None:
-            if _is_name(op):
-                move, den, commutes = unit_move(op, self.N, self.n, self.form)
-            else:
-                if op.N != self.N or op.n > self.n:
-                    raise AmbientMismatch(f"operator on {(op.N, op.n)} in a product on "
-                                          f"{(self.N, self.n)}")
-                move, den = left_multiplication(op, self.dim), op.den
-                commutes = all(commutes_with(op, t)
-                               for t in column_orbits(self.form, op.n).tables)
-            if not commutes:
-                self.columns = range(self.dim)
-            entry = self._moves[key] = (move, den, op)
-        return entry[:2]
-
-    def _apply(self, side: list, start: dict[int, int], k: int) -> tuple[dict, int, Counter]:
-        """(numerator, int, forms): the side's product on ``start`` as a
-        polynomial in k variables over int·Π forms."""
-        poly, const, forms = {(0,) * k: start}, 1, Counter()
-        for item in reversed(side):
-            if isinstance(item, SparseOperator) or _is_name(item):
-                move, d = self._move(item)
-                poly = {m: move(vec) for m, vec in poly.items()}
-                const *= d
-            elif isinstance(item, tuple):
-                X, sign, den = item
-                move, d = self._move(X)
-                q, D, u, P = _cleared(den)
-                poly = _times(poly, [d * c for c in D], move, sign * q)
-                const *= d * u
-                if P is not None:
-                    forms[P] += 1
-            else:
-                c = Fraction(item)
-                poly = {m: {key: c.numerator * x for key, x in vec.items()}
-                        for m, vec in poly.items()}
-                const *= c.denominator
-        return poly, const, forms
-
-    def difference(self, lhs: list, rhs: list):
-        """None when the products of ``lhs`` and ``rhs`` are equal, else
-        (row, col, monomial, lhs coefficient, rhs coefficient) at their
-        least differing (entry, monomial) among the compared columns, each
-        coefficient over its own side's int.  With no variable the monomial
-        is () and the coefficients are the entries."""
-        k = 0
-        for item in lhs + rhs:  # every commutation check runs before any column is picked
-            if isinstance(item, SparseOperator) or _is_name(item):
-                self._move(item)
-            elif isinstance(item, tuple):
-                self._move(item[0])
-                k = max(k, len(_cleared(item[2])[1]) - 1)
-        dim, columns = self.dim, self.columns
-        least = None
-        for i in range(0, len(columns), _BLOCK):
-            start = {c * dim + c: 1 for c in columns[i:i + _BLOCK]}
-            (a, ca, fa), (b, cb, fb) = self._apply(lhs, start, k), self._apply(rhs, start, k)
-            for P in (fb - fa).elements():
-                a = _times(a, P)
-            for P in (fa - fb).elements():
-                b = _times(b, P)
-            for m in a.keys() | b.keys():
-                am, bm = a.get(m, {}), b.get(m, {})
-                for key in am.keys() | bm.keys():
-                    x, y = am.get(key, 0), bm.get(key, 0)
-                    if x * cb != y * ca and (least is None or (key, m) < least[:2]):
-                        least = (key, m, Fraction(x, ca), Fraction(y, cb))
-        if least is None:
-            return None
-        key, m, x, y = least
-        return (*divmod(key, dim), m, x, y)
 
 
 @dataclass(frozen=True)
@@ -872,8 +859,8 @@ class SubspaceBasis:
 
 def _blocks(rows):
     """Connected blocks of sparse int rows {col: value}: two rows share a
-    block when they share a column.  Each row object is taken once, as
-    rows may share objects (``SparseOperator``); the rows are grouped by
+    block when they share a column.  An operator's callers pass each row
+    object once (``SparseOperator.row_objects``).  The rows are grouped by
     their column support, as the tuple of their keys, and one union-find
     pass runs over the distinct supports.  Two rows on one support that
     list it in different orders fall in two groups, which the union-find
@@ -882,8 +869,9 @@ def _blocks(rows):
     columns, as tuples); empty rows are skipped, and a row that repeats
     another is yielded once, since it changes no span, kernel or rank."""
     supports: dict[tuple[int, ...], list[dict[int, int]]] = {}
-    for row in {id(row): row for row in rows if row}.values():
-        supports.setdefault(tuple(row), []).append(row)
+    for row in rows:
+        if row:
+            supports.setdefault(tuple(row), []).append(row)
     parent: dict[int, int] = {}  # column -> parent column; roots map to themselves
 
     def find(c: int) -> int:
@@ -964,32 +952,28 @@ def image_basis(A: SparseOperator) -> SubspaceBasis:
     nonzero class, so it keeps pivots too.  So the class matrix's canonical
     basis, each vector expanded over its classes, is image(A)'s canonical
     basis, byte for byte."""
-    classes: dict[int, list[int]] = {}  # id(row object) -> its row indices, ascending
-    objects: list[dict[int, int]] = []
-    for r in sorted(A.rows):
-        row = A.rows[r]
-        members = classes.get(id(row))
-        if members is None:
-            members = classes[id(row)] = []
-            objects.append(row)
-        members.append(r)
+    classes = A.row_objects()
     columns: dict[int, dict[int, int]] = {}
-    for k, row in enumerate(objects):
+    for k, (row, _) in enumerate(classes):
         for c, v in row.items():
             columns.setdefault(c, {})[k] = v
-    reduced = _span(len(objects), columns.values())
-    members = list(classes.values())
+    reduced = _span(len(classes), columns.values())
+    members = [indices for _, indices in classes]
     return SubspaceBasis(A.dim, tuple(tuple(sorted((r, v) for k, v in vec for r in members[k]))
                                       for vec in reduced.vectors))
 
 
+def _distinct_rows(A: SparseOperator) -> list[dict[int, int]]:
+    return [row for row, _ in A.row_objects()]
+
+
 def row_basis(A: SparseOperator) -> SubspaceBasis:
     """Row space of the numerators."""
-    return _span(A.dim, A.rows.values())
+    return _span(A.dim, _distinct_rows(A))
 
 
 def kernel_basis(A: SparseOperator) -> SubspaceBasis:
-    return _span(A.dim, _null_space(A.rows.values(), A.dim))
+    return _span(A.dim, _null_space(_distinct_rows(A), A.dim))
 
 
 def rank(A: SparseOperator) -> int:
@@ -1003,7 +987,7 @@ def rank(A: SparseOperator) -> int:
     numerators.  The common denominator does not change the rank.
     """
     total = 0
-    for _, dense in _blocks(A.rows.values()):
+    for _, dense in _blocks(_distinct_rows(A)):
         columns = list(dict.fromkeys(zip(*dense)))
         total += len(kernels.echelon(columns, len(dense))[0])
     return total
@@ -1028,22 +1012,22 @@ def acts_as_scalar(A: SparseOperator, basis: SubspaceBasis, sigma,
         for code, x in vec:
             at.setdefault(code, []).append((j, x))
     moved: list[dict[int, int]] = [{} for _ in basis.vectors]
-    sums_of: dict[int, dict[int, int]] = {}  # id(row object) -> {j: (A·b_j) there}
-    for r, row in A.rows.items():
-        if on_rows:
+    if on_rows:
+        for r, row in A.rows.items():
             for j, x in at.get(r, ()):
                 out = moved[j]
                 for c, v in row.items():
                     out[c] = out.get(c, 0) + x * v
-        else:
-            sums = sums_of.get(id(row))
-            if sums is None:
-                sums = sums_of[id(row)] = {}
-                for c, v in row.items():
-                    for j, x in at.get(c, ()):
-                        sums[j] = sums.get(j, 0) + v * x
+    else:
+        for row, indices in A.row_objects():
+            sums: dict[int, int] = {}  # j -> (A·b_j) at the object's rows
+            for c, v in row.items():
+                for j, x in at.get(c, ()):
+                    sums[j] = sums.get(j, 0) + v * x
             for j, total in sums.items():
-                moved[j][r] = total
+                out = moved[j]
+                for r in indices:
+                    out[r] = total
     p, q = sigma.numerator * A.den, sigma.denominator
     for out, vec in zip(moved, basis.vectors):
         want = {code: p * x for code, x in vec}

@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from symfusion.exactnum import value_at_zero
-from symfusion.tensorop import Affine, AmbientMismatch, SparseOperator
+from symfusion.products import Affine
+from symfusion.tensorop import AmbientMismatch, SparseOperator
 
 
 class SampleAtPole(ValueError):
@@ -40,6 +41,21 @@ def mul(A: SparseOperator, B: SparseOperator) -> SparseOperator:
             for c, bv in B.rows.get(k, {}).items():
                 acc[c] = acc.get(c, 0) + av * bv
     return SparseOperator(A.N, A.n, rows, A.den * B.den)
+
+
+def applied(A: SparseOperator, vec: dict, dim: int) -> dict:
+    """1^{⊗m} ⊗ A.rows applied to a vector keyed row·dim + col, entry by
+    entry over A's stored rows, zeros dropped: the reference for the moves
+    of ``tensorop``."""
+    out: dict = {}
+    for key, x in vec.items():
+        k, c = divmod(key, dim)
+        a, low = divmod(k, A.dim)
+        for r, row in A.rows.items():
+            if low in row:
+                nk = (a * A.dim + r) * dim + c
+                out[nk] = out.get(nk, 0) + row[low] * x
+    return {k: x for k, x in out.items() if x}
 
 
 def scaled(X: SparseOperator, c) -> SparseOperator:

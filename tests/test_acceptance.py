@@ -14,6 +14,7 @@ from symfusion.fusion import (FusionConfig, NotApplicable, _closed_factors,
                               scaled_idempotency_constant, verify_corollary32,
                               verify_prop33, verify_scaled_idempotent,
                               verify_theta_factorization)
+from symfusion.products import OrbitComparison
 from symfusion.rmatrix import (check_intertwiner_E, check_intertwiner_F,
                                check_image_coincidence, check_lemma44,
                                check_reflection_image, check_rtt,
@@ -22,7 +23,7 @@ from symfusion.shapes import (Partition, count_semistandard, partitions_of,
                               skew, standard_tableaux, validate_label)
 from symfusion.symalg import (e_skew_extract, e_tableau, extend_tableau,
                               fusion_e_skew)
-from symfusion.tensorop import BilinearForm, OrbitComparison, rank
+from symfusion.tensorop import BilinearForm, rank
 
 
 GROUP_OF = {"symmetric": "O", "alternating": "Sp"}

@@ -294,7 +294,7 @@ def test_verify_takes_each_image_basis_once(tmp_path, monkeypatch):
         assert ref() is fusion.f_operator_general(cfg)
     cfg, (_, basis) = next(iter(fusion._F_IMAGES.items()))
     F = fusion.f_operator_general(cfg)
-    bad = SparseOperator.zero(F.N, F.n)
+    bad = SparseOperator(F.N, F.n)
     assert fusion.f_image_basis(cfg, bad) == image_basis(bad) != basis
     configs = list(fusion._F_IMAGES)
     monkeypatch.setattr(fusion, "_F_IMAGES", {})

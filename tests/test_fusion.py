@@ -20,9 +20,9 @@ from symfusion.fusion import (ConfigError, FusionConfig, NotApplicable,
 from symfusion.shapes import (Partition, column_tableau, conjugate, count_semistandard,
                               partitions_of, row_tableau, skew, standard_tableaux)
 from symfusion.symalg import Permutation, fusion_e_skew
-from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator, act,
-                                column_orbits, decode, encode, image_basis, perm_op, q_op,
-                                rank, standard_form)
+from symfusion.products import OrbitComparison
+from symfusion.tensorop import (BilinearForm, SparseOperator, act, column_orbits, decode,
+                                encode, image_basis, perm_op, q_op, rank, standard_form)
 
 
 def P(*parts):
@@ -405,7 +405,7 @@ def _wrong_right_division(F, form):
     lambda F: scaled(F, 2),
     lambda F: _wrong_right_division(F, None),
     # 0 passes every operator equation: only the image equality rejects it
-    lambda F: SparseOperator.zero(F.N, F.n),
+    lambda F: SparseOperator(F.N, F.n),
 ], ids=["entry_shift", "doubled", "wrong_right_division", "zero"])
 def test_prop33_rejects_a_perturbed_operator(monkeypatch, perturb):
     from symfusion import fusion
@@ -668,7 +668,7 @@ def test_operator_hash_stability():
     E = e_operator(T((2,)), 2)
     assert operator_hash(E) == operator_hash(I2() + P12_2)
     assert operator_hash(E) != operator_hash(I2())
-    assert operator_hash(SparseOperator.zero(2, 2)) == hashlib.sha256(b"[]").hexdigest()[:16]
+    assert operator_hash(SparseOperator(2, 2)) == hashlib.sha256(b"[]").hexdigest()[:16]
 
 
 def test_operator_hash_is_the_sha256_of_the_triplets():
@@ -676,7 +676,12 @@ def test_operator_hash_is_the_sha256_of_the_triplets():
     must stay the same bytes."""
     handmade = SparseOperator(2, 2, {0: {0: Fraction(-3, 4), 3: 2}, 2: {1: Fraction(5, 6)}})
     F = f_operator_general(FusionConfig(T((2,)), 3, 0, "symmetric"))  # I + P - 2Q/3
-    for A in (handmade, F):
+    # rows that share one object, as the orbit assembly stores them, are
+    # formatted once and joined behind each index's own prefix
+    built = SparseOperator(2, 4, {0: {0: Fraction(-3, 4), 3: 2, 10: Fraction(1, 12)}, 2: {7: 5}})
+    shared = SparseOperator._in_normal_form(
+        2, 4, {r: built.rows[0 if r in (0, 5, 11) else 2] for r in (0, 2, 5, 11, 12)}, built.den)
+    for A in (handmade, F, shared):
         assert A.den != 1 and any(v < 0 for row in A.rows.values() for v in row.values())
         text = json.dumps(A.to_triplets(), separators=(",", ":"))
         assert operator_hash(A) == hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 from operator_reference import SampleAtPole, at, factor, mul, scaled
 
-from symfusion import rmatrix, tensorop
+from symfusion import products, rmatrix, tensorop
 from symfusion.fusion import FusionConfig, e_operator, f_operator_general
+from symfusion.products import OrbitComparison, _cleared
 from symfusion.rmatrix import (Affine, _g_factors, _h_factors, check_eval_consistency_E,
                                check_eval_consistency_F, check_image_coincidence,
                                check_intertwiner_E, check_intertwiner_F,
@@ -17,8 +18,7 @@ from symfusion.rmatrix import (Affine, _g_factors, _h_factors, check_eval_consis
 from symfusion.shapes import (Partition, partitions_of, row_tableau, skew,
                               standard_tableaux)
 from symfusion.symalg import Permutation
-from symfusion.tensorop import (BilinearForm, OrbitComparison, SparseOperator, _cleared,
-                                column_orbits, perm_op, q_op)
+from symfusion.tensorop import BilinearForm, SparseOperator, column_orbits, perm_op, q_op
 
 SEED = 1729
 
@@ -185,7 +185,7 @@ def test_zero_identity_and_stored_zero_witness():
     assert not scaled(SparseOperator.identity(2, 1), Fraction(0))
     # stored zeros are normalized away, so equal values are equal operators
     stored_zero = SparseOperator(2, 1, {1: {0: Fraction(0)}})
-    assert stored_zero == SparseOperator.zero(2, 1) and stored_zero.rows == {}
+    assert stored_zero == SparseOperator(2, 1) and stored_zero.rows == {}
     # an unequal pair gets its first differing entry as the witness
     a = SparseOperator(2, 1, {0: {1: 3}, 1: {0: Fraction(1, 2)}})
     b = SparseOperator(2, 1, {0: {1: Fraction(3, 2)}, 1: {0: Fraction(1, 2)}})
@@ -304,7 +304,7 @@ def test_a_difference_in_the_second_block_of_columns_is_found():
     # two blocks; the sides differ only on the orbit of the last one
     form = BilinearForm("alternating", 4)
     reps = column_orbits(form, 3).representatives
-    assert len(reps) == 10 and tensorop._BLOCK == 8
+    assert len(reps) == 10 and products._BLOCK == 8
     rep = reps[9]
     Q = q_op(1, 2, form, 3)
     D = _orbit_indicator(form, 3, rep)
@@ -398,6 +398,72 @@ def test_every_family_rejects_a_perturbed_input(family, monkeypatch, fresh_units
     w = chk.witness
     assert w is not None and len(w["monomial"]) == VARIABLES[family]
     assert all(e >= 0 for e in w["monomial"]) and w["lhs"] != w["rhs"]
+
+
+SP4, O3 = BilinearForm("alternating", 4), BilinearForm("symmetric", 3)
+
+
+def _eval_f(N, kind):
+    return lambda: check_eval_consistency_F(FusionConfig(row_tableau(skew(P(1, 1))), N, 0, kind))
+
+
+# a check and the form of its contractions: the comparison alone reports
+# each flip of a pairing weight as a witness in the first two, while in
+# the others the orbit columns miss some flips
+FLIPS = {
+    "tilde37": (SYM, lambda: check_yang_baxter_family("tilde37", 2, SYM)),
+    "eval-consistency-F": (SP4, _eval_f(4, "alternating")),
+    "tilde37/O_3": (O3, lambda: check_yang_baxter_family("tilde37", 3, O3)),
+    "tilde37/Sp_4": (SP4, lambda: check_yang_baxter_family("tilde37", 4, SP4)),
+    "eval-consistency-F/O_2": (SYM, _eval_f(2, "symmetric")),
+    "eval-consistency-F/O_3": (O3, _eval_f(3, "symmetric")),
+}
+
+
+def _flips(form):
+    """Each one-sign flip of the pairing weights of Q_12 on ``form``, as a
+    stand-in for ``tensorop._rank_one``."""
+    real = tensorop._rank_one
+    weights = list(real(q_op(1, 2, form, 2))[0])
+    assert len(weights) == form.N
+    for c in weights:
+        def flipped(X, c=c):
+            pairing, inserts = real(X)
+            return {**pairing, c: -pairing[c]}, inserts
+        yield c, flipped
+
+
+@pytest.mark.parametrize("family", FLIPS)
+def test_a_flipped_pairing_weight_is_rejected(family, monkeypatch, fresh_units):
+    # the contraction's move sums each entry's pairing into its base, then
+    # inserts w; Q_12 with the sign of any one of its pairing weights
+    # flipped fails the lifted move's own check before any column is
+    # compared.  F is built and cached before the patch, so only the
+    # identity check's own contraction moves see it
+    form, run = FLIPS[family]
+    assert run().passed
+    for c, flipped in _flips(form):
+        monkeypatch.setattr(tensorop, "_rank_one", flipped)
+        tensorop.unit_move.cache_clear()
+        with pytest.raises(ArithmeticError):
+            run()
+
+
+@pytest.mark.parametrize("family", ["tilde37", "eval-consistency-F"])
+def test_the_comparison_alone_reports_a_flipped_pairing_weight(family, monkeypatch,
+                                                               fresh_units):
+    # with the lifted moves left unchecked, the comparison itself reports
+    # each flip as a witness in these checks
+    form, run = FLIPS[family]
+    assert run().passed
+    monkeypatch.setattr(tensorop, "_check_lift", lambda *args: None)
+    for c, flipped in _flips(form):
+        monkeypatch.setattr(tensorop, "_rank_one", flipped)
+        tensorop.unit_move.cache_clear()
+        chk = run()
+        assert not chk.passed, c
+        w = chk.witness
+        assert len(w["monomial"]) == VARIABLES[family] and w["lhs"] != w["rhs"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,19 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from operator_reference import mul, scaled
+from operator_reference import applied, mul, scaled
 from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 
 from symfusion import kernels, tensorop
+from symfusion.products import OrbitComparison, UnitSum
 from symfusion.shapes import Partition, count_semistandard, row_tableau, skew
 from symfusion.symalg import GroupAlgebraElement, Permutation, e_tableau
-from symfusion.tensorop import (AmbientMismatch, BilinearForm, OrbitComparison,
-                                SingularForm, SparseOperator, act, acts_as_scalar,
-                                code_table, column_orbits, commutes_with, decode,
-                                dual_basis, encode, image_basis, intersect, kernel_basis,
-                                kernel_within, left_multiplication, monomial_isometries,
-                                pair_vector, perm_op, preserves_gram, q_op, rank,
-                                row_basis, span_of_vectors, standard_form,
+from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm, SparseOperator,
+                                act, acts_as_scalar, code_table, column_orbits, commutes_with,
+                                decode, dual_basis, encode, image_basis, intersect,
+                                kernel_basis, kernel_within, left_multiplication,
+                                monomial_isometries, pair_vector, perm_op, preserves_gram,
+                                q_op, rank, row_basis, span_of_vectors, standard_form,
                                 subspace_equal, traceless_basis, unit_operator)
 
 
@@ -87,7 +87,7 @@ def test_perm_op_matches_the_decoded_reference():
             for _ in range(3):
                 terms = {s: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                          for s in rng.sample(perms, rng.randint(1, len(perms)))}
-                want = SparseOperator.zero(N, n)
+                want = SparseOperator(N, n)
                 for s, c in terms.items():
                     want = want + scaled(decoded_perm_op(s, N), c)
                 assert act(GroupAlgebraElement(n, terms), N) == want, (N, terms)
@@ -233,6 +233,164 @@ def test_unit_moves_are_the_two_slot_operator_lifted(monkeypatch, fresh_units):
             tensorop.unit_move(bad, 4, 3, form)
     assert builds == [] and tensorop.unit_move.cache_info().currsize == 0
     assert tensorop._pair_entry.cache_info().currsize == 0
+
+
+def _scaled_into(want, vec, scale, into):
+    """into + scale·want(vec), zeros dropped, as the reference for a move
+    called with ``scale`` and ``into``."""
+    out = dict(into)
+    for key, x in want(vec).items():
+        out[key] = out.get(key, 0) + scale * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _check_move(move, want, vecs, rng, dim):
+    """move(vec) and move(vec, scale, into) against the reference move
+    ``want`` on each vector: the same nonzero entries, ``into`` returned
+    and updated in place, and ``vec`` left as it was."""
+    for vec in vecs:
+        before = dict(vec)
+        assert _moved(move, vec) == _moved(want, vec)
+        scale = rng.choice((-3, 2, 5))
+        assert _moved(lambda v: move(v, scale), vec) == _scaled_into(want, vec, scale, {})
+        into = {rng.randrange(dim * dim): rng.randint(-4, 4) for _ in range(10)}
+        expected = _scaled_into(want, vec, scale, into)
+        assert move(vec, scale, into) is into
+        assert {k: x for k, x in into.items() if x} == expected
+        assert vec == before
+
+
+def test_unit_moves_do_only_their_operators_work(fresh_units):
+    """An exchange's move relabels keys, a contraction's pairs each entry
+    into its base and then inserts w, and a sum of names accumulates its
+    terms' moves over the lcm of their dens: each equals the
+    ``left_multiplication`` of the operator on all n slots, on random
+    integer vectors, alone, with ``scale`` and with ``into``, for every
+    slot pair, N = 1..4, both form kinds and a Gram whose w is rational
+    (Q's den is 5 there)."""
+    rng = random.Random(29)
+    forms = [standard_form(kind, N) for N in (1, 2, 3, 4)
+             for kind in ("symmetric", "alternating") if kind == "symmetric" or N % 2 == 0]
+    forms.append(BilinearForm("symmetric", 2, [[2, 1], [1, 3]]))
+    for form in forms:
+        N = form.N
+        # on C^1 ⊗ C^1 the contraction is the 1×1 identity, a permutation
+        assert [tensorop._pair_entry(kind, N, form)[0][0] for kind in "PQ"] == [
+            "relabel", "relabel" if N == 1 else "pair"]
+        for n in (2, 3, 4):
+            dim = N ** n
+            vecs = [{rng.randrange(dim * dim): rng.randint(-5, 5) or 1 for _ in range(30)}
+                    for _ in range(3)]
+            for kind in "PQ":
+                for k, l in permutations(range(1, n + 1), 2):
+                    X = unit_operator((kind, k, l), N, n, form)
+                    move, den, _ = tensorop.unit_move((kind, k, l), N, n, form)
+                    assert den == X.den
+                    _check_move(move, left_multiplication(X), vecs, rng, dim)
+                    assert all(_moved(move, v) == applied(X, v, dim) for v in vecs)
+            terms = tuple((rng.choice((-2, -1, 1, 3)), (rng.choice("PQ"), k, l))
+                          for k, l in rng.choices(list(permutations(range(1, n + 1), 2)), k=3))
+            ops = [(c, unit_operator(name, N, n, form)) for c, name in terms]
+            D = math.lcm(*(X.den for _, X in ops))
+            move, den = OrbitComparison(N, n, form)._move(UnitSum(terms))
+            assert den == D
+
+            def want(vec, ops=ops, D=D):
+                out = {}
+                for c, X in ops:
+                    for key, x in left_multiplication(X)(vec).items():
+                        out[key] = out.get(key, 0) + c * (D // X.den) * x
+                return out
+
+            _check_move(move, want, vecs, rng, dim)
+            # over its den, the sum's move is that of Σ c·X built whole
+            S = sum((scaled(X, c) for c, X in ops), SparseOperator(N, n))
+            whole = left_multiplication(S)
+            for vec in vecs:
+                assert _moved(lambda v: {k: x * S.den for k, x in move(v).items()}, vec) == \
+                    _moved(lambda v: {k: x * D for k, x in whole(v).items()}, vec)
+
+
+def test_a_lifted_move_unlike_its_two_slot_operator_raises(monkeypatch, fresh_units):
+    """Each unit move is checked against its two-slot operator's columns
+    before it is kept, so a wrong table or a wrong lift raises
+    ArithmeticError for every name, on O_2, O_3, Sp_2, Sp_4 and a Gram
+    whose w is rational, at n = 2..4: an exchange table with two columns'
+    rows swapped, a contraction with one pairing or insert weight flipped,
+    a lift that reads its per-code list backwards, and a column index
+    that mixes in the letter of another slot, which shows only on codes
+    whose other slots hold a letter other than the first."""
+    forms = [standard_form("symmetric", 2), standard_form("symmetric", 3),
+             standard_form("alternating", 2), standard_form("alternating", 4),
+             BilinearForm("symmetric", 2, [[2, 1], [1, 3]])]
+    real_perm, real_rank = tensorop._permutation, tensorop._rank_one
+    real_relabel, real_pair = tensorop._relabel, tensorop._pair_insert
+    real_index = tensorop._column_index
+
+    def mixed(N, n, k, l):
+        # adds the letter of the first slot outside k and l, mod N, to b
+        s = min(set(range(1, n + 1)) - {k, l}, default=None)
+        index = real_index(N, n, k, l)
+        if s is None:
+            return index
+        return [p - p % N + (p + c // N ** (n - s)) % N for c, p in enumerate(index)]
+
+    def swapped(op):
+        targets = real_perm(op)
+        if targets is not None:
+            targets[0], targets[1] = targets[1], targets[0]
+        return targets
+
+    def flipped(part, key):
+        def factors(X):
+            pairing, inserts = real_rank(X)
+            pair = [pairing, inserts]
+            pair[part] = {**pair[part], key: -pair[part][key]}
+            return tuple(pair)
+        return factors
+
+    for form in forms:
+        pairing, inserts = real_rank(q_op(1, 2, form, 2))
+        mutants = [("P", "_permutation", swapped),
+                   ("P", "_relabel", lambda shifts, dim: real_relabel(shifts[::-1], dim)),
+                   ("Q", "_pair_insert",
+                    lambda pairing, inserts, dim: real_pair(pairing[::-1], inserts, dim)),
+                   ("P", "_column_index", mixed), ("Q", "_column_index", mixed)]
+        mutants += [("Q", "_rank_one", flipped(part, key))
+                    for part, weights in enumerate((pairing, inserts)) for key in weights]
+        for kind, attr, mutant in mutants:
+            monkeypatch.setattr(tensorop, attr, mutant)
+            tensorop.unit_move.cache_clear()
+            for n in ((3, 4) if attr == "_column_index" else (2, 3, 4)):
+                for k, l in permutations(range(1, n + 1), 2):
+                    with pytest.raises(ArithmeticError):
+                        tensorop.unit_move((kind, k, l), form.N, n, form)
+            monkeypatch.undo()
+
+
+def test_left_multiplication_matches_the_entrywise_product():
+    """``left_multiplication`` of a permutation matrix relabels keys, and of
+    any other operator takes each row object once; both are A·u entry by
+    entry (``operator_reference.applied``), on all slots and as 1 ⊗ A on
+    more, alone, with ``scale`` and with ``into``, for rows that share
+    objects, rows that repeat without sharing, a matrix with one entry 1
+    per row that is no permutation, and empty columns."""
+    rng = random.Random(41)
+    N, n = 2, 3
+    built = SparseOperator(N, n, {r: {rng.randrange(8): rng.randint(-4, 4) or 1 for _ in range(3)}
+                                  for r in range(4)}, 5)
+    shared = SparseOperator._in_normal_form(N, n, {r: built.rows[r % 4] for r in range(7)},
+                                            built.den)
+    copied = SparseOperator(N, n, {r: dict(built.rows[r % 4]) for r in range(7)}, 5)
+    swap = perm_op(Permutation((3, 1, 2)), N)
+    # one entry 1 in every row, but two rows in each even column: no permutation
+    merge = SparseOperator(N, n, {r: {r - r % 2: 1} for r in range(8)})
+    for A in (shared, copied, swap, merge, SparseOperator.identity(N, n), SparseOperator(N, n)):
+        for dim in (8, 16, 32):
+            vecs = [{rng.randrange(dim * dim): rng.randint(-5, 5) or 1 for _ in range(25)}
+                    for _ in range(3)]
+            _check_move(left_multiplication(A, dim), lambda v, A=A, dim=dim: applied(A, v, dim),
+                        vecs, rng, dim)
 
 
 def test_perm_op_is_a_homomorphism():
@@ -418,7 +576,7 @@ def test_rank_sums_connected_blocks():
         _planted(2, 5, [(1, 1, 1)] * 32, rng),                      # 32 1x1 blocks
         _planted(2, 5, [(5, 3, 2), (1, 4, 1), (6, 6, 6), (4, 7, 3), (2, 2, 1)], rng),
         _planted(3, 3, [(9, 9, 4), (3, 8, 3), (1, 1, 1)] + [(2, 1, 1)] * 3, rng),
-        (SparseOperator.zero(2, 3), 0),
+        (SparseOperator(2, 3), 0),
         (SparseOperator(2, 2, {0: {}, 1: {3: Fraction(1, 2), 0: Fraction(-2, 3)},
                                2: {}, 3: {2: Fraction(5)}}), 2),
     ]
@@ -579,6 +737,22 @@ def test_shared_row_objects_are_eliminated_as_copies():
     assert kernel_basis(zero) == span_of_vectors(8, [{c: 1} for c in range(8)])
 
 
+def test_row_objects_group_the_indices_of_each_object():
+    """``row_objects`` lists each row object once with its row indices
+    ascending, ordered by the least of them, for rows inserted in shuffled
+    order; an equal copy is an object of its own, copied rows are one
+    object each, and the zero operator has none."""
+    rng = random.Random(59)
+    for N, n in ((2, 4), (3, 3)):
+        A = _sharing(N, n, rng)
+        groups = A.row_objects()
+        assert [indices for _, indices in groups] == sorted(map(sorted, _classes(A)))
+        assert all(A.rows[r] is row for row, indices in groups for r in indices)
+        copied = SparseOperator(N, n, A.rows, A.den)
+        assert [indices for _, indices in copied.row_objects()] == [[r] for r in sorted(A.rows)]
+    assert SparseOperator(2, 3).row_objects() == []
+
+
 def test_commutes_with_checks_each_row_against_its_own_image():
     """Rows 0 and 2 share one object X.  Under the signed permutation
     (0 1)(2 3) with s(3) = −1 their images are Y at row 1 and −Y at row 3,
@@ -702,7 +876,7 @@ def test_acts_as_scalar_matches_the_whole_product():
         assert acts_as_scalar(on_rows, rows, sigma, on_rows=True)
         assert not acts_as_scalar(on_columns, rows, sigma, on_rows=True)
         assert not acts_as_scalar(on_rows, columns, sigma)
-        for A in (on_columns, on_rows, Y, SparseOperator.zero(N, n)):
+        for A in (on_columns, on_rows, Y, SparseOperator(N, n)):
             for basis in (columns, rows, random_basis, image_basis(Y), row_basis(Y)):
                 B = as_columns(N, n, basis.vectors)
                 for s in (sigma, sigma + 1, 0):
@@ -836,7 +1010,7 @@ def test_operator_normal_form():
         assert scaled(scaled(A, 3), Fraction(1, 3)) == A
         assert (A + B) - B == A
         assert (A - A).rows == {} and (A - A).den == 1
-    assert SparseOperator(2, 1, {1: {0: Fraction(0)}}) == SparseOperator.zero(2, 1)
+    assert SparseOperator(2, 1, {1: {0: Fraction(0)}}) == SparseOperator(2, 1)
     halved = SparseOperator(2, 1, {0: {0: 2, 1: 4}}, 4)
     assert (halved.rows, halved.den) == ({0: {0: 1, 1: 2}}, 2)
     with pytest.raises(ValueError):
