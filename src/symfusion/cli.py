@@ -28,7 +28,7 @@ from .fusion import (FORM_GROUP, MAX_BOXES, CheckResult, ConfigError, FusionConf
 from .shapes import (ContainmentError, ParityError, Partition, column_tableau,
                      partitions_of, row_tableau, skew, standard_tableaux,
                      validate_label)
-from .symalg import e_tableau, fusion_e_skew
+from .symalg import e_tableau, fusion_e_skew, times_fusion
 from .tensorop import acts_as_scalar, standard_form
 from .rmatrix import (check_eval_consistency_E, check_eval_consistency_F,
                       check_intertwiner_E, check_intertwiner_F,
@@ -104,9 +104,15 @@ def cmd_symmetrizer(args) -> int:
         elem = fusion_e_skew(T, "row")
     else:
         elem = e_tableau(T)
-    payload = elem.to_json()
-    print(f"tableau {T}: {len(payload)} terms")
-    print(json.dumps(payload, indent=2))
+    # the bytes of json.dumps(elem.to_json(), indent=2), written one term at
+    # a time; the element is never 0, as its identity coefficient is 1
+    out = sys.stdout
+    out.write(f"tableau {T}: {len(elem.terms)} terms\n[")
+    sep = "\n"
+    for cycles, coeff in elem.term_strings():
+        out.write(f'{sep}  {{\n    "cycles": "{cycles}",\n    "coeff": "{coeff}"\n  }}')
+        sep = ",\n"
+    out.write("\n]\n")
     return 0
 
 
@@ -158,11 +164,14 @@ def _sweep_tableaux(args):
 
 
 def _suite_idempotency(args):
+    """e_T·e_T = σ·e_T and F·b = σ·b on image(F).  e_T is the fusion value
+    of T on the row line, so e_T·e_T is that limit started at e_T
+    (``times_fusion``), and no product of two elements is formed."""
     kind = FORM_KIND[args.form]
     for T in _sweep_tableaux(args):
         scalar = scaled_idempotency_constant(T.shape.lam)
         e = e_tableau(T)
-        ok = (e * e) == e.scaled(scalar)
+        ok = fusion_e_skew(T, "row") == e and times_fusion(e, T) == e.scaled(scalar)
         cfg = FusionConfig(T, args.N, 0, kind)
         F = f_operator_general(cfg)
         ok = ok and acts_as_scalar(F, f_image_basis(cfg, F), scalar)

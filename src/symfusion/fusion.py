@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import kernels
 from .exactnum import (DivisionByZero, PoleAtLimit, format_rational, limit_at_zero,
                        normal_form)
 from .products import Affine, OrbitComparison, R, R_bar
@@ -46,9 +45,8 @@ from .shapes import (Partition, StandardTableau, column_tableau, conjugate,
 from .symalg import inner_tableau_of, skew_tableau_of
 from .tensorop import (BilinearForm, ColumnOrbits, SparseOperator, SubspaceBasis,
                        acts_as_scalar, column_orbits, commutes_with, image_basis,
-                       kernel_within, left_multiplication, q_op, row_basis, slot_codes,
-                       span_of_vectors, standard_form, subspace_equal, traceless_basis,
-                       unit_move)
+                       kernel_within, left_multiplication, row_basis, slot_codes,
+                       standard_form, subspace_equal, traceless_basis, unit_move)
 
 
 class NotApplicable(ValueError):
@@ -524,68 +522,24 @@ def _block_codes(L: int, M: int, m: int, n: int) -> tuple[list[int], list[int]]:
     return first, last
 
 
-def invariant_traceless_projector(M: int, m: int, form: BilinearForm) -> SparseOperator:
-    """The unique equivariant projector onto the traceless part.
-
-    The complement of the traceless subspace is the span of the images of
-    all contraction operators, itself invariant; the projector along it
-    is computed by solving in the combined basis.
-    """
-    dim = M ** m
-    if m < 2:
-        return SparseOperator.identity(M, m)
-    T = traceless_basis(M, m, form)
-    C = span_of_vectors(dim, [dict(v) for k, l in _lex_pairs(m)
-                              for v in image_basis(q_op(k, l, form, m)).vectors])
-    if T.dim + C.dim != dim:
-        raise ArithmeticError("traceless part and contraction span do not fill the space")
-    # Solve B · coeffs = e_i for every i, where the columns of B are the
-    # vectors of T then C: the echelon form of [B | I] is [d·I | d·B⁻¹] row
-    # by row, and the projector column i is the T-part of B⁻¹ e_i.
-    basis = [dict(v) for v in T.vectors + C.vectors]
-    aug = [[b.get(i, 0) for b in basis] + [int(i == j) for j in range(dim)]
-           for i in range(dim)]
-    pivots, reduced = kernels.echelon(aug, 2 * dim)
-    if pivots[:dim] != list(range(dim)):
-        raise ArithmeticError("traceless part and contraction span are not independent")
-    den = math.lcm(*(reduced[j][j] for j in range(T.dim)))
-    proj: dict[int, dict[int, int]] = {}
-    for j, t in enumerate(T.vectors):
-        row = reduced[j]
-        scale = den // row[j]
-        for i in range(dim):
-            if row[dim + i]:
-                coeff = row[dim + i] * scale
-                for r, v in t:
-                    dst = proj.setdefault(r, {})
-                    dst[i] = dst.get(i, 0) + coeff * v
-    return SparseOperator(M, m, proj, den)
-
-
-def _kron_on_block(A: SparseOperator, B: SparseOperator) -> SparseOperator:
-    """A ⊗ B placed on the split block of the (A.N + B.N)-dimensional
-    space, zero elsewhere: entry (A-row r, B-row s) × (A-col c, B-col t)
-    is A[r][c]·B[s][t], at the codes ``_block_codes`` gives each pair."""
-    L = A.N + B.N
-    first, last = _block_codes(L, A.N, A.n, B.n)
-    rows = {first[r] + last[s]: {first[c] + last[t]: av * bv for c, av in arow.items()
-                                 for t, bv in brow.items()}
-            for r, arow in A.rows.items() for s, brow in B.rows.items()}
-    return SparseOperator(L, A.n + B.n, rows, A.den * B.den)
-
-
 def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
                                form_kind: str) -> bool:
     """Compression of the big operator to the split subspace factors as
     (restricted plain symmetrizer) ⊗ (small two-parameter operator).
 
-    On traceless u_j ⊗ e_nc this reads (H ⊗ 1)·big·(u_j ⊗ e_nc) =
-    (E_ups·u_j) ⊗ (small·e_nc), with H the traceless projector of the
-    first factor.  All those vectors are checked at once, as the columns
-    j·N^n + nc of one start vector keyed row·dim + col: the left side is
-    the ``left_multiplication`` move of big and then that of Ĥ = H ⊗ 1,
-    over Ĥ.den·big.den, the right side the move of Û = E_ups ⊗ small, over
-    Û.den, and the two are compared cross-multiplied by the other's den.
+    On traceless u_j ⊗ e_nc this reads (H ⊗ 1)·Y = X, with Y the split
+    block of big·(u_j ⊗ e_nc), X = (E_ups·u_j) ⊗ (small·e_nc) and H the
+    projector of the first factor onto its traceless part T along C, the
+    span of the contractions' images.  No H is built.  Each Q_kl is
+    self-adjoint for ω^{⊗m}, and T = ∩ ker Q_kl, so C = T^⊥; so H ⊗ 1 fixes
+    T ⊗ V and kills C ⊗ V = T^⊥ ⊗ V, and the equation holds exactly when
+    X lies in T ⊗ V, which is when every Q_kl kills each E_ups·u_j, and
+    Y − X pairs to 0 with every t of T's basis under ω^{⊗m} in the first
+    factor.  All the u_j ⊗ e_nc are moved at once, as the columns
+    j·N^n + nc of one start vector keyed row·dim + col, by the
+    ``left_multiplication`` move of big; the u_j are moved by that of
+    E_ups on (C^M)^⊗m.  The pairings of Y and X, over big.den and over
+    E_ups.den·small.den, are compared cross-multiplied by the other's den.
     """
     l = L_tab.n
     Lrank = N + M
@@ -604,25 +558,57 @@ def verify_theta_factorization(L_tab: StandardTableau, m: int, N: int, M: int,
 
     big = f_operator_general(FusionConfig(L_tab, Lrank, 0, form_kind))
     small = f_operator_general(FusionConfig(omega, N, M, form_kind))
+    gram: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}  # ω^{⊗k} on codes
     if m:
         form_M = standard_form(form_kind, M)
         E_ups = e_operator(upsilon, M)
-        H = invariant_traceless_projector(M, m, form_M)
         traceless = traceless_basis(M, m, form_M).vectors
+        kills = [unit_move(("Q", *pair), M, m, form_M)[0] for pair in _lex_pairs(m)]
+        for _ in range(m):  # entry (aM + i, bM + j) of one slot more is that of (a, b)·G_ij
+            gram = {a * M + i: {b * M + j: v * g for b, v in row.items()
+                                for j, g in enumerate(form_M.gram[i]) if g}
+                    for a, row in gram.items() for i in range(M)}
     else:
-        E_ups = H = SparseOperator.identity(M, 0)
+        E_ups = SparseOperator.identity(M, 0)
         traceless = (((0, 1),),)  # the unit vector of the one-dimensional first factor
+        kills = []
 
-    dim = Lrank ** l
+    dm, dn, dim = M ** m, N ** n, Lrank ** l
+    columns = {mc * dm + j: v for j, u in enumerate(traceless) for mc, v in u}
+    moved = left_multiplication(E_ups)(columns)  # E_ups·u_j at the keys mc·dm + j
+    if any(any(kill(moved).values()) for kill in kills):
+        return False
+    # the covectors ω^{⊗m}(t_i, ·), and at[mc] the (i, weight) of those nonzero at mc
+    covectors = [{} for _ in traceless]
+    for w, t in zip(covectors, traceless):
+        for a, v in t:
+            for b, g in gram[a].items():
+                w[b] = w.get(b, 0) + v * g
+    at: dict[int, list[tuple[int, int]]] = {}
+    for i, w in enumerate(normal_form(covectors)[0]):
+        for mc, v in w.items():
+            at.setdefault(mc, []).append((i, v))
+
     first, last = _block_codes(Lrank, M, m, n)
-    start = {(first[mc] + code) * dim + j * N ** n + nc: v
+    start = {(first[mc] + code) * dim + j * dn + nc: v
              for j, u in enumerate(traceless) for mc, v in u
              for nc, code in enumerate(last)}
-    H_hat = _kron_on_block(H, SparseOperator.identity(N, n))
-    U_hat = _kron_on_block(E_ups, small)
-    lhs = left_multiplication(H_hat)(left_multiplication(big)(start))
-    rhs = left_multiplication(U_hat)(start)
-    dl, dr = H_hat.den * big.den, U_hat.den
+    block = {f + code: (mc, nr) for mc, f in enumerate(first) for nr, code in enumerate(last)}
+    lhs: dict[tuple[int, int, int], int] = {}  # (i, nr, column): t_i's pairing with Y
+    for key, y in left_multiplication(big)(start).items():
+        r, col = divmod(key, dim)
+        if y and r in block:
+            mc, nr = block[r]
+            for i, v in at.get(mc, ()):
+                lhs[i, nr, col] = lhs.get((i, nr, col), 0) + v * y
+    paired: dict[tuple[int, int], int] = {}  # (i, j): t_i's pairing with E_ups·u_j
+    for key, x in moved.items():
+        mc, j = divmod(key, dm)
+        for i, v in at.get(mc, ()):
+            paired[i, j] = paired.get((i, j), 0) + v * x
+    rhs = {(i, nr, j * dn + nc): p * x for (i, j), p in paired.items() if p
+           for nr, row in small.rows.items() for nc, x in row.items()}
+    dl, dr = big.den, E_ups.den * small.den
     return all(lhs.get(k, 0) * dr == rhs.get(k, 0) * dl for k in lhs.keys() | rhs.keys())
 
 

@@ -1,10 +1,11 @@
 """The hot inner loops, on plain Python objects.
 
-Permutations are 1-based image tuples; ``ga_mul`` sees the int
-numerators of two group-algebra elements and needs only ring arithmetic
-on them; ``echelon``, the one elimination, takes dense int rows.
-No operator product lives here: every one runs as a
-``tensorop.left_multiplication`` move on vectors.
+Permutations are 1-based image tuples; ``echelon``, the one
+elimination, takes dense int rows.  No product of two operators or of
+two group-algebra elements lives here: an operator product runs as a
+``tensorop.left_multiplication`` move on vectors, and a group-algebra
+product by a fusion element as the limit engine started at the other
+factor (``symalg.times_fusion``).
 """
 
 from __future__ import annotations
@@ -15,25 +16,6 @@ import math
 def compose(s, t):
     """Composition s∘t acting as (s∘t)(i) = s(t(i)); right factor first."""
     return tuple(s[i - 1] for i in t)
-
-
-def ga_mul(a, b):
-    """Convolution of two {perm tuple: coeff} maps, zero terms dropped."""
-    out = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            key = tuple(sa[i - 1] for i in sb)
-            c = ca * cb
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                c = prev + c
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-    return out
 
 
 def echelon(rows, ncols):

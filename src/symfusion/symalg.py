@@ -2,8 +2,12 @@
 
 Composition convention, used everywhere and load-bearing for the
 recursion and ordering conventions below: (s∘t)(i) = s(t(i)), i.e. the
-right factor acts first.  Products of algebra elements append factors on
-the right, so an ordered product f1·f2·…·fT is built left to right.
+right factor acts first.  An ordered product f1·f2·…·fT is built left
+to right, each factor applied by right multiplication.  No two elements
+are ever multiplied whole: the factors are 1 and one permutation, so
+each is a relabelling of ranks plus a multiple of the identity, which the
+limit engine of ``exactnum`` applies; and since that engine is linear in
+its start, e_T·e_T is the fusion limit started at e_T (``times_fusion``).
 
 The hot loops run on permutation ranks, not tuples.  S_n is listed once
 per n in lexicographic order of its image tuples (``_perms``), so rank 0
@@ -25,8 +29,9 @@ from operator import add, floordiv, getitem, itemgetter
 from typing import NamedTuple
 
 from . import kernels
-from .exactnum import format_rational, limit_at_zero, normal_form
-from .shapes import Partition, SkewShape, StandardTableau
+from .exactnum import limit_at_zero, normal_form
+from .shapes import (Partition, SkewShape, StandardTableau, column_tableau, conjugate,
+                     row_tableau, skew)
 
 
 class DegreeMismatch(ValueError):
@@ -164,20 +169,21 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.n, {s: v * c.numerator for s, v in self.terms.items()},
                                    self.den * c.denominator)
 
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        return GroupAlgebraElement(self.n, kernels.ga_mul(self.terms, other.terms),
-                                   self.den * other.den)
-
     def coeff(self, s) -> Fraction:
         return Fraction(self.terms.get(tuple(s), 0), self.den)
 
-    def identity_coeff(self) -> Fraction:
-        return self.coeff(range(1, self.n + 1))
+    def term_strings(self):
+        """(cycle notation, coefficient as "p/q" or "p") of each term, in
+        the order of the sorted image tuples, one term at a time.  The
+        coefficient is reduced from the stored ints, and the keys are
+        valid image tuples, so no Fraction or Permutation is built."""
+        den = self.den
+        for s, x in sorted(self.terms.items()):
+            g = gcd(x, den)
+            yield Permutation.cycles(s), f"{x // g}/{den // g}" if g != den else str(x // g)
 
     def to_json(self) -> list[dict]:
-        return [{"cycles": Permutation(s).cycles(), "coeff": format_rational(self.coeff(s))}
-                for s in sorted(self.terms)]
+        return [{"cycles": c, "coeff": q} for c, q in self.term_strings()]
 
     def __repr__(self):
         parts = [f"{self.coeff(s)!r}*{Permutation(s).cycles()}" for s in sorted(self.terms)]
@@ -389,21 +395,18 @@ def e_row(T: StandardTableau) -> GroupAlgebraElement:
 
 
 def e_col(T: StandardTableau) -> GroupAlgebraElement:
-    """Diagonal matrix element for the column tableau: q·p·q / (λ'1!·λ'2!·…)."""
-    from .shapes import column_tableau, conjugate
+    """Diagonal matrix element for the column tableau: q·p·q / (λ'1!·λ'2!·…).
 
+    The sign twist s ↦ sgn(s)·s is an automorphism of the algebra that
+    sends the row sum of the conjugate shape's row tableau, whose rows are
+    T's columns, to q, and its signed column sum to p.  So e_col(T) is the
+    twist of e_row of that tableau."""
     _require_non_skew(T)
     if T != column_tableau(T.shape):
         raise WrongTableau(f"{T} is not the column tableau of its shape")
-    p = young_p(T)
-    q = young_q(T)
-    denom = 1
-    for part in conjugate(T.shape.lam).parts:
-        denom *= factorial(part)
-    e = (q * p * q).scaled(Fraction(1, denom))
-    if e.identity_coeff() != 1:
-        raise ArithmeticError("q·p·q lost its unit identity coefficient")
-    return e
+    e = e_row(row_tableau(skew(conjugate(T.shape.lam))))
+    return GroupAlgebraElement(T.n, {s: Permutation(s).sign() * c for s, c in e.terms.items()},
+                               e.den)
 
 
 def _check_greedy(greedy: str) -> None:
@@ -496,18 +499,21 @@ def _times_transposition(n: int, i: int, j: int):
     return lambda vec: {table[r]: x for r, x in vec.items()}
 
 
-def _fusion_limit(n: int, contents, slopes) -> GroupAlgebraElement:
-    """Value at ε = 0 of the ordered product of
+def _fusion_limit(n: int, contents, slopes, start: dict[int, int] | None = None,
+                  den: int = 1) -> GroupAlgebraElement:
+    """a times the value at ε = 0 of the ordered product of
     1 - (i j)/(c_i - c_j + (g_i - g_j)·ε) over lexicographic pairs, where
-    g are the slopes of the substitution line.  The engine runs on ranks
-    from the identity, rank 0; the value's keys become tuples once, at
-    the end."""
+    g are the slopes of the substitution line, for a = Σ start[r]/den ·
+    (rank r), the identity by default.  Each factor multiplies on the
+    right, and the engine is linear in its start, so it runs on ranks
+    from a's numerators, and the value is over its den times a's.  The
+    value's keys become tuples once, at the end."""
     factors = [(_times_transposition(n, i, j), contents[i - 1] - contents[j - 1],
                 slopes[i - 1] - slopes[j - 1])
                for i in range(1, n) for j in range(i + 1, n + 1)]
-    vec, den = limit_at_zero({0: 1}, factors, "fusion product")
+    vec, scale = limit_at_zero({0: 1} if start is None else start, factors, "fusion product")
     perms = _perms(n)
-    return GroupAlgebraElement(n, {perms[r]: x for r, x in vec.items()}, den)
+    return GroupAlgebraElement(n, {perms[r]: x for r, x in vec.items()}, scale * den)
 
 
 def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
@@ -522,6 +528,20 @@ def fusion_e_skew(T: StandardTableau, mode: str = "row") -> GroupAlgebraElement:
         raise ValueError(f"mode must be 'row' or 'column', got {mode!r}")
     groups = T.rows() if mode == "row" else T.columns()
     return _fusion_limit(T.n, T.contents, groups)
+
+
+def times_fusion(a: GroupAlgebraElement, T: StandardTableau) -> GroupAlgebraElement:
+    """a·fusion_e_skew(T, "row"), with no product of two elements formed:
+    the fusion limit on the row line, started at a.  It costs one engine
+    run on |a| terms, where the product takes |a| times as many terms as
+    the fusion value holds.  For a standard tableau the fusion value is
+    e_T (Molev, "On the fusion procedure for the symmetric group", Rep.
+    Math. Phys. 61, 2008), so e_T·e_T is times_fusion(e_T, T)."""
+    if a.n != T.n:
+        raise DegreeMismatch(f"degrees {a.n} and {T.n} differ")
+    rank = _rank(a.n)
+    return _fusion_limit(a.n, T.contents, T.rows(), {rank[s]: x for s, x in a.terms.items()},
+                         a.den)
 
 
 def iota(a: GroupAlgebraElement, m: int) -> GroupAlgebraElement:

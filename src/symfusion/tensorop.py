@@ -7,9 +7,9 @@ denominator (``SparseOperator``, in the ``exactnum.normal_form`` that a
 group-algebra element shares, so ``act`` reads an element's numerators
 and den directly) and subspaces hold integer echelon rows
 (``SubspaceBasis``); Fractions appear only where rationals enter or leave
-(``entry``, ``to_triplets``, ``span_of_vectors``, the scalar of
-``acts_as_scalar``) and in ``BilinearForm``.  Operators add and
-subtract, but are never multiplied whole.  Operators apply as
+(``entry``, ``to_triplets``, the scalar of ``acts_as_scalar``) and in
+``BilinearForm``.  Operators add and subtract, but are never multiplied
+whole.  Operators apply as
 ``left_multiplication`` moves on integer vectors keyed row·dim + col,
 which hold some columns of a matrix (the limit engine,
 ``products.OrbitComparison``, ``kernel_within``, the theta check in
@@ -510,10 +510,8 @@ def commutes_with(A: SparseOperator, table) -> bool:
 # and returns it, or returns a new dict of scale·X·vec when ``into`` is
 # None.  A new dict may hold zeros.  Each move does only its operator's
 # work: a permutation relabels keys (``_relabel``), a rank-one unit
-# operator pairs then inserts (``_pair_insert``), any other operator
-# takes each row object once (``_object_move``), and the lift of any
-# other two-slot operator moves every entry along each of its
-# (shift, weight) pairs (``_move``).
+# operator pairs then inserts (``_pair_insert``), and any other operator
+# takes each row object once (``_object_move``).
 
 
 def left_multiplication(op: SparseOperator, dim: int | None = None):
@@ -556,21 +554,6 @@ def _permutation(op: SparseOperator) -> list[int] | None:
             return None
         targets[c] = r
     return targets
-
-
-def _move(shifts: list[tuple], dim: int):
-    """The move that sends entry key = row·dim + col, for each pair
-    (shift, weight) of shifts[row], to key + shift with that weight."""
-    def move(vec: dict[int, int], scale: int = 1, into: dict | None = None) -> dict[int, int]:
-        out: dict[int, int] = {} if into is None else into
-        get = out.get
-        for key, x in vec.items():
-            x *= scale
-            for shift, w in shifts[key // dim]:
-                nk = key + shift
-                out[nk] = get(nk, 0) + w * x
-        return out
-    return move
 
 
 def _object_move(op: SparseOperator, dim: int):
@@ -738,8 +721,10 @@ def _pair_entry(kind: str, N: int, form: BilinearForm) -> tuple:
     - ("pair", pairing, inserts) for rank one, such as Q_12, whose entry
       is <e_a, e_b>·w_ij: pairing[a·N + b] is the column's weight and
       inserts lists (i, j, weight) for each nonzero row i·N + j
-      (``_rank_one``);
-    - ("general",) otherwise, moved along ``columns``."""
+      (``_rank_one``).
+
+    Every unit operator is one of these two; any other X₂ raises
+    ArithmeticError."""
     X = unit_operator((kind, 1, 2), N, 2, form)
     commutes = all(commutes_with(X, t) for t in column_orbits(form, 2).tables)
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(N * N)]
@@ -754,7 +739,8 @@ def _pair_entry(kind: str, N: int, form: BilinearForm) -> tuple:
         table = ("pair", tuple(pairing.get(c, 0) for c in range(N * N)),
                  tuple((r // N, r % N, u) for r, u in inserts.items()))
     else:
-        table = ("general",)
+        raise ArithmeticError(f"{kind}_12 on C^{N} ⊗ C^{N} is neither a permutation "
+                              "nor rank one")
     return table, tuple(map(tuple, columns)), X.den, commutes
 
 
@@ -765,11 +751,10 @@ def _unit_entry(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     slots pick X₂'s column a·N + b (one ``slot_codes`` index), and a row
     offset (a' − a, b' − b) there moves the code by
     (a' − a)·N^(n−k) + (b' − b)·N^(n−l).  So an exchange keeps one shift
-    per code, a contraction one pairing (shift to the code's base, weight)
-    per code and one insert list of N^2 offsets at most, and any other
-    operator one tuple of (shift, weight) per code; codes share the
-    lifted objects of their column.  The lifted move is checked against
-    X₂'s columns before it is kept (``_check_lift``)."""
+    per code, and a contraction one pairing (shift to the code's base,
+    weight) per code and one insert list of N^2 offsets at most; codes
+    share the lifted objects of their column.  The lifted move is checked
+    against X₂'s columns before it is kept (``_check_lift``)."""
     kind, k, l = name
     k, l = min(k, l), max(k, l)
     (how, *table), columns, den, commutes = _pair_entry(kind, N, form)
@@ -779,14 +764,11 @@ def _unit_entry(name: tuple, N: int, n: int, form: BilinearForm) -> tuple:
     if how == "relabel":
         lifted = [da * wk + db * wl for da, db in table[0]]
         move = _relabel([lifted[c] for c in pair], dim)
-    elif how == "pair":
+    else:
         pairing, inserts = table
         lifted = [(-(c // N * wk + c % N * wl), v) if v else None for c, v in enumerate(pairing)]
         move = _pair_insert([lifted[c] for c in pair],
                             [(i * wk + j * wl, u) for i, j, u in inserts], dim)
-    else:
-        lifted = [tuple((da * wk + db * wl, v) for da, db, v in col) for col in columns]
-        move = _move([lifted[c] for c in pair], dim)
     _check_lift(move, columns, k, l, N, n)
     return move, den, commutes
 
@@ -1107,21 +1089,3 @@ def kernel_within(basis: SubspaceBasis, moves) -> SubspaceBasis:
                 rows.setdefault(r, {})[j] = v
         equations.extend(rows.values())
     return _combinations(basis, _null_space(equations, basis.dim))
-
-
-def span_of_vectors(ambient: int, vectors) -> SubspaceBasis:
-    """Span of rational vectors, each a {code: value} dict or a sequence of
-    length ``ambient``; a code outside 0..ambient-1 raises AmbientMismatch."""
-    rows = []
-    for v in vectors:
-        if isinstance(v, dict):
-            items = v.items()
-            if any(not 0 <= i < ambient for i in v):
-                raise AmbientMismatch(f"vector has a code outside 0..{ambient - 1}")
-        else:
-            items = enumerate(v)
-            if len(v) != ambient:
-                raise AmbientMismatch(f"vector of length {len(v)} in C^{ambient}")
-        (row,), _ = normal_form([{i: Fraction(x) for i, x in items}])
-        rows.append(row)
-    return _span(ambient, rows)

@@ -1,22 +1,29 @@
-"""Whole-operator arithmetic for the tests, as plain dict products.
+"""Whole-operator and whole-element arithmetic for the tests, as plain
+dict products.
 
 The library never multiplies two operators: every product runs as a
 ``tensorop.left_multiplication`` move on vectors.  These build products,
 multiples and factors entry by entry from the stored rows, independent
 of that move, so the tests can state an operator identity in full and
-check the moves against it.  The library never evaluates a den either:
-``at`` gives a factor's den at a point, so that ``factor`` can build it
-there.  ``three_pass_factor`` keeps the limit engine's step as it was
-first written, the reference for ``exactnum``'s one-pass step.
+check the moves against it.  Nor does it multiply two group-algebra
+elements: ``ga_mul`` is the convolution, term by term, that the tests
+check ``symalg.times_fusion`` and the algebra identities against.  The
+library never evaluates a den either: ``at`` gives a factor's den at a
+point, so that ``factor`` can build it there.  ``three_pass_factor``
+keeps the limit engine's step as it was first written, the reference for
+``exactnum``'s one-pass step.  ``span_of_vectors`` spans rational
+vectors, for the tests that state a subspace by a spanning set, and
+``rank_one_shifted`` perturbs a rank-one operator and keeps it rank one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from symfusion.exactnum import value_at_zero
+from symfusion.exactnum import normal_form, value_at_zero
 from symfusion.products import Affine
-from symfusion.tensorop import AmbientMismatch, SparseOperator
+from symfusion.symalg import DegreeMismatch, GroupAlgebraElement
+from symfusion.tensorop import AmbientMismatch, SparseOperator, SubspaceBasis, _span
 
 
 class SampleAtPole(ValueError):
@@ -65,6 +72,22 @@ def scaled(X: SparseOperator, c) -> SparseOperator:
                                      for r, cols in X.rows.items()}, X.den * c.denominator)
 
 
+def rank_one_shifted(X: SparseOperator, rows=(), cols=(), t=Fraction(1, 7)) -> SparseOperator:
+    """The rank-one X = u·vᵀ/p, with u its first nonzero column, v its
+    first nonzero row and p their shared entry, with t added to u at each
+    of ``rows`` and to v at each of ``cols``: a contraction stays rank one."""
+    r0 = min(X.rows)
+    c0 = min(X.rows[r0])
+    u = {r: Fraction(row[c0], X.den) for r, row in X.rows.items() if c0 in row}
+    v = {c: Fraction(x, X.den) for c, x in X.rows[r0].items()}
+    p = v[c0]
+    for k in rows:
+        u[k] = u.get(k, 0) + t
+    for k in cols:
+        v[k] = v.get(k, 0) + t
+    return SparseOperator(X.N, X.n, {r: {c: a * b / p for c, b in v.items()} for r, a in u.items()})
+
+
 def factor(X: SparseOperator, sign: int, den) -> SparseOperator:
     """1 + sign·X/den as a whole operator: the reference for the factor
     step of ``OrbitComparison``."""
@@ -99,3 +122,37 @@ def three_pass_limit(start: dict, factors) -> tuple[dict, int]:
     for move, a, b in factors:
         series = three_pass_factor(series, move, a, b)
     return value_at_zero(series, [(a, b) for _, a, b in factors])
+
+
+def ga_mul(*elements: GroupAlgebraElement) -> GroupAlgebraElement:
+    """The product of group-algebra elements, left to right: the
+    convolution Σ a_s·b_t·(s∘t), over the product of the dens."""
+    out, *rest = elements
+    for b in rest:
+        if b.n != out.n:
+            raise DegreeMismatch(f"degrees {out.n} and {b.n} differ")
+        terms: dict = {}
+        for sa, ca in out.terms.items():
+            for sb, cb in b.terms.items():
+                key = tuple(sa[i - 1] for i in sb)
+                terms[key] = terms.get(key, 0) + ca * cb
+        out = GroupAlgebraElement(out.n, terms, out.den * b.den)
+    return out
+
+
+def span_of_vectors(ambient: int, vectors) -> SubspaceBasis:
+    """Span of rational vectors, each a {code: value} dict or a sequence of
+    length ``ambient``; a code outside 0..ambient-1 raises AmbientMismatch."""
+    rows = []
+    for v in vectors:
+        if isinstance(v, dict):
+            items = v.items()
+            if any(not 0 <= i < ambient for i in v):
+                raise AmbientMismatch(f"vector has a code outside 0..{ambient - 1}")
+        else:
+            items = enumerate(v)
+            if len(v) != ambient:
+                raise AmbientMismatch(f"vector of length {len(v)} in C^{ambient}")
+        (row,), _ = normal_form([{i: Fraction(x) for i, x in items}])
+        rows.append(row)
+    return _span(ambient, rows)

@@ -376,6 +376,61 @@ def test_fusion_f_at_positive_M_checks_the_scaled_square_only_at_M0():
         assert f"PASS {name}\n" in res.stdout, name
 
 
+@pytest.mark.parametrize("argv", [["--lambda", "2,1"], ["--lambda", "3,2", "--tableau", "3"],
+                                  ["--lambda", "3,2,1", "--mu", "2", "--tableau", "4"],
+                                  ["--lambda", "4,1", "--tableau", "col"], ["--lambda", "0"]])
+def test_symmetrizer_writes_the_json_of_its_element(argv, capsys):
+    # the terms are written one at a time, as the bytes json.dumps gives
+    # the element's to_json with indent 2, negative and reduced
+    # coefficients included
+    from symfusion.cli import _parse_partition, _pick_tableau
+    from symfusion.shapes import skew
+    from symfusion.symalg import e_tableau, fusion_e_skew
+
+    assert main(["symmetrizer", *argv]) == 0
+    opts = dict(zip(argv[::2], argv[1::2]))
+    shape = skew(_parse_partition(opts["--lambda"]), _parse_partition(opts.get("--mu")))
+    T = _pick_tableau(shape, opts.get("--tableau", "row"))
+    payload = (fusion_e_skew(T, "row") if shape.is_skew else e_tableau(T)).to_json()
+    want = f"tableau {T}: {len(payload)} terms\n" + json.dumps(payload, indent=2) + "\n"
+    assert capsys.readouterr().out == want
+
+
+def test_idempotency_suite_rejects_a_changed_element_and_a_wrong_scalar(tmp_path, monkeypatch,
+                                                                        capsys):
+    # e_T with the numerator of the order reversal raised by one, which
+    # fusion_e_skew is made to return too, so that only the engine square
+    # sees it, fails every entry past one box (at one box every element is
+    # a multiple of e = 1); a scalar σ + 1 fails every entry
+    from fractions import Fraction
+
+    from symfusion import cli
+    from symfusion.symalg import GroupAlgebraElement
+
+    out = tmp_path / "c.json"
+    argv = ["verify", "--form", "O", "--N", "2", "--suite", "idempotency",
+            "--max-boxes", "4", "--output", str(out)]
+    assert main(argv) == 0
+    real = cli.e_tableau
+
+    def changed(T, *rest):
+        e = real(T)
+        return e + GroupAlgebraElement(T.n, {tuple(range(T.n, 0, -1)): Fraction(1, e.den)})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "e_tableau", changed)
+        patch.setattr(cli, "fusion_e_skew", changed)
+        assert main(argv) == 1
+        entries = json.loads(out.read_text())["entries"]
+        assert len(entries) == 5
+        verdicts = {e["name"].split("/")[-1]: e["pass"] for e in entries}
+        assert verdicts.pop("1[1]") and not any(verdicts.values())
+    sigma = cli.scaled_idempotency_constant
+    monkeypatch.setattr(cli, "scaled_idempotency_constant", lambda lam: sigma(lam) + 1)
+    assert main(argv) == 1
+    assert not any(e["pass"] for e in json.loads(out.read_text())["entries"])
+
+
 @pytest.mark.parametrize("argv", [["--lambda", "0"], ["--lambda", "2", "--mu", "2"]])
 def test_symmetrizer_of_no_box_prints_the_unit(argv, capsys):
     # S_0 holds one permutation, so the empty tableau's element is the unit

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from operator_reference import mul, scaled
+from operator_reference import mul, rank_one_shifted, scaled
 from qq_oracle import qq_rank
 
 from symfusion.exactnum import PoleAtLimit, limit_at_zero, value_at_zero
@@ -571,31 +571,44 @@ def test_theta_factorization_configs(monkeypatch):
 
 
 def test_theta_factorization_rejects_perturbed_factors(monkeypatch):
-    """A doubled small operator, or a projector off by 1/7 in one entry,
-    breaks the factorization at m = 2."""
+    """A doubled small operator, or the small operator or E_ups off by 1/7
+    in one entry, breaks the factorization at m = 2: the small one moves
+    X off the pairings of Y, and the E_ups one moves E_ups·u_j off the
+    traceless part or off those pairings.  So does E_ups plus a map into
+    the contraction span C, which pairs to 0 with the traceless part: only
+    the Q_kl moves on E_ups·u_j see it."""
     from symfusion import fusion
+    from symfusion.symalg import inner_tableau_of
+    from symfusion.tensorop import traceless_basis
 
     monkeypatch.setenv("FUSION_MAX_DIM", "1000")
-    case = (T((2, 1, 1)), 2, 2, 3, "symmetric")
+    L = T((2, 1, 1))
+    case = (L, 2, 2, 3, "symmetric")
     assert verify_theta_factorization(*case)
-    general = fusion.f_operator_general
-    projector = fusion.invariant_traceless_projector
+    general, built = fusion.f_operator_general, fusion.e_operator
+    upsilon = inner_tableau_of(L, 2)
 
-    def doubled_small(cfg):
-        F = general(cfg)
-        return scaled(F, 2) if cfg.M else F  # the big operator has M = 0
+    def shifted(A, row=None):
+        r = min(A.rows) if row is None else row
+        return A + SparseOperator(A.N, A.n, {r: {min(A.rows[r]): Fraction(1, 7)}})
 
-    def shifted(M, m, form):
-        H = projector(M, m, form)
-        r = min(H.rows)
-        return H + SparseOperator(M, m, {r: {min(H.rows[r]): Fraction(1, 7)}})
-
-    with monkeypatch.context() as patch:
-        patch.setattr(fusion, "f_operator_general", doubled_small)
-        assert not verify_theta_factorization(*case)
-    with monkeypatch.context() as patch:
-        patch.setattr(fusion, "invariant_traceless_projector", shifted)
-        assert not verify_theta_factorization(*case)
+    perturbed = [
+        ("f_operator_general", lambda cfg: scaled(general(cfg), 2) if cfg.M else general(cfg)),
+        ("f_operator_general", lambda cfg: shifted(general(cfg)) if cfg.M else general(cfg)),
+    ]
+    E_ups = built(upsilon, 3)
+    perturbed += [("e_operator", lambda O, N, r=r: shifted(built(O, N), r) if O == upsilon
+                   else built(O, N)) for r in sorted(E_ups.rows)]
+    # w = Σ e_i ⊗ e_i spans the image of Q_12 on C^3 ⊗ C^3; it is added at
+    # the first code of the first traceless vector
+    code = traceless_basis(3, 2, standard_form("symmetric", 3)).vectors[0][0][0]
+    into_C = SparseOperator(3, 2, {4 * i: {code: Fraction(1, 7)} for i in range(3)})
+    perturbed.append(("e_operator", lambda O, N: built(O, N) + into_C if O == upsilon
+                      else built(O, N)))
+    for name, mutant in perturbed:
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, name, mutant)
+            assert not verify_theta_factorization(*case), name
     assert verify_theta_factorization(*case)
 
 
@@ -613,28 +626,50 @@ def test_block_codes_match_the_decoded_reference():
                 assert f + t == encode(midx + nidx, L), (L, M, m, n, mcode, ncode)
 
 
-def test_invariant_traceless_projector_with_two_or_more_factors():
-    """H is idempotent, fixes every traceless vector, has the traceless
-    dimension as its rank and kills the image of every contraction: so it
-    is the projector onto the traceless part along the contraction span."""
-    from symfusion.fusion import invariant_traceless_projector
-    from symfusion.tensorop import traceless_basis
+def _tensor_gram(form, m):
+    """ω^{⊗m} entry by entry from the decoded letters of both codes."""
+    dim = form.N ** m
+    gram = {}
+    for a in range(dim):
+        la = decode(a, form.N, m)
+        for b in range(dim):
+            lb = decode(b, form.N, m)
+            v = math.prod(form.gram[i - 1][j - 1] for i, j in zip(la, lb))
+            if v:
+                gram[a, b] = v
+    return gram
 
-    for M, m, form in ((2, 2, BilinearForm("symmetric", 2)), (3, 3, BilinearForm("symmetric", 3)),
-                       (4, 2, BilinearForm("alternating", 4)),
-                       (2, 2, BilinearForm("symmetric", 2, [[2, 1], [1, Fraction(1, 3)]]))):
-        H = invariant_traceless_projector(M, m, form)
-        T = traceless_basis(M, m, form)
-        assert mul(H, H) == H and rank(H) == T.dim
-        traceless = {}  # T's vectors as the columns of one operator
-        for j, vec in enumerate(T.vectors):
-            for code, v in vec:
-                traceless.setdefault(code, {})[j] = v
-        traceless = SparseOperator(M, m, traceless)
-        assert mul(H, traceless) == traceless
-        for k in range(1, m):
-            for l in range(k + 1, m + 1):
-                assert not mul(H, q_op(k, l, form, m))
+
+def test_contraction_span_is_the_traceless_part_orthogonal():
+    """The fact the theta check rests on: with T the traceless part and C
+    the span of the images of every Q_kl, every vector of C pairs to 0
+    with every vector of T under ω^{⊗m}, T ∩ C = 0 and dim T + dim C = M^m.
+    So T ⊕ C is the whole space and, ω^{⊗m} being nondegenerate, C = T^⊥:
+    the projector onto T along C kills exactly T^⊥.  Checked on Sp_4 and
+    O_3 and O_2 at m = 3, Sp_2 at m = 4, O_4 at m = 2, and on a Gram with
+    a rational entry."""
+    from operator_reference import span_of_vectors
+    from symfusion.tensorop import intersect, traceless_basis
+
+    cases = [(standard_form("alternating", 4), 3), (standard_form("symmetric", 3), 3),
+             (standard_form("symmetric", 2), 3), (standard_form("alternating", 2), 4),
+             (standard_form("symmetric", 4), 2),
+             (BilinearForm("symmetric", 2, [[2, 1], [1, Fraction(1, 3)]]), 2)]
+    for form, m in cases:
+        dim = form.N ** m
+        traceless = traceless_basis(form.N, m, form)
+        images = [dict(v) for k in range(1, m) for l in range(k + 1, m + 1)
+                  for v in image_basis(q_op(k, l, form, m)).vectors]
+        span = span_of_vectors(dim, images)
+        assert traceless.dim + span.dim == dim and intersect(traceless, span).dim == 0
+        assert 0 < traceless.dim < dim
+        gram = _tensor_gram(form, m)
+        for t in traceless.vectors:
+            covector = {}
+            for (a, b), g in gram.items():
+                covector[b] = covector.get(b, 0) + dict(t).get(a, 0) * g
+            assert all(sum(covector.get(c, 0) * v for c, v in image.items()) == 0
+                       for image in images), (form, m)
 
 
 def test_divisibility_for_skew_shape_with_measured_scalar():
@@ -1006,8 +1041,10 @@ def test_orbit_build_rejects_a_non_equivariant_factor(monkeypatch, fresh_units):
     """A factor that breaks the form's symmetry stops the F build.  Every
     contraction is Q_12 on C^N ⊗ C^N lifted to its two slots, so Q_12 there
     is shifted at each of the 7 codes off the orbit representatives of
-    C^3 ⊗ C^3: F's build takes that shift into every contraction factor,
-    and the factors' verdict, decided on the two slots, raises."""
+    C^3 ⊗ C^3, by adding 1/7 to v there in Q_12 = u·vᵀ, so that it stays
+    rank one:
+    F's build takes that shift into every contraction factor, and the
+    factors' verdict, decided on the two slots, raises."""
     from symfusion import tensorop
 
     cfg = FusionConfig(T((2, 1)), 3, 0, "symmetric")
@@ -1018,7 +1055,7 @@ def test_orbit_build_rejects_a_non_equivariant_factor(monkeypatch, fresh_units):
     for c in off:
         def shifted(k, l, form, n, c=c):
             Q = real(k, l, form, n)
-            return Q + SparseOperator(3, n, {c: {c: 1}}) if n == 2 else Q
+            return rank_one_shifted(Q, cols=[c]) if n == 2 else Q
 
         monkeypatch.setattr(tensorop, "q_op", shifted)
         tensorop.unit_move.cache_clear()

@@ -4,7 +4,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from operator_reference import SampleAtPole, at, factor, mul, scaled
+from operator_reference import SampleAtPole, at, factor, mul, rank_one_shifted, scaled
 
 from symfusion import products, rmatrix, tensorop
 from symfusion.fusion import FusionConfig, e_operator, f_operator_general
@@ -318,10 +318,15 @@ def test_a_difference_in_the_second_block_of_columns_is_found():
                                                 Q.entry(rep, rep) + 1)
 
 
-def _perturb_first_call(fn):
-    """fn, with entry (0, 1) of the result of its first call shifted by
-    1/7.  That entry moves weight between slots; a shift that commutes with
-    every slot permutation, such as one at (0, 0), can keep an identity."""
+def _perturb_first_call(fn, target):
+    """fn, with the result of its first call perturbed so that it moves
+    weight between slots; a shift that commutes with every slot
+    permutation, such as one at (0, 0), can keep an identity.  Every unit
+    move relabels or pairs, so a unit operator keeps its shape: a
+    permutation (``perm_op``) gets the targets of columns 0 and 1
+    exchanged, and a contraction (``q_op``) u·vᵀ gets 1/7 added to u_1
+    and to v_1, which keeps it rank one.  Any other operator gets entry
+    (0, 1) shifted by 1/7."""
     done = False
 
     def perturbed(*args, **kwargs):
@@ -330,7 +335,13 @@ def _perturb_first_call(fn):
         if done:
             return op
         done = True
-        return op + SparseOperator(op.N, op.n, {0: {1: Fraction(1, 7)}})
+        if target == "q_op":
+            return rank_one_shifted(op, rows=[1], cols=[1])
+        if target != "perm_op":
+            return op + SparseOperator(op.N, op.n, {0: {1: Fraction(1, 7)}})
+        targets = {c: r for r, row in op.rows.items() for c in row}
+        targets[0], targets[1] = targets[1], targets[0]
+        return SparseOperator(op.N, op.n, {r: {c: 1} for c, r in targets.items()})
     return perturbed
 
 
@@ -391,7 +402,7 @@ def test_every_family_rejects_a_perturbed_input(family, monkeypatch, fresh_units
     target, run = MUTATIONS[family]
     assert run().passed
     owner = tensorop if target in ("perm_op", "q_op") else rmatrix
-    monkeypatch.setattr(owner, target, _perturb_first_call(getattr(owner, target)))
+    monkeypatch.setattr(owner, target, _perturb_first_call(getattr(owner, target), target))
     tensorop.unit_move.cache_clear()
     chk = run()
     assert not chk.passed

@@ -7,7 +7,7 @@ import pytest
 
 from symfusion import symalg
 from symfusion.exactnum import PoleAtLimit
-from symfusion.shapes import (Partition, column_tableau, dim_sym_irrep,
+from symfusion.shapes import (Partition, column_tableau, conjugate, dim_sym_irrep,
                               partitions_of, row_tableau, skew,
                               standard_tableaux)
 from symfusion.symalg import (DegreeMismatch, GroupAlgebraElement, Permutation,
@@ -15,8 +15,10 @@ from symfusion.symalg import (DegreeMismatch, GroupAlgebraElement, Permutation,
                               compose, e_col, e_row, e_skew_extract,
                               e_tableau, extend_tableau,
                               _fusion_limit, fusion_e_skew,
-                              inner_tableau_of, iota, theta, young_p, young_q)
+                              inner_tableau_of, iota, theta, times_fusion, young_p,
+                              young_q)
 
+from operator_reference import ga_mul
 from qq_oracle import qq_fusion_e_skew, qq_fusion_limit, qq_rank
 
 
@@ -119,7 +121,7 @@ def test_group_algebra_normal_form():
             for sb, y in b.items():
                 key = tuple(compose(Permutation(sa), Permutation(sb)))
                 prod[key] = prod.get(key, 0) + x * y
-        _assert_ga_matches(A * B, {s: c for s, c in prod.items() if c})
+        _assert_ga_matches(ga_mul(A, B), {s: c for s, c in prod.items() if c})
         k = Fraction(rng.choice([-6, -1, 0, 2, 9]), rng.choice([1, 4, 6]))
         _assert_ga_matches(A.scaled(k), {s: c * k for s, c in a.items() if c * k})
         assert A.scaled(3).scaled(Fraction(1, 3)) == A
@@ -213,7 +215,7 @@ def test_e_tableau_identity_coefficient_and_chain_independence():
         for lam in partitions_of(size):
             for T in standard_tableaux(skew(lam)):
                 e1 = e_tableau(T, "smallest")
-                assert e1.identity_coeff() == 1
+                assert e1.coeff(ident(size)) == 1
                 assert e1 == e_tableau(T, "largest")
 
 
@@ -248,7 +250,7 @@ def _e_tableau_reference(T, greedy):
         d = cur.contents[k] - cur.contents[k - 1]
         cur = cur.swap_adjacent(k)
         e = _exchange_reference(e.terms, k, d).scaled(Fraction(1, e.den * (d * d - 1)))
-    assert cur == T and e.identity_coeff() == 1
+    assert cur == T and e.coeff(ident(T.n)) == 1
     return e
 
 
@@ -318,16 +320,68 @@ def test_e_tableau_cache_is_bounded_and_read_only():
     assert e_tableau(child) == _e_tableau_reference(child, "smallest")
     assert e_tableau(parent) == _e_tableau_reference(parent, "smallest")
     for m in range(lam.size):
-        assert e_skew_extract(parent, m).identity_coeff() == 1
+        assert e_skew_extract(parent, m).coeff(ident(lam.size - m)) == 1
 
 
 def test_scaled_idempotency():
+    # e_T·e_T = σ·e_T by the reference product and by the limit engine
+    # started at e_T
     for size in range(1, 6):
         for lam in partitions_of(size):
             scalar = Fraction(_fact(size), dim_sym_irrep(lam))
             for T in standard_tableaux(skew(lam)):
                 e = e_tableau(T)
-                assert e * e == e.scaled(scalar)
+                assert ga_mul(e, e) == e.scaled(scalar) == times_fusion(e, T)
+
+
+def test_times_fusion_is_the_product_by_the_fusion_value():
+    """The engine is linear in its start: times_fusion(a, T) is
+    a·fusion_e_skew(T, "row") by the reference product, for random
+    elements a with rational coefficients and every standard tableau of
+    at most four cells, skew included, and the zero element maps to 0."""
+    rng = random.Random(30)
+    checked = 0
+    for outer in range(1, 6):
+        for lam in partitions_of(outer):
+            for inner in range(max(0, outer - 4), outer):
+                for mu in filter(lam.contains, partitions_of(inner)):
+                    for T in standard_tableaux(skew(lam, mu)):
+                        a, _ = _random_element(T.n, rng)
+                        assert times_fusion(a, T) == ga_mul(a, fusion_e_skew(T, "row")), T
+                        checked += 1
+    assert checked > 120
+    T = row_tableau(skew(P(2, 1)))
+    assert times_fusion(GroupAlgebraElement(3), T) == GroupAlgebraElement(3)
+    with pytest.raises(DegreeMismatch):
+        times_fusion(GroupAlgebraElement(2, {ident(2): 1}), T)
+
+
+def test_engine_square_rejects_a_changed_numerator_and_a_wrong_scalar():
+    """e with any one numerator changed by one, started in the engine, is
+    no multiple σ·e of itself, and the true e is no (σ + 1)·e: on every
+    standard tableau of two to five boxes (at one box every element is
+    a multiple of e = 1)."""
+    for size in range(2, 6):
+        for lam in partitions_of(size):
+            scalar = Fraction(_fact(size), dim_sym_irrep(lam))
+            for T in standard_tableaux(skew(lam)):
+                e = e_tableau(T)
+                assert times_fusion(e, T) != e.scaled(scalar + 1)
+                for s in list(e.terms)[:3] + [tuple(reversed(ident(size)))]:
+                    bad = e + GroupAlgebraElement(size, {s: Fraction(1, e.den)})
+                    assert times_fusion(bad, T) != bad.scaled(scalar), (T, s)
+
+
+def test_fusion_value_is_the_diagonal_element_past_five_boxes():
+    # the fusion procedure's theorem, which makes the engine square e_T²,
+    # spot-checked at 7 boxes against the exchange chain of e_tableau
+    for lam, picks in (((4, 2, 1), (0, 17, -1)), ((3, 2, 2), (0, -1))):
+        tabs = standard_tableaux(skew(P(*lam)))
+        scalar = Fraction(_fact(sum(lam)), dim_sym_irrep(P(*lam)))
+        for T in (tabs[i] for i in picks):
+            e = e_tableau(T)
+            assert fusion_e_skew(T, "row") == e, T
+            assert times_fusion(e, T) == e.scaled(scalar), T
 
 
 def _fact(n):
@@ -374,11 +428,11 @@ def test_fusion_factor_relations():
         x, y, z, w = (Fraction(rng.randint(1, 60), rng.randint(1, 4)) for _ in range(4))
         if len({x, y, z, w}) < 4:
             continue
-        lhs = factor(3, 1, 2, x, y) * factor(3, 1, 3, x, z) * factor(3, 2, 3, y, z)
-        rhs = factor(3, 2, 3, y, z) * factor(3, 1, 3, x, z) * factor(3, 1, 2, x, y)
+        lhs = ga_mul(factor(3, 1, 2, x, y), factor(3, 1, 3, x, z), factor(3, 2, 3, y, z))
+        rhs = ga_mul(factor(3, 2, 3, y, z), factor(3, 1, 3, x, z), factor(3, 1, 2, x, y))
         assert lhs == rhs
-        lhs4 = factor(4, 1, 2, x, y) * factor(4, 3, 4, z, w)
-        rhs4 = factor(4, 3, 4, z, w) * factor(4, 1, 2, x, y)
+        lhs4 = ga_mul(factor(4, 1, 2, x, y), factor(4, 3, 4, z, w))
+        rhs4 = ga_mul(factor(4, 3, 4, z, w), factor(4, 1, 2, x, y))
         assert lhs4 == rhs4
 
 
@@ -445,7 +499,7 @@ def test_extract_factorization_identity():
             for m in range(lam.size):
                 ups = inner_tableau_of(T, m)
                 lhs = theta(e_tableau(T), m)
-                rhs = _embed_inner(ups, T.n) * iota(e_skew_extract(T, m), m)
+                rhs = ga_mul(_embed_inner(ups, T.n), iota(e_skew_extract(T, m), m))
                 assert lhs == rhs
 
 
@@ -493,7 +547,7 @@ def _left_mult_matrix(elem):
     mat = []
     for g in basis:
         unit = GroupAlgebraElement(n, {g: Fraction(1)})
-        prod = elem * unit
+        prod = ga_mul(elem, unit)
         row = [Fraction(0)] * len(basis)
         for s in prod.terms:
             row[index[s]] = prod.coeff(s)
@@ -566,4 +620,9 @@ def test_stabilizer_sums_and_row_element_match_their_definitions():
                 T = row_tableau(skew(lam))
                 p, q = young_p(T), young_q(T)
                 scale = Fraction(1, math.prod(map(math.factorial, lam.parts)))
-                assert e_row(T) == (p * q * p).scaled(scale), lam
+                assert e_row(T) == ga_mul(p, q, p).scaled(scale), lam
+            if len(lam.parts) != 6:  # so would q·q
+                T = column_tableau(skew(lam))
+                p, q = young_p(T), young_q(T)
+                scale = Fraction(1, math.prod(map(math.factorial, conjugate(lam).parts)))
+                assert e_col(T) == ga_mul(q, p, q).scaled(scale), lam

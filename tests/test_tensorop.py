@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from operator_reference import applied, mul, scaled
+from operator_reference import applied, ga_mul, mul, rank_one_shifted, scaled, span_of_vectors
 from qq_oracle import qq_echelon, qq_nullspace, qq_rank
 
 from symfusion import kernels, tensorop
@@ -16,7 +16,7 @@ from symfusion.tensorop import (AmbientMismatch, BilinearForm, SingularForm, Spa
                                 decode, dual_basis, encode, image_basis, intersect,
                                 kernel_basis, kernel_within, left_multiplication,
                                 monomial_isometries, pair_vector, perm_op, preserves_gram,
-                                q_op, rank, row_basis, span_of_vectors, standard_form,
+                                q_op, rank, row_basis, standard_form,
                                 subspace_equal, traceless_basis, unit_operator)
 
 
@@ -140,10 +140,11 @@ def test_a_cached_failing_verdict_turns_on_every_column(monkeypatch, fresh_units
     form = BilinearForm("alternating", 4)
     reps = column_orbits(form, 2).representatives
     # the perturbed column is off the orbit columns, so only a comparison
-    # on every column can see it
+    # on every column can see it; Q = u·vᵀ gets 1/7 added to v there, so
+    # it is still rank one, the shape of every contraction's move
     c = next(c for c in range(16) if c % 5 and c not in reps)
     Q = q_op(1, 2, form, 2)
-    bad = Q + SparseOperator(4, 2, {0: {c: Fraction(1, 7)}})
+    bad = rank_one_shifted(Q, cols=[c])
     builds = []
 
     def perturbed(name, N, n, form):
@@ -156,7 +157,7 @@ def test_a_cached_failing_verdict_turns_on_every_column(monkeypatch, fresh_units
         compare = OrbitComparison(4, 2, form)
         diff = compare.difference(side, ref)
         assert compare.columns == range(16)
-        assert diff[:2] == (0, c)
+        assert diff[:2] == (min(Q.rows), c)
     assert builds == [("Q", 1, 2)]
     assert tensorop.unit_move.cache_info().hits == 1
 
@@ -206,11 +207,11 @@ def test_unit_moves_are_the_two_slot_operator_lifted(monkeypatch, fresh_units):
                     assert all(commutes_with(X, t) for t in tables)
                     want = left_multiplication(X)
                     assert all(_moved(move, v) == _moved(want, v) for v in vecs), (form, kind, k, l)
-    # Q_12 on two slots with 1/7 added at entry (0, 1), which no signed
-    # permutation of the Sp_4 Gram preserves
+    # Q_12 = u·vᵀ on two slots with 1/7 added to v_1, which no signed
+    # permutation of the Sp_4 Gram preserves; it stays rank one
     form = standard_form("alternating", 4)
     real = unit_operator
-    bad2 = real(("Q", 1, 2), 4, 2, form) + SparseOperator(4, 2, {0: {1: Fraction(1, 7)}})
+    bad2 = rank_one_shifted(real(("Q", 1, 2), 4, 2, form), cols=[1])
     monkeypatch.setattr(tensorop, "unit_operator",
                         lambda name, N, n, form: bad2 if name == ("Q", 1, 2) and n == 2
                         else real(name, N, n, form))
@@ -366,6 +367,20 @@ def test_a_lifted_move_unlike_its_two_slot_operator_raises(monkeypatch, fresh_un
                     with pytest.raises(ArithmeticError):
                         tensorop.unit_move((kind, k, l), form.N, n, form)
             monkeypatch.undo()
+
+
+def test_a_unit_operator_of_no_known_shape_raises(monkeypatch, fresh_units):
+    """Every unit operator is a permutation (P) or rank one (Q), so those
+    are the only moves; a contraction that ``_rank_one`` cannot factor
+    raises ArithmeticError before any move is kept, and the exchanges
+    still resolve."""
+    form = standard_form("symmetric", 3)
+    monkeypatch.setattr(tensorop, "_rank_one", lambda X: None)
+    for n in (2, 3):
+        with pytest.raises(ArithmeticError):
+            tensorop.unit_move(("Q", 1, n), 3, n, form)
+    assert tensorop.unit_move.cache_info().currsize == 0
+    assert tensorop.unit_move(("P", 1, 2), 3, 2, form)[2]
 
 
 def test_left_multiplication_matches_the_entrywise_product():
@@ -527,7 +542,7 @@ def test_act_is_algebra_homomorphism():
                     terms[tuple(images)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 return GroupAlgebraElement(n, terms)
             a, b = rand_elem(), rand_elem()
-            assert act(a * b, N) == mul(act(a, N), act(b, N))
+            assert act(ga_mul(a, b), N) == mul(act(a, N), act(b, N))
 
 
 def test_rank_and_bases():
